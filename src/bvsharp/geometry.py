@@ -1,22 +1,27 @@
 """Bounded planar domains with C^2 boundary and exact cap/arc quadrature.
 
 A domain is described analytically (`DomainSpec`) and rasterized to a
-`GridDomain` that carries a signed-distance field, the Lebesgue measure
-computed by cell-fraction quadrature, and an analytic curvature
-evaluator.  Curvature is never differenced from the grid: second
-derivatives of a sampled distance field are far too noisy at practical
-resolutions, while the boundary parameterizations used here have closed
-forms.
+`GridDomain` that carries the interior mask of the cell centres, the
+Lebesgue measure and an analytic curvature evaluator.  The measure is
+Green's theorem, 1/2 of the loop integral of (x y' - y x') dt, by the
+trapezoid rule, which converges spectrally on a periodic analytic curve
+and is exact for the disk and the ellipse.  Curvature is never
+differenced from the grid: the boundary parameterizations used here have
+closed forms.
 
-The two quadrature operations that feed certificate-grade numbers are
+The two quadrature operations that feed certificate-grade numbers share
+one crossing finder, which brackets the angles at which the circle
+dB(a, eps) crosses dOmega by the sign of the radial gap and bisects them
+to machine precision:
 
-* `cap_measure`      -- area of Omega intersected with a disk B(a, eps),
-  by a quadtree of square cells whose interface cells are cut by the
-  local tangent line of whichever boundary crosses them;
-* `boundary_arc_inside` -- length of the part of the circle dB(a, eps)
-  lying inside Omega, by root-bracketing the crossing angles.
+* `boundary_arc_inside` -- length of the part of dB(a, eps) lying inside
+  Omega, the sum of the inside arcs between crossings;
+* `cap_measure`      -- area of Omega intersected with the disk B(a, eps),
+  by Green's theorem on the boundary of the intersection: the inside arcs
+  of dB contribute eps^2 dtheta / 2 in closed form, the pieces of dOmega
+  inside B are integrated by Gauss-Legendre quadrature.
 
-Both target relative errors well below 1e-5 so that strict-inequality
+Both are exact to rounding for the supported shapes, so strict-inequality
 certificates are not contaminated by quadrature noise.
 
 Supported shapes are star-shaped with respect to the origin (disk,
@@ -47,9 +52,6 @@ __all__ = [
     "boundary_arc_inside",
     "boundary_arc_expansion",
 ]
-
-_SQRT2_HALF = math.sqrt(2.0) / 2.0
-
 
 class DomainBuildError(ValueError):
     """Raised when a DomainSpec cannot produce a valid C^2 domain."""
@@ -105,6 +107,14 @@ class DomainSpec:
             rho = self._rho(t)
             return rho * np.cos(t), rho * np.sin(t)
         raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
+
+    def boundary_param(self, px, py):
+        """Parameter t in (-pi, pi] of points lying on the boundary curve."""
+        px = np.asarray(px, dtype=float)
+        py = np.asarray(py, dtype=float)
+        if self.kind == "ellipse":
+            return np.arctan2(py / self.b, px / self.a)
+        return np.arctan2(py, px)
 
     def boundary_tangent(self, t):
         t = np.asarray(t, dtype=float)
@@ -258,28 +268,16 @@ def _closest_param(spec: DomainSpec, px, py, n_newton: int = 18):
     return t
 
 
-def _signed_distance(spec: DomainSpec, px, py, with_normal: bool = False):
-    """Signed distance (< 0 inside) and, optionally, the outward unit normal."""
+def _signed_distance(spec: DomainSpec, px, py):
+    """Signed distance to the boundary, negative inside."""
     px = np.asarray(px, dtype=float).ravel()
     py = np.asarray(py, dtype=float).ravel()
     if spec.kind == "disk":
-        rho = np.hypot(px, py)
-        d = rho - spec.r
-        if not with_normal:
-            return d
-        safe = np.maximum(rho, 1e-300)
-        return d, px / safe, py / safe
+        return np.hypot(px, py) - spec.r
     t = _closest_param(spec, px, py)
     bx, by = spec.boundary_point(t)
     dist = np.hypot(px - bx, py - by)
-    inside = spec.is_inside(px, py)
-    d = np.where(inside, -dist, dist)
-    if not with_normal:
-        return d
-    x1, y1 = spec.boundary_tangent(t)
-    speed = np.hypot(x1, y1)
-    # Outward normal of a counterclockwise curve.
-    return d, y1 / speed, -x1 / speed
+    return np.where(spec.is_inside(px, py), -dist, dist)
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +311,8 @@ def _plane_cut_fraction(d, nx, ny, h):
 
 @dataclass
 class GridDomain:
-    """A rasterized domain: signed-distance samples plus the analytic spec.
+    """A rasterized domain: the interior mask of the cell centres plus the
+    analytic spec.
 
     Immutable after construction; every query below is read-only.
     """
@@ -324,7 +323,7 @@ class GridDomain:
     ymin: float
     nx: int
     ny: int
-    sdf: np.ndarray = field(repr=False)
+    interior_mask: np.ndarray = field(repr=False)
     measure: float = 0.0
     _diameter: float = 0.0
 
@@ -337,10 +336,6 @@ class GridDomain:
         return self.ymin + (np.arange(self.ny) + 0.5) * self.h
 
     @property
-    def interior_mask(self):
-        return self.sdf < 0.0
-
-    @property
     def diameter(self) -> float:
         return self._diameter
 
@@ -350,9 +345,6 @@ class GridDomain:
 
     def signed_distance(self, px, py):
         return _signed_distance(self.spec, px, py)
-
-    def signed_distance_with_normal(self, px, py):
-        return _signed_distance(self.spec, px, py, with_normal=True)
 
     def boundary_point(self, t):
         return self.spec.boundary_point(t)
@@ -364,9 +356,10 @@ class GridDomain:
 def build_domain(spec: DomainSpec, h: float) -> GridDomain:
     """Rasterize a valid spec at cell size h and compute its measure.
 
-    The measure uses one refinement level in the boundary band: band
-    cells are split 2x2 and each subcell is cut by the tangent line at
-    its nearest boundary point.
+    The interior mask is the exact inside test at the cell centres.  The
+    measure is 1/2 of the loop integral of (x y' - y x') dt by the
+    trapezoid rule on 2048 points: exact for the disk and the ellipse, and
+    for a Fourier boundary of degree below 1024 (the integrand is rho^2).
     """
     spec.validate()
     if h <= 0:
@@ -380,42 +373,29 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
 
     t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
     bx, by = spec.boundary_point(t)
+    tx, ty = spec.boundary_tangent(t)
+    measure = math.pi * float(np.mean(bx * ty - by * tx))
+
     pad = 3.0 * h
     xmin, xmax = float(np.min(bx)) - pad, float(np.max(bx)) + pad
     ymin, ymax = float(np.min(by)) - pad, float(np.max(by)) + pad
     nx = int(math.ceil((xmax - xmin) / h))
     ny = int(math.ceil((ymax - ymin) / h))
+    mx, my = np.meshgrid(xmin + (np.arange(nx) + 0.5) * h, ymin + (np.arange(ny) + 0.5) * h)
+    mask = spec.is_inside(mx, my)
 
-    gx = xmin + (np.arange(nx) + 0.5) * h
-    gy = ymin + (np.arange(ny) + 0.5) * h
-    mx, my = np.meshgrid(gx, gy)
-    sdf = _signed_distance(spec, mx, my).reshape(ny, nx)
-
-    # Cell fractions: full/empty away from the boundary, refined in the band.
-    radius = _SQRT2_HALF * h
-    frac = np.where(sdf <= -radius, 1.0, 0.0)
-    band = np.abs(sdf) < radius
-    if np.any(band):
-        cx = mx[band]
-        cy = my[band]
-        off = 0.25 * h
-        sub = np.zeros(cx.shape)
-        for ox in (-off, off):
-            for oy in (-off, off):
-                d, nvx, nvy = _signed_distance(spec, cx + ox, cy + oy, with_normal=True)
-                sub += _plane_cut_fraction(d, nvx, nvy, 0.5 * h)
-        frac[band] = 0.25 * sub
-    measure = float(np.sum(frac) * h * h)
-
-    ts = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-    sx, sy = spec.boundary_point(ts)
-    pts = np.stack([sx, sy], axis=1)
-    diff = pts[:, None, :] - pts[None, :, :]
-    diameter = float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
+    # Largest pairwise distance of 1024 boundary samples, in row chunks so
+    # that no 1024 x 1024 difference array is ever held.
+    sx, sy = spec.boundary_point(np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False))
+    d2 = 0.0
+    for lo in range(0, sx.size, 128):
+        dx = sx[lo:lo + 128, None] - sx
+        dy = sy[lo:lo + 128, None] - sy
+        d2 = max(d2, float(np.max(dx * dx + dy * dy)))
 
     return GridDomain(
         spec=spec, h=h, xmin=xmin, ymin=ymin, nx=nx, ny=ny,
-        sdf=sdf, measure=measure, _diameter=diameter,
+        interior_mask=mask, measure=measure, _diameter=math.sqrt(d2),
     )
 
 
@@ -490,60 +470,105 @@ def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
 
 
 # --------------------------------------------------------------------------
+# circle crossings
+
+
+def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float,
+                      n_samples: int = 4096):
+    """Angles at which the circle dB(a, eps) crosses dOmega, and the inside arcs.
+
+    Crossings are bracketed by sign changes of the radial gap between
+    `n_samples` equispaced angles and bisected to machine precision.
+    Returns (theta, inside): the sorted crossing angles, and for each k
+    whether the arc from theta[k] to theta[k+1] (cyclically) lies in
+    Omega.  Without a crossing theta is empty and inside holds one entry,
+    for the whole circle.
+    """
+
+    def gap(theta):
+        return spec.radial_gap(ax + eps * np.cos(theta), ay + eps * np.sin(theta))
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
+    signs = np.asarray(gap(thetas)) < 0.0
+    flips = np.nonzero(signs != np.roll(signs, -1))[0]
+    if flips.size == 0:
+        return flips.astype(float), signs[:1]
+
+    lo = thetas[flips]
+    hi = lo + 2.0 * math.pi / n_samples
+    lo_inside = signs[flips]
+    for _ in range(60):
+        midpoint = 0.5 * (lo + hi)
+        same = (np.asarray(gap(midpoint)) < 0.0) == lo_inside
+        lo = np.where(same, midpoint, lo)
+        hi = np.where(same, hi, midpoint)
+    theta = np.sort(0.5 * (lo + hi))
+    following = np.append(theta[1:], theta[0] + 2.0 * math.pi)
+    inside = np.asarray(gap(0.5 * (theta + following))) < 0.0
+    return theta, inside
+
+
+def _arc_widths(theta):
+    """Angular width of each arc between cyclically consecutive angles."""
+    return np.diff(theta, append=theta[0] + 2.0 * math.pi)
+
+
+# --------------------------------------------------------------------------
 # cap quadrature
 
+_GAUSS_LEGENDRE = None
 
-def cap_measure(domain: GridDomain, a, eps: float, depth: int = 8, base: int = 16) -> float:
+
+def _gauss_legendre():
+    """32-point Gauss-Legendre nodes and weights on [-1, 1], computed once."""
+    global _GAUSS_LEGENDRE
+    if _GAUSS_LEGENDRE is None:
+        _GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(32)
+    return _GAUSS_LEGENDRE
+
+
+def _green_boundary_integral(spec: DomainSpec, ax: float, ay: float, t0, t1):
+    """Sum over the parameter intervals [t0, t1] of the integral of
+    (x - ax) y' - (y - ay) x' dt, Gauss-Legendre on 8 equal panels each."""
+    nodes, weights = _gauss_legendre()
+    edges = t0[:, None] + (t1 - t0)[:, None] * np.linspace(0.0, 1.0, 9)
+    half = 0.5 * np.diff(edges, axis=1)[..., None]
+    t = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None] + half * nodes
+    x, y = spec.boundary_point(t)
+    x1, y1 = spec.boundary_tangent(t)
+    return float(np.sum(half * weights * ((x - ax) * y1 - (y - ay) * x1)))
+
+
+def cap_measure(domain: GridDomain, a, eps: float) -> float:
     """Area of Omega intersected with the disk B(a, eps).
 
-    Quadtree refinement: cells straddling either boundary are split
-    `depth` times starting from a base x base grid over the bounding
-    square of B(a, eps); surviving interface cells are cut by the local
-    tangent line.  Relative error is well below 1e-5 for the supported
-    shapes (the tangent-line error per cell is O(kappa h^3)).
+    Green's theorem in coordinates centred at a: the area is 1/2 of the
+    loop integral of (X dY - Y dX) over the boundary of the intersection,
+    which runs along the arcs of dB(a, eps) inside Omega and the pieces of
+    dOmega inside B.  An arc of angular width dtheta contributes
+    eps^2 dtheta / 2 exactly; a piece of dOmega, delimited by the boundary
+    parameters of two crossings, is integrated by 32-point Gauss-Legendre
+    quadrature on 8 panels, which is exact to rounding for the analytic
+    boundaries supported here.  Without a crossing the area is pi eps^2
+    (circle inside Omega), the measure (Omega inside B) or 0 (disjoint).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     spec = domain.spec
     ax, ay = float(a[0]), float(a[1])
+    theta, inside = _circle_crossings(spec, ax, ay, eps)
+    if theta.size == 0:
+        if inside[0]:
+            return math.pi * eps * eps
+        bx, by = spec.boundary_point(0.0)
+        return domain.measure if math.hypot(float(bx) - ax, float(by) - ay) < eps else 0.0
 
-    h0 = 2.0 * eps / base
-    idx = np.arange(base, dtype=float) + 0.5
-    cx, cy = np.meshgrid(ax - eps + idx * h0, ay - eps + idx * h0)
-    cx, cy = cx.ravel(), cy.ravel()
-    hl = h0
-    area = 0.0
-
-    for _ in range(depth):
-        d_dom = _signed_distance(spec, cx, cy)
-        d_ball = np.hypot(cx - ax, cy - ay) - eps
-        radius = _SQRT2_HALF * hl
-        inside = (d_dom <= -radius) & (d_ball <= -radius)
-        area += float(np.count_nonzero(inside)) * hl * hl
-        keep = ~inside & (d_dom < radius) & (d_ball < radius)
-        if not np.any(keep):
-            return area
-        cx, cy = cx[keep], cy[keep]
-        off = 0.25 * hl
-        cx = np.concatenate([cx - off, cx + off, cx - off, cx + off])
-        cy = np.concatenate([cy - off, cy - off, cy + off, cy + off])
-        hl *= 0.5
-
-    d_dom, ndx, ndy = _signed_distance(spec, cx, cy, with_normal=True)
-    rho = np.hypot(cx - ax, cy - ay)
-    d_ball = rho - eps
-    safe = np.maximum(rho, 1e-300)
-    f_dom = _plane_cut_fraction(d_dom, ndx, ndy, hl)
-    f_ball = _plane_cut_fraction(d_ball, (cx - ax) / safe, (cy - ay) / safe, hl)
-    both = (f_dom > 0.0) & (f_dom < 1.0) & (f_ball > 0.0) & (f_ball < 1.0)
-    # Cells cut by both interfaces sit at the two corner points only;
-    # bracket the true fraction between the Frechet bounds and take the middle.
-    f = np.where(
-        both,
-        0.5 * (np.maximum(0.0, f_dom + f_ball - 1.0) + np.minimum(f_dom, f_ball)),
-        f_dom * f_ball,
-    )
-    return area + float(np.sum(f)) * hl * hl
+    arcs = 0.5 * eps * eps * float(np.sum(_arc_widths(theta)[inside]))
+    t = np.sort(spec.boundary_param(ax + eps * np.cos(theta), ay + eps * np.sin(theta)))
+    following = np.append(t[1:], t[0] + 2.0 * math.pi)
+    mx, my = spec.boundary_point(0.5 * (t + following))
+    in_ball = np.hypot(mx - ax, my - ay) < eps
+    return arcs + 0.5 * _green_boundary_integral(spec, ax, ay, t[in_ball], following[in_ball])
 
 
 def cap_measure_expansion(H: float, eps: float, n: int) -> float:
@@ -577,45 +602,10 @@ def boundary_arc_inside(domain: GridDomain, a, eps: float, n_samples: int = 4096
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    spec = domain.spec
-    ax, ay = float(a[0]), float(a[1])
-
-    def gap(theta):
-        return spec.radial_gap(ax + eps * np.cos(theta), ay + eps * np.sin(theta))
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
-    g = np.asarray(gap(thetas))
-    signs = g < 0.0
-    flips = np.nonzero(signs != np.roll(signs, -1))[0]
-    if flips.size == 0:
-        return 2.0 * math.pi * eps if signs[0] else 0.0
-
-    crossings = []
-    step = 2.0 * math.pi / n_samples
-    for i in flips:
-        lo = thetas[i]
-        hi = lo + step
-        glo = float(g[i])
-        for _ in range(60):
-            midpoint = 0.5 * (lo + hi)
-            gm = float(gap(np.array([midpoint]))[0])
-            if (gm < 0.0) == (glo < 0.0):
-                lo, glo = midpoint, gm
-            else:
-                hi = midpoint
-        crossings.append(0.5 * (lo + hi))
-    crossings = np.sort(np.array(crossings))
-
-    total = 0.0
-    for k in range(crossings.size):
-        lo = crossings[k]
-        hi = crossings[(k + 1) % crossings.size]
-        if hi <= lo:
-            hi += 2.0 * math.pi
-        midpoint = 0.5 * (lo + hi)
-        if float(gap(np.array([midpoint]))[0]) < 0.0:
-            total += hi - lo
-    return eps * total
+    theta, inside = _circle_crossings(domain.spec, float(a[0]), float(a[1]), eps, n_samples)
+    if theta.size == 0:
+        return 2.0 * math.pi * eps if inside[0] else 0.0
+    return eps * float(np.sum(_arc_widths(theta)[inside]))
 
 
 def boundary_arc_expansion(H: float, eps: float, n: int) -> float:

@@ -205,8 +205,13 @@ def two_valued_quotient_exact(domain: GridDomain, a, eps: float, q: float, n: in
 
     The jump set of the profile is exactly that arc, with jump height
     1 + beta; the part of the cap boundary on dOmega carries no
-    variation inside Omega.
+    variation inside Omega.  The domain is planar, so n must be 2.
     """
+    if n != 2:
+        raise ValueError(
+            f"dimension n={n} does not match the planar domain (n = 2); "
+            "the quotient would be compared with the wrong half-space constant"
+        )
     if eps <= 0:
         raise ValueError("eps must be positive")
     if eps >= domain.diameter:

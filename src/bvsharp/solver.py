@@ -52,16 +52,16 @@ __all__ = [
 class GridFunction:
     """Cell values on a GridDomain's interior, with cached integrals.
 
-    Values live on the full raster; only interior cells (signed
-    distance < 0 at the center) enter TV and L^p sums.  Mutating the
+    Values live on the full raster; only interior cells (center inside
+    the domain) enter TV and L^p sums.  Mutating the
     values through `set_values` invalidates the caches.
     """
 
     def __init__(self, domain: GridDomain, values):
         values = np.array(values, dtype=float, copy=True)
-        if values.shape != domain.sdf.shape:
+        if values.shape != domain.interior_mask.shape:
             raise ValueError(
-                f"values shape {values.shape} does not match grid {domain.sdf.shape}"
+                f"values shape {values.shape} does not match grid {domain.interior_mask.shape}"
             )
         if not np.all(np.isfinite(values[domain.interior_mask])):
             raise ValueError("grid function values must be finite")
@@ -231,10 +231,10 @@ def rectangle_grid(width: float, height: float, h: float) -> GridDomain:
         raise ValueError("rectangle dimensions and cell size must be positive")
     nx = int(round(width / h))
     ny = int(round(height / h))
-    sdf = np.full((ny, nx), -h)
     return GridDomain(
         spec=None, h=h, xmin=0.0, ymin=0.0, nx=nx, ny=ny,
-        sdf=sdf, measure=nx * ny * h * h, _diameter=math.hypot(width, height),
+        interior_mask=np.ones((ny, nx), dtype=bool), measure=nx * ny * h * h,
+        _diameter=math.hypot(width, height),
     )
 
 

@@ -25,6 +25,27 @@ class TestBuildDomain:
     def test_ellipse_measure(self, ellipse256):
         assert abs(ellipse256.measure - 2.0 * math.pi) < 1e-2
 
+    @pytest.mark.parametrize(
+        "spec, area",
+        [
+            (DomainSpec.disk(1.0), math.pi),
+            (DomainSpec.ellipse(2.0, 1.0), 2.0 * math.pi),
+            (
+                DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)),
+                math.pi + 0.5 * math.pi * (0.15**2 + 0.05**2),
+            ),
+        ],
+    )
+    def test_measure_is_exact_green_integral(self, spec, area):
+        # pi r0^2 + (pi/2) sum (c^2 + s^2) is the polar area of a Fourier domain.
+        assert abs(build_domain(spec, 1.0 / 64).measure - area) <= 1e-12
+
+    def test_interior_mask_is_exact_inside_test(self, ellipse256):
+        gx, gy = ellipse256.cell_centers()
+        expected = (gx / 2.0) ** 2 + gy**2 < 1.0
+        assert ellipse256.interior_mask.shape == (ellipse256.ny, ellipse256.nx)
+        assert np.array_equal(ellipse256.interior_mask, expected)
+
     def test_square_rejected(self):
         with pytest.raises(DomainBuildError, match="curvature"):
             build_domain(DomainSpec(kind="square", side=1.0), 1.0 / 256)
@@ -41,8 +62,10 @@ class TestBuildDomain:
         # Adjacent cell centers are h apart, so |d(x) - d(y)| <= h for a
         # true signed distance; the contractual bound allows 2h of slack.
         h = ellipse256.h
-        dx = np.max(np.abs(np.diff(ellipse256.sdf, axis=1)))
-        dy = np.max(np.abs(np.diff(ellipse256.sdf, axis=0)))
+        gx, gy = ellipse256.cell_centers()
+        sdf = ellipse256.signed_distance(gx, gy).reshape(gx.shape)
+        dx = np.max(np.abs(np.diff(sdf, axis=1)))
+        dy = np.max(np.abs(np.diff(sdf, axis=0)))
         assert max(dx, dy) <= 3.0 * h
         assert max(dx, dy) <= 1.05 * h  # what the implementation actually delivers
 
@@ -93,6 +116,43 @@ class TestCapMeasure:
         assert oracle == pytest.approx(0.06016251112712917, abs=1e-15)
         assert cap == pytest.approx(oracle, rel=1e-6)
 
+    def test_disk_cap_matches_lens_oracle_to_rounding(self, disk256):
+        # Below eps ~ 0.05 the oracle itself loses digits to cancellation.
+        for eps in (0.1, 0.2, 0.5, 1.0, 1.5):
+            cap = cap_measure(disk256, (1.0, 0.0), eps)
+            assert cap == pytest.approx(lens_area(1.0, eps, 1.0), rel=1e-12)
+
+    def test_circle_inside_domain_gives_full_disk(self, disk256):
+        assert cap_measure(disk256, (0.1, -0.2), 0.3) == pytest.approx(
+            math.pi * 0.09, rel=1e-15
+        )
+
+    def test_domain_inside_ball_gives_measure(self, disk256):
+        assert cap_measure(disk256, (0.3, 0.1), 2.5) == disk256.measure
+
+    def test_disjoint_ball_gives_zero(self, ellipse256):
+        assert cap_measure(ellipse256, (2.5, 0.5), 0.3) == 0.0
+
+    def test_quarter_turn_invariance_on_fourier_domain(self):
+        # rho(t - pi/2) has coefficients (c_k cos(k pi/2) - s_k sin(k pi/2),
+        # c_k sin(k pi/2) + s_k cos(k pi/2)): exact in floating point.
+        cos_coeffs, sin_coeffs = (0.04, 0.12, -0.03), (0.05, 0.0, 0.02)
+        quarter = ((1, 0), (0, 1), (-1, 0), (0, -1))
+        turned_cos = tuple(c * quarter[k % 4][0] - s * quarter[k % 4][1]
+                           for k, (c, s) in enumerate(zip(cos_coeffs, sin_coeffs), start=1))
+        turned_sin = tuple(c * quarter[k % 4][1] + s * quarter[k % 4][0]
+                           for k, (c, s) in enumerate(zip(cos_coeffs, sin_coeffs), start=1))
+        domain = build_domain(DomainSpec.fourier(1.0, cos_coeffs, sin_coeffs), 1.0 / 64)
+        turned = build_domain(DomainSpec.fourier(1.0, turned_cos, turned_sin), 1.0 / 64)
+        for t in (0.3, 2.0, 4.4):
+            bx, by = domain.boundary_point(t)
+            point = (float(bx), float(by))
+            for eps in (0.1, 0.4, 0.9):
+                cap = cap_measure(domain, point, eps)
+                assert cap_measure(turned, (-point[1], point[0]), eps) == pytest.approx(
+                    cap, rel=1e-12
+                )
+
     def test_saturation_at_large_radius(self, disk256):
         assert cap_measure(disk256, (1.0, 0.0), 2.5) == pytest.approx(math.pi, rel=1e-5)
 
@@ -139,7 +199,7 @@ class TestCapMeasure:
     )
     def test_cross_validated_by_dense_riemann_count(self, spec_name, point, ellipse256):
         # No closed form exists off the disk; a brute-force inside-count
-        # on a fine lattice pins the quadtree value to a percent.
+        # on a fine lattice pins the boundary-integral value to a percent.
         if spec_name == "ellipse":
             domain = ellipse256
         else:

@@ -162,6 +162,11 @@ class TestTwoValuedQuotientExact:
         with pytest.raises(ValueError):
             two_valued_quotient_exact(disk256, (1.0, 0.0), 3.0, 1.0)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rejects_dimension_other_than_two(self, disk256, n):
+        with pytest.raises(ValueError, match="planar"):
+            two_valued_quotient_exact(disk256, (1.0, 0.0), 0.2, 1.0, n=n)
+
     @pytest.mark.parametrize("q", [0.1, 0.5, 1.0, 1.5, 1.9])
     def test_certificate_holds_across_the_exponent_range(self, disk256, q):
         qv = two_valued_quotient_exact(disk256, (1.0, 0.0), 0.3, q)

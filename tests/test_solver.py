@@ -36,7 +36,7 @@ def square128():
 
 class TestTotalVariation:
     def test_constant_function_has_zero_tv(self, square256):
-        u = GridFunction(square256, np.full(square256.sdf.shape, 2.5))
+        u = GridFunction(square256, np.full(square256.interior_mask.shape, 2.5))
         assert total_variation(u) == 0.0
 
     def test_ramp_on_unit_square(self, square256):
@@ -55,14 +55,14 @@ class TestTotalVariation:
         # Values on a coarse dyadic lattice stay exact under the shift,
         # so the TV sums are bitwise identical.
         rng = np.random.default_rng(5)
-        values = np.round(rng.uniform(-1, 1, square128.sdf.shape) * 1024) / 1024
+        values = np.round(rng.uniform(-1, 1, square128.interior_mask.shape) * 1024) / 1024
         u = GridFunction(square128, values)
         shifted = GridFunction(square128, values + 4.0)
         assert total_variation(shifted) == total_variation(u)
 
     def test_shift_invariance_for_generic_constants(self, square128):
         rng = np.random.default_rng(6)
-        values = rng.uniform(-1, 1, square128.sdf.shape)
+        values = rng.uniform(-1, 1, square128.interior_mask.shape)
         u = GridFunction(square128, values)
         shifted = GridFunction(square128, values + math.pi)
         assert total_variation(shifted) == pytest.approx(total_variation(u), rel=1e-10)
@@ -85,7 +85,7 @@ class TestLpNormPower:
 
     def test_scaling_homogeneity(self, square128):
         rng = np.random.default_rng(17)
-        u = GridFunction(square128, rng.uniform(-1, 1, square128.sdf.shape))
+        u = GridFunction(square128, rng.uniform(-1, 1, square128.interior_mask.shape))
         for s in (2.0, -0.3):
             scaled = GridFunction(square128, s * u.values)
             assert lp_norm_power(scaled) == pytest.approx(abs(s) * lp_norm_power(u), rel=1e-12)
@@ -133,7 +133,7 @@ class TestGridQuotient:
     def test_scale_invariance_on_random_functions(self, square128):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            values = rng.uniform(-1, 1, square128.sdf.shape)
+            values = rng.uniform(-1, 1, square128.interior_mask.shape)
             u = GridFunction(square128, values)
             s = float(rng.uniform(0.2, 5.0)) * (1 if rng.random() < 0.5 else -1)
             scaled = GridFunction(square128, s * values)
@@ -143,7 +143,7 @@ class TestGridQuotient:
             )
 
     def test_constant_function_rejected(self, square128):
-        u = GridFunction(square128, np.ones(square128.sdf.shape))
+        u = GridFunction(square128, np.ones(square128.interior_mask.shape))
         with pytest.raises(ValueError, match="degenerate"):
             grid_quotient(u, 1.0)
 
@@ -255,7 +255,7 @@ class TestConcentrationReport:
             concentration_report([], [0.2, 0.1])
 
     def test_unnormalized_member_rejected(self, square128):
-        u = GridFunction(square128, np.full(square128.sdf.shape, 0.5))
+        u = GridFunction(square128, np.full(square128.interior_mask.shape, 0.5))
         with pytest.raises(ValueError, match="normalized"):
             concentration_report([u], [0.2, 0.1])
 
