@@ -35,12 +35,10 @@ from .geometry import (
 )
 from .profiles import (
     QuotientValue,
-    TwoValuedProfile,
     beta_eps,
     constraint_residual,
     critical_quotient_expansion,
     domain_quotient_expansion,
-    domain_two_valued_profile,
     optimal_epsilon,
     shift_to_constraint,
     sign_power,

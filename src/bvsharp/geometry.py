@@ -1,13 +1,22 @@
 """Bounded planar domains with C^2 boundary and exact cap/arc quadrature.
 
+Every supported shape (disk, ellipse, boundary given by a Fourier radius
+function) is star-shaped with respect to the origin, so one boundary
+model serves them all: the polar curve rho(t) (cos t, sin t) in the polar
+angle t.  Only the radial function rho and its first two derivatives
+differ per shape; the boundary point, tangent, second derivative,
+curvature, the exact inside test |p| < rho(angle of p) and the radial gap
+each have a single code path.  A "square" spec is recognized only to be
+rejected: its corners have no curvature, so it fails the C^2 requirement
+that every expansion here relies on.
+
 A domain is described analytically (`DomainSpec`) and rasterized to a
 `GridDomain` that carries the interior mask of the cell centres, the
 Lebesgue measure and an analytic curvature evaluator.  The measure is
-Green's theorem, 1/2 of the loop integral of (x y' - y x') dt, by the
-trapezoid rule, which converges spectrally on a periodic analytic curve
-and is exact for the disk and the ellipse.  Curvature is never
-differenced from the grid: the boundary parameterizations used here have
-closed forms.
+Green's theorem, 1/2 of the loop integral of rho(t)^2 dt, by the
+trapezoid rule, which converges spectrally on a periodic analytic curve.
+Curvature is never differenced from the grid: it comes from the closed
+forms of rho, rho' and rho''.
 
 The two quadrature operations that feed certificate-grade numbers share
 one crossing finder, which brackets the angles at which the circle
@@ -23,12 +32,6 @@ to machine precision:
 
 Both are exact to rounding for the supported shapes, so strict-inequality
 certificates are not contaminated by quadrature noise.
-
-Supported shapes are star-shaped with respect to the origin (disk,
-ellipse, boundary given by a Fourier radius function), which makes the
-inside/outside test exact and cheap.  A "square" spec is recognized
-only to be rejected: its corners have no curvature, so it fails the C^2
-requirement that every expansion here relies on.
 """
 
 from __future__ import annotations
@@ -59,12 +62,16 @@ class DomainBuildError(ValueError):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Analytic description of a bounded planar domain.
+    """Analytic description of a bounded planar domain, star-shaped at 0.
+
+    Every boundary is the polar curve rho(t) (cos t, sin t), t the polar
+    angle; the shapes differ only in the radial function rho:
 
     kind:
-        "disk"     params: r
-        "ellipse"  params: a, b (semi-axes)
-        "fourier"  params: r0, cos_coeffs, sin_coeffs; the boundary is
+        "disk"     params: r; rho(t) = r
+        "ellipse"  params: a, b (semi-axes);
+                   rho(t) = a b / sqrt(b^2 cos^2 t + a^2 sin^2 t)
+        "fourier"  params: r0, cos_coeffs, sin_coeffs;
                    rho(t) = r0 + sum_k (c_k cos((k+1) t) + s_k sin((k+1) t))
         "square"   params: side; always rejected at build time (corners).
     """
@@ -95,108 +102,102 @@ class DomainSpec:
             sin_coeffs=tuple(sin_coeffs),
         )
 
-    # ----- boundary parameterization ------------------------------------
+    # ----- radial function ------------------------------------------------
+
+    def _rho(self, t):
+        """rho(t) alone: the inside test and the radial gap need nothing else.
+
+        The disk returns the scalar r, which broadcasts against t.
+        """
+        if self.kind == "disk":
+            return self.r
+        if self.kind == "ellipse":
+            return self.a * self.b / np.hypot(self.b * np.cos(t), self.a * np.sin(t))
+        if self.kind == "fourier":
+            rho = np.full_like(np.asarray(t, dtype=float), self.r0)
+            for k, c in enumerate(self.cos_coeffs, start=1):
+                rho = rho + c * np.cos(k * t)
+            for k, s in enumerate(self.sin_coeffs, start=1):
+                rho = rho + s * np.sin(k * t)
+            return rho
+        raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
+
+    def _rho_derivatives(self, t):
+        """(rho'(t), rho''(t)), arrays shaped like t."""
+        t = np.asarray(t, dtype=float)
+        if self.kind == "disk":
+            zero = np.zeros_like(t)
+            return zero, zero
+        if self.kind == "ellipse":
+            # rho = a b D^(-1/2), D = b^2 + (a^2 - b^2) sin^2 t; d1 = D'/D, d2 = D''/D.
+            rho = self._rho(t)
+            spread = self.a * self.a - self.b * self.b
+            d0 = self.b * self.b + spread * np.sin(t) ** 2
+            d1 = spread * np.sin(2.0 * t) / d0
+            d2 = 2.0 * spread * np.cos(2.0 * t) / d0
+            return -0.5 * rho * d1, rho * (0.75 * d1 * d1 - 0.5 * d2)
+        if self.kind == "fourier":
+            d1 = np.zeros_like(t)
+            d2 = np.zeros_like(t)
+            for k, c in enumerate(self.cos_coeffs, start=1):
+                d1 = d1 - c * k * np.sin(k * t)
+                d2 = d2 - c * k * k * np.cos(k * t)
+            for k, s in enumerate(self.sin_coeffs, start=1):
+                d1 = d1 + s * k * np.cos(k * t)
+                d2 = d2 - s * k * k * np.sin(k * t)
+            return d1, d2
+        raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
+
+    # ----- boundary parameterization (polar angle t) ----------------------
 
     def boundary_point(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "disk":
-            return self.r * np.cos(t), self.r * np.sin(t)
-        if self.kind == "ellipse":
-            return self.a * np.cos(t), self.b * np.sin(t)
-        if self.kind == "fourier":
-            rho = self._rho(t)
-            return rho * np.cos(t), rho * np.sin(t)
-        raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
+        rho = self._rho(t)
+        return rho * np.cos(t), rho * np.sin(t)
 
     def boundary_param(self, px, py):
-        """Parameter t in (-pi, pi] of points lying on the boundary curve."""
-        px = np.asarray(px, dtype=float)
-        py = np.asarray(py, dtype=float)
-        if self.kind == "ellipse":
-            return np.arctan2(py / self.b, px / self.a)
-        return np.arctan2(py, px)
+        """Boundary parameter, the polar angle in (-pi, pi], of points on the curve."""
+        return np.arctan2(np.asarray(py, dtype=float), np.asarray(px, dtype=float))
 
     def boundary_tangent(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "disk":
-            return -self.r * np.sin(t), self.r * np.cos(t)
-        if self.kind == "ellipse":
-            return -self.a * np.sin(t), self.b * np.cos(t)
-        rho, drho = self._rho(t), self._drho(t)
+        rho = self._rho(t)
+        drho, _ = self._rho_derivatives(t)
         ct, st = np.cos(t), np.sin(t)
         return drho * ct - rho * st, drho * st + rho * ct
 
     def boundary_second(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "disk":
-            return -self.r * np.cos(t), -self.r * np.sin(t)
-        if self.kind == "ellipse":
-            return -self.a * np.cos(t), -self.b * np.sin(t)
-        rho, drho, ddrho = self._rho(t), self._drho(t), self._ddrho(t)
+        rho = self._rho(t)
+        drho, ddrho = self._rho_derivatives(t)
         ct, st = np.cos(t), np.sin(t)
         x2 = ddrho * ct - 2.0 * drho * st - rho * ct
         y2 = ddrho * st + 2.0 * drho * ct - rho * st
         return x2, y2
 
     def curvature(self, t):
-        """Signed curvature, positive for the (counterclockwise) convex side."""
+        """Signed curvature, positive for the (counterclockwise) convex side.
+
+        The polar form (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^(3/2)
+        is constant in t for the disk, so curvature ties there are exact.
+        """
         t = np.asarray(t, dtype=float)
-        if self.kind == "disk":
-            return np.full_like(t, 1.0 / self.r)
-        x1, y1 = self.boundary_tangent(t)
-        x2, y2 = self.boundary_second(t)
-        speed2 = x1 * x1 + y1 * y1
-        return (x1 * y2 - y1 * x2) / speed2 ** 1.5
-
-    def _rho(self, t):
-        rho = np.full_like(np.asarray(t, dtype=float), self.r0)
-        for k, c in enumerate(self.cos_coeffs, start=1):
-            rho = rho + c * np.cos(k * t)
-        for k, s in enumerate(self.sin_coeffs, start=1):
-            rho = rho + s * np.sin(k * t)
-        return rho
-
-    def _drho(self, t):
-        d = np.zeros_like(np.asarray(t, dtype=float))
-        for k, c in enumerate(self.cos_coeffs, start=1):
-            d = d - c * k * np.sin(k * t)
-        for k, s in enumerate(self.sin_coeffs, start=1):
-            d = d + s * k * np.cos(k * t)
-        return d
-
-    def _ddrho(self, t):
-        d = np.zeros_like(np.asarray(t, dtype=float))
-        for k, c in enumerate(self.cos_coeffs, start=1):
-            d = d - c * k * k * np.cos(k * t)
-        for k, s in enumerate(self.sin_coeffs, start=1):
-            d = d - s * k * k * np.sin(k * t)
-        return d
+        rho = self._rho(t)
+        drho, ddrho = self._rho_derivatives(t)
+        speed2 = rho * rho + drho * drho
+        return (speed2 + drho * drho - rho * ddrho) / speed2 ** 1.5
 
     # ----- point queries --------------------------------------------------
 
     def is_inside(self, px, py):
         """Exact inside test (all supported shapes are star-shaped at 0)."""
-        px = np.asarray(px, dtype=float)
-        py = np.asarray(py, dtype=float)
-        if self.kind == "disk":
-            return px * px + py * py < self.r * self.r
-        if self.kind == "ellipse":
-            return (px / self.a) ** 2 + (py / self.b) ** 2 < 1.0
-        phi = np.arctan2(py, px)
-        return np.hypot(px, py) < self._rho(phi)
+        return self.radial_gap(px, py) < 0.0
 
     def radial_gap(self, px, py):
         """|p| - rho(angle of p): negative inside, same sign as the distance."""
         px = np.asarray(px, dtype=float)
         py = np.asarray(py, dtype=float)
-        if self.kind == "disk":
-            return np.hypot(px, py) - self.r
-        if self.kind == "ellipse":
-            phi = np.arctan2(py, px)
-            rb = self.a * self.b / np.hypot(self.b * np.cos(phi), self.a * np.sin(phi))
-            return np.hypot(px, py) - rb
-        phi = np.arctan2(py, px)
-        return np.hypot(px, py) - self._rho(phi)
+        return np.hypot(px, py) - self._rho(np.arctan2(py, px))
 
     def validate(self):
         """Check closed/simple/C^2 by dense sampling; raise DomainBuildError."""
@@ -243,11 +244,9 @@ def _closest_param(spec: DomainSpec, px, py, n_newton: int = 18):
     """Parameter of the nearest boundary point for each query point."""
     px = np.asarray(px, dtype=float).ravel()
     py = np.asarray(py, dtype=float).ravel()
-    if spec.kind == "disk":
-        return np.arctan2(py, px)
     # Global coarse scan (chunked for memory) to land in the right basin:
-    # a parametric-angle start can stall at a local maximum of the
-    # distance for interior points near the medial axis.
+    # starting at the polar angle of the point can stall at a local maximum
+    # of the distance for interior points near the medial axis.
     ts = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
     gx, gy = spec.boundary_point(ts)
     t = np.empty_like(px)
@@ -272,8 +271,6 @@ def _signed_distance(spec: DomainSpec, px, py):
     """Signed distance to the boundary, negative inside."""
     px = np.asarray(px, dtype=float).ravel()
     py = np.asarray(py, dtype=float).ravel()
-    if spec.kind == "disk":
-        return np.hypot(px, py) - spec.r
     t = _closest_param(spec, px, py)
     bx, by = spec.boundary_point(t)
     dist = np.hypot(px - bx, py - by)
@@ -358,8 +355,10 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
 
     The interior mask is the exact inside test at the cell centres.  The
     measure is 1/2 of the loop integral of (x y' - y x') dt by the
-    trapezoid rule on 2048 points: exact for the disk and the ellipse, and
-    for a Fourier boundary of degree below 1024 (the integrand is rho^2).
+    trapezoid rule on 2048 points (the integrand is rho^2): exact for the
+    disk and for a Fourier boundary of degree below 1024; for the ellipse,
+    whose rho^2 has Fourier coefficients decaying like ((a-b)/(a+b))^k,
+    the error is at rounding level.
     """
     spec.validate()
     if h <= 0:
@@ -421,6 +420,8 @@ def boundary_mean_curvature(domain: GridDomain, point) -> float:
 
 @dataclass(frozen=True)
 class MaxCurvatureSeed:
+    """The boundary point of maximal curvature; `param` is its polar angle."""
+
     point: tuple
     param: float
     curvature: float

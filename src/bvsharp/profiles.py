@@ -35,13 +35,11 @@ from .constants import (
 from .geometry import GridDomain, boundary_arc_inside, cap_measure
 
 __all__ = [
-    "TwoValuedProfile",
     "QuotientValue",
     "sign_power",
     "beta_eps",
     "constraint_residual",
     "shift_to_constraint",
-    "domain_two_valued_profile",
     "two_valued_quotient_exact",
     "domain_quotient_expansion",
     "surface_quotient_expansion",
@@ -50,25 +48,6 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class TwoValuedProfile:
-    """A two-level profile: value 1 on the cap, -beta on the rest.
-
-    The plateau is chosen by `beta_eps`, so the constraint integral
-    vanishes by construction.
-    """
-
-    center: tuple
-    eps: float
-    q: float
-    beta: float
-    context: str  # "euclidean-domain" or "surface"
-
-    def levels(self, cap: float, total: float):
-        """(level, measure) pairs of the profile given its cap measure."""
-        return [(1.0, cap), (-self.beta, total - cap)]
 
 
 @dataclass(frozen=True)
@@ -185,16 +164,6 @@ def _as_level_arrays(values):
 
 # --------------------------------------------------------------------------
 # exact quotient on a domain
-
-
-def domain_two_valued_profile(domain: GridDomain, a, eps: float, q: float) -> TwoValuedProfile:
-    """Two-valued profile centered at boundary point a with cap radius eps."""
-    cap = cap_measure(domain, a, eps)
-    beta = beta_eps(domain.measure, cap, q)
-    return TwoValuedProfile(
-        center=(float(a[0]), float(a[1])), eps=float(eps), q=float(q),
-        beta=beta, context="euclidean-domain",
-    )
 
 
 def two_valued_quotient_exact(domain: GridDomain, a, eps: float, q: float, n: int = 2) -> QuotientValue:

@@ -53,8 +53,7 @@ class GridFunction:
     """Cell values on a GridDomain's interior, with cached integrals.
 
     Values live on the full raster; only interior cells (center inside
-    the domain) enter TV and L^p sums.  Mutating the
-    values through `set_values` invalidates the caches.
+    the domain) enter TV and L^p sums.
     """
 
     def __init__(self, domain: GridDomain, values):
@@ -75,21 +74,22 @@ class GridFunction:
         view.flags.writeable = False
         return view
 
-    def set_values(self, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != self._values.shape:
-            raise ValueError("shape mismatch")
-        self._values[...] = values
-        self._cache.clear()
-
-    def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.domain, values)
-
     def copy(self) -> "GridFunction":
         return GridFunction(self.domain, self._values)
 
     def interior_values(self) -> np.ndarray:
         return self._values[self.domain.interior_mask]
+
+
+def _forward_differences(v: np.ndarray, mask: np.ndarray):
+    """One-sided differences (dx, dy) of v, zero unless both cells are interior."""
+    dx = np.zeros_like(v)
+    dy = np.zeros_like(v)
+    px = mask[:, 1:] & mask[:, :-1]
+    py = mask[1:, :] & mask[:-1, :]
+    dx[:, :-1] = np.where(px, v[:, 1:] - v[:, :-1], 0.0)
+    dy[:-1, :] = np.where(py, v[1:, :] - v[:-1, :], 0.0)
+    return dx, dy
 
 
 def total_variation(u: GridFunction) -> float:
@@ -102,14 +102,7 @@ def total_variation(u: GridFunction) -> float:
     cached = u._cache.get("tv")
     if cached is not None:
         return cached
-    v = u._values
-    mask = u.domain.interior_mask
-    dx = np.zeros_like(v)
-    dy = np.zeros_like(v)
-    px = mask[:, 1:] & mask[:, :-1]
-    py = mask[1:, :] & mask[:-1, :]
-    dx[:, :-1] = np.where(px, v[:, 1:] - v[:, :-1], 0.0)
-    dy[:-1, :] = np.where(py, v[1:, :] - v[:-1, :], 0.0)
+    dx, dy = _forward_differences(u._values, u.domain.interior_mask)
     tv = float(u.domain.h * np.sum(np.hypot(dx, dy)))
     u._cache["tv"] = tv
     return tv
@@ -174,7 +167,7 @@ def grid_quotient(u: GridFunction, q: float, n: int = 2) -> float:
         raise ValueError("q must be positive")
     levels = u.interior_values()
     lam = _shift_arrays(levels, q, float(levels.size))
-    shifted = u.with_values(u._values - lam)
+    shifted = GridFunction(u.domain, u._values - lam)
     denom = lp_norm_power(shifted, n)
     if denom == 0.0:
         raise ValueError("zero function after shift")
@@ -287,12 +280,7 @@ class ConstantEstimate:
 
 def _smoothed_tv_gradient(v: np.ndarray, mask: np.ndarray, h: float, delta: float):
     """Gradient of the Huber-smoothed TV sum h * phi_delta(|D v|)."""
-    dx = np.zeros_like(v)
-    dy = np.zeros_like(v)
-    px = mask[:, 1:] & mask[:, :-1]
-    py = mask[1:, :] & mask[:-1, :]
-    dx[:, :-1] = np.where(px, v[:, 1:] - v[:, :-1], 0.0)
-    dy[:-1, :] = np.where(py, v[1:, :] - v[:-1, :], 0.0)
+    dx, dy = _forward_differences(v, mask)
     rho = np.hypot(dx, dy)
     w = 1.0 / np.maximum(rho, delta)  # Huber: phi'(rho)/rho
     gx = dx * w

@@ -118,8 +118,7 @@ class SurfaceModel:
         return 0.5 * math.pi * min(self.a, self.c)
 
     def pole(self) -> tuple:
-        if self.kind == "flat-torus":
-            return (0.0, 0.0)
+        """Coordinates of the north pole (sphere, spheroid) or the origin (torus)."""
         return (0.0, 0.0)
 
     # ----- local geometry -------------------------------------------------
@@ -381,12 +380,8 @@ def gauss_bonnet_check(surface: SurfaceModel):
     """Numerically integrated int_M S dmu and its target 4 pi chi(M)."""
     target = 4.0 * math.pi * surface.euler_characteristic
     if surface.kind == "flat-torus":
-        # S vanishes identically; a plain Riemann sum keeps the check honest.
-        xs = np.linspace(0.0, surface.L1, 64, endpoint=False)
-        ys = np.linspace(0.0, surface.L2, 64, endpoint=False)
-        cell = (surface.L1 / 64) * (surface.L2 / 64)
-        integral = float(np.sum(np.zeros((64, 64))) * cell)
-        return integral, target
+        # The flat metric has S = 0 at every point, so the integral is exactly 0.
+        return 0.0, target
     if surface.kind == "sphere":
         r = surface.r
         val, _ = quad(lambda th: (2.0 / r**2) * r * r * math.sin(th), 0.0, math.pi,

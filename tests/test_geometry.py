@@ -70,6 +70,50 @@ class TestBuildDomain:
         assert max(dx, dy) <= 1.05 * h  # what the implementation actually delivers
 
 
+RADIAL_SHAPES = [
+    DomainSpec.disk(1.3),
+    DomainSpec.ellipse(2.4, 1.0),
+    DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)),
+]
+
+
+class TestRadialModel:
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (2.4, 1.0), (1.0, 3.0)])
+    def test_ellipse_curvature_matches_parametric_oracle(self, a, b):
+        spec = DomainSpec.ellipse(a, b)
+        for t in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
+            phi = math.atan2(b * math.sin(t), a * math.cos(t))
+            assert float(spec.curvature(phi)) == pytest.approx(
+                ellipse_curvature(a, b, t), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("spec", RADIAL_SHAPES, ids=lambda s: s.kind)
+    def test_rho_derivatives_match_central_differences(self, spec):
+        # Steps balance truncation against rounding: errors stay below 1e-8
+        # and 1e-6 on these shapes, whose rho'' reaches 11.4 (the ellipse).
+        t = np.linspace(0.0, 2.0 * math.pi, 97)
+        d1, d2 = spec._rho_derivatives(t)
+        assert d1.shape == d2.shape == t.shape
+        step = 1e-5
+        central = (spec._rho(t + step) - spec._rho(t - step)) / (2.0 * step)
+        np.testing.assert_allclose(d1, central, rtol=0.0, atol=1e-7)
+        step = 1e-4
+        second = (spec._rho(t + step) - 2.0 * spec._rho(t) + spec._rho(t - step)) / step**2
+        np.testing.assert_allclose(d2, second, rtol=0.0, atol=1e-5)
+
+    @pytest.mark.parametrize("spec", RADIAL_SHAPES, ids=lambda s: s.kind)
+    def test_boundary_param_inverts_boundary_point(self, spec):
+        phi = np.linspace(-math.pi, math.pi, 129)[1:]
+        np.testing.assert_allclose(
+            spec.boundary_param(*spec.boundary_point(phi)), phi, rtol=0.0, atol=1e-14
+        )
+
+    def test_ellipse_boundary_points_lie_on_the_ellipse(self):
+        spec = DomainSpec.ellipse(2.4, 1.0)
+        x, y = spec.boundary_point(np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False))
+        np.testing.assert_allclose((x / 2.4) ** 2 + y**2, 1.0, rtol=0.0, atol=1e-14)
+
+
 class TestBoundaryCurvature:
     def test_circle_constant(self, disk256):
         for t in (0.0, 1.0, 2.5):

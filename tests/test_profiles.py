@@ -5,6 +5,7 @@ import pytest
 
 from bvsharp import (
     beta_eps,
+    cap_measure,
     constraint_residual,
     critical_quotient_expansion,
     domain_quotient_expansion,
@@ -71,6 +72,14 @@ class TestBetaEps:
         assert ratios[-1] == pytest.approx(limit, rel=0.02)
         assert abs(ratios[-1] - limit) < abs(ratios[0] - limit)
 
+    def test_plateau_makes_the_two_valued_profile_feasible(self, disk256):
+        cap = cap_measure(disk256, (1.0, 0.0), 0.2)
+        for q in (0.5, 1.0, 1.5):
+            beta = beta_eps(math.pi, cap, q)
+            assert beta > 0
+            pairs = [(1.0, cap), (-beta, math.pi - cap)]
+            assert abs(constraint_residual(pairs, q)) <= 1e-10
+
 
 class TestConstraintResidual:
     def test_antisymmetric_levels_cancel(self):
@@ -109,19 +118,6 @@ class TestShiftToConstraint:
     def test_degenerate_input_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             shift_to_constraint([(1.0, 1.0), (1.0, 2.0)], 1.0)
-
-
-class TestDomainTwoValuedProfile:
-    def test_profile_is_feasible_by_construction(self, disk256):
-        from bvsharp import cap_measure, domain_two_valued_profile
-
-        for q in (0.5, 1.0, 1.5):
-            profile = domain_two_valued_profile(disk256, (1.0, 0.0), 0.2, q)
-            assert profile.beta > 0
-            assert profile.context == "euclidean-domain"
-            cap = cap_measure(disk256, (1.0, 0.0), 0.2)
-            pairs = profile.levels(cap, disk256.measure)
-            assert abs(constraint_residual(pairs, q)) <= 1e-10
 
 
 class TestTwoValuedQuotientExact:
