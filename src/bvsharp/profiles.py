@@ -85,7 +85,7 @@ def sign_power(t: float, q: float):
     if q <= 0:
         raise ValueError(f"exponent q must be positive, got {q}")
     t = np.asarray(t, dtype=float)
-    out = np.sign(t) * np.abs(t) ** q
+    out = np.copysign(np.abs(t) ** q, t)
     if out.ndim == 0:
         return float(out)
     return out
@@ -115,38 +115,75 @@ def constraint_residual(values, q: float) -> float:
 def shift_to_constraint(values, q: float) -> float:
     """The unique lambda with sum measure * sgn(level-lambda)|level-lambda|^q = 0.
 
-    The residual is strictly decreasing in lambda, so bisection on
-    [min level, max level] converges unconditionally; it stops when the
-    residual is below 1e-12 times the total measure.
+    `values` is a list of (level, measure) pairs or a (levels, measures)
+    tuple of arrays, where the measures may be one scalar shared by all
+    levels (the cells of a grid).  At q = 1 lambda is the weighted mean;
+    otherwise the residual, strictly decreasing in lambda, goes to
+    Illinois regula falsi on [-w, w] with w = 1e-5 (max - min level), which
+    holds the root for the nearly feasible iterates of the solver, or
+    on the part of [min, max] beyond it.  lambda has |residual| <= 1e-12
+    times the total measure, unless no double gets there (a root within
+    an ulp of a level, which a 1:1e4 measure imbalance gives at small
+    q): then the residual changes sign next to lambda.  Non-finite
+    levels or measures, zero total measure and equal levels raise.
     """
     levels, measures = _as_level_arrays(values)
     if q <= 0:
         raise ValueError(f"exponent q must be positive, got {q}")
     lo = float(np.min(levels))
     hi = float(np.max(levels))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("non-finite level: shift is undefined")
+    total = float(np.sum(measures)) * (levels.size if measures.ndim == 0 else 1)
+    if not math.isfinite(total):
+        raise ValueError("non-finite measure: shift is undefined")
+    if total == 0.0:
+        raise ValueError("zero total measure: shift is undefined")
     if hi - lo <= 0.0:
         raise ValueError("all levels equal: shift is undefined (degenerate input)")
-    total = float(np.sum(measures))
     tol = 1e-12 * total
+    seen = {}
 
-    def residual(lam):
-        return float(np.sum(measures * sign_power(levels - lam, q)))
+    def residual(lam):  # 0 inside the tolerance
+        if lam not in seen:
+            terms = sign_power(levels - lam, q)
+            seen[lam] = float(measures * np.sum(terms) if measures.ndim == 0
+                              else np.sum(measures * terms))
+        return 0.0 if abs(seen[lam]) <= tol else seen[lam]
 
-    r_lo = residual(lo)
-    if abs(r_lo) <= tol:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        if abs(r_mid) <= tol:
-            return mid
-        if (r_mid > 0.0) == (r_lo > 0.0):
-            lo, r_lo = mid, r_mid
+    if q == 1.0:
+        lam = float(np.sum(measures * levels)) / total
+        if residual(lam) == 0.0:
+            return lam
+    w = 1e-5 * (hi - lo)
+    a, b = max(lo, -w), min(hi, w)
+    if a >= b:
+        a, b = lo, hi
+    elif residual(a) < 0.0:
+        a, b = lo, a
+    elif residual(b) > 0.0:
+        a, b = b, hi
+    fa, fb = residual(a), residual(b)
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    side = 0  # Illinois: halve the value kept at an end that survives twice
+    while True:
+        lam = b - fb * (b - a) / (fb - fa)
+        if not a < lam < b:
+            lam = 0.5 * (a + b)
+            if not a < lam < b:  # a and b are neighbouring doubles
+                return lam
+        r = residual(lam)
+        if r == 0.0:
+            return lam
+        if r > 0.0:
+            a, fa = lam, r
+            fb *= 0.5 if side > 0 else 1.0
+            side = 1
         else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(hi) + abs(lo)):
-            break
-    return 0.5 * (lo + hi)
+            b, fb = lam, r
+            fa *= 0.5 if side < 0 else 1.0
+            side = -1
 
 
 def _as_level_arrays(values):

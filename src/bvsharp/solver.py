@@ -10,7 +10,11 @@ penalties: every iterate is shifted to the unique feasible level and
 renormalized, so every quotient the solver reports is the exact
 discrete quotient of a feasible function, hence a rigorous upper bound
 for the discrete functional (and a heuristic estimate of the continuum
-constant).
+constant).  The shift is `profiles.shift_to_constraint` on the interior
+levels with the common cell measure h^2: the mean at q = 1, otherwise
+Illinois regula falsi warm-started on a narrow bracket around 0, since
+the previous iterate was feasible; both stop on the same residual
+tolerance.
 
 Descent directions come from a Huber-smoothed total variation to avoid
 stagnation on flat regions; reported values always use the exact
@@ -30,7 +34,7 @@ from scipy.signal import fftconvolve
 
 from .constants import half_space_constant
 from .geometry import GridDomain, _plane_cut_fraction, cap_measure, max_curvature_seed
-from .profiles import QuotientValue, beta_eps, optimal_epsilon, sign_power
+from .profiles import QuotientValue, beta_eps, optimal_epsilon, shift_to_constraint, sign_power
 
 __all__ = [
     "GridFunction",
@@ -73,9 +77,6 @@ class GridFunction:
         view = self._values.view()
         view.flags.writeable = False
         return view
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.domain, self._values)
 
     def interior_values(self) -> np.ndarray:
         return self._values[self.domain.interior_mask]
@@ -123,41 +124,6 @@ def lp_norm_power(u: GridFunction, n: int = 2) -> float:
     return out
 
 
-def _shift_arrays(levels: np.ndarray, q: float, tol_scale: float) -> float:
-    """Bisection for the feasible shift on a flat array of equal-measure cells.
-
-    Same contract as profiles.shift_to_constraint: the residual
-    t -> sum sgn(t)|t|^q is strictly decreasing in the shift, so
-    bisection converges unconditionally; stops at |residual| <= 1e-12
-    per unit measure (tol_scale = number of cells here).
-    """
-    lo = float(np.min(levels))
-    hi = float(np.max(levels))
-    if hi - lo <= 0.0:
-        raise ValueError("constant grid function: shift undefined (degenerate input)")
-    tol = 1e-12 * tol_scale
-
-    def residual(lam):
-        d = levels - lam
-        return float(np.sum(np.sign(d) * np.abs(d) ** q))
-
-    r_lo = residual(lo)
-    if abs(r_lo) <= tol:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        if abs(r_mid) <= tol:
-            return mid
-        if (r_mid > 0.0) == (r_lo > 0.0):
-            lo, r_lo = mid, r_mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(hi) + abs(lo)):
-            break
-    return 0.5 * (lo + hi)
-
-
 def grid_quotient(u: GridFunction, q: float, n: int = 2) -> float:
     """TV(u) / ||u - lambda_q(u)||_{n/(n-1)} with the feasible shift.
 
@@ -165,8 +131,7 @@ def grid_quotient(u: GridFunction, q: float, n: int = 2) -> float:
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    levels = u.interior_values()
-    lam = _shift_arrays(levels, q, float(levels.size))
+    lam = shift_to_constraint((u.interior_values(), u.domain.h**2), q)
     shifted = GridFunction(u.domain, u._values - lam)
     denom = lp_norm_power(shifted, n)
     if denom == 0.0:
@@ -332,20 +297,18 @@ def minimize_quotient(domain: GridDomain, q: float, config: SolverConfig) -> Con
             levels = v[mask]
             if np.max(levels) - np.min(levels) <= 0.0:
                 break
-            lam = _shift_arrays(levels, q, float(levels.size))
-            w = (v - lam) * mask
-            gf = GridFunction(domain, w)
+            lam = shift_to_constraint((levels, h * h), q)
+            gf = GridFunction(domain, (v - lam) * mask)
             norm = lp_norm_power(gf, n)
-            w = w / norm
-            gf = GridFunction(domain, w)
-            value = total_variation(gf)  # quotient of a unit-norm feasible iterate
+            value = total_variation(gf) / norm  # TV is 1-homogeneous
+            w = gf.values / norm
             resid = abs(
                 float(np.sum(sign_power(w[mask], q))) * h * h
             )
             improved = value < best_value * (1.0 - config.tol)
             if value < best_value:
                 best_value = value
-                best_snapshot = gf.copy()
+                best_snapshot = GridFunction(domain, w)
             rows.append((global_iter, best_value, resid, value, 1.0))
             global_iter += 1
             stale = 0 if improved else stale + 1

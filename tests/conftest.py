@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from bvsharp import DomainSpec, build_domain
+
+# Property tests draw the same examples on every run, and a slow shared
+# host never turns them into deadline failures.
+settings.register_profile("bvsharp", derandomize=True, deadline=None, max_examples=150,
+                          database=None)
+settings.load_profile("bvsharp")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bvsharp import (
+    SolverConfig,
     beta_eps,
     cap_measure,
     constraint_residual,
@@ -11,6 +15,7 @@ from bvsharp import (
     domain_quotient_expansion,
     fit_linear_coefficient,
     half_space_constant,
+    minimize_quotient,
     optimal_epsilon,
     sharp_sobolev_constant,
     shift_to_constraint,
@@ -118,6 +123,131 @@ class TestShiftToConstraint:
     def test_degenerate_input_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             shift_to_constraint([(1.0, 1.0), (1.0, 2.0)], 1.0)
+
+
+SHIFT_EXPONENTS = (0.25, 0.5, 1.0, 1.5)
+
+
+def _residual(levels, measures, lam, q):
+    d = np.asarray(levels) - lam
+    return float(np.sum(np.asarray(measures) * np.copysign(np.abs(d) ** q, d)))
+
+
+def _bisection_root(levels, measures, q):
+    # Reference root: halve [min, max] until no double lies strictly
+    # inside, independent of the residual stop of shift_to_constraint.
+    lo, hi = float(np.min(levels)), float(np.max(levels))
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _residual(levels, measures, mid, q) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+_levels = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def level_sets(draw):
+    """(levels, measures): random sets, or two levels at a 1:1e4 measure imbalance.
+
+    Some random sets share one scalar measure, as grid cells do.  Half
+    of all sets are offset by +100, far from the bracket around 0.
+    """
+    if draw(st.booleans()):
+        size = draw(st.integers(2, 12))
+        levels = draw(st.lists(_levels, min_size=size, max_size=size))
+        measures = draw(st.one_of(
+            st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size),
+            st.floats(1e-3, 1e4),
+        ))
+    else:
+        low = draw(_levels)
+        levels = [low + draw(st.floats(1e-3, 2.0)), low]
+        measures = draw(st.sampled_from([[1.0, 1e4], [1e4, 1.0]]))
+    offset = draw(st.sampled_from([0.0, 100.0]))
+    levels = np.array(levels) + offset
+    if np.ptp(levels) < 1e-3:
+        levels[0] = levels[1] + 1e-3
+    return levels, np.array(measures)
+
+
+def _total(levels, measures):
+    return float(np.sum(np.broadcast_to(measures, np.shape(levels))))
+
+
+class TestSharedShift:
+    """Contract of the one feasible-shift routine, on random level sets."""
+
+    @pytest.mark.parametrize("q", SHIFT_EXPONENTS)
+    @given(data=level_sets())
+    def test_residual_within_tolerance_or_unreachable(self, q, data):
+        levels, measures = data
+        lam = shift_to_constraint((levels, measures), q)
+        tol = 1e-12 * _total(levels, measures)
+        if abs(_residual(levels, measures, lam, q)) <= tol:
+            return
+        # No double meets the tolerance: the residual jumps over it
+        # between lambda and one of its neighbouring doubles.
+        below, above = np.nextafter(lam, -np.inf), np.nextafter(lam, np.inf)
+        pair = (below, lam) if _residual(levels, measures, lam, q) < 0.0 else (lam, above)
+        r_left, r_right = (_residual(levels, measures, x, q) for x in pair)
+        assert r_left > tol and r_right < -tol
+
+    @pytest.mark.parametrize("q", SHIFT_EXPONENTS)
+    @given(data=level_sets())
+    def test_agrees_with_reference_bisection(self, q, data):
+        levels, measures = data
+        lam = shift_to_constraint((levels, measures), q)
+        ref = _bisection_root(levels, measures, q)
+        # The residual stop leaves lambda within tol / |slope| of the
+        # root; the slope q * sum m |level - ref|^(q-1) is small only
+        # for q > 1 on clustered levels.
+        with np.errstate(divide="ignore"):  # a level at the root: infinite slope for q < 1
+            slope = q * float(np.sum(measures * np.abs(levels - ref) ** (q - 1.0)))
+        allowed = 1e-12 + 2.0 * 1e-12 * _total(levels, measures) / slope
+        assert abs(lam - ref) <= allowed
+
+    @given(
+        levels=st.lists(st.integers(-2048, 2048), min_size=2, max_size=12),
+        weights=st.lists(st.integers(1, 1000), min_size=12, max_size=12),
+    )
+    def test_exponent_one_is_the_weighted_mean(self, levels, weights):
+        # Dyadic levels and integer measures keep every product and sum
+        # exact, so the weighted mean is one correctly rounded division.
+        if len(set(levels)) < 2:
+            levels = levels + [levels[0] + 1]
+        weights = weights[: len(levels)]
+        weighted = Fraction(sum(l * w for l, w in zip(levels, weights)), 1024 * sum(weights))
+        equal = Fraction(sum(levels), 1024 * len(levels))
+        grid = np.array(levels, dtype=float) / 1024.0
+        for measures, exact in ((np.array(weights, dtype=float), weighted), (0.25, equal)):
+            lam = shift_to_constraint((grid, measures), 1.0)
+            assert abs(Fraction(lam) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+    @pytest.mark.parametrize(
+        "values, cause",
+        [
+            ([(math.nan, 1.0), (1.0, 1.0)], "non-finite level"),
+            ([(math.inf, 1.0), (1.0, 1.0)], "non-finite level"),
+            ([(0.0, math.nan), (1.0, 1.0)], "non-finite measure"),
+            ([(0.0, math.inf), (1.0, 1.0)], "non-finite measure"),
+            ((np.array([0.0, 1.0]), math.nan), "non-finite measure"),
+            ([(0.0, 0.0), (1.0, 0.0)], "zero total measure"),
+            ((np.array([0.0, 1.0]), 0.0), "zero total measure"),
+        ],
+    )
+    def test_unusable_input_raises_naming_the_cause(self, values, cause):
+        for q in (0.5, 1.0):
+            with pytest.raises(ValueError, match=cause):
+                shift_to_constraint(values, q)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_solver_snapshot_is_feasible(self, disk128, q):
+        config = SolverConfig(budget=12, restart_count=0, seed=5, patience=12)
+        assert minimize_quotient(disk128, q, config).residual <= 1e-13
 
 
 class TestTwoValuedQuotientExact:
