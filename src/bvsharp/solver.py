@@ -54,7 +54,7 @@ __all__ = [
 
 
 class GridFunction:
-    """Cell values on a GridDomain's interior, with cached integrals.
+    """Cell values on a GridDomain's interior.
 
     Values live on the full raster; only interior cells (center inside
     the domain) enter TV and L^p sums.
@@ -70,7 +70,6 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
         self.domain = domain
         self._values = values
-        self._cache: dict = {}
 
     @property
     def values(self) -> np.ndarray:
@@ -100,28 +99,17 @@ def total_variation(u: GridFunction) -> float:
     is no charge across the domain boundary (BV(Omega) is indifferent
     to the boundary trace).
     """
-    cached = u._cache.get("tv")
-    if cached is not None:
-        return cached
     dx, dy = _forward_differences(u._values, u.domain.interior_mask)
-    tv = float(u.domain.h * np.sum(np.hypot(dx, dy)))
-    u._cache["tv"] = tv
-    return tv
+    return float(u.domain.h * np.sum(np.hypot(dx, dy)))
 
 
 def lp_norm_power(u: GridFunction, n: int = 2) -> float:
     """(sum h^n |u|^{n/(n-1)})^{1-1/n} over interior cells."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    key = ("lp", n)
-    cached = u._cache.get(key)
-    if cached is not None:
-        return cached
     p = n / (n - 1)
     vals = np.abs(u.interior_values())
-    out = float((u.domain.h**n * np.sum(vals**p)) ** (1.0 - 1.0 / n))
-    u._cache[key] = out
-    return out
+    return float((u.domain.h**n * np.sum(vals**p)) ** (1.0 - 1.0 / n))
 
 
 def grid_quotient(u: GridFunction, q: float, n: int = 2) -> float:

@@ -18,10 +18,11 @@ J'(0) = 1, and then
     area(B(a, eps))     = int_0^{2pi} int_0^eps J(s, alpha) ds dalpha,
     length(dB(a, eps))  = int_0^{2pi} J(eps, alpha) dalpha.
 
-For a pole-centered ball the rotational symmetry reduces this to a
-single meridian integration.  For generic centers the geodesics are
-integrated in the R^3 embedding, which has no coordinate singularities
-at the poles.  Points are parametric pairs (theta, phi) on the sphere
+One Jacobi integration per ball gives both numbers, at every center,
+poles included: the geodesics are integrated in the R^3 embedding,
+which has no coordinate singularities at the poles, and the area
+(Simpson in s) and the perimeter (the last row) are read off the same
+Jacobi array.  Points are parametric pairs (theta, phi) on the sphere
 and spheroid (polar angle from the north pole, longitude) and (x, y)
 on the torus.
 """
@@ -135,16 +136,6 @@ class SurfaceModel:
         theta = float(point[0])
         return float(self.c**2 / self._metric_E(theta) ** 2)
 
-    def metric(self, point):
-        """Diagonal metric (E, G) in parametric coordinates at `point`."""
-        if self.kind == "sphere":
-            theta = float(point[0])
-            return self.r**2, (self.r * math.sin(theta)) ** 2
-        if self.kind == "flat-torus":
-            return 1.0, 1.0
-        theta = float(point[0])
-        return float(self._metric_E(theta)), (self.a * math.sin(theta)) ** 2
-
     def curvature_range(self):
         """(S_min, S_max, argmax point) of the scalar curvature."""
         if self.kind == "sphere":
@@ -169,54 +160,20 @@ def scalar_curvature(surface: SurfaceModel, point) -> float:
 # geodesic-ball quadrature
 
 
-def _check_radius(surface: SurfaceModel, eps: float):
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    inj = surface.injectivity_radius()
-    if eps > inj:
-        raise ValueError(
-            f"geodesic radius {eps} exceeds the injectivity bound {inj:.6g} "
-            f"for this {surface.kind}"
-        )
-
-
-def _spheroid_pole_profile(a: float, c: float, eps: float, steps: int):
-    """Meridian state (theta, J) sampled at `steps`+1 nodes from the pole.
-
-    theta' = 1/sqrt(E(theta)),   J'' = -K(theta) J,   K = c^2/E^2.
-    """
-
-    def rhs(state):
-        theta, J, Jp = state
-        E = a * a * math.cos(theta) ** 2 + c * c * math.sin(theta) ** 2
-        K = c * c / (E * E)
-        return np.array([1.0 / math.sqrt(E), Jp, -K * J])
-
-    ds = eps / steps
-    state = np.array([0.0, 0.0, 1.0])
-    J_nodes = np.empty(steps + 1)
-    theta_nodes = np.empty(steps + 1)
-    J_nodes[0], theta_nodes[0] = 0.0, 0.0
-    for k in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * ds * k1)
-        k3 = rhs(state + 0.5 * ds * k2)
-        k4 = rhs(state + ds * k3)
-        state = state + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        theta_nodes[k + 1] = state[0]
-        J_nodes[k + 1] = state[1]
-    return theta_nodes, J_nodes
-
-
-def _spheroid_generic_profile(a: float, c: float, center, eps: float,
-                              n_dirs: int, steps: int):
-    """Jacobi profiles J(s_k, alpha_m) for geodesics from a generic center.
+def _spheroid_generic_profile(a: float, c: float, center, eps: float):
+    """Jacobi profiles J(s_k, alpha_m) for geodesics from `center`.
 
     Integration happens in the R^3 embedding of the spheroid
     (x1^2+x2^2)/a^2 + x3^2/c^2 = 1, which is immune to the coordinate
     degeneracy at the poles; the state is re-projected to the surface
-    after every step.
+    after every step.  There is one column per direction (256, equally
+    spaced) and one row per RK4 node; the step count is even, at least
+    256, with steps no longer than 0.002, so that Simpson's rule
+    applies in s.
     """
+    n_dirs = 256
+    steps = max(256, int(math.ceil(eps / 0.002)))
+    steps += steps % 2
     theta0, phi0 = float(center[0]), float(center[1])
     st, ct = math.sin(theta0), math.cos(theta0)
     sp, cp = math.sin(phi0), math.cos(phi0)
@@ -273,43 +230,47 @@ def _spheroid_generic_profile(a: float, c: float, center, eps: float,
     return J_nodes
 
 
-def _even_steps(eps: float) -> int:
-    steps = max(256, int(math.ceil(eps / 0.002)))
-    return steps + (steps % 2)
+def _geodesic_ball(surface: SurfaceModel, center, eps: float):
+    """(area, perimeter) of the geodesic ball B(center, eps).
+
+    Closed forms on the sphere and the flat torus; on the spheroid both
+    come from one Jacobi integration: the area is 2 pi times the mean
+    over directions of Simpson's rule in s, the perimeter 2 pi times
+    the mean of the last row.
+    """
+    if not math.isfinite(eps):
+        raise ValueError(f"geodesic radius must be finite, got {eps}")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    inj = surface.injectivity_radius()
+    if eps > inj:
+        raise ValueError(
+            f"geodesic radius {eps} exceeds the injectivity bound {inj:.6g} "
+            f"for this {surface.kind}"
+        )
+    for coordinate in center:
+        if not math.isfinite(coordinate):
+            raise ValueError(f"center coordinates must be finite, got {tuple(center)}")
+    if surface.kind == "sphere":
+        r = surface.r
+        return (2.0 * math.pi * r**2 * (1.0 - math.cos(eps / r)),
+                2.0 * math.pi * r * math.sin(eps / r))
+    if surface.kind == "flat-torus":
+        return math.pi * eps**2, 2.0 * math.pi * eps
+    J_nodes = _spheroid_generic_profile(surface.a, surface.c, center, eps)
+    s = np.linspace(0.0, eps, J_nodes.shape[0])
+    area = 2.0 * math.pi * float(np.mean(simpson(J_nodes, x=s, axis=0)))
+    return area, 2.0 * math.pi * float(np.mean(J_nodes[-1]))
 
 
 def geodesic_ball_area(surface: SurfaceModel, center, eps: float) -> float:
     """Area of the geodesic ball B(center, eps); eps within injectivity."""
-    _check_radius(surface, eps)
-    if surface.kind == "sphere":
-        return 2.0 * math.pi * surface.r**2 * (1.0 - math.cos(eps / surface.r))
-    if surface.kind == "flat-torus":
-        return math.pi * eps**2
-    theta0 = float(center[0])
-    steps = _even_steps(eps)
-    s = np.linspace(0.0, eps, steps + 1)
-    if min(abs(theta0), abs(math.pi - theta0)) < 1e-8:
-        _, J = _spheroid_pole_profile(surface.a, surface.c, eps, steps)
-        return 2.0 * math.pi * float(simpson(J, x=s))
-    J_nodes = _spheroid_generic_profile(surface.a, surface.c, center, eps, 256, steps)
-    per_dir = simpson(J_nodes, x=s, axis=0)
-    return 2.0 * math.pi * float(np.mean(per_dir))
+    return _geodesic_ball(surface, center, eps)[0]
 
 
 def geodesic_circle_length(surface: SurfaceModel, center, eps: float) -> float:
     """Perimeter of the geodesic ball B(center, eps)."""
-    _check_radius(surface, eps)
-    if surface.kind == "sphere":
-        return 2.0 * math.pi * surface.r * math.sin(eps / surface.r)
-    if surface.kind == "flat-torus":
-        return 2.0 * math.pi * eps
-    theta0 = float(center[0])
-    steps = _even_steps(eps)
-    if min(abs(theta0), abs(math.pi - theta0)) < 1e-8:
-        _, J = _spheroid_pole_profile(surface.a, surface.c, eps, steps)
-        return 2.0 * math.pi * float(J[-1])
-    J_nodes = _spheroid_generic_profile(surface.a, surface.c, center, eps, 256, steps)
-    return 2.0 * math.pi * float(np.mean(J_nodes[-1]))
+    return _geodesic_ball(surface, center, eps)[1]
 
 
 def gray_expansion(S: float, eps: float, n: int) -> float:
@@ -347,8 +308,7 @@ def surface_two_valued_quotient(surface: SurfaceModel, center, eps: float,
     """Exact quadrature quotient of chi_B - beta chi_complement on M."""
     if not 0.0 < q < n / (n - 1):
         raise ValueError(f"q must lie in (0, {n/(n-1)}), got {q}")
-    ball = geodesic_ball_area(surface, center, eps)
-    perim = geodesic_circle_length(surface, center, eps)
+    ball, perim = _geodesic_ball(surface, center, eps)
     total = surface.area
     beta = beta_eps(total, ball, q)
     p = n / (n - 1)

@@ -4,6 +4,7 @@ import pytest
 
 from bvsharp import (
     SurfaceModel,
+    beta_eps,
     classify_achievability,
     critical_curvature_threshold,
     fit_remainder_order,
@@ -116,6 +117,63 @@ class TestGeodesicBallArea:
         a = geodesic_ball_area(SPHEROID, (math.pi / 2.0, 0.0), 0.35)
         b = geodesic_ball_area(SPHEROID, (math.pi / 2.0, 1.234), 0.35)
         assert a == pytest.approx(b, rel=1e-10)
+
+
+class TestSingleBallRoutine:
+    """Area and perimeter come from one Jacobi integration at every center."""
+
+    @pytest.mark.parametrize("theta0", [0.0, math.pi])
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.8])
+    def test_pole_balls_match_sphere_closed_forms(self, theta0, eps):
+        round_spheroid = SurfaceModel.spheroid(1.0, 1.0)
+        centre = (theta0, 0.0)
+        ball = geodesic_ball_area(round_spheroid, centre, eps)
+        circle = geodesic_circle_length(round_spheroid, centre, eps)
+        assert ball == pytest.approx(sphere_cap_area(eps), rel=1e-12)
+        assert circle == pytest.approx(sphere_circle_length(eps), rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.8])
+    def test_north_and_south_poles_agree(self, eps):
+        north, south = (0.0, 0.0), (math.pi, 0.0)
+        assert geodesic_ball_area(SPHEROID, south, eps) == pytest.approx(
+            geodesic_ball_area(SPHEROID, north, eps), rel=1e-13
+        )
+        assert geodesic_circle_length(SPHEROID, south, eps) == pytest.approx(
+            geodesic_circle_length(SPHEROID, north, eps), rel=1e-13
+        )
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    def test_quotient_matches_public_ball_functions(self, q):
+        centre, eps = (1.1, 2.3), 0.4
+        ball = geodesic_ball_area(SPHEROID, centre, eps)
+        perim = geodesic_circle_length(SPHEROID, centre, eps)
+        total = SPHEROID.area
+        beta = beta_eps(total, ball, q)
+        numerator = (1.0 + beta) * perim
+        denominator = (ball + beta**2.0 * (total - ball)) ** 0.5
+        qv = surface_two_valued_quotient(SPHEROID, centre, eps, q)
+        assert qv.numerator == numerator
+        assert qv.denominator == denominator
+        assert qv.value == numerator / denominator
+
+    @pytest.mark.parametrize("surface", [SPHEROID, SurfaceModel.sphere(1.0), TORUS],
+                             ids=["spheroid", "sphere", "torus"])
+    @pytest.mark.parametrize("centre, eps, cause", [
+        ((math.nan, 0.0), 0.3, "center"),
+        ((0.5, math.inf), 0.3, "center"),
+        ((0.5, -math.inf), 0.3, "center"),
+        ((0.5, 0.0), math.nan, "radius"),
+        ((0.5, 0.0), math.inf, "radius"),
+    ])
+    @pytest.mark.parametrize("entry", ["area", "length", "quotient"])
+    def test_non_finite_input_raises_naming_the_cause(self, surface, centre, eps, cause, entry):
+        call = {
+            "area": lambda: geodesic_ball_area(surface, centre, eps),
+            "length": lambda: geodesic_circle_length(surface, centre, eps),
+            "quotient": lambda: surface_two_valued_quotient(surface, centre, eps, 1.0),
+        }[entry]
+        with pytest.raises(ValueError, match=cause):
+            call()
 
 
 class TestGrayExpansion:
