@@ -438,6 +438,9 @@ def expansion_audit(config: ExperimentConfig):
             "target_coefficient": target_slope,
             "relative_error": abs(fitted - target_slope) / abs(target_slope),
             "remainder_order": order,
+            # The plateau term, of order eps^(2(2 - q)/q), stays below the
+            # linear term the fit measures only while q < 4/3.
+            "expansion_valid": config.q < 4.0 / 3.0,
         }
         return summary, ["eps", "exact", "expansion", "difference"], rows
 

@@ -18,10 +18,7 @@ trapezoid rule, which converges spectrally on a periodic analytic curve.
 Curvature is never differenced from the grid: it comes from the closed
 forms of rho, rho' and rho''.
 
-The two quadrature operations that feed certificate-grade numbers share
-one crossing finder, which brackets the angles at which the circle
-dB(a, eps) crosses dOmega by the sign of the radial gap and bisects them
-to machine precision:
+The two quadrature operations that feed certificate-grade numbers are
 
 * `boundary_arc_inside` -- length of the part of dB(a, eps) lying inside
   Omega, the sum of the inside arcs between crossings;
@@ -29,6 +26,12 @@ to machine precision:
   by Green's theorem on the boundary of the intersection: the inside arcs
   of dB contribute eps^2 dtheta / 2 in closed form, the pieces of dOmega
   inside B are integrated by Gauss-Legendre quadrature.
+
+They share one crossing finder.  It brackets the angles at which the
+circle dB(a, eps) crosses dOmega by the sign of the radial gap, then
+narrows each bracket by safeguarded Newton steps on the analytic slope of
+the gap and a short bisection to the floating-point sign change.  A
+tangential crossing raises ValueError.
 
 Both are exact to rounding for the supported shapes, so strict-inequality
 certificates are not contaminated by quadrature noise.
@@ -474,36 +477,113 @@ def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
 # circle crossings
 
 
-def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float,
-                      n_samples: int = 4096):
+_SCAN_SAMPLES = 4096
+# Newton from the regula falsi point stops after 2 or 3 steps; the cap
+# only bounds the loop, since the finish is exact from any bracket.
+_NEWTON_STEPS = 8
+# A crossing where |d gap/d theta| <= _TANGENT_SLOPE_FLOOR * eps is
+# tangential: the circle touches dOmega there, and the sign scan can miss
+# or mispair such crossings.  Boundary-centred circles cross at slopes
+# close to eps, far above the floor.
+_TANGENT_SLOPE_FLOOR = 1e-8
+
+
+def _gap_and_slope(spec: DomainSpec, ax: float, ay: float, eps: float, theta):
+    """(gap, d gap/d theta, r) at p = a + eps (cos theta, sin theta), r = |p|.
+
+    The gap is computed exactly as `DomainSpec.radial_gap` computes it, so
+    the two agree in sign.  With phi the polar angle of p,
+    dr/dtheta = eps (p_y cos - p_x sin) / r and
+    dphi/dtheta = eps (p_x cos + p_y sin) / r^2.
+    """
+    cos, sin = np.cos(theta), np.sin(theta)
+    px, py = ax + eps * cos, ay + eps * sin
+    r = np.hypot(px, py)
+    phi = np.arctan2(py, px)
+    drho, _ = spec._rho_derivatives(phi)
+    slope = eps * ((py * cos - px * sin) / r - drho * (px * cos + py * sin) / (r * r))
+    return r - spec._rho(phi), slope, r
+
+
+def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     """Angles at which the circle dB(a, eps) crosses dOmega, and the inside arcs.
 
     Crossings are bracketed by sign changes of the radial gap between
-    `n_samples` equispaced angles and bisected to machine precision.
+    4096 equispaced angles.  In each bracket a safeguarded Newton iteration
+    on the analytic slope (rtsafe, Numerical Recipes section 9.4) starts at
+    the regula falsi point of the two scan values.  Every step narrows the
+    bracket by the sign of the gap, and a step leaving the open bracket
+    falls back to its midpoint.  An element stops once |gap| <= 4 ulp(r)
+    or its step is below 2 ulp(t), and keeps that iterate t.
+
+    t lies |gap| / |slope| from the root of the exact gap, and the rounded
+    gap changes sign within about 4 ulp(r) / |slope| of that root.  The
+    finish bisects t +- (8 ulp(t) + (|gap| + 4 ulp(r)) / |slope|), or the
+    Newton bracket where the signs there do not straddle the change, until
+    the midpoint equals an endpoint.  The root is thus a floating-point
+    sign change of the gap: the one that bisecting the scan bracket to
+    exhaustion returns, wherever the sign of the rounded gap is monotone
+    near the root.
+
     Returns (theta, inside): the sorted crossing angles, and for each k
     whether the arc from theta[k] to theta[k+1] (cyclically) lies in
     Omega.  Without a crossing theta is empty and inside holds one entry,
-    for the whole circle.
+    for the whole circle.  Raises ValueError at a tangential crossing.
     """
 
     def gap(theta):
         return spec.radial_gap(ax + eps * np.cos(theta), ay + eps * np.sin(theta))
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
-    signs = np.asarray(gap(thetas)) < 0.0
+    thetas = np.linspace(0.0, 2.0 * math.pi, _SCAN_SAMPLES, endpoint=False)
+    gaps = np.asarray(gap(thetas))
+    signs = gaps < 0.0
     flips = np.nonzero(signs != np.roll(signs, -1))[0]
     if flips.size == 0:
         return flips.astype(float), signs[:1]
 
     lo = thetas[flips]
-    hi = lo + 2.0 * math.pi / n_samples
+    hi = lo + 2.0 * math.pi / _SCAN_SAMPLES
     lo_inside = signs[flips]
-    for _ in range(60):
-        midpoint = 0.5 * (lo + hi)
+    g_lo, g_hi = gaps[flips], gaps[(flips + 1) % _SCAN_SAMPLES]
+    t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+    active = np.ones(flips.size, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        g, slope, r = _gap_and_slope(spec, ax, ay, eps, t)
+        same = (g < 0.0) == lo_inside
+        lo = np.where(same, t, lo)
+        hi = np.where(same, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / slope
+        active &= (np.abs(g) > 4.0 * np.spacing(r)) & ~(np.abs(step) < 2.0 * np.spacing(t))
+        if not active.any():
+            break
+        # A stopped t is an endpoint of its bracket, where even a zero step
+        # would fail the open-bracket test and jump to the midpoint.
+        newton = t - step
+        newton = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+        t = np.where(active, newton, t)
+
+    tangent = np.abs(slope) <= _TANGENT_SLOPE_FLOOR * eps
+    if tangent.any():
+        raise ValueError(
+            f"circle of radius eps={eps} centred at ({ax}, {ay}) touches the "
+            f"boundary tangentially at angle theta={float(t[tangent][0])} "
+            f"(|d gap/d theta| = {float(abs(slope[tangent][0])):.3g}); "
+            "the crossings are not transversal"
+        )
+
+    width = 8.0 * np.spacing(t) + (np.abs(g) + 4.0 * np.spacing(r)) / np.abs(slope)
+    near = np.asarray(gap(np.concatenate((t - width, t + width)))) < 0.0
+    straddle = (near[:t.size] == lo_inside) & (near[t.size:] != lo_inside)
+    lo = np.where(straddle, t - width, lo)
+    hi = np.where(straddle, t + width, hi)
+    midpoint = 0.5 * (lo + hi)
+    while not np.all((midpoint == lo) | (midpoint == hi)):
         same = (np.asarray(gap(midpoint)) < 0.0) == lo_inside
         lo = np.where(same, midpoint, lo)
         hi = np.where(same, hi, midpoint)
-    theta = np.sort(0.5 * (lo + hi))
+        midpoint = 0.5 * (lo + hi)
+    theta = np.sort(midpoint)
     following = np.append(theta[1:], theta[0] + 2.0 * math.pi)
     inside = np.asarray(gap(0.5 * (theta + following))) < 0.0
     return theta, inside
@@ -594,7 +674,7 @@ def cap_measure_expansion(H: float, eps: float, n: int) -> float:
 # relative perimeter of the cap
 
 
-def boundary_arc_inside(domain: GridDomain, a, eps: float, n_samples: int = 4096) -> float:
+def boundary_arc_inside(domain: GridDomain, a, eps: float) -> float:
     """Length of the circular arc dB(a, eps) inside Omega.
 
     This is the relative perimeter of Omega n B(a, eps) in Omega: the
@@ -603,7 +683,7 @@ def boundary_arc_inside(domain: GridDomain, a, eps: float, n_samples: int = 4096
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    theta, inside = _circle_crossings(domain.spec, float(a[0]), float(a[1]), eps, n_samples)
+    theta, inside = _circle_crossings(domain.spec, float(a[0]), float(a[1]), eps)
     if theta.size == 0:
         return 2.0 * math.pi * eps if inside[0] else 0.0
     return eps * float(np.sum(_arc_widths(theta)[inside]))

@@ -179,6 +179,17 @@ class TestRunTasks:
         assert summary["relative_error"] <= 0.15
         assert summary["target_coefficient"] == pytest.approx(-0.5319230405352435, abs=1e-9)
 
+    @pytest.mark.parametrize("q, valid", [(1.0, True), (1.5, False)])
+    def test_expansion_audit_flags_its_validity(self, tmp_path, q, valid):
+        # The linear term leads only while 2 (2 - q) / q > 1, that is q < 4/3;
+        # at q = 1.5 the fitted coefficient is off by a relative error of 4.2.
+        config = make_config(
+            {"task": "expansion-audit", "target": "domain-quotient",
+             "out": str(tmp_path), "shape": "disk", "h": 1.0 / 128, "q": q}
+        )
+        assert run(config) == 0
+        assert read_summary(tmp_path)["expansion_valid"] is valid
+
     def test_expansion_audit_gray(self, tmp_path):
         config = make_config(
             {"task": "expansion-audit", "target": "gray", "out": str(tmp_path)}

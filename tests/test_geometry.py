@@ -13,7 +13,9 @@ from bvsharp import (
     cap_measure,
     cap_measure_expansion,
     fit_remainder_order,
+    geometry,
     max_curvature_seed,
+    optimal_epsilon,
 )
 from oracles import disk_arc_inside, ellipse_curvature, lens_area
 
@@ -319,3 +321,122 @@ class TestBoundaryArcInside:
 
     def test_huge_radius_gives_zero(self, disk256):
         assert boundary_arc_inside(disk256, (1.0, 0.0), 5.0) == 0.0
+
+
+CATALOG = [
+    pytest.param(DomainSpec.disk(1.0), 1.0 / 256, id="disk"),
+    pytest.param(DomainSpec.ellipse(2.0, 1.0), 1.0 / 128, id="ellipse"),
+    pytest.param(DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)), 1.0 / 128,
+                 id="fourier"),
+]
+
+
+def _exhaustive_bisection(spec, ax, ay, eps):
+    """The crossing finder's scan, then bisection of every bracket until the
+    midpoint equals an endpoint: the reference for the Newton polish."""
+
+    def negative(theta):
+        return spec.radial_gap(ax + eps * np.cos(theta), ay + eps * np.sin(theta)) < 0.0
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    signs = negative(thetas)
+    flips = np.nonzero(signs != np.roll(signs, -1))[0]
+    lo = thetas[flips]
+    hi = lo + 2.0 * math.pi / 4096
+    lo_inside = signs[flips]
+    mid = 0.5 * (lo + hi)
+    while not np.all((mid == lo) | (mid == hi)):
+        same = negative(mid) == lo_inside
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return np.sort(mid)
+
+
+class TestCrossingFinder:
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.5])
+    def test_disk_roots_match_closed_form(self, eps):
+        # |a + eps e(theta)| = 1 with a = (1, 0) gives cos theta = -eps / 2.
+        theta, inside = geometry._circle_crossings(DomainSpec.disk(1.0), 1.0, 0.0, eps)
+        root = math.acos(-eps / 2.0)
+        np.testing.assert_allclose(theta, [root, 2.0 * math.pi - root], rtol=0.0, atol=1e-14)
+        assert inside.tolist() == [True, False]
+
+    @pytest.mark.parametrize("spec, h", CATALOG)
+    def test_matches_exhaustive_bisection(self, spec, h):
+        # Where the sign of the rounded gap is monotone near a root, both
+        # methods return the same float.  Where rounding makes it flicker,
+        # any sign change is as good, and they may pick different ones
+        # within the rounding band ulp(r) / |slope|.
+        rng = np.random.default_rng(7)
+        equal = total = 0
+        for _ in range(200):
+            bx, by = spec.boundary_point(rng.uniform(0.0, 2.0 * math.pi))
+            ax, ay = float(bx), float(by)
+            eps = math.exp(rng.uniform(math.log(0.01), 0.0))
+            theta, _ = geometry._circle_crossings(spec, ax, ay, eps)
+            reference = _exhaustive_bisection(spec, ax, ay, eps)
+            assert theta.shape == reference.shape
+            _, slope, r = geometry._gap_and_slope(spec, ax, ay, eps, reference)
+            band = 2.0 * np.spacing(reference) + 4.0 * np.spacing(r) / np.abs(slope)
+            assert np.all(np.abs(theta - reference) <= band)
+            # Each root is a sign change between neighbouring floats.
+            gap = spec.radial_gap(ax + eps * np.cos(theta), ay + eps * np.sin(theta)) < 0.0
+            before = np.nextafter(theta, -np.inf)
+            after = np.nextafter(theta, np.inf)
+            gap_before = spec.radial_gap(ax + eps * np.cos(before), ay + eps * np.sin(before))
+            gap_after = spec.radial_gap(ax + eps * np.cos(after), ay + eps * np.sin(after))
+            assert np.all((gap != (gap_before < 0.0)) | (gap != (gap_after < 0.0)))
+            equal += int(np.sum(theta == reference))
+            total += theta.size
+        assert equal >= 0.97 * total
+
+    @pytest.mark.parametrize("spec, h", CATALOG)
+    def test_cap_derivative_is_inside_arc(self, spec, h):
+        # Coarea: d|Omega n B(a, eps)|/d eps is the length of dB(a, eps) n Omega.
+        domain = build_domain(spec, h)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            bx, by = spec.boundary_point(rng.uniform(0.0, 2.0 * math.pi))
+            scale = rng.uniform(0.7, 1.3)
+            a = (scale * float(bx), scale * float(by))
+            eps = math.exp(rng.uniform(math.log(0.05), 0.0))
+            step = 1e-5 * eps
+            slope = (cap_measure(domain, a, eps + step)
+                     - cap_measure(domain, a, eps - step)) / (2.0 * step)
+            assert slope == pytest.approx(boundary_arc_inside(domain, a, eps), rel=1e-7, abs=1e-12)
+
+    @pytest.mark.parametrize("spec, h", CATALOG)
+    def test_gap_evaluations_per_scan(self, spec, h, monkeypatch):
+        # The scans of one radius search: 62 gap evaluations each with a
+        # 60-step bisection, about 10 with the Newton polish.
+        domain = build_domain(spec, h)
+        calls = [0]
+        per_scan = []
+        radial_gap, gap_and_slope = DomainSpec.radial_gap, geometry._gap_and_slope
+        crossings = geometry._circle_crossings
+
+        def counted(function):
+            def wrapper(*args):
+                calls[0] += 1
+                return function(*args)
+            return wrapper
+
+        def scan(*args):
+            calls[0] = 0
+            result = crossings(*args)
+            per_scan.append(calls[0])
+            return result
+
+        monkeypatch.setattr(DomainSpec, "radial_gap", counted(radial_gap))
+        monkeypatch.setattr(geometry, "_gap_and_slope", counted(gap_and_slope))
+        monkeypatch.setattr(geometry, "_circle_crossings", scan)
+        optimal_epsilon(domain, max_curvature_seed(domain).point, 1.0)
+        assert len(per_scan) == 116
+        assert max(per_scan) <= 16
+
+    def test_tangential_crossing_raises(self, disk256):
+        # dB((0.5, 0), 0.5) touches the unit circle from inside at theta = 0,
+        # which is a scan sample.
+        for function in (cap_measure, boundary_arc_inside):
+            with pytest.raises(ValueError, match=r"eps=0\.5 centred at \(0\.5, 0\.0\).*theta="):
+                function(disk256, (0.5, 0.0), 0.5)
