@@ -4,11 +4,11 @@ Every supported shape (disk, ellipse, boundary given by a Fourier radius
 function) is star-shaped with respect to the origin, so one boundary
 model serves them all: the polar curve rho(t) (cos t, sin t) in the polar
 angle t.  Only the radial function rho and its first two derivatives
-differ per shape; the boundary point, tangent, second derivative,
-curvature, the exact inside test |p| < rho(angle of p) and the radial gap
-each have a single code path.  A "square" spec is recognized only to be
-rejected: its corners have no curvature, so it fails the C^2 requirement
-that every expansion here relies on.
+differ per shape; the boundary point, tangent, curvature, the exact
+inside test |p| < rho(angle of p) and the radial gap each have a single
+code path.  A "square" spec is recognized only to be rejected: its
+corners have no curvature, so it fails the C^2 requirement that every
+expansion here relies on.
 
 A domain is described analytically (`DomainSpec`) and rasterized to a
 `GridDomain` that carries the interior mask of the cell centres, the
@@ -25,7 +25,10 @@ The two quadrature operations that feed certificate-grade numbers are
 * `cap_measure`      -- area of Omega intersected with the disk B(a, eps),
   by Green's theorem on the boundary of the intersection: the inside arcs
   of dB contribute eps^2 dtheta / 2 in closed form, the pieces of dOmega
-  inside B are integrated by Gauss-Legendre quadrature.
+  inside B are integrated by the panel rule `_panel_rule`: 32-point
+  Gauss-Legendre on 8 equal panels, the package's one quadrature rule
+  for smooth integrals (the surface area and Gauss-Bonnet integrals in
+  `surfaces` use it too).
 
 They share one crossing finder.  It brackets the angles at which the
 circle dB(a, eps) crosses dOmega by the sign of the radial gap, then
@@ -169,15 +172,6 @@ class DomainSpec:
         ct, st = np.cos(t), np.sin(t)
         return drho * ct - rho * st, drho * st + rho * ct
 
-    def boundary_second(self, t):
-        t = np.asarray(t, dtype=float)
-        rho = self._rho(t)
-        drho, ddrho = self._rho_derivatives(t)
-        ct, st = np.cos(t), np.sin(t)
-        x2 = ddrho * ct - 2.0 * drho * st - rho * ct
-        y2 = ddrho * st + 2.0 * drho * ct - rho * st
-        return x2, y2
-
     def curvature(self, t):
         """Signed curvature, positive for the (counterclockwise) convex side.
 
@@ -237,47 +231,6 @@ class DomainSpec:
         bx, by = self.boundary_point(t)
         rmin = float(np.min(np.hypot(bx, by)))
         return min(1.0 / kmax if kmax > 0 else np.inf, rmin)
-
-
-# --------------------------------------------------------------------------
-# closest-point projection
-
-
-def _closest_param(spec: DomainSpec, px, py, n_newton: int = 18):
-    """Parameter of the nearest boundary point for each query point."""
-    px = np.asarray(px, dtype=float).ravel()
-    py = np.asarray(py, dtype=float).ravel()
-    # Global coarse scan (chunked for memory) to land in the right basin:
-    # starting at the polar angle of the point can stall at a local maximum
-    # of the distance for interior points near the medial axis.
-    ts = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
-    gx, gy = spec.boundary_point(ts)
-    t = np.empty_like(px)
-    for lo in range(0, px.size, 16384):
-        hi = min(lo + 16384, px.size)
-        d2 = (px[lo:hi, None] - gx) ** 2 + (py[lo:hi, None] - gy) ** 2
-        t[lo:hi] = ts[np.argmin(d2, axis=1)]
-    for _ in range(n_newton):
-        bx, by = spec.boundary_point(t)
-        x1, y1 = spec.boundary_tangent(t)
-        x2, y2 = spec.boundary_second(t)
-        rx = px - bx
-        ry = py - by
-        g = -(rx * x1 + ry * y1)
-        gp = x1 * x1 + y1 * y1 - (rx * x2 + ry * y2)
-        step = np.where(gp > 1e-14, g / np.where(gp > 1e-14, gp, 1.0), 0.0)
-        t = t - np.clip(step, -0.5, 0.5)
-    return t
-
-
-def _signed_distance(spec: DomainSpec, px, py):
-    """Signed distance to the boundary, negative inside."""
-    px = np.asarray(px, dtype=float).ravel()
-    py = np.asarray(py, dtype=float).ravel()
-    t = _closest_param(spec, px, py)
-    bx, by = spec.boundary_point(t)
-    dist = np.hypot(px - bx, py - by)
-    return np.where(spec.is_inside(px, py), -dist, dist)
 
 
 # --------------------------------------------------------------------------
@@ -343,9 +296,6 @@ class GridDomain:
         gx, gy = np.meshgrid(self.xs, self.ys)
         return gx, gy
 
-    def signed_distance(self, px, py):
-        return _signed_distance(self.spec, px, py)
-
     def boundary_point(self, t):
         return self.spec.boundary_point(t)
 
@@ -406,19 +356,19 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
 
 
 def boundary_mean_curvature(domain: GridDomain, point) -> float:
-    """Curvature of the boundary at the analytic point nearest to `point`.
+    """Curvature of the boundary at the polar angle of `point`.
 
-    The query point must lie on the boundary (|signed distance| < h).
+    The query point must lie on the boundary (|radial gap| < h).
     """
     px, py = float(point[0]), float(point[1])
-    d = float(domain.signed_distance(px, py)[0])
-    if abs(d) >= domain.h:
+    spec = domain.spec
+    gap = float(spec.radial_gap(px, py))
+    if abs(gap) >= domain.h:
         raise ValueError(
-            f"point {point} is not on the boundary (signed distance {d:.3g}, "
+            f"point {point} is not on the boundary (radial gap {gap:.3g}, "
             f"cell size {domain.h:.3g})"
         )
-    t = float(_closest_param(domain.spec, px, py)[0])
-    return float(domain.spec.curvature(t))
+    return float(spec.curvature(spec.boundary_param(px, py)))
 
 
 @dataclass(frozen=True)
@@ -597,27 +547,26 @@ def _arc_widths(theta):
 # --------------------------------------------------------------------------
 # cap quadrature
 
-_GAUSS_LEGENDRE = None
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _gauss_legendre():
-    """32-point Gauss-Legendre nodes and weights on [-1, 1], computed once."""
-    global _GAUSS_LEGENDRE
-    if _GAUSS_LEGENDRE is None:
-        _GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(32)
-    return _GAUSS_LEGENDRE
+def _panel_rule(t0, t1):
+    """Nodes and weights of 32-point Gauss-Legendre on 8 equal panels of
+    each interval [t0, t1] (scalars, or arrays of interval ends)."""
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    edges = t0[..., None] + (t1 - t0)[..., None] * np.linspace(0.0, 1.0, 9)
+    half = 0.5 * np.diff(edges, axis=-1)[..., None]
+    t = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None] + half * _GL_NODES
+    return t, half * _GL_WEIGHTS
 
 
 def _green_boundary_integral(spec: DomainSpec, ax: float, ay: float, t0, t1):
     """Sum over the parameter intervals [t0, t1] of the integral of
-    (x - ax) y' - (y - ay) x' dt, Gauss-Legendre on 8 equal panels each."""
-    nodes, weights = _gauss_legendre()
-    edges = t0[:, None] + (t1 - t0)[:, None] * np.linspace(0.0, 1.0, 9)
-    half = 0.5 * np.diff(edges, axis=1)[..., None]
-    t = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None] + half * nodes
+    (x - ax) y' - (y - ay) x' dt, by the panel rule."""
+    t, w = _panel_rule(t0, t1)
     x, y = spec.boundary_point(t)
     x1, y1 = spec.boundary_tangent(t)
-    return float(np.sum(half * weights * ((x - ax) * y1 - (y - ay) * x1)))
+    return float(np.sum(w * ((x - ax) * y1 - (y - ay) * x1)))
 
 
 def cap_measure(domain: GridDomain, a, eps: float) -> float:

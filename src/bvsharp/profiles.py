@@ -226,13 +226,24 @@ def two_valued_quotient_exact(domain: GridDomain, a, eps: float, q: float, n: in
             "the cap must be a strict subset"
         )
     cap = cap_measure(domain, a, eps)
-    total = domain.measure
-    beta = beta_eps(total, cap, q)  # validates 0 < cap < total
     arc = boundary_arc_inside(domain, a, eps)
+    return _two_valued_quotient(domain.measure, cap, arc, q, n, half_space_constant(n))
+
+
+def _two_valued_quotient(total: float, cap: float, jump: float, q: float, n: int,
+                         threshold: float) -> QuotientValue:
+    """Quotient of chi_cap - beta chi_rest from the cap measure and the
+    length of its jump set, on a space of the given total measure:
+
+        (1 + beta) jump / (cap + beta^(n/(n-1)) (total - cap))^(1-1/n).
+
+    Raises ValueError unless 0 < cap < total.
+    """
+    beta = beta_eps(total, cap, q)
     p = n / (n - 1)
-    numerator = (1.0 + beta) * arc
+    numerator = (1.0 + beta) * jump
     denominator = (cap + beta**p * (total - cap)) ** (1.0 - 1.0 / n)
-    return QuotientValue.against(numerator, denominator, half_space_constant(n))
+    return QuotientValue.against(numerator, denominator, threshold)
 
 
 def domain_quotient_expansion(H: float, eps: float, n: int) -> float:

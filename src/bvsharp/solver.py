@@ -29,8 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
-from scipy.signal import fftconvolve
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import half_space_constant
 from .geometry import GridDomain, _plane_cut_fraction, cap_measure, max_curvature_seed
@@ -390,12 +389,18 @@ def concentration_report(family, radii, atom_threshold: float = 0.05,
         offsets = np.arange(-k, k + 1)
         oi, oj = np.meshgrid(offsets, offsets, indexing="ij")
         kernel = ((oi * oi + oj * oj) * h * h <= r * r).astype(float)
-        return fftconvolve(density, kernel, mode="same")
+        # Linear convolution on the full (ny + 2k, nx + 2k) grid, cropped
+        # to the cells of the density.
+        shape = (density.shape[0] + 2 * k, density.shape[1] + 2 * k)
+        full = np.fft.irfft2(np.fft.rfft2(density, shape) * np.fft.rfft2(kernel, shape), shape)
+        return full[k:k + density.shape[0], k:k + density.shape[1]]
 
     m_last = mass_map(radii[-1])
     m_prev = mass_map(radii[-2])
 
-    peaks = (maximum_filter(m_last, size=3) == m_last) & (m_last > atom_threshold)
+    # 3 x 3 neighbourhood maximum, edge cells compared with their own copies.
+    window_max = sliding_window_view(np.pad(m_last, 1, mode="edge"), (3, 3)).max(axis=(-2, -1))
+    peaks = (window_max == m_last) & (m_last > atom_threshold)
     ii, jj = np.nonzero(peaks)
     order = np.lexsort((jj, ii, -m_last[ii, jj]))
     ii, jj = ii[order], jj[order]

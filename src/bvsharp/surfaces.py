@@ -25,6 +25,10 @@ which has no coordinate singularities at the poles, and the area
 Jacobi array.  Points are parametric pairs (theta, phi) on the sphere
 and spheroid (polar angle from the north pole, longitude) and (x, y)
 on the torus.
+
+The spheroid area and the Gauss-Bonnet integral are integrals over the
+meridian angle theta in [0, pi] of analytic integrands; both use the
+Gauss-Legendre panel rule that `geometry` uses for its cap integrals.
 """
 
 from __future__ import annotations
@@ -33,14 +37,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, simpson
 
 from .constants import (
     gamma_half_integer,
     sharp_sobolev_constant,
     unit_sphere_area,
 )
-from .profiles import QuotientValue, beta_eps
+from .geometry import _panel_rule
+from .profiles import QuotientValue, _two_valued_quotient
 
 __all__ = [
     "SurfaceModel",
@@ -102,11 +106,8 @@ class SurfaceModel:
             elif self.kind == "flat-torus":
                 self._area = self.L1 * self.L2
             else:
-                a, c = self.a, self.c
-                val, _ = quad(
-                    lambda th: a * math.sin(th) * math.sqrt(self._metric_E(th)),
-                    0.0, math.pi, epsabs=1e-13, epsrel=1e-13,
-                )
+                th, w = _panel_rule(0.0, math.pi)
+                val = float(np.sum(w * (self.a * np.sin(th) * np.sqrt(self._metric_E(th)))))
                 self._area = 2.0 * math.pi * val
         return self._area
 
@@ -258,8 +259,12 @@ def _geodesic_ball(surface: SurfaceModel, center, eps: float):
     if surface.kind == "flat-torus":
         return math.pi * eps**2, 2.0 * math.pi * eps
     J_nodes = _spheroid_generic_profile(surface.a, surface.c, center, eps)
-    s = np.linspace(0.0, eps, J_nodes.shape[0])
-    area = 2.0 * math.pi * float(np.mean(simpson(J_nodes, x=s, axis=0)))
+    steps = J_nodes.shape[0] - 1
+    simpson = np.full(steps + 1, 2.0)  # 1 4 2 4 ... 2 4 1, times ds / 3
+    simpson[1::2] = 4.0
+    simpson[0] = simpson[-1] = 1.0
+    simpson *= eps / steps / 3.0
+    area = 2.0 * math.pi * float(np.mean(simpson @ J_nodes))
     return area, 2.0 * math.pi * float(np.mean(J_nodes[-1]))
 
 
@@ -309,12 +314,7 @@ def surface_two_valued_quotient(surface: SurfaceModel, center, eps: float,
     if not 0.0 < q < n / (n - 1):
         raise ValueError(f"q must lie in (0, {n/(n-1)}), got {q}")
     ball, perim = _geodesic_ball(surface, center, eps)
-    total = surface.area
-    beta = beta_eps(total, ball, q)
-    p = n / (n - 1)
-    numerator = (1.0 + beta) * perim
-    denominator = (ball + beta**p * (total - ball)) ** (1.0 - 1.0 / n)
-    return QuotientValue.against(numerator, denominator, sharp_sobolev_constant(n))
+    return _two_valued_quotient(surface.area, ball, perim, q, n, sharp_sobolev_constant(n))
 
 
 def critical_curvature_threshold(n: int, area: float) -> float:
@@ -342,19 +342,14 @@ def gauss_bonnet_check(surface: SurfaceModel):
     if surface.kind == "flat-torus":
         # The flat metric has S = 0 at every point, so the integral is exactly 0.
         return 0.0, target
+    th, w = _panel_rule(0.0, math.pi)
     if surface.kind == "sphere":
         r = surface.r
-        val, _ = quad(lambda th: (2.0 / r**2) * r * r * math.sin(th), 0.0, math.pi,
-                      epsabs=1e-13, epsrel=1e-13)
+        val = float(np.sum(w * ((2.0 / r**2) * r * r * np.sin(th))))
         return 2.0 * math.pi * val, target
-    a, c = surface.a, surface.c
-
-    def integrand(th):
-        E = a * a * math.cos(th) ** 2 + c * c * math.sin(th) ** 2
-        S = 2.0 * c * c / (E * E)
-        return S * a * math.sin(th) * math.sqrt(E)
-
-    val, _ = quad(integrand, 0.0, math.pi, epsabs=1e-13, epsrel=1e-13)
+    E = surface._metric_E(th)
+    S = 2.0 * surface.c**2 / (E * E)
+    val = float(np.sum(w * (S * surface.a * np.sin(th) * np.sqrt(E))))
     return 2.0 * math.pi * val, target
 
 

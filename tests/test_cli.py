@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +267,19 @@ class TestMainEntryPoint:
     def test_stray_token_rejected(self, tmp_path, capsys):
         status = main(["constants", "stray"])
         assert status == 2
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency: importing the command-line
+    # entry point (and with it every module of the package) loads no scipy.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = (
+        "import sys, bvsharp.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -60,17 +60,6 @@ class TestBuildDomain:
         with pytest.raises(DomainBuildError, match="positive"):
             build_domain(DomainSpec.fourier(1.0, cos_coeffs=(1.2,)), 1.0 / 256)
 
-    def test_sdf_is_one_lipschitz_across_cells(self, ellipse256):
-        # Adjacent cell centers are h apart, so |d(x) - d(y)| <= h for a
-        # true signed distance; the contractual bound allows 2h of slack.
-        h = ellipse256.h
-        gx, gy = ellipse256.cell_centers()
-        sdf = ellipse256.signed_distance(gx, gy).reshape(gx.shape)
-        dx = np.max(np.abs(np.diff(sdf, axis=1)))
-        dy = np.max(np.abs(np.diff(sdf, axis=0)))
-        assert max(dx, dy) <= 3.0 * h
-        assert max(dx, dy) <= 1.05 * h  # what the implementation actually delivers
-
 
 RADIAL_SHAPES = [
     DomainSpec.disk(1.3),

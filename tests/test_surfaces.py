@@ -37,12 +37,17 @@ class TestSurfaceModels:
         assert scalar_curvature(sphere, (0.7, 0.1)) == pytest.approx(0.5, rel=1e-14)
         assert sphere.euler_characteristic == 2
 
+    # (1, 5) and (1, 0.05) are far from round: the fixed panel rule must
+    # hold its accuracy where the meridian integrand is sharply peaked.
     def test_prolate_spheroid_area_closed_form(self):
-        assert SPHEROID.area == pytest.approx(prolate_spheroid_area(1.0, 1.3), rel=1e-12)
+        for a, c in ((1.0, 1.3), (1.0, 5.0)):
+            area = SurfaceModel.spheroid(a, c).area
+            assert area == pytest.approx(prolate_spheroid_area(a, c), rel=1e-12)
 
     def test_oblate_spheroid_area_closed_form(self):
-        oblate = SurfaceModel.spheroid(1.3, 1.0)
-        assert oblate.area == pytest.approx(oblate_spheroid_area(1.3, 1.0), rel=1e-12)
+        for a, c in ((1.3, 1.0), (1.0, 0.05)):
+            area = SurfaceModel.spheroid(a, c).area
+            assert area == pytest.approx(oblate_spheroid_area(a, c), rel=1e-12)
 
     def test_spheroid_pole_curvature(self):
         # K at the pole of a spheroid is c^2/a^4, so S = 2 c^2 / a^4.
@@ -287,7 +292,8 @@ class TestGaussBonnet:
 
     def test_normalized_defect_below_tolerance_for_all_models(self):
         for surface in (SurfaceModel.sphere(0.7), SPHEROID,
-                        SurfaceModel.spheroid(1.3, 1.0), TORUS):
+                        SurfaceModel.spheroid(1.3, 1.0), SurfaceModel.spheroid(1.0, 5.0),
+                        SurfaceModel.spheroid(1.0, 0.05), TORUS):
             integral, target = gauss_bonnet_check(surface)
             defect = abs(integral - target) / max(1.0, abs(target))
             assert defect <= 1e-3
