@@ -6,9 +6,10 @@ model serves them all: the polar curve rho(t) (cos t, sin t) in the polar
 angle t.  Only the radial function rho and its first two derivatives
 differ per shape; the boundary point, tangent, curvature, the exact
 inside test |p| < rho(angle of p) and the radial gap each have a single
-code path.  A "square" spec is recognized only to be rejected: its
-corners have no curvature, so it fails the C^2 requirement that every
-expansion here relies on.
+code path, except that the disk's radial gap skips the polar angle of p,
+which its constant rho ignores.  A "square" spec is recognized only to be
+rejected: its corners have no curvature, so it fails the C^2 requirement
+that every expansion here relies on.
 
 A domain is described analytically (`DomainSpec`) and rasterized to a
 `GridDomain` that carries the interior mask of the cell centres, the
@@ -34,7 +35,10 @@ They share one crossing finder.  It brackets the angles at which the
 circle dB(a, eps) crosses dOmega by the sign of the radial gap, then
 narrows each bracket by safeguarded Newton steps on the analytic slope of
 the gap and a short bisection to the floating-point sign change.  A
-tangential crossing raises ValueError.
+tangential crossing raises ValueError, and so does a non-finite centre
+or radius.  The finder is memoized on (spec, centre, radius), so a circle
+is scanned once and its crossings are shared by the cap and the arc:
+the two-valued quotient, which needs both, pays for one scan.
 
 Both are exact to rounding for the supported shapes, so strict-inequality
 certificates are not contaminated by quadrature noise.
@@ -42,6 +46,7 @@ certificates are not contaminated by quadrature noise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -194,6 +199,8 @@ class DomainSpec:
         """|p| - rho(angle of p): negative inside, same sign as the distance."""
         px = np.asarray(px, dtype=float)
         py = np.asarray(py, dtype=float)
+        if self.kind == "disk":
+            return np.hypot(px, py) - self.r
         return np.hypot(px, py) - self._rho(np.arctan2(py, px))
 
     def validate(self):
@@ -337,12 +344,14 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
     mask = spec.is_inside(mx, my)
 
     # Largest pairwise distance of 1024 boundary samples, in row chunks so
-    # that no 1024 x 1024 difference array is ever held.
+    # that no 1024 x 1024 difference array is ever held.  A chunk of rows
+    # i meets only the columns j >= its first row: every pair i <= j is
+    # still seen, and d(i, j) and d(j, i) round alike.
     sx, sy = spec.boundary_point(np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False))
     d2 = 0.0
     for lo in range(0, sx.size, 128):
-        dx = sx[lo:lo + 128, None] - sx
-        dy = sy[lo:lo + 128, None] - sy
+        dx = sx[lo:lo + 128, None] - sx[lo:]
+        dy = sy[lo:lo + 128, None] - sy[lo:]
         d2 = max(d2, float(np.max(dx * dx + dy * dy)))
 
     return GridDomain(
@@ -455,6 +464,24 @@ def _gap_and_slope(spec: DomainSpec, ax: float, ay: float, eps: float, theta):
     return r - spec._rho(phi), slope, r
 
 
+def _checked_centre(a, eps):
+    """The centre (ax, ay) as floats; raises ValueError unless the centre
+    and the radius eps are finite and eps is positive."""
+    ax, ay = float(a[0]), float(a[1])
+    if not (math.isfinite(ax) and math.isfinite(ay)):
+        raise ValueError(f"centre ({ax}, {ay}) has a non-finite coordinate")
+    if not math.isfinite(eps):
+        raise ValueError(f"radius eps={eps} is not finite")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return ax, ay
+
+
+# Memoized: the cap and the arc of one circle share a scan.  The entries
+# are read-only, since every caller gets the same arrays, and the callers
+# validate the centre and radius first, so no NaN key enters the cache.
+# Eight entries hold the circles in flight in a threaded sweep.
+@functools.lru_cache(maxsize=8)
 def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     """Angles at which the circle dB(a, eps) crosses dOmega, and the inside arcs.
 
@@ -478,7 +505,8 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     Returns (theta, inside): the sorted crossing angles, and for each k
     whether the arc from theta[k] to theta[k+1] (cyclically) lies in
     Omega.  Without a crossing theta is empty and inside holds one entry,
-    for the whole circle.  Raises ValueError at a tangential crossing.
+    for the whole circle.  Both arrays are read-only.  Raises ValueError
+    at a tangential crossing.
     """
 
     def gap(theta):
@@ -489,7 +517,9 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     signs = gaps < 0.0
     flips = np.nonzero(signs != np.roll(signs, -1))[0]
     if flips.size == 0:
-        return flips.astype(float), signs[:1]
+        theta, inside = flips.astype(float), signs[:1].copy()
+        theta.flags.writeable = inside.flags.writeable = False
+        return theta, inside
 
     lo = thetas[flips]
     hi = lo + 2.0 * math.pi / _SCAN_SAMPLES
@@ -536,6 +566,7 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     theta = np.sort(midpoint)
     following = np.append(theta[1:], theta[0] + 2.0 * math.pi)
     inside = np.asarray(gap(0.5 * (theta + following))) < 0.0
+    theta.flags.writeable = inside.flags.writeable = False
     return theta, inside
 
 
@@ -582,10 +613,8 @@ def cap_measure(domain: GridDomain, a, eps: float) -> float:
     boundaries supported here.  Without a crossing the area is pi eps^2
     (circle inside Omega), the measure (Omega inside B) or 0 (disjoint).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    ax, ay = _checked_centre(a, eps)
     spec = domain.spec
-    ax, ay = float(a[0]), float(a[1])
     theta, inside = _circle_crossings(spec, ax, ay, eps)
     if theta.size == 0:
         if inside[0]:
@@ -630,9 +659,8 @@ def boundary_arc_inside(domain: GridDomain, a, eps: float) -> float:
     portion of the cap boundary running along dOmega carries no
     gradient mass inside the domain and is excluded.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    theta, inside = _circle_crossings(domain.spec, float(a[0]), float(a[1]), eps)
+    ax, ay = _checked_centre(a, eps)
+    theta, inside = _circle_crossings(domain.spec, ax, ay, eps)
     if theta.size == 0:
         return 2.0 * math.pi * eps if inside[0] else 0.0
     return eps * float(np.sum(_arc_widths(theta)[inside]))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bvsharp import build_domain, half_space_constant, two_valued_quotient_exact
+from bvsharp import build_domain, geometry, half_space_constant, two_valued_quotient_exact
 from bvsharp.cli import ConfigError, main, make_config, parse_config, run
 
 
@@ -134,6 +134,19 @@ class TestRunTasks:
         assert len(rows) == 5
         summary = read_summary(tmp_path)
         assert summary["best_quotient"] < half_space_constant(2)
+
+    def test_domain_sweep_scans_each_circle_once(self, tmp_path, monkeypatch):
+        # Per radius the sweep asks for the cap and the arc itself and again
+        # through the quotient: four requests, one scan.
+        monkeypatch.setenv("BV_SHARP_THREADS", "1")
+        geometry._circle_crossings.cache_clear()
+        config = make_config(
+            {"task": "domain-sweep", "out": str(tmp_path), "shape": "ellipse", "a": 2.0,
+             "b": 1.0, "h": 1.0 / 64, "eps_min": 0.1, "eps_max": 0.4, "eps_count": 5}
+        )
+        assert run(config) == 0
+        info = geometry._circle_crossings.cache_info()
+        assert (info.misses, info.hits) == (5, 15)
 
     def test_solve_task_history_columns(self, tmp_path):
         config = make_config(

@@ -397,7 +397,10 @@ class TestCrossingFinder:
     @pytest.mark.parametrize("spec, h", CATALOG)
     def test_gap_evaluations_per_scan(self, spec, h, monkeypatch):
         # The scans of one radius search: 62 gap evaluations each with a
-        # 60-step bisection, about 10 with the Newton polish.
+        # 60-step bisection, about 10 with the Newton polish.  The cap and
+        # the arc of a quotient both ask for the scan, and only the first
+        # request evaluates the gap.
+        geometry._circle_crossings.cache_clear()
         domain = build_domain(spec, h)
         calls = [0]
         per_scan = []
@@ -422,10 +425,54 @@ class TestCrossingFinder:
         optimal_epsilon(domain, max_curvature_seed(domain).point, 1.0)
         assert len(per_scan) == 116
         assert max(per_scan) <= 16
+        assert sum(1 for count in per_scan if count > 0) == 58
 
     def test_tangential_crossing_raises(self, disk256):
         # dB((0.5, 0), 0.5) touches the unit circle from inside at theta = 0,
-        # which is a scan sample.
-        for function in (cap_measure, boundary_arc_inside):
+        # which is a scan sample.  A failed scan is not memoized, so a
+        # repeated call raises again.
+        for function in (cap_measure, boundary_arc_inside, cap_measure):
             with pytest.raises(ValueError, match=r"eps=0\.5 centred at \(0\.5, 0\.0\).*theta="):
                 function(disk256, (0.5, 0.0), 0.5)
+
+    @pytest.mark.parametrize("spec, h", CATALOG)
+    def test_memoized_scan_gives_the_same_bits(self, spec, h):
+        domain = build_domain(spec, h)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            bx, by = spec.boundary_point(rng.uniform(0.0, 2.0 * math.pi))
+            a = (float(bx), float(by))
+            eps = math.exp(rng.uniform(math.log(0.01), 0.0))
+            geometry._circle_crossings.cache_clear()
+            cold = (cap_measure(domain, a, eps), boundary_arc_inside(domain, a, eps))
+            geometry._circle_crossings.cache_clear()
+            arc = boundary_arc_inside(domain, a, eps)
+            warm = (cap_measure(domain, a, eps), boundary_arc_inside(domain, a, eps))
+            assert geometry._circle_crossings.cache_info().misses == 1
+            assert warm == cold and arc == cold[1]
+
+    @pytest.mark.parametrize("a, eps", [((1.0, 0.0), 0.3), ((0.0, 0.0), 0.3)],
+                             ids=["crossing", "inside"])
+    def test_memoized_arrays_are_read_only(self, a, eps):
+        theta, inside = geometry._circle_crossings(DomainSpec.disk(1.0), a[0], a[1], eps)
+        for array in (theta, inside):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array
+        # Neither is a view: the circle inside the disk, without a
+        # crossing, gets a copy of the scan's first sign.
+        assert theta.base is None and inside.base is None
+
+    @pytest.mark.parametrize("function", [cap_measure, boundary_arc_inside])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_radius_raises(self, disk256, function, eps):
+        with pytest.raises(ValueError, match="radius eps=.* is not finite"):
+            function(disk256, (1.0, 0.0), eps)
+
+    @pytest.mark.parametrize("function", [cap_measure, boundary_arc_inside])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_centre_raises(self, disk256, function, value, axis):
+        centre = [1.0, 0.0]
+        centre[axis] = value
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            function(disk256, tuple(centre), 0.2)
