@@ -34,7 +34,9 @@ from .geometry import (
     max_curvature_seed,
 )
 from .profiles import (
+    CertificateResult,
     QuotientValue,
+    achievability_certificate,
     beta_eps,
     constraint_residual,
     critical_quotient_expansion,
@@ -46,12 +48,10 @@ from .profiles import (
     two_valued_quotient_exact,
 )
 from .solver import (
-    CertificateResult,
     ConcentrationReport,
     ConstantEstimate,
     GridFunction,
     SolverConfig,
-    achievability_certificate,
     ball_indicator,
     concentration_report,
     grid_quotient,

@@ -9,9 +9,7 @@ override file values.  Unknown keys are errors, never silently
 ignored.  Every task writes ``<out>/summary.json`` (nested, with a
 schema_version field) and ``<out>/detail.csv`` (flat, for plotting);
 payloads carry no timestamps, so identical configs reproduce identical
-bytes.  The environment variable ``BV_SHARP_THREADS`` caps the number
-of worker threads used for sweeps (default 1); results are reduced in
-input order either way.
+bytes.
 """
 
 from __future__ import annotations
@@ -19,9 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -98,7 +94,6 @@ class ExperimentConfig:
     # exponents and radii
     q: float = 1.0
     q_list: tuple = ()
-    eps: float = 0.2
     eps_min: float = 0.02
     eps_max: float = 0.4
     eps_count: int = 16
@@ -116,7 +111,6 @@ class ExperimentConfig:
     seed: int = 0
     smoothing: float = 1.0
     tol: float = 1e-7
-    run_solver: bool = False
 
     def solver_config(self) -> solver.SolverConfig:
         return solver.SolverConfig(
@@ -230,8 +224,8 @@ def _validate(config: ExperimentConfig):
     for qv in (config.q, *config.q_list):
         if not 0.0 < qv < 2.0:
             raise ConfigError(f"q: must lie in (0, 2) for planar problems; got {qv}")
-    if config.eps <= 0 or config.eps_min <= 0 or config.eps_max <= config.eps_min:
-        raise ConfigError("eps/eps_min/eps_max: need 0 < eps_min < eps_max and eps > 0")
+    if config.eps_min <= 0 or config.eps_max <= config.eps_min:
+        raise ConfigError("eps_min/eps_max: need 0 < eps_min < eps_max")
     if any(e <= 0 for e in config.eps_list):
         raise ConfigError("eps_list: radii must be positive")
     if config.eps_count < 2:
@@ -254,22 +248,13 @@ def _validate(config: ExperimentConfig):
 # sweep helper
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("BV_SHARP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _parallel_map(fn, items):
-    """Ordered map over items, threaded when BV_SHARP_THREADS > 1."""
-    items = list(items)
-    workers = min(_thread_cap(), max(1, len(items)))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """The rows of a sweep, [fn(x) for x in items], in input order.
+
+    A function of its own because the benchmark's tracer wraps
+    ``cli._parallel_map`` by name to time each row.
+    """
+    return [fn(item) for item in items]
 
 
 # --------------------------------------------------------------------------
@@ -292,11 +277,10 @@ def _task_constants(config: ExperimentConfig):
 
 def _task_sphere_certificate(config: ExperimentConfig):
     q_values = config.q_list or (config.q,)
-    rows = []
-    for qv in q_values:
-        cert = surfaces.hemisphere_certificate(qv)
-        rows.append([qv, cert.quotient.value, cert.residual, cert.equals_c_star])
-    first = surfaces.hemisphere_certificate(q_values[0])
+    certs = [surfaces.hemisphere_certificate(qv) for qv in q_values]
+    rows = [[qv, cert.quotient.value, cert.residual, cert.equals_c_star]
+            for qv, cert in zip(q_values, certs)]
+    first = certs[0]
     summary = {
         "value": first.quotient.value,
         "residual": first.residual,
@@ -308,9 +292,7 @@ def _task_sphere_certificate(config: ExperimentConfig):
 
 def _task_domain_certificate(config: ExperimentConfig):
     domain = geometry.build_domain(config.domain_spec(), config.h)
-    result = solver.achievability_certificate(
-        domain, config.q, config.solver_config(), run_solver=config.run_solver
-    )
+    result = profiles.achievability_certificate(domain, config.q)
     summary = {
         "best_quotient": result.exact.value,
         "threshold": result.exact.threshold,
@@ -320,8 +302,6 @@ def _task_domain_certificate(config: ExperimentConfig):
         "flag": result.flag,
         "witness": result.witness,
     }
-    if result.estimate is not None:
-        summary["solver_estimate"] = result.estimate.value
     rows = [[
         config.q, result.exact.value, result.exact.threshold, result.gap,
         result.achieved, result.witness["center"][0], result.witness["center"][1],

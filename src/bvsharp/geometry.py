@@ -480,8 +480,9 @@ def _checked_centre(a, eps):
 # Memoized: the cap and the arc of one circle share a scan.  The entries
 # are read-only, since every caller gets the same arrays, and the callers
 # validate the centre and radius first, so no NaN key enters the cache.
-# Eight entries hold the circles in flight in a threaded sweep.
-@functools.lru_cache(maxsize=8)
+# One entry suffices: every caller asks for the cap and the arc of a
+# circle one after the other, before it moves to the next circle.
+@functools.lru_cache(maxsize=1)
 def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     """Angles at which the circle dB(a, eps) crosses dOmega, and the inside arcs.
 

@@ -32,7 +32,7 @@ from .constants import (
     half_space_constant,
     sharp_sobolev_constant,
 )
-from .geometry import GridDomain, boundary_arc_inside, cap_measure
+from .geometry import GridDomain, boundary_arc_inside, cap_measure, max_curvature_seed
 
 __all__ = [
     "QuotientValue",
@@ -45,6 +45,8 @@ __all__ = [
     "surface_quotient_expansion",
     "critical_quotient_expansion",
     "optimal_epsilon",
+    "CertificateResult",
+    "achievability_certificate",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -310,7 +312,8 @@ def optimal_epsilon(domain: GridDomain, a, q: float, eps_range=None, n: int = 2,
     A 16-point log-spaced sweep brackets the minimum, then golden
     section refines it.  The lower cutoff is resolution aware (8 cells)
     so that downstream grid seeds stay representable.  Deterministic;
-    ties resolve to the smaller radius.
+    ties resolve to the smaller radius.  A non-finite end of eps_range
+    raises ValueError.
 
     Returns (eps, QuotientValue).
     """
@@ -319,6 +322,9 @@ def optimal_epsilon(domain: GridDomain, a, q: float, eps_range=None, n: int = 2,
     if eps_range is None:
         lo, hi = lo_default, hi_default
     else:
+        for end, value in zip(("lower", "upper"), eps_range):
+            if not math.isfinite(value):
+                raise ValueError(f"eps range {end} end {value} is not finite")
         lo = max(float(eps_range[0]), lo_default)
         hi = min(float(eps_range[1]), hi_default)
     if not (0.0 < lo < hi):
@@ -350,3 +356,44 @@ def optimal_epsilon(domain: GridDomain, a, q: float, eps_range=None, n: int = 2,
         if val.value < best_val.value or (val.value == best_val.value and eps < best_eps):
             best_eps, best_val = float(eps), val
     return best_eps, best_val
+
+
+# --------------------------------------------------------------------------
+# certificates
+
+
+@dataclass(frozen=True)
+class CertificateResult:
+    gap: float
+    achieved: bool
+    flag: str
+    witness: dict
+    exact: QuotientValue
+
+
+def achievability_certificate(domain: GridDomain, q: float) -> CertificateResult:
+    """Certify that the sharp constant of the domain problem is attained.
+
+    The witness is the best two-valued cap at the maximum-curvature
+    boundary point (`optimal_epsilon`, exact quadrature);
+    gap = half-space constant minus its quotient, and achieved means
+    the gap is positive.
+    """
+    seed_point = max_curvature_seed(domain).point
+    best_eps, exact = optimal_epsilon(domain, seed_point, q)
+    threshold = half_space_constant(2)
+    achieved = exact.value < threshold
+    witness = {
+        "center": [seed_point[0], seed_point[1]],
+        "eps": best_eps,
+        "q": q,
+        "quotient": exact.value,
+        "threshold": threshold,
+    }
+    return CertificateResult(
+        gap=threshold - exact.value,
+        achieved=achieved,
+        flag="achieved (Prop 3.1 + Prop 3.5)" if achieved else "not certified",
+        witness=witness,
+        exact=exact,
+    )

@@ -33,20 +33,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import half_space_constant
 from .geometry import GridDomain, _plane_cut_fraction, cap_measure, max_curvature_seed
-from .profiles import QuotientValue, beta_eps, optimal_epsilon, shift_to_constraint, sign_power
+from .profiles import beta_eps, optimal_epsilon, shift_to_constraint, sign_power
 
 __all__ = [
     "GridFunction",
     "SolverConfig",
     "ConstantEstimate",
     "ConcentrationReport",
-    "CertificateResult",
     "total_variation",
     "lp_norm_power",
     "grid_quotient",
     "minimize_quotient",
     "concentration_report",
-    "achievability_certificate",
     "ball_indicator",
     "rasterize_two_valued",
 ]
@@ -428,55 +426,3 @@ def concentration_report(family, radii, atom_threshold: float = 0.05,
     audit = sum(m for _, m in atoms) + diffuse
     return ConcentrationReport(atoms=atoms, diffuse=diffuse, total_audit=audit,
                                radii=tuple(radii))
-
-
-# --------------------------------------------------------------------------
-# certificates
-
-
-@dataclass(frozen=True)
-class CertificateResult:
-    gap: float
-    achieved: bool
-    flag: str
-    witness: dict
-    exact: QuotientValue
-    estimate: ConstantEstimate | None
-
-
-def achievability_certificate(domain: GridDomain, q: float, config: SolverConfig | None,
-                              run_solver: bool = True) -> CertificateResult:
-    """Certify that the sharp constant of the domain problem is attained.
-
-    gap = half-space constant minus the best quotient seen (exact
-    two-valued quadrature, and optionally the solver estimate); the
-    achieved flag relies on the exact value alone, grid values being
-    advisory.
-    """
-    seed_point = max_curvature_seed(domain).point
-    best_eps, exact = optimal_epsilon(domain, seed_point, q)
-    threshold = half_space_constant(2)
-
-    estimate = None
-    best = exact.value
-    if run_solver:
-        estimate = minimize_quotient(domain, q, config or SolverConfig())
-        best = min(best, estimate.value)
-
-    gap = threshold - best
-    achieved = exact.value < threshold
-    witness = {
-        "center": [seed_point[0], seed_point[1]],
-        "eps": best_eps,
-        "q": q,
-        "quotient": exact.value,
-        "threshold": threshold,
-    }
-    return CertificateResult(
-        gap=gap,
-        achieved=achieved,
-        flag="achieved (Prop 3.1 + Prop 3.5)" if achieved else "not certified",
-        witness=witness,
-        exact=exact,
-        estimate=estimate,
-    )

@@ -371,6 +371,12 @@ class TestOptimalEpsilon:
         with pytest.raises(ValueError, match="range"):
             optimal_epsilon(disk256, (1.0, 0.0), 1.0, eps_range=(0.5, 0.1))
 
+    @pytest.mark.parametrize("eps_range, end", [((math.nan, 0.4), "lower"),
+                                                ((0.05, math.nan), "upper")])
+    def test_nan_range_end_rejected(self, disk256, eps_range, end):
+        with pytest.raises(ValueError, match=f"{end} end nan is not finite"):
+            optimal_epsilon(disk256, (1.0, 0.0), 1.0, eps_range=eps_range)
+
 
 class TestShiftVariationalProperties:
     def _random_three_level(self, rng, q):

@@ -269,14 +269,15 @@ class TestConcentrationReport:
 
 class TestAchievabilityCertificate:
     def test_unit_disk_certificate(self, disk256):
-        result = achievability_certificate(disk256, 1.0, None, run_solver=False)
+        result = achievability_certificate(disk256, 1.0)
         assert result.achieved
         assert result.gap >= 0.07
+        assert result.gap == result.witness["threshold"] - result.exact.value
         assert result.flag == "achieved (Prop 3.1 + Prop 3.5)"
         assert result.witness["threshold"] == pytest.approx(C_HALF, rel=1e-15)
 
     def test_ellipse_witness_at_high_curvature_vertex(self, ellipse256):
-        result = achievability_certificate(ellipse256, 1.0, None, run_solver=False)
+        result = achievability_certificate(ellipse256, 1.0)
         assert result.achieved
         assert result.gap > 0
         cx, cy = result.witness["center"]
@@ -288,6 +289,6 @@ class TestAchievabilityCertificate:
         )
         cases = [(disk256, 0.5), (ellipse256, 1.5), (fourier, 1.0)]
         for domain, q in cases:
-            result = achievability_certificate(domain, q, None, run_solver=False)
+            result = achievability_certificate(domain, q)
             assert result.achieved
             assert result.gap > 0
