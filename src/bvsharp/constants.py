@@ -58,6 +58,17 @@ def euler_beta(x: float, y: float) -> float:
     return gamma_half_integer(x) * gamma_half_integer(y) / gamma_half_integer(x + y)
 
 
+def _check_expansion_inputs(n: int, eps: float, **coefficients: float) -> None:
+    """Raise ValueError naming a non-finite argument, or for eps <= 0 or n < 2."""
+    for name, value in {**coefficients, "eps": eps}.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
+
+
 def unit_ball_volume(n: int) -> float:
     """Volume omega_n of the unit ball in R^n."""
     if n < 1:
@@ -87,8 +98,6 @@ def half_space_constant(n: int) -> float:
 
     Attained by indicators of half-balls centered on the flat boundary.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
     return sharp_sobolev_constant(n) / 2.0 ** (1.0 / n)
 
 
@@ -107,8 +116,6 @@ class SharpConstants:
 
     @classmethod
     def for_dimension(cls, n: int) -> "SharpConstants":
-        if n < 2:
-            raise ValueError(f"dimension must be >= 2, got {n}")
         return cls(
             dimension=n,
             c_star=sharp_sobolev_constant(n),

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import euler_beta, gamma_half_integer
+from .constants import _check_expansion_inputs, euler_beta, gamma_half_integer
 
 __all__ = [
     "DomainSpec",
@@ -437,6 +437,10 @@ def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
 
 
 _SCAN_SAMPLES = 4096
+# The scan angles are the same for every circle; built once, read-only.
+_SCAN_THETAS = np.linspace(0.0, 2.0 * math.pi, _SCAN_SAMPLES, endpoint=False)
+_SCAN_COS, _SCAN_SIN = np.cos(_SCAN_THETAS), np.sin(_SCAN_THETAS)
+_SCAN_THETAS.flags.writeable = _SCAN_COS.flags.writeable = _SCAN_SIN.flags.writeable = False
 # Newton from the regula falsi point stops after 2 or 3 steps; the cap
 # only bounds the loop, since the finish is exact from any bracket.
 _NEWTON_STEPS = 8
@@ -513,8 +517,7 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     def gap(theta):
         return spec.radial_gap(ax + eps * np.cos(theta), ay + eps * np.sin(theta))
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, _SCAN_SAMPLES, endpoint=False)
-    gaps = np.asarray(gap(thetas))
+    gaps = np.asarray(spec.radial_gap(ax + eps * _SCAN_COS, ay + eps * _SCAN_SIN))
     signs = gaps < 0.0
     flips = np.nonzero(signs != np.roll(signs, -1))[0]
     if flips.size == 0:
@@ -522,7 +525,7 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
         theta.flags.writeable = inside.flags.writeable = False
         return theta, inside
 
-    lo = thetas[flips]
+    lo = _SCAN_THETAS[flips]
     hi = lo + 2.0 * math.pi / _SCAN_SAMPLES
     lo_inside = signs[flips]
     g_lo, g_hi = gaps[flips], gaps[(flips + 1) % _SCAN_SAMPLES]
@@ -640,10 +643,7 @@ def cap_measure_expansion(H: float, eps: float, n: int) -> float:
     where H is the boundary mean curvature at the center (Hulin &
     Troyanov's asymptotic volume of small balls).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_expansion_inputs(n, eps, H=H)
     lead = math.pi ** (n / 2.0) * eps**n / (2.0 * gamma_half_integer(n / 2.0 + 1.0))
     corr = n * H * eps / ((n + 1) * euler_beta(0.5, (n - 1) / 2.0))
     return lead * (1.0 - corr)
@@ -673,9 +673,6 @@ def boundary_arc_expansion(H: float, eps: float, n: int) -> float:
         eps^(n-1) (pi^(n/2) n / (2 Gamma(n/2+1))) *
             (1 - H eps / B(1/2, (n-1)/2)).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_expansion_inputs(n, eps, H=H)
     lead = eps ** (n - 1) * math.pi ** (n / 2.0) * n / (2.0 * gamma_half_integer(n / 2.0 + 1.0))
     return lead * (1.0 - H * eps / euler_beta(0.5, (n - 1) / 2.0))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (
+    _check_expansion_inputs,
     euler_beta,
     gamma_half_integer,
     half_space_constant,
@@ -255,10 +256,7 @@ def domain_quotient_expansion(H: float, eps: float, n: int) -> float:
 
     At H = 0 this is exactly the half-space constant.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_expansion_inputs(n, eps, H=H)
     slope = 2.0 * H * eps / ((n + 1) * euler_beta(0.5, (n - 1) / 2.0))
     return half_space_constant(n) * (1.0 - slope)
 
@@ -270,10 +268,7 @@ def surface_quotient_expansion(S: float, eps: float, n: int) -> float:
 
     where S is the scalar curvature at the geodesic-ball center.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_expansion_inputs(n, eps, S=S)
     return sharp_sobolev_constant(n) * (1.0 - S * eps**2 / (2.0 * n * (n + 2)))
 
 
@@ -289,10 +284,7 @@ def critical_quotient_expansion(S: float, area: float, eps: float, n: int) -> fl
     cancel exactly on a round sphere (S = 2 on the unit sphere of area
     4 pi), which is the borderline case.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_expansion_inputs(n, eps, S=S, area=area)
     if area <= 0:
         raise ValueError("area must be positive")
     omega_n = math.pi ** (n / 2.0) / gamma_half_integer(n / 2.0 + 1.0)

@@ -22,9 +22,12 @@ One Jacobi integration per ball gives both numbers, at every center,
 poles included: the geodesics are integrated in the R^3 embedding,
 which has no coordinate singularities at the poles, and the area
 (Simpson in s) and the perimeter (the last row) are read off the same
-Jacobi array.  Points are parametric pairs (theta, phi) on the sphere
-and spheroid (polar angle from the north pole, longitude) and (x, y)
-on the torus.
+Jacobi array.  A spheroid ball depends only on the polar angle of its
+center and is symmetric about the meridian plane through it, so 129 of
+256 equally spaced directions are integrated; the last ball is memoized,
+so its area and its perimeter cost one integration together.  Points
+are parametric pairs (theta, phi) on the sphere and spheroid (polar
+angle from the north pole, longitude) and (x, y) on the torus.
 
 The spheroid area and the Gauss-Bonnet integral are integrals over the
 meridian angle theta in [0, pi] of analytic integrands; both use the
@@ -33,12 +36,14 @@ Gauss-Legendre panel rule that `geometry` uses for its cap integrals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import (
+    _check_expansion_inputs,
     gamma_half_integer,
     sharp_sobolev_constant,
     unit_sphere_area,
@@ -161,83 +166,94 @@ def scalar_curvature(surface: SurfaceModel, point) -> float:
 # geodesic-ball quadrature
 
 
-def _spheroid_generic_profile(a: float, c: float, center, eps: float):
-    """Jacobi profiles J(s_k, alpha_m) for geodesics from `center`.
+def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
+    """Jacobi profiles J(s_k, alpha_m) for geodesics from (theta0, 0).
+
+    On a surface of revolution J does not depend on the longitude of the
+    center, so the geodesics start at longitude 0, where the reflection
+    x2 -> -x2 fixes the center and maps direction alpha to -alpha.  So
+    J(s, alpha) = J(s, 2 pi - alpha), and of 256 equally spaced
+    directions only alpha_m = 2 pi m / 256, m = 0..128, are integrated.
 
     Integration happens in the R^3 embedding of the spheroid
     (x1^2+x2^2)/a^2 + x3^2/c^2 = 1, which is immune to the coordinate
-    degeneracy at the poles; the state is re-projected to the surface
-    after every step.  There is one column per direction (256, equally
-    spaced) and one row per RK4 node; the step count is even, at least
-    256, with steps no longer than 0.002, so that Simpson's rule
-    applies in s.
+    degeneracy at the poles.  The state (x, J, v, J') of all directions
+    is one (8, 129) array, advanced by RK4 and re-projected in place to
+    the surface and to unit speed after every step.  There is one row
+    per RK4 node; the step count is even, at least 256, with steps no
+    longer than 0.002, so that Simpson's rule applies in s.
     """
-    n_dirs = 256
     steps = max(256, int(math.ceil(eps / 0.002)))
     steps += steps % 2
-    theta0, phi0 = float(center[0]), float(center[1])
     st, ct = math.sin(theta0), math.cos(theta0)
-    sp, cp = math.sin(phi0), math.cos(phi0)
-    p0 = np.array([a * st * cp, a * st * sp, c * ct])
     E0 = math.sqrt(a * a * ct * ct + c * c * st * st)
-    e1 = np.array([a * ct * cp, a * ct * sp, -c * st]) / E0
-    e2 = np.array([-sp, cp, 0.0])
+    a2, c2 = a * a, c * c
+    inv_a2, inv_c2 = 1.0 / a2, 1.0 / c2
+    # grad * x is the gradient of F(x) = (x1^2 + x2^2)/a^2 + x3^2/c^2 - 1.
+    grad = np.array([[2.0 * inv_a2], [2.0 * inv_a2], [2.0 * inv_c2]])
 
-    alphas = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
-    x = np.repeat(p0[:, None], n_dirs, axis=1)
-    v = np.outer(e1, np.cos(alphas)) + np.outer(e2, np.sin(alphas))
-    J = np.zeros(n_dirs)
-    Jp = np.ones(n_dirs)
+    alphas = np.linspace(0.0, math.pi, 129)  # 2 pi m / 256, m = 0..128
+    # Rows x1, x2, x3, J, v1, v2, v3, J': d/ds of rows 0..3 is rows 4..7.
+    Y = np.zeros((8, alphas.size))
+    Y[0], Y[2], Y[7] = a * st, c * ct, 1.0
+    Y[4:7] = np.outer([a * ct / E0, 0.0, -c * st / E0], np.cos(alphas))
+    Y[5] = np.sin(alphas)
+    x, v = Y[:3], Y[4:7]
 
-    inv_a2 = 1.0 / (a * a)
-    inv_c2 = 1.0 / (c * c)
-
-    def accel(x, v):
-        gx = 2.0 * np.array([x[0] * inv_a2, x[1] * inv_a2, x[2] * inv_c2])
-        vAv = 2.0 * (v[0] ** 2 * inv_a2 + v[1] ** 2 * inv_a2 + v[2] ** 2 * inv_c2)
-        lam = -vAv / np.sum(gx * gx, axis=0)
-        return lam * gx
-
-    def curvature(x):
-        W = c * c + (a * a - c * c) * (x[2] ** 2) / (c * c)
-        return c * c / (W * W)
+    def rhs(Y):
+        x, v = Y[:3], Y[4:7]
+        gx = grad * x
+        dY = np.empty_like(Y)
+        dY[:4] = Y[4:]
+        # Geodesic acceleration: the normal force that keeps x on F = 0.
+        lam = -(grad * (v * v)).sum(0) / (gx * gx).sum(0)
+        np.multiply(lam, gx, out=dY[4:7])
+        W = c2 + (a2 - c2) * (x[2] * x[2]) / c2
+        dY[7] = -(c2 / (W * W)) * Y[3]  # J'' = -K J
+        return dY
 
     ds = eps / steps
-    J_nodes = np.empty((steps + 1, n_dirs))
-    J_nodes[0] = 0.0
+    J_nodes = np.zeros((steps + 1, alphas.size))
     for k in range(steps):
-        # RK4 on the joint state (x, v, J, J').
-        a1x, a1v, a1J, a1Jp = v, accel(x, v), Jp, -curvature(x) * J
-        x2, v2, J2, Jp2 = x + 0.5 * ds * a1x, v + 0.5 * ds * a1v, J + 0.5 * ds * a1J, Jp + 0.5 * ds * a1Jp
-        a2x, a2v, a2J, a2Jp = v2, accel(x2, v2), Jp2, -curvature(x2) * J2
-        x3, v3, J3, Jp3 = x + 0.5 * ds * a2x, v + 0.5 * ds * a2v, J + 0.5 * ds * a2J, Jp + 0.5 * ds * a2Jp
-        a3x, a3v, a3J, a3Jp = v3, accel(x3, v3), Jp3, -curvature(x3) * J3
-        x4, v4, J4, Jp4 = x + ds * a3x, v + ds * a3v, J + ds * a3J, Jp + ds * a3Jp
-        a4x, a4v, a4J, a4Jp = v4, accel(x4, v4), Jp4, -curvature(x4) * J4
-        x = x + (ds / 6.0) * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-        v = v + (ds / 6.0) * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
-        J = J + (ds / 6.0) * (a1J + 2.0 * a2J + 2.0 * a3J + a4J)
-        Jp = Jp + (ds / 6.0) * (a1Jp + 2.0 * a2Jp + 2.0 * a3Jp + a4Jp)
+        k1 = rhs(Y)
+        k2 = rhs(Y + 0.5 * ds * k1)
+        k3 = rhs(Y + 0.5 * ds * k2)
+        k4 = rhs(Y + ds * k3)
+        Y += (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         # Project back to the surface and to unit speed.
-        F = (x[0] ** 2 + x[1] ** 2) * inv_a2 + x[2] ** 2 * inv_c2 - 1.0
-        gx = 2.0 * np.array([x[0] * inv_a2, x[1] * inv_a2, x[2] * inv_c2])
-        x = x - (F / np.sum(gx * gx, axis=0)) * gx
-        gx = 2.0 * np.array([x[0] * inv_a2, x[1] * inv_a2, x[2] * inv_c2])
-        nhat = gx / np.sqrt(np.sum(gx * gx, axis=0))
-        v = v - np.sum(v * nhat, axis=0) * nhat
-        v = v / np.sqrt(np.sum(v * v, axis=0))
-        J_nodes[k + 1] = J
+        F = (x[0] * x[0] + x[1] * x[1]) * inv_a2 + x[2] * x[2] * inv_c2 - 1.0
+        gx = grad * x
+        x -= (F / (gx * gx).sum(0)) * gx
+        nhat = grad * x
+        nhat /= np.sqrt((nhat * nhat).sum(0))
+        v -= (v * nhat).sum(0) * nhat
+        v /= np.sqrt((v * v).sum(0))
+        J_nodes[k + 1] = Y[3]
     return J_nodes
+
+
+# Memoized on the last ball: callers ask for its area and its perimeter
+# back to back, as for the crossing memo in `geometry`.  `_geodesic_ball`
+# validates first, so no NaN key enters the cache.
+@functools.lru_cache(maxsize=1)
+def _spheroid_ball(a: float, c: float, theta0: float, eps: float):
+    """(area, perimeter) of the spheroid ball of radius eps at polar angle theta0."""
+    J_nodes = _spheroid_generic_profile(a, c, theta0, eps)
+    weights = np.r_[1.0, np.full(127, 2.0), 1.0] / 256  # columns 1..127 stand for -alpha_m too
+    steps = J_nodes.shape[0] - 1
+    simpson = np.r_[1.0, np.tile([4.0, 2.0], steps // 2)[:-1], 1.0] * (eps / steps / 3.0)
+    area = 2.0 * math.pi * float((simpson @ J_nodes) @ weights)
+    return area, 2.0 * math.pi * float(J_nodes[-1] @ weights)
 
 
 def _geodesic_ball(surface: SurfaceModel, center, eps: float):
     """(area, perimeter) of the geodesic ball B(center, eps).
 
     Closed forms on the sphere and the flat torus; on the spheroid both
-    come from one Jacobi integration: the area is 2 pi times the mean
-    over directions of Simpson's rule in s, the perimeter 2 pi times
-    the mean of the last row.
+    come from one Jacobi integration per ball: the area is 2 pi times
+    the mean over directions of Simpson's rule in s, the perimeter 2 pi
+    times the mean of the last row.
     """
     if not math.isfinite(eps):
         raise ValueError(f"geodesic radius must be finite, got {eps}")
@@ -249,23 +265,15 @@ def _geodesic_ball(surface: SurfaceModel, center, eps: float):
             f"geodesic radius {eps} exceeds the injectivity bound {inj:.6g} "
             f"for this {surface.kind}"
         )
-    for coordinate in center:
-        if not math.isfinite(coordinate):
-            raise ValueError(f"center coordinates must be finite, got {tuple(center)}")
+    if not all(map(math.isfinite, center)):
+        raise ValueError(f"center coordinates must be finite, got {tuple(center)}")
     if surface.kind == "sphere":
         r = surface.r
         return (2.0 * math.pi * r**2 * (1.0 - math.cos(eps / r)),
                 2.0 * math.pi * r * math.sin(eps / r))
     if surface.kind == "flat-torus":
         return math.pi * eps**2, 2.0 * math.pi * eps
-    J_nodes = _spheroid_generic_profile(surface.a, surface.c, center, eps)
-    steps = J_nodes.shape[0] - 1
-    simpson = np.full(steps + 1, 2.0)  # 1 4 2 4 ... 2 4 1, times ds / 3
-    simpson[1::2] = 4.0
-    simpson[0] = simpson[-1] = 1.0
-    simpson *= eps / steps / 3.0
-    area = 2.0 * math.pi * float(np.mean(simpson @ J_nodes))
-    return area, 2.0 * math.pi * float(np.mean(J_nodes[-1]))
+    return _spheroid_ball(surface.a, surface.c, float(center[0]), float(eps))
 
 
 def geodesic_ball_area(surface: SurfaceModel, center, eps: float) -> float:
@@ -283,10 +291,7 @@ def gray_expansion(S: float, eps: float, n: int) -> float:
 
         (pi^(n/2) eps^n / Gamma(n/2+1)) * (1 - S eps^2 / (6 (n+2))).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_expansion_inputs(n, eps, S=S)
     lead = math.pi ** (n / 2.0) * eps**n / gamma_half_integer(n / 2.0 + 1.0)
     return lead * (1.0 - S * eps**2 / (6.0 * (n + 2)))
 
@@ -296,10 +301,7 @@ def geodesic_circle_expansion(S: float, eps: float, n: int) -> float:
 
         (n pi^(n/2) eps^(n-1) / Gamma(n/2+1)) * (1 - S eps^2 / (6 n)).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_expansion_inputs(n, eps, S=S)
     lead = n * math.pi ** (n / 2.0) * eps ** (n - 1) / gamma_half_integer(n / 2.0 + 1.0)
     return lead * (1.0 - S * eps**2 / (6.0 * n))
 

@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 from bvsharp import (
     SolverConfig,
     beta_eps,
+    boundary_arc_expansion,
     cap_measure,
+    cap_measure_expansion,
     constraint_residual,
     critical_quotient_expansion,
     domain_quotient_expansion,
     fit_linear_coefficient,
+    geodesic_circle_expansion,
+    gray_expansion,
     half_space_constant,
     minimize_quotient,
     optimal_epsilon,
@@ -350,6 +354,29 @@ class TestCriticalQuotientExpansion:
         for eps in (0.05, 0.1):
             assert critical_quotient_expansion(0.0, 4.0 * math.pi, eps, 2) > C_STAR
 
+
+# Every small-radius expansion with finite values for its arguments other
+# than eps and n, and each argument that a non-finite value must be named by.
+_EXPANSIONS = [
+    (gray_expansion, {"S": 1.0}),
+    (geodesic_circle_expansion, {"S": 1.0}),
+    (domain_quotient_expansion, {"H": 1.0}),
+    (surface_quotient_expansion, {"S": 1.0}),
+    (critical_quotient_expansion, {"S": 1.0, "area": 4.0 * math.pi}),
+    (cap_measure_expansion, {"H": 1.0}),
+    (boundary_arc_expansion, {"H": 1.0}),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "expansion, values, argument",
+    [pytest.param(f, values, arg, id=f"{f.__name__}-{arg}")
+     for f, values in _EXPANSIONS for arg in (*values, "eps")],
+)
+def test_expansion_rejects_non_finite_input_by_name(expansion, values, argument, bad):
+    with pytest.raises(ValueError, match=f"^{argument} must be finite"):
+        expansion(**{**values, "eps": 0.1, "n": 2, argument: bad})
 
 class TestOptimalEpsilon:
     def test_improves_on_fixed_radius(self, disk256):

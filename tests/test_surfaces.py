@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bvsharp import (
@@ -17,6 +18,7 @@ from bvsharp import (
     scalar_curvature,
     sharp_sobolev_constant,
     surface_two_valued_quotient,
+    surfaces,
 )
 from oracles import (
     oblate_spheroid_area,
@@ -121,7 +123,7 @@ class TestGeodesicBallArea:
         # for any longitude.
         a = geodesic_ball_area(SPHEROID, (math.pi / 2.0, 0.0), 0.35)
         b = geodesic_ball_area(SPHEROID, (math.pi / 2.0, 1.234), 0.35)
-        assert a == pytest.approx(b, rel=1e-10)
+        assert a == b
 
 
 class TestSingleBallRoutine:
@@ -165,6 +167,7 @@ class TestSingleBallRoutine:
                              ids=["spheroid", "sphere", "torus"])
     @pytest.mark.parametrize("centre, eps, cause", [
         ((math.nan, 0.0), 0.3, "center"),
+        ((0.5, math.nan), 0.3, "center"),
         ((0.5, math.inf), 0.3, "center"),
         ((0.5, -math.inf), 0.3, "center"),
         ((0.5, 0.0), math.nan, "radius"),
@@ -179,6 +182,107 @@ class TestSingleBallRoutine:
         }[entry]
         with pytest.raises(ValueError, match=cause):
             call()
+
+
+def _reference_ball(a, c, centre, eps):
+    """(area, perimeter) by plain RK4 along all 256 directions at any longitude.
+
+    Independent of the integrator under test: no symmetry, the full mean
+    over directions, and the state kept as separate arrays.
+    """
+    n_dirs = 256
+    steps = max(256, int(math.ceil(eps / 0.002)))
+    steps += steps % 2
+    theta0, phi0 = centre
+    st, ct, sp, cp = math.sin(theta0), math.cos(theta0), math.sin(phi0), math.cos(phi0)
+    E0 = math.sqrt(a * a * ct * ct + c * c * st * st)
+    e1 = np.array([a * ct * cp, a * ct * sp, -c * st]) / E0
+    e2 = np.array([-sp, cp, 0.0])
+    alphas = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
+    x = np.repeat(np.array([[a * st * cp], [a * st * sp], [c * ct]]), n_dirs, axis=1)
+    v = np.outer(e1, np.cos(alphas)) + np.outer(e2, np.sin(alphas))
+    J, Jp = np.zeros(n_dirs), np.ones(n_dirs)
+    inv = np.array([[1.0 / a**2], [1.0 / a**2], [1.0 / c**2]])
+
+    def deriv(x, v, J, Jp):
+        gx = 2.0 * inv * x
+        lam = -2.0 * np.sum(v * v * inv, axis=0) / np.sum(gx * gx, axis=0)
+        W = c * c + (a * a - c * c) * x[2] ** 2 / (c * c)
+        return v, lam * gx, Jp, -(c * c / W**2) * J
+
+    ds = eps / steps
+    rows = [J]
+    for _ in range(steps):
+        k1 = deriv(x, v, J, Jp)
+        k2 = deriv(*(y + 0.5 * ds * k for y, k in zip((x, v, J, Jp), k1)))
+        k3 = deriv(*(y + 0.5 * ds * k for y, k in zip((x, v, J, Jp), k2)))
+        k4 = deriv(*(y + ds * k for y, k in zip((x, v, J, Jp), k3)))
+        x, v, J, Jp = (y + ds / 6.0 * (p + 2.0 * q + 2.0 * r + t)
+                       for y, p, q, r, t in zip((x, v, J, Jp), k1, k2, k3, k4))
+        gx = 2.0 * inv * x
+        x = x - (np.sum(x * x * inv, axis=0) - 1.0) / np.sum(gx * gx, axis=0) * gx
+        nhat = 2.0 * inv * x
+        nhat = nhat / np.linalg.norm(nhat, axis=0)
+        v = v - np.sum(v * nhat, axis=0) * nhat
+        v = v / np.linalg.norm(v, axis=0)
+        rows.append(J)
+    simpson = np.ones(steps + 1)
+    simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
+    area = 2.0 * math.pi * np.mean(ds / 3.0 * (simpson @ np.array(rows)))
+    return area, 2.0 * math.pi * np.mean(rows[-1])
+
+
+class TestSpheroidIntegrator:
+    """The half-direction integrator against a plain 256-direction one."""
+
+    @pytest.mark.parametrize("axes", [(1.0, 0.7), (1.0, 1.3)], ids=["oblate", "prolate"])
+    @pytest.mark.parametrize("theta0", [0.0, 0.4, 1.2, math.pi / 2.0, 2.8, math.pi])
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.8])
+    def test_matches_full_direction_reference(self, axes, theta0, eps):
+        surface = SurfaceModel.spheroid(*axes)
+        centre = (theta0, 2.3)
+        area, perimeter = _reference_ball(*axes, centre, eps)
+        assert geodesic_ball_area(surface, centre, eps) == pytest.approx(area, rel=1e-14)
+        assert geodesic_circle_length(surface, centre, eps) == pytest.approx(perimeter, rel=1e-14)
+
+    @pytest.mark.parametrize("axes", [(1.0, 0.7), (1.0, 1.3)], ids=["oblate", "prolate"])
+    @pytest.mark.parametrize("theta0", [0.4, 1.2])
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.8])
+    def test_equatorial_reflection(self, axes, theta0, eps):
+        # x3 -> -x3 maps the ball at theta0 onto the one at pi - theta0;
+        # the two are separate integrations.
+        surface = SurfaceModel.spheroid(*axes)
+        north, south = (theta0, 0.0), (math.pi - theta0, 0.0)
+        assert geodesic_ball_area(surface, south, eps) == pytest.approx(
+            geodesic_ball_area(surface, north, eps), rel=1e-13)
+        assert geodesic_circle_length(surface, south, eps) == pytest.approx(
+            geodesic_circle_length(surface, north, eps), rel=1e-13)
+
+    def test_one_integration_per_ball(self, monkeypatch):
+        calls = []
+        profile = surfaces._spheroid_generic_profile
+
+        def counted(*args):
+            calls.append(args)
+            return profile(*args)
+
+        monkeypatch.setattr(surfaces, "_spheroid_generic_profile", counted)
+        surfaces._spheroid_ball.cache_clear()
+        geodesic_ball_area(SPHEROID, (0.7, 0.2), 0.3)
+        geodesic_circle_length(SPHEROID, (0.7, 0.2), 0.3)
+        assert len(calls) == 1
+        surface_two_valued_quotient(SPHEROID, (0.7, 1.9), 0.3, 1.0)  # longitude only
+        assert len(calls) == 1
+        geodesic_ball_area(SPHEROID, (0.7, 0.2), 0.4)  # new radius
+        assert len(calls) == 2
+        geodesic_ball_area(SPHEROID, (0.8, 0.2), 0.4)  # new polar angle
+        assert len(calls) == 3
+        geodesic_ball_area(SPHEROID, (0.7, 0.2), 0.4)  # evicted by the last ball
+        assert len(calls) == 4
+        # Validation comes before the memo: a NaN longitude never reaches it.
+        with pytest.raises(ValueError, match="center"):
+            geodesic_ball_area(SPHEROID, (0.7, math.nan), 0.4)
+        assert len(calls) == 4
 
 
 class TestGrayExpansion:
