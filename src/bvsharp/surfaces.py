@@ -20,12 +20,14 @@ J'(0) = 1, and then
 
 One Jacobi integration per ball gives both numbers, at every center,
 poles included: the geodesics are integrated in the R^3 embedding,
-which has no coordinate singularities at the poles, and the area
-(Simpson in s) and the perimeter (the last row) are read off the same
-Jacobi array.  A spheroid ball depends only on the polar angle of its
-center and is symmetric about the meridian plane through it, so 129 of
-256 equally spaced directions are integrated; the last ball is memoized,
-so its area and its perimeter cost one integration together.  Points
+which has no coordinate singularities at the poles, by Butcher's
+sixth-order Runge-Kutta method, and the inner integral
+A(s) = int_0^s J is carried as one more state, so the area and the
+perimeter are read off the final state.  A spheroid ball depends only
+on the polar angle of its center and is symmetric about the meridian
+plane through it, so 129 of 256 equally spaced directions are
+integrated; the last ball is memoized, so its area and its perimeter
+cost one integration together.  Points
 are parametric pairs (theta, phi) on the sphere and spheroid (polar
 angle from the north pole, longitude) and (x, y) on the torus.
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,7 +79,7 @@ class SurfaceModel:
     c: float = 1.0
     L1: float = 1.0
     L2: float = 1.0
-    _area: float | None = None
+    _area: float | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def sphere(r: float = 1.0) -> "SurfaceModel":
@@ -117,12 +119,18 @@ class SurfaceModel:
         return self._area
 
     def injectivity_radius(self) -> float:
-        """Conservative global lower bound on the injectivity radius."""
+        """Conservative global lower bound on the injectivity radius.
+
+        On the spheroid it is at most the conjugate radius pi / sqrt(K_max)
+        (Klingenberg, Ann. of Math. 69, 1959), which is the smaller bound
+        when c > 2 a: a geodesic ball no larger holds no conjugate point.
+        """
         if self.kind == "sphere":
             return math.pi * self.r
         if self.kind == "flat-torus":
             return 0.5 * min(self.L1, self.L2)
-        return 0.5 * math.pi * min(self.a, self.c)
+        k_max = 0.5 * self.curvature_range()[1]
+        return min(0.5 * math.pi * min(self.a, self.c), math.pi / math.sqrt(k_max))
 
     def pole(self) -> tuple:
         """Coordinates of the north pole (sphere, spheroid) or the origin (torus)."""
@@ -166,8 +174,27 @@ def scalar_curvature(surface: SurfaceModel, point) -> float:
 # geodesic-ball quadrature
 
 
+# Butcher's 7-stage explicit Runge-Kutta method of order 6 (Butcher,
+# J. Austral. Math. Soc. 4, 1964): nodes c, stage matrix A, weights b.
+_RK6_C = np.array([0.0, 1 / 3, 2 / 3, 1 / 3, 1 / 2, 1 / 2, 1.0])
+_RK6_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 2 / 3, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 12, 1 / 3, -1 / 12, 0.0, 0.0, 0.0, 0.0],
+    [-1 / 16, 9 / 8, -3 / 16, -3 / 8, 0.0, 0.0, 0.0],
+    [0.0, 9 / 8, -3 / 8, -3 / 4, 1 / 2, 0.0, 0.0],
+    [9 / 44, -9 / 11, 63 / 44, 18 / 11, 0.0, -16 / 11, 0.0],
+])
+_RK6_B = np.array([11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120])
+
+
 def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
-    """Jacobi profiles J(s_k, alpha_m) for geodesics from (theta0, 0).
+    """(A(eps, alpha_m), J(eps, alpha_m)) for geodesics from (theta0, 0).
+
+    J is the Jacobi field along the unit-speed geodesic in direction
+    alpha_m and A(s) = int_0^s J is carried as a state, A' = J, A(0) = 0,
+    so one integration gives the area and the perimeter of the ball.
 
     On a surface of revolution J does not depend on the longitude of the
     center, so the geodesics start at longitude 0, where the reflection
@@ -177,60 +204,109 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
 
     Integration happens in the R^3 embedding of the spheroid
     (x1^2+x2^2)/a^2 + x3^2/c^2 = 1, which is immune to the coordinate
-    degeneracy at the poles.  The state (x, J, v, J') of all directions
-    is one (8, 129) array, advanced by RK4 and re-projected in place to
-    the surface and to unit speed after every step.  There is one row
-    per RK4 node; the step count is even, at least 256, with steps no
-    longer than 0.002, so that Simpson's rule applies in s.
+    degeneracy at the poles.  The state (A, x, J, v, J') of all
+    directions is one (9, 129) array, advanced by Butcher's sixth-order
+    Runge-Kutta method and re-projected in place to the surface and to
+    unit speed after every step.  The step count is
+    max(32, ceil(eps sqrt(K_max) / 0.01)): steps of at most 1/100 of the
+    curvature length 1/sqrt(K_max).  J must stay positive: a step that
+    ends with J <= 0 has passed a conjugate point, and the ball is then
+    no longer given by these formulas, so that raises `ValueError`.
     """
-    steps = max(256, int(math.ceil(eps / 0.002)))
-    steps += steps % 2
-    st, ct = math.sin(theta0), math.cos(theta0)
-    E0 = math.sqrt(a * a * ct * ct + c * c * st * st)
     a2, c2 = a * a, c * c
-    inv_a2, inv_c2 = 1.0 / a2, 1.0 / c2
-    # grad * x is the gradient of F(x) = (x1^2 + x2^2)/a^2 + x3^2/c^2 - 1.
-    grad = np.array([[2.0 * inv_a2], [2.0 * inv_a2], [2.0 * inv_c2]])
+    k_max = 0.5 * SurfaceModel.spheroid(a, c).curvature_range()[1]
+    steps = max(32, math.ceil(eps * math.sqrt(k_max) / 0.01))
+    st, ct = math.sin(theta0), math.cos(theta0)
+    E0 = math.sqrt(a2 * ct * ct + c2 * st * st)
+    # F(x) = g . (x * x) / 2 - 1 is the spheroid, with gradient g * x.
+    g = np.array([2.0 / a2, 2.0 / a2, 2.0 / c2])
+    neg_g, g2 = -g[:, None], g * g
 
     alphas = np.linspace(0.0, math.pi, 129)  # 2 pi m / 256, m = 0..128
-    # Rows x1, x2, x3, J, v1, v2, v3, J': d/ds of rows 0..3 is rows 4..7.
-    Y = np.zeros((8, alphas.size))
-    Y[0], Y[2], Y[7] = a * st, c * ct, 1.0
-    Y[4:7] = np.outer([a * ct / E0, 0.0, -c * st / E0], np.cos(alphas))
-    Y[5] = np.sin(alphas)
-    x, v = Y[:3], Y[4:7]
+    # S[0] is the state, S[1..7] the stage derivatives.  State rows A, x1,
+    # x2, x3, J, v1, v2, v3, J': d/ds of rows 0..4 is rows 4..8.
+    S = np.zeros((8, 9, alphas.size))
+    S_flat = S.reshape(8, -1)
+    Y = S[0]
+    Y[1], Y[3], Y[8] = a * st, c * ct, 1.0
+    Y[5:8] = np.outer([a * ct / E0, 0.0, -c * st / E0], np.cos(alphas))
+    Y[6] = np.sin(alphas)
+    x, J, v = Y[1:4], Y[4], Y[5:8]
 
-    def rhs(Y):
-        x, v = Y[:3], Y[4:7]
-        gx = grad * x
-        dY = np.empty_like(Y)
-        dY[:4] = Y[4:]
-        # Geodesic acceleration: the normal force that keeps x on F = 0.
-        lam = -(grad * (v * v)).sum(0) / (gx * gx).sum(0)
-        np.multiply(lam, gx, out=dY[4:7])
-        W = c2 + (a2 - c2) * (x[2] * x[2]) / c2
-        dY[7] = -(c2 / (W * W)) * Y[3]  # J'' = -K J
-        return dY
-
+    # Row i < 7 combines S[0..i] into the state of stage i, row 7 all of S
+    # into the next state.
     ds = eps / steps
-    J_nodes = np.zeros((steps + 1, alphas.size))
-    for k in range(steps):
-        k1 = rhs(Y)
-        k2 = rhs(Y + 0.5 * ds * k1)
-        k3 = rhs(Y + 0.5 * ds * k2)
-        k4 = rhs(Y + ds * k3)
-        Y += (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    combine = np.zeros((8, 8))
+    combine[:, 0] = 1.0
+    combine[:7, 1:] = ds * _RK6_A
+    combine[7, 1:] = ds * _RK6_B
+    Ys = np.empty_like(Y)  # stage state
+    Ys_flat = Ys.reshape(-1)
 
-        # Project back to the surface and to unit speed.
-        F = (x[0] * x[0] + x[1] * x[1]) * inv_a2 + x[2] * x[2] * inv_c2 - 1.0
-        gx = grad * x
-        x -= (F / (gx * gx).sum(0)) * gx
-        nhat = grad * x
-        nhat /= np.sqrt((nhat * nhat).sum(0))
-        v -= (v * nhat).sum(0) * nhat
-        v /= np.sqrt((v * v).sum(0))
-        J_nodes[k + 1] = Y[3]
-    return J_nodes
+    # One product of M with the squares of rows 1..8 gives g2 . (x * x),
+    # (a^2 - c^2) x3^2 / c^2 and g . (v * v).
+    M = np.zeros((3, 8))
+    M[0, :3] = g2
+    M[1, 2] = (a2 - c2) / c2
+    M[2, 4:7] = g
+    squares = np.empty((8, alphas.size))
+    r = np.empty((3, alphas.size))
+
+    def rhs(Y, dY):
+        dY[:5] = Y[4:]
+        np.multiply(Y[1:], Y[1:], out=squares)
+        np.matmul(M, squares, out=r)
+        # Geodesic acceleration: the normal force -lam g * x that keeps x
+        # on F = 0, lam = g . (v * v) / g2 . (x * x).
+        np.divide(r[2], r[0], out=r[2])
+        np.multiply(Y[1:4], neg_g, out=dY[5:8])
+        dY[5:8] *= r[2]
+        # J'' = -K J with K = c^2 / W^2, W = c^2 + (a^2 - c^2) x3^2 / c^2,
+        # which is exactly 1 / c^2 on a round spheroid.
+        W = r[1]
+        W += c2
+        W *= W
+        np.divide(Y[4], W, out=dY[8])
+        dY[8] *= -c2
+
+    # F + 1 and |grad F|^2 from x * x; the speed from v * v.
+    P = np.array([0.5 * g, g2])
+    ones = np.ones(3)
+    xx, tmp = np.empty((3, alphas.size)), np.empty((3, alphas.size))
+    J_min = np.full(alphas.size, np.inf)
+    for _ in range(steps):
+        rhs(Y, S[1])
+        for i in range(1, 7):
+            np.matmul(combine[i, :i + 1], S_flat[:i + 1], out=Ys_flat)
+            rhs(Ys, S[i + 1])
+        np.matmul(combine[7], S_flat, out=Ys_flat)
+        Y[:] = Ys
+
+        # Project back to the surface, along grad F ...
+        np.multiply(x, x, out=xx)
+        F, grad2 = P @ xx
+        F -= 1.0
+        F /= grad2
+        np.multiply(x, neg_g, out=tmp)
+        tmp *= F
+        x += tmp
+        # ... and v to the tangent plane there, then to unit speed.
+        np.multiply(x, x, out=xx)
+        np.multiply(v, x, out=tmp)
+        vn = (g @ tmp) / (g2 @ xx)
+        np.multiply(x, neg_g, out=tmp)
+        tmp *= vn
+        v += tmp
+        np.multiply(v, v, out=tmp)
+        v /= np.sqrt(ones @ tmp)
+        np.minimum(J_min, J, out=J_min)
+    m = int(np.argmin(J_min))
+    if J_min[m] <= 0.0:
+        raise ValueError(
+            f"conjugate point within radius {eps} of polar angle {theta0}: "
+            f"J <= 0 along direction alpha = {alphas[m]:.6g}"
+        )
+    return Y[0], J
 
 
 # Memoized on the last ball: callers ask for its area and its perimeter
@@ -239,12 +315,9 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
 @functools.lru_cache(maxsize=1)
 def _spheroid_ball(a: float, c: float, theta0: float, eps: float):
     """(area, perimeter) of the spheroid ball of radius eps at polar angle theta0."""
-    J_nodes = _spheroid_generic_profile(a, c, theta0, eps)
+    A, J = _spheroid_generic_profile(a, c, theta0, eps)
     weights = np.r_[1.0, np.full(127, 2.0), 1.0] / 256  # columns 1..127 stand for -alpha_m too
-    steps = J_nodes.shape[0] - 1
-    simpson = np.r_[1.0, np.tile([4.0, 2.0], steps // 2)[:-1], 1.0] * (eps / steps / 3.0)
-    area = 2.0 * math.pi * float((simpson @ J_nodes) @ weights)
-    return area, 2.0 * math.pi * float(J_nodes[-1] @ weights)
+    return 2.0 * math.pi * float(A @ weights), 2.0 * math.pi * float(J @ weights)
 
 
 def _geodesic_ball(surface: SurfaceModel, center, eps: float):
@@ -252,8 +325,8 @@ def _geodesic_ball(surface: SurfaceModel, center, eps: float):
 
     Closed forms on the sphere and the flat torus; on the spheroid both
     come from one Jacobi integration per ball: the area is 2 pi times
-    the mean over directions of Simpson's rule in s, the perimeter 2 pi
-    times the mean of the last row.
+    the mean over directions of A(eps), the perimeter 2 pi times the
+    mean of J(eps).
     """
     if not math.isfinite(eps):
         raise ValueError(f"geodesic radius must be finite, got {eps}")

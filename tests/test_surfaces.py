@@ -60,6 +60,21 @@ class TestSurfaceModels:
         assert TORUS.euler_characteristic == 0
         assert TORUS.area == 1.0
 
+    def test_equality_ignores_area_cache(self):
+        spheroid = SurfaceModel.spheroid(1.0, 2.0)
+        spheroid.area
+        assert spheroid == SurfaceModel.spheroid(1.0, 2.0)
+        assert repr(spheroid) == repr(SurfaceModel.spheroid(1.0, 2.0))
+        assert "_area" not in repr(spheroid)
+
+    def test_spheroid_injectivity_bound_within_conjugate_radius(self):
+        # pi / sqrt(K_max) is below (pi / 2) min(a, c) only when c > 2 a.
+        for a, c in ((1.0, 0.7), (1.0, 1.3), (1.0, 2.0), (2.0, 1.0)):
+            bound = SurfaceModel.spheroid(a, c).injectivity_radius()
+            assert bound == 0.5 * math.pi * min(a, c)
+        assert SurfaceModel.spheroid(1.0, 5.0).injectivity_radius() == pytest.approx(
+            math.pi / 5.0, rel=1e-15)
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             SurfaceModel.sphere(-1.0)
@@ -92,6 +107,9 @@ class TestGeodesicBallArea:
             geodesic_ball_area(TORUS, (0.0, 0.0), 0.6)
         with pytest.raises(ValueError, match="injectivity"):
             geodesic_ball_area(SPHEROID, (0.0, 0.0), 2.0)
+        # Below (pi / 2) min(a, c) = 1.571 but past the conjugate radius pi / 5.
+        with pytest.raises(ValueError, match="injectivity"):
+            surface_two_valued_quotient(SurfaceModel.spheroid(1.0, 5.0), (0.3, 0.0), 1.2, 1.0)
 
     def test_spheroid_pole_remainder_order_empirical(self):
         # The two-term small-ball expansion misses at order eps^(n+4) = 6;
@@ -138,6 +156,16 @@ class TestSingleBallRoutine:
         circle = geodesic_circle_length(round_spheroid, centre, eps)
         assert ball == pytest.approx(sphere_cap_area(eps), rel=1e-12)
         assert circle == pytest.approx(sphere_circle_length(eps), rel=1e-12)
+
+    @pytest.mark.parametrize("theta0", [0.7, 1.9, 2.6])
+    @pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
+    def test_generic_centre_balls_match_sphere_closed_forms(self, theta0, eps):
+        round_spheroid = SurfaceModel.spheroid(1.0, 1.0)
+        centre = (theta0, 0.4)
+        ball = geodesic_ball_area(round_spheroid, centre, eps)
+        circle = geodesic_circle_length(round_spheroid, centre, eps)
+        assert ball == pytest.approx(sphere_cap_area(eps), rel=1e-14, abs=0.0)
+        assert circle == pytest.approx(sphere_circle_length(eps), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("eps", [0.05, 0.3, 0.8])
     def test_north_and_south_poles_agree(self, eps):
@@ -188,11 +216,22 @@ def _reference_ball(a, c, centre, eps):
     """(area, perimeter) by plain RK4 along all 256 directions at any longitude.
 
     Independent of the integrator under test: no symmetry, the full mean
-    over directions, and the state kept as separate arrays.
+    over directions, the state kept as separate arrays, and Simpson's
+    rule in s.  RK4 and Simpson both err at order h^4, so the
+    Richardson combination (16 R(h / 2) - R(h)) / 15 of steps h <= 0.004
+    and h / 2 removes that term; it is within 3e-15 of the same
+    combination at an eighth of the step, where one RK4 run at
+    h <= 0.002 is up to 6e-13 off.
     """
+    steps = max(16, 2 * math.ceil(eps / 0.008))
+    coarse = np.array(_rk4_simpson_ball(a, c, centre, eps, steps))
+    fine = np.array(_rk4_simpson_ball(a, c, centre, eps, 2 * steps))
+    return tuple((16.0 * fine - coarse) / 15.0)
+
+
+def _rk4_simpson_ball(a, c, centre, eps, steps):
+    """(area, perimeter) by RK4 with an even number of steps."""
     n_dirs = 256
-    steps = max(256, int(math.ceil(eps / 0.002)))
-    steps += steps % 2
     theta0, phi0 = centre
     st, ct, sp, cp = math.sin(theta0), math.cos(theta0), math.sin(phi0), math.cos(phi0)
     E0 = math.sqrt(a * a * ct * ct + c * c * st * st)
@@ -242,8 +281,9 @@ class TestSpheroidIntegrator:
         surface = SurfaceModel.spheroid(*axes)
         centre = (theta0, 2.3)
         area, perimeter = _reference_ball(*axes, centre, eps)
-        assert geodesic_ball_area(surface, centre, eps) == pytest.approx(area, rel=1e-14)
-        assert geodesic_circle_length(surface, centre, eps) == pytest.approx(perimeter, rel=1e-14)
+        assert geodesic_ball_area(surface, centre, eps) == pytest.approx(area, rel=1e-14, abs=0.0)
+        assert geodesic_circle_length(surface, centre, eps) == pytest.approx(
+            perimeter, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("axes", [(1.0, 0.7), (1.0, 1.3)], ids=["oblate", "prolate"])
     @pytest.mark.parametrize("theta0", [0.4, 1.2])
@@ -257,6 +297,12 @@ class TestSpheroidIntegrator:
             geodesic_ball_area(surface, north, eps), rel=1e-13)
         assert geodesic_circle_length(surface, south, eps) == pytest.approx(
             geodesic_circle_length(surface, north, eps), rel=1e-13)
+
+    def test_conjugate_point_raises(self):
+        # On spheroid(1, 5), K = 25 at the pole: J along alpha = pi from
+        # polar angle 0.3 turns negative near s = 0.78.
+        with pytest.raises(ValueError, match=r"conjugate point.*1\.2.*0\.3"):
+            surfaces._spheroid_ball(1.0, 5.0, 0.3, 1.2)
 
     def test_one_integration_per_ball(self, monkeypatch):
         calls = []
@@ -283,6 +329,31 @@ class TestSpheroidIntegrator:
         with pytest.raises(ValueError, match="center"):
             geodesic_ball_area(SPHEROID, (0.7, math.nan), 0.4)
         assert len(calls) == 4
+
+
+class TestButcherTableau:
+    """The sixth-order Runge-Kutta method behind the spheroid balls."""
+
+    def test_consistency(self):
+        A, b, c = surfaces._RK6_A, surfaces._RK6_B, surfaces._RK6_C
+        assert np.all(np.triu(A) == 0.0)  # explicit
+        np.testing.assert_allclose(A.sum(axis=1), c, rtol=0.0, atol=1e-15)
+        assert b.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_empirical_order(self):
+        # y' = y^2, y(0) = 1 has y = 1 / (1 - t); y(0.5) = 2.
+        def solve(steps):
+            h, y = 0.5 / steps, 1.0
+            for _ in range(steps):
+                k = []
+                for row in surfaces._RK6_A:
+                    stage = y + h * sum(a * kj for a, kj in zip(row, k))
+                    k.append(stage * stage)
+                y += h * sum(bi * ki for bi, ki in zip(surfaces._RK6_B, k))
+            return y
+
+        order = math.log2(abs(solve(16) - 2.0) / abs(solve(32) - 2.0))
+        assert order >= 5.8
 
 
 class TestGrayExpansion:
