@@ -6,10 +6,6 @@ renormalized, so each reported value is the exact quotient of a
 feasible grid function, a rigorous upper bound for the discrete
 problem.  Seeded with the best two-valued profile, it then explores
 whether smoother candidates do better.
-
-The concentration diagnostic afterwards mimics the compactness
-dichotomy: it watches where the L^2 mass of a normalized family piles
-up as the probing radius shrinks.
 """
 
 import math
@@ -20,13 +16,10 @@ from bvsharp import (
     DomainSpec,
     GridFunction,
     SolverConfig,
-    ball_indicator,
     build_domain,
-    concentration_report,
+    grid_quotient,
     half_space_constant,
-    lp_norm_power,
     minimize_quotient,
-    rectangle_grid,
 )
 
 domain = build_domain(DomainSpec.disk(1.0), 1.0 / 128)
@@ -45,31 +38,7 @@ for row in estimate.history[::10]:
 # disk along a diameter jumps by 2 across a chord of length 2, giving the
 # quotient 4/sqrt(pi) ~ 2.2568, well below the cap-profile optimum.  Any
 # feasible grid function is a legitimate upper bound.
-from bvsharp import grid_quotient
-
 gx, _ = domain.cell_centers()
 split = GridFunction(domain, np.clip(gx / (4.0 * domain.h), -0.5, 0.5) * 2.0)
 print(f"\ndiameter-split candidate: grid quotient {grid_quotient(split, 1.0):.6f} "
       f"(closed form 4/sqrt(pi) = {4.0 / math.sqrt(math.pi):.6f})")
-
-print("\nconcentration diagnostic on a synthetic family:")
-square = rectangle_grid(1.0, 1.0, 1.0 / 128)
-
-
-def normalized(values):
-    gf = GridFunction(square, values)
-    return GridFunction(square, gf.values / lp_norm_power(gf))
-
-
-family = [
-    normalized(ball_indicator(square, (0.3, 0.7), r, width=2.0).values)
-    for r in (0.2, 0.1, 0.05, 0.025)
-]
-report = concentration_report(family, [0.2, 0.1, 0.05])
-print(f"  shrinking balls: atoms = {[(f'({x:.2f}, {y:.2f})', round(m, 3)) for (x, y), m in report.atoms]}, "
-      f"diffuse = {report.diffuse:.3f}")
-
-gx, gy = square.cell_centers()
-bump = normalized(np.exp(-((gx - 0.6) ** 2 + (gy - 0.4) ** 2) / (2 * 0.2**2)))
-report = concentration_report([bump] * 3, [0.2, 0.1, 0.05])
-print(f"  fixed smooth bump: atoms = {report.atoms}, diffuse = {report.diffuse:.3f}")

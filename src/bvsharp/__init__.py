@@ -48,17 +48,14 @@ from .profiles import (
     two_valued_quotient_exact,
 )
 from .solver import (
-    ConcentrationReport,
     ConstantEstimate,
     GridFunction,
     SolverConfig,
     ball_indicator,
-    concentration_report,
     grid_quotient,
     lp_norm_power,
     minimize_quotient,
     rasterize_two_valued,
-    rectangle_grid,
     total_variation,
 )
 from .surfaces import (

@@ -64,15 +64,6 @@ def _parse_float_list(text: str):
     return tuple(float(part) for part in items)
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
-
-
 @dataclass
 class ExperimentConfig:
     task: str = ""
@@ -105,22 +96,12 @@ class ExperimentConfig:
     target: str = "domain-quotient"
     # solver
     budget: int = 300
-    step: float = 0.05
-    decay: float = 0.5
     restarts: int = 2
     seed: int = 0
-    smoothing: float = 1.0
-    tol: float = 1e-7
 
     def solver_config(self) -> solver.SolverConfig:
         return solver.SolverConfig(
-            budget=self.budget,
-            step=self.step,
-            decay=self.decay,
-            restart_count=self.restarts,
-            seed=self.seed,
-            smoothing_width=self.smoothing,
-            tol=self.tol,
+            budget=self.budget, restart_count=self.restarts, seed=self.seed
         )
 
     def domain_spec(self) -> geometry.DomainSpec:
@@ -144,25 +125,18 @@ class ExperimentConfig:
         raise ConfigError(f"surface: unknown value {self.surface!r}")
 
 
-_CASTERS = {
-    str: lambda s: s.strip(),
-    float: lambda s: float(s),
-    int: lambda s: int(s),
-    bool: _parse_bool,
-    tuple: _parse_float_list,
-}
+# Keyed by the field annotations, which are strings under
+# `from __future__ import annotations`.
+_CASTERS = {"str": str.strip, "float": float, "int": int, "tuple": _parse_float_list}
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_TYPE_OF = {"str": str, "float": float, "int": int, "bool": bool, "tuple": tuple}
 
 
 def _cast_value(key: str, raw: str):
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown key {key!r}")
-    ftype = _FIELD_TYPES[key]
-    pytype = _TYPE_OF[ftype if isinstance(ftype, str) else ftype.__name__]
     try:
-        return _CASTERS[pytype](raw)
+        return _CASTERS[_FIELD_TYPES[key]](raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
@@ -234,12 +208,8 @@ def _validate(config: ExperimentConfig):
         raise ConfigError("n_min/n_max: need 2 <= n_min <= n_max")
     if config.budget < 1:
         raise ConfigError("budget: must be >= 1")
-    if config.step <= 0:
-        raise ConfigError("step: must be positive")
     if config.restarts < 0:
         raise ConfigError("restarts: must be >= 0")
-    if config.smoothing <= 0:
-        raise ConfigError("smoothing: must be positive")
     if config.target not in ("domain-quotient", "gray"):
         raise ConfigError("target: expected domain-quotient or gray")
 

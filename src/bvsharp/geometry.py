@@ -12,10 +12,10 @@ rejected: its corners have no curvature, so it fails the C^2 requirement
 that every expansion here relies on.
 
 A domain is described analytically (`DomainSpec`) and rasterized to a
-`GridDomain` that carries the interior mask of the cell centres, the
-Lebesgue measure and an analytic curvature evaluator.  The measure is
-Green's theorem, 1/2 of the loop integral of rho(t)^2 dt, by the
-trapezoid rule, which converges spectrally on a periodic analytic curve.
+`GridDomain` that carries the spec, the interior mask of the cell
+centres and the Lebesgue measure.  The measure is Green's theorem, 1/2
+of the loop integral of rho(t)^2 dt, by the trapezoid rule, which
+converges spectrally on a periodic analytic curve.
 Curvature is never differenced from the grid: it comes from the closed
 forms of rho, rho' and rho''.
 
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,31 +242,6 @@ class DomainSpec:
 
 
 # --------------------------------------------------------------------------
-# cell fractions
-
-
-def _plane_cut_fraction(d, nx, ny, h):
-    """Fraction of an axis-aligned square cell inside the half-plane
-    {x : d + n.(x - center) <= 0}, i.e. a straight interface at signed
-    distance d from the cell center with outward unit normal n."""
-    a = 0.5 * h * np.abs(nx)
-    b = 0.5 * h * np.abs(ny)
-    big = np.maximum(a, b)
-    small = np.minimum(a, b)
-    c = -np.asarray(d, dtype=float)
-    width = big + small
-    flat = small <= 1e-14 * big
-    mid = (c + big) / (2.0 * big)
-    denom = np.where(flat, 1.0, 8.0 * big * small)
-    rising = (c + width) ** 2 / denom
-    falling = 1.0 - (width - c) ** 2 / denom
-    frac = np.where(c <= -(big - small), rising, np.where(c >= big - small, falling, mid))
-    frac = np.where(flat, mid, frac)
-    frac = np.where(c <= -width, 0.0, np.where(c >= width, 1.0, frac))
-    return np.clip(frac, 0.0, 1.0)
-
-
-# --------------------------------------------------------------------------
 # GridDomain
 
 
@@ -302,12 +278,6 @@ class GridDomain:
     def cell_centers(self):
         gx, gy = np.meshgrid(self.xs, self.ys)
         return gx, gy
-
-    def boundary_point(self, t):
-        return self.spec.boundary_point(t)
-
-    def curvature(self, t):
-        return self.spec.curvature(t)
 
 
 def build_domain(spec: DomainSpec, h: float) -> GridDomain:
@@ -391,6 +361,30 @@ class MaxCurvatureSeed:
     curvature_lower_bound: float  # 1/diam; the boundedness argument for H > 0
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(f, lo: float, hi: float, iters: int, key):
+    """Golden-section search for a minimum of key(f(x)) on [lo, hi].
+
+    Calls f 2 + iters times.  Returns the final bracket ends and its two
+    interior points with their values: (lo, hi, ((c, f(c)), (d, f(d)))).
+    """
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if key(fc) < key(fd):
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    return lo, hi, ((c, fc), (d, fd))
+
+
 def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
     """Boundary point of maximal curvature, plus the 1/diameter audit bound.
 
@@ -403,20 +397,8 @@ def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
     t_best, k_best = float(ts[i]), float(kappa[i])
 
     # Local golden-section polish; kept only if it genuinely improves.
-    lo, hi = t_best - ts[1], t_best + ts[1]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = float(spec.curvature(c)), float(spec.curvature(d))
-    for _ in range(60):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = float(spec.curvature(c))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = float(spec.curvature(d))
+    lo, hi, _ = _golden_section(lambda t: float(spec.curvature(t)), t_best - ts[1],
+                                t_best + ts[1], 60, key=operator.neg)
     t_ref = 0.5 * (lo + hi)
     k_ref = float(spec.curvature(t_ref))
     if k_ref > k_best + 1e-12:

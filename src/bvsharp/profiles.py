@@ -22,6 +22,7 @@ is attained.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,13 @@ from .constants import (
     half_space_constant,
     sharp_sobolev_constant,
 )
-from .geometry import GridDomain, boundary_arc_inside, cap_measure, max_curvature_seed
+from .geometry import (
+    GridDomain,
+    _golden_section,
+    boundary_arc_inside,
+    cap_measure,
+    max_curvature_seed,
+)
 
 __all__ = [
     "QuotientValue",
@@ -49,9 +56,6 @@ __all__ = [
     "CertificateResult",
     "achievability_certificate",
 ]
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class QuotientValue:
@@ -332,19 +336,9 @@ def optimal_epsilon(domain: GridDomain, a, q: float, eps_range=None, n: int = 2,
 
     b_lo = float(grid[k - 1]) if k > 0 else lo
     b_hi = float(grid[k + 1]) if k < coarse - 1 else hi
-    c = b_hi - _INV_PHI * (b_hi - b_lo)
-    d = b_lo + _INV_PHI * (b_hi - b_lo)
-    fc, fd = evaluate(c), evaluate(d)
-    for _ in range(golden_iters):
-        if fc.value < fd.value:
-            b_hi, d, fd = d, c, fc
-            c = b_hi - _INV_PHI * (b_hi - b_lo)
-            fc = evaluate(c)
-        else:
-            b_lo, c, fc = c, d, fd
-            d = b_lo + _INV_PHI * (b_hi - b_lo)
-            fd = evaluate(d)
-    for eps, val in ((c, fc), (d, fd)):
+    _, _, interior = _golden_section(evaluate, b_lo, b_hi, golden_iters,
+                                     key=operator.attrgetter("value"))
+    for eps, val in interior:
         if val.value < best_val.value or (val.value == best_val.value and eps < best_eps):
             best_eps, best_val = float(eps), val
     return best_eps, best_val

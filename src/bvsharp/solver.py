@@ -29,25 +29,32 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import half_space_constant
-from .geometry import GridDomain, _plane_cut_fraction, cap_measure, max_curvature_seed
+from .geometry import GridDomain, cap_measure, max_curvature_seed
 from .profiles import beta_eps, optimal_epsilon, shift_to_constraint, sign_power
 
 __all__ = [
     "GridFunction",
     "SolverConfig",
     "ConstantEstimate",
-    "ConcentrationReport",
     "total_variation",
     "lp_norm_power",
     "grid_quotient",
     "minimize_quotient",
-    "concentration_report",
     "ball_indicator",
     "rasterize_two_valued",
 ]
+
+# Descent schedule: step _STEP / (1 + k)^_DECAY at iteration k; Huber
+# width _SMOOTHING_WIDTH cells; an iterate counts as an improvement only
+# below (1 - _TOL) times the best value.
+_STEP = 0.05
+_DECAY = 0.5
+_SMOOTHING_WIDTH = 1.0
+_TOL = 1e-7
+# Width, in cells, of the anti-aliased band of a rasterized ball.
+_BAND_CELLS = 10.0
 
 
 class GridFunction:
@@ -100,17 +107,14 @@ def total_variation(u: GridFunction) -> float:
     return float(u.domain.h * np.sum(np.hypot(dx, dy)))
 
 
-def lp_norm_power(u: GridFunction, n: int = 2) -> float:
-    """(sum h^n |u|^{n/(n-1)})^{1-1/n} over interior cells."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    p = n / (n - 1)
-    vals = np.abs(u.interior_values())
-    return float((u.domain.h**n * np.sum(vals**p)) ** (1.0 - 1.0 / n))
+def lp_norm_power(u: GridFunction) -> float:
+    """(sum h^2 u^2)^(1/2) over interior cells: the L^{n/(n-1)} norm at n = 2."""
+    vals = u.interior_values()
+    return float((u.domain.h**2 * np.sum(vals * vals)) ** 0.5)
 
 
-def grid_quotient(u: GridFunction, q: float, n: int = 2) -> float:
-    """TV(u) / ||u - lambda_q(u)||_{n/(n-1)} with the feasible shift.
+def grid_quotient(u: GridFunction, q: float) -> float:
+    """TV(u) / ||u - lambda_q(u)||_2 with the feasible shift.
 
     TV is shift invariant, so the numerator needs no adjustment.
     """
@@ -118,7 +122,7 @@ def grid_quotient(u: GridFunction, q: float, n: int = 2) -> float:
         raise ValueError("q must be positive")
     lam = shift_to_constraint((u.interior_values(), u.domain.h**2), q)
     shifted = GridFunction(u.domain, u._values - lam)
-    denom = lp_norm_power(shifted, n)
+    denom = lp_norm_power(shifted)
     if denom == 0.0:
         raise ValueError("zero function after shift")
     return total_variation(u) / denom
@@ -128,14 +132,35 @@ def grid_quotient(u: GridFunction, q: float, n: int = 2) -> float:
 # seeds
 
 
-def ball_indicator(domain: GridDomain, center, radius: float, width: float = 10.0) -> GridFunction:
-    """Anti-aliased indicator of B(center, radius), transition `width` cells.
+def _plane_cut_fraction(d, nx, ny, h):
+    """Fraction of an axis-aligned square cell inside the half-plane
+    {x : d + n.(x - center) <= 0}, i.e. a straight interface at signed
+    distance d from the cell center with outward unit normal n."""
+    a = 0.5 * h * np.abs(nx)
+    b = 0.5 * h * np.abs(ny)
+    big = np.maximum(a, b)
+    small = np.minimum(a, b)
+    c = -np.asarray(d, dtype=float)
+    width = big + small
+    flat = small <= 1e-14 * big
+    mid = (c + big) / (2.0 * big)
+    denom = np.where(flat, 1.0, 8.0 * big * small)
+    rising = (c + width) ** 2 / denom
+    falling = 1.0 - (width - c) ** 2 / denom
+    frac = np.where(c <= -(big - small), rising, np.where(c >= big - small, falling, mid))
+    frac = np.where(flat, mid, frac)
+    frac = np.where(c <= -width, 0.0, np.where(c >= width, 1.0, frac))
+    return np.clip(frac, 0.0, 1.0)
+
+
+def ball_indicator(domain: GridDomain, center, radius: float) -> GridFunction:
+    """Anti-aliased indicator of B(center, radius), transition _BAND_CELLS cells.
 
     One-sided differences overcharge interfaces whose normal opposes
     the stencil direction (up to 41% for a hard 0/1 indicator on a
     diagonal edge); smearing the jump over a band of cells brings the
     discrete TV within about a percent of the true perimeter while the
-    band bias stays O(width * h).
+    band bias stays O(_BAND_CELLS * h).
     """
     ax, ay = float(center[0]), float(center[1])
     gx, gy = domain.cell_centers()
@@ -144,12 +169,12 @@ def ball_indicator(domain: GridDomain, center, radius: float, width: float = 10.
     safe = np.maximum(rho, 1e-300)
     frac = _plane_cut_fraction(
         d.ravel(), ((gx - ax) / safe).ravel(), ((gy - ay) / safe).ravel(),
-        width * domain.h,
+        _BAND_CELLS * domain.h,
     ).reshape(d.shape)
     return GridFunction(domain, frac)
 
 
-def rasterize_two_valued(domain: GridDomain, a, eps: float, q: float, width: float = 10.0):
+def rasterize_two_valued(domain: GridDomain, a, eps: float, q: float):
     """Grid realization of the two-valued profile; returns (function, beta).
 
     beta comes from the exact cap quadrature; the grid quotient then
@@ -158,27 +183,9 @@ def rasterize_two_valued(domain: GridDomain, a, eps: float, q: float, width: flo
     """
     cap = cap_measure(domain, a, eps)
     beta = beta_eps(domain.measure, cap, q)
-    frac = ball_indicator(domain, a, eps, width).values
+    frac = ball_indicator(domain, a, eps).values
     values = frac * 1.0 + (1.0 - frac) * (-beta)
     return GridFunction(domain, values), beta
-
-
-def rectangle_grid(width: float, height: float, h: float) -> GridDomain:
-    """Raw rectangular grid with every cell interior.
-
-    A container for discrete TV experiments (ramps, synthetic
-    concentration families); it has no analytic boundary, so the
-    geometric queries of GridDomain are unavailable on it.
-    """
-    if width <= 0 or height <= 0 or h <= 0:
-        raise ValueError("rectangle dimensions and cell size must be positive")
-    nx = int(round(width / h))
-    ny = int(round(height / h))
-    return GridDomain(
-        spec=None, h=h, xmin=0.0, ymin=0.0, nx=nx, ny=ny,
-        interior_mask=np.ones((ny, nx), dtype=bool), measure=nx * ny * h * h,
-        _diameter=math.hypot(width, height),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -188,23 +195,15 @@ def rectangle_grid(width: float, height: float, h: float) -> GridDomain:
 @dataclass(frozen=True)
 class SolverConfig:
     budget: int = 300
-    step: float = 0.05
-    decay: float = 0.5
     restart_count: int = 2
     seed: int = 0
-    smoothing_width: float = 1.0  # Huber width in cells
-    tol: float = 1e-7
     patience: int = 60
 
     def validate(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
         if self.restart_count < 0:
             raise ValueError("restart_count must be >= 0")
-        if self.smoothing_width <= 0:
-            raise ValueError("smoothing_width must be positive")
 
 
 @dataclass
@@ -254,9 +253,8 @@ def minimize_quotient(domain: GridDomain, q: float, config: SolverConfig) -> Con
     bitwise reproducible history.
     """
     config.validate()
-    n = 2
-    if not 0.0 < q < n / (n - 1):
-        raise ValueError(f"q must lie in (0, {n/(n-1)}), got {q}")
+    if not 0.0 < q < 2.0:
+        raise ValueError(f"q must lie in (0, 2.0), got {q}")
 
     seed_point = max_curvature_seed(domain).point
     seed_eps, seed_qv = optimal_epsilon(domain, seed_point, q)
@@ -284,13 +282,13 @@ def minimize_quotient(domain: GridDomain, q: float, config: SolverConfig) -> Con
                 break
             lam = shift_to_constraint((levels, h * h), q)
             gf = GridFunction(domain, (v - lam) * mask)
-            norm = lp_norm_power(gf, n)
+            norm = lp_norm_power(gf)
             value = total_variation(gf) / norm  # TV is 1-homogeneous
             w = gf.values / norm
             resid = abs(
                 float(np.sum(sign_power(w[mask], q))) * h * h
             )
-            improved = value < best_value * (1.0 - config.tol)
+            improved = value < best_value * (1.0 - _TOL)
             if value < best_value:
                 best_value = value
                 best_snapshot = GridFunction(domain, w)
@@ -300,23 +298,22 @@ def minimize_quotient(domain: GridDomain, q: float, config: SolverConfig) -> Con
             if stale > config.patience:
                 break
 
-            delta = config.smoothing_width * h * max(float(np.ptp(w[mask])), 1e-12)
+            delta = _SMOOTHING_WIDTH * h * max(float(np.ptp(w[mask])), 1e-12)
             grad = _smoothed_tv_gradient(w, mask, h, delta)
             gnorm = float(np.linalg.norm(grad[mask]))
             if gnorm == 0.0:
                 break
-            alpha = config.step / (1.0 + k) ** config.decay
+            alpha = _STEP / (1.0 + k) ** _DECAY
             v = w - alpha * grad / gnorm
 
-    if best_snapshot is None:  # budget exhausted without a single evaluation
-        best_snapshot, _ = rasterize_two_valued(domain, seed_point, seed_eps, q)
-        best_value = grid_quotient(best_snapshot, q)
+    if best_snapshot is None:  # every restart began on equal levels
+        raise ValueError("all levels equal: shift is undefined (degenerate input)")
 
     residual = abs(
         float(np.sum(sign_power(best_snapshot.interior_values(), q))) * h * h
     )
-    threshold = half_space_constant(n)
-    history = np.array(rows, dtype=float) if rows else np.zeros((0, 5))
+    threshold = half_space_constant(2)
+    history = np.array(rows, dtype=float)
     return ConstantEstimate(
         value=best_value,
         q=q,
@@ -328,101 +325,3 @@ def minimize_quotient(domain: GridDomain, q: float, config: SolverConfig) -> Con
         seed_value=seed_qv.value,
         seed_eps=seed_eps,
     )
-
-
-# --------------------------------------------------------------------------
-# concentration diagnostic
-
-
-@dataclass
-class ConcentrationReport:
-    """Atoms and diffuse mass of a (normalized) minimizing family.
-
-    atoms are (location, mass) pairs with mass > the atom threshold and
-    stable across the two smallest probing radii; the mass audit
-    sum(atoms) + diffuse must reproduce the total mass.
-    """
-
-    atoms: list
-    diffuse: float
-    total_audit: float
-    radii: tuple
-
-
-def concentration_report(family, radii, atom_threshold: float = 0.05,
-                         stability_window: float = 0.10, n: int = 2) -> ConcentrationReport:
-    """Detect mass atoms of the final members of a minimizing family.
-
-    For each probing radius r the map x -> int_{B(x,r)} |u|^{n/(n-1)}
-    is computed by FFT convolution on the grid; atoms are the local
-    maxima of the smallest-radius map whose mass exceeds
-    `atom_threshold` and varies less than `stability_window`
-    (relatively) across the last two radii.  Detected atoms closer than
-    twice the smallest radius are merged into the strongest one, which
-    keeps their mass balls disjoint and the audit exact.
-    """
-    family = list(family)
-    if not family:
-        raise ValueError("empty family")
-    radii = [float(r) for r in radii]
-    if len(radii) < 2 or any(r <= 0 for r in radii) or any(
-        radii[i + 1] >= radii[i] for i in range(len(radii) - 1)
-    ):
-        raise ValueError("radii must be a decreasing list of positive lengths")
-    for member in family:
-        norm = lp_norm_power(member, n)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"family member not normalized (lp norm {norm})")
-
-    u = family[-1]
-    domain = u.domain
-    h = domain.h
-    p = n / (n - 1)
-    density = (np.abs(u.values) ** p) * (h**n)
-    density = density * domain.interior_mask
-    total = float(np.sum(density))
-
-    def mass_map(r):
-        k = int(math.floor(r / h))
-        offsets = np.arange(-k, k + 1)
-        oi, oj = np.meshgrid(offsets, offsets, indexing="ij")
-        kernel = ((oi * oi + oj * oj) * h * h <= r * r).astype(float)
-        # Linear convolution on the full (ny + 2k, nx + 2k) grid, cropped
-        # to the cells of the density.
-        shape = (density.shape[0] + 2 * k, density.shape[1] + 2 * k)
-        full = np.fft.irfft2(np.fft.rfft2(density, shape) * np.fft.rfft2(kernel, shape), shape)
-        return full[k:k + density.shape[0], k:k + density.shape[1]]
-
-    m_last = mass_map(radii[-1])
-    m_prev = mass_map(radii[-2])
-
-    # 3 x 3 neighbourhood maximum, edge cells compared with their own copies.
-    window_max = sliding_window_view(np.pad(m_last, 1, mode="edge"), (3, 3)).max(axis=(-2, -1))
-    peaks = (window_max == m_last) & (m_last > atom_threshold)
-    ii, jj = np.nonzero(peaks)
-    order = np.lexsort((jj, ii, -m_last[ii, jj]))
-    ii, jj = ii[order], jj[order]
-
-    r_min = radii[-1]
-    kept = []
-    for i, j in zip(ii, jj):
-        x = domain.xmin + (j + 0.5) * h
-        y = domain.ymin + (i + 0.5) * h
-        if any((x - kx) ** 2 + (y - ky) ** 2 <= (2.0 * r_min) ** 2 for kx, ky, *_ in kept):
-            continue
-        mass = float(m_last[i, j])
-        prev = float(m_prev[i, j])
-        if abs(prev - mass) > stability_window * max(mass, 1e-300):
-            continue
-        kept.append((x, y, i, j, mass))
-
-    gx, gy = domain.cell_centers()
-    union = np.zeros(density.shape, dtype=bool)
-    atoms = []
-    for x, y, i, j, mass in kept:
-        union |= (gx - x) ** 2 + (gy - y) ** 2 <= r_min**2
-        atoms.append(((x, y), mass))
-    diffuse = float(np.sum(density[~union]))
-    audit = sum(m for _, m in atoms) + diffuse
-    return ConcentrationReport(atoms=atoms, diffuse=diffuse, total_audit=audit,
-                               radii=tuple(radii))

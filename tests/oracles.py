@@ -47,7 +47,10 @@ def oblate_spheroid_area(a: float, c: float) -> float:
 
 
 def sphere_cap_area(eps: float, r: float = 1.0) -> float:
-    return 2.0 * math.pi * r * r * (1.0 - math.cos(eps / r))
+    """Area of a geodesic ball of radius eps on the sphere of radius r,
+    2 pi r^2 (1 - cos(eps/r)) written as 4 pi r^2 sin^2(eps/2r), which does
+    not cancel at small eps."""
+    return 4.0 * math.pi * r * r * math.sin(eps / (2.0 * r)) ** 2
 
 
 def sphere_circle_length(eps: float, r: float = 1.0) -> float:

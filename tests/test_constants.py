@@ -22,7 +22,7 @@ class TestGammaHalfInteger:
 
     def test_recurrence_five_halves(self):
         # Gamma(5/2) = (3/2)(1/2) sqrt(pi)
-        assert gamma_half_integer(2.5) == pytest.approx(1.5 * 0.5 * SQRT_PI, rel=1e-15)
+        assert gamma_half_integer(2.5) == pytest.approx(1.5 * 0.5 * SQRT_PI, rel=1e-15, abs=0)
 
     def test_integer_values(self):
         assert gamma_half_integer(2.0) == 1.0
@@ -36,15 +36,15 @@ class TestGammaHalfInteger:
 
 class TestEulerBeta:
     def test_known_values(self):
-        assert euler_beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-15)
+        assert euler_beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-15, abs=0)
         assert euler_beta(1.0, 1.0) == 1.0
-        assert euler_beta(0.5, 1.0) == pytest.approx(2.0, rel=1e-15)
+        assert euler_beta(0.5, 1.0) == pytest.approx(2.0, rel=1e-15, abs=0)
 
     def test_symmetry(self):
         args = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
         for x in args:
             for y in args:
-                assert euler_beta(x, y) == pytest.approx(euler_beta(y, x), rel=1e-14)
+                assert euler_beta(x, y) == pytest.approx(euler_beta(y, x), rel=1e-14, abs=0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -53,10 +53,10 @@ class TestEulerBeta:
 
 class TestUnitBallVolume:
     def test_low_dimensions(self):
-        assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-15)
-        assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
+        assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-15, abs=0)
+        assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15, abs=0)
         # pi^(3/2)/Gamma(5/2) = 4 pi / 3
-        assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
+        assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14, abs=0)
 
     def test_rejects_dimension_zero(self):
         with pytest.raises(ValueError):
@@ -76,7 +76,7 @@ class TestSharpSobolevConstant:
 
     def test_dimension_three(self):
         oracle = 3.0 * (4.0 * math.pi / 3.0) ** (1.0 / 3.0)
-        assert sharp_sobolev_constant(3) == pytest.approx(oracle, rel=1e-14)
+        assert sharp_sobolev_constant(3) == pytest.approx(oracle, rel=1e-14, abs=0)
         assert sharp_sobolev_constant(3) == pytest.approx(4.835975862049408, abs=1e-12)
 
     def test_rejects_dimension_one(self):
@@ -92,13 +92,13 @@ class TestHalfSpaceConstant:
 
     def test_dimension_three(self):
         oracle = sharp_sobolev_constant(3) / 2.0 ** (1.0 / 3.0)
-        assert half_space_constant(3) == pytest.approx(oracle, rel=1e-15)
+        assert half_space_constant(3) == pytest.approx(oracle, rel=1e-15, abs=0)
         assert half_space_constant(3) == pytest.approx(3.838316585355025, abs=1e-12)
 
     def test_ratio_is_always_two_to_minus_inverse_n(self):
         for n in range(2, 11):
             ratio = half_space_constant(n) / sharp_sobolev_constant(n)
-            assert ratio == pytest.approx(2.0 ** (-1.0 / n), rel=1e-15)
+            assert ratio == pytest.approx(2.0 ** (-1.0 / n), rel=1e-15, abs=0)
 
     def test_strictly_below_sharp_constant(self):
         for n in range(2, 11):
@@ -109,7 +109,9 @@ class TestSharpConstantsBundle:
     def test_invariants(self):
         for n in range(2, 8):
             bundle = SharpConstants.for_dimension(n)
-            assert bundle.c_half == pytest.approx(bundle.c_star * 2.0 ** (-1.0 / n), rel=1e-14)
+            assert bundle.c_half == pytest.approx(
+                bundle.c_star * 2.0 ** (-1.0 / n), rel=1e-14, abs=0
+            )
             assert abs(bundle.c_star - n * bundle.omega_n ** (1.0 / n)) <= 1e-12 * bundle.c_star
 
     def test_rejects_low_dimension(self):
@@ -118,6 +120,6 @@ class TestSharpConstantsBundle:
 
 
 def test_unit_sphere_area_low_dimensions():
-    assert unit_sphere_area(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
-    assert unit_sphere_area(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
-    assert unit_sphere_area(3) == pytest.approx(2.0 * math.pi**2, rel=1e-14)
+    assert unit_sphere_area(1) == pytest.approx(2.0 * math.pi, rel=1e-15, abs=0)
+    assert unit_sphere_area(2) == pytest.approx(4.0 * math.pi, rel=1e-15, abs=0)
+    assert unit_sphere_area(3) == pytest.approx(2.0 * math.pi**2, rel=1e-14, abs=0)

@@ -41,8 +41,8 @@ class TestSignPower:
         assert sign_power(0.0, 0.5) == 0.0
 
     def test_square_root_branch(self):
-        assert sign_power(4.0, 0.5) == pytest.approx(2.0, rel=1e-15)
-        assert sign_power(-4.0, 0.5) == pytest.approx(-2.0, rel=1e-15)
+        assert sign_power(4.0, 0.5) == pytest.approx(2.0, rel=1e-15, abs=0)
+        assert sign_power(-4.0, 0.5) == pytest.approx(-2.0, rel=1e-15, abs=0)
 
     def test_vectorized(self):
         out = sign_power(np.array([-1.0, 0.0, 9.0]), 0.5)
@@ -56,13 +56,13 @@ class TestSignPower:
 class TestBetaEps:
     def test_equal_halves_give_one(self):
         for q in (0.25, 1.0, 1.7):
-            assert beta_eps(2.0, 1.0, q) == pytest.approx(1.0, rel=1e-15)
+            assert beta_eps(2.0, 1.0, q) == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_disk_cap_value(self):
         cap = lens_area(1.0, 0.2, 1.0)
         oracle = 1.0 / (math.pi / cap - 1.0)
         assert oracle == pytest.approx(0.01952421711531892, abs=1e-15)
-        assert beta_eps(math.pi, cap, 1.0) == pytest.approx(oracle, rel=1e-14)
+        assert beta_eps(math.pi, cap, 1.0) == pytest.approx(oracle, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("cap", [0.0, -1.0, math.pi, 4.0])
     def test_rejects_degenerate_caps(self, cap):
@@ -262,7 +262,7 @@ class TestTwoValuedQuotientExact:
         assert oracle == pytest.approx(2.4215803553186914, abs=1e-12)
         qv = two_valued_quotient_exact(disk256, (1.0, 0.0), 0.2, 1.0)
         assert qv.value == pytest.approx(oracle, rel=1e-6)
-        assert qv.threshold == pytest.approx(C_HALF, rel=1e-15)
+        assert qv.threshold == pytest.approx(C_HALF, rel=1e-15, abs=0)
         assert qv.gap_to_threshold < 0  # strict-inequality certificate
 
     def test_small_radius_limit_is_half_space_constant(self, disk256):
@@ -311,7 +311,7 @@ class TestDomainQuotientExpansion:
     def test_unit_curvature_value(self):
         oracle = C_HALF * (1.0 - 0.4 / (3.0 * math.pi))
         assert oracle == pytest.approx(2.4002436665239513, abs=1e-12)
-        assert domain_quotient_expansion(1.0, 0.2, 2) == pytest.approx(oracle, rel=1e-14)
+        assert domain_quotient_expansion(1.0, 0.2, 2) == pytest.approx(oracle, rel=1e-14, abs=0)
 
     def test_slope_against_exact_quadrature(self, disk256):
         radii = [0.05, 0.1, 0.2]
@@ -332,7 +332,7 @@ class TestSurfaceQuotientExpansion:
     def test_positive_curvature_value(self):
         oracle = C_STAR * (1.0 - 2.0 * 0.09 / 16.0)
         assert oracle == pytest.approx(3.5050274901656575, abs=1e-12)
-        assert surface_quotient_expansion(2.0, 0.3, 2) == pytest.approx(oracle, rel=1e-14)
+        assert surface_quotient_expansion(2.0, 0.3, 2) == pytest.approx(oracle, rel=1e-14, abs=0)
 
     def test_positive_curvature_decreases_quotient(self):
         for eps in (0.05, 0.2):

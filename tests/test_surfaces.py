@@ -35,8 +35,8 @@ TORUS = SurfaceModel.flat_torus(1.0, 1.0)
 class TestSurfaceModels:
     def test_sphere_area_and_curvature(self):
         sphere = SurfaceModel.sphere(2.0)
-        assert sphere.area == pytest.approx(16.0 * math.pi, rel=1e-14)
-        assert scalar_curvature(sphere, (0.7, 0.1)) == pytest.approx(0.5, rel=1e-14)
+        assert sphere.area == pytest.approx(16.0 * math.pi, rel=1e-14, abs=0)
+        assert scalar_curvature(sphere, (0.7, 0.1)) == pytest.approx(0.5, rel=1e-14, abs=0)
         assert sphere.euler_characteristic == 2
 
     # (1, 5) and (1, 0.05) are far from round: the fixed panel rule must
@@ -73,7 +73,7 @@ class TestSurfaceModels:
             bound = SurfaceModel.spheroid(a, c).injectivity_radius()
             assert bound == 0.5 * math.pi * min(a, c)
         assert SurfaceModel.spheroid(1.0, 5.0).injectivity_radius() == pytest.approx(
-            math.pi / 5.0, rel=1e-15)
+            math.pi / 5.0, rel=1e-15, abs=0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -88,18 +88,18 @@ class TestGeodesicBallArea:
     def test_sphere_closed_form(self):
         sphere = SurfaceModel.sphere(1.0)
         assert geodesic_ball_area(sphere, (0.0, 0.0), 0.5) == pytest.approx(
-            sphere_cap_area(0.5), rel=1e-14
+            sphere_cap_area(0.5), rel=1e-14, abs=0
         )
 
     def test_hemisphere(self):
         sphere = SurfaceModel.sphere(1.0)
         assert geodesic_ball_area(sphere, (0.0, 0.0), math.pi / 2.0) == pytest.approx(
-            2.0 * math.pi, rel=1e-14
+            2.0 * math.pi, rel=1e-14, abs=0
         )
 
     def test_torus_ball_is_euclidean(self):
         assert geodesic_ball_area(TORUS, (0.0, 0.0), 0.2) == pytest.approx(
-            math.pi * 0.04, rel=1e-14
+            math.pi * 0.04, rel=1e-14, abs=0
         )
 
     def test_beyond_injectivity_radius_rejected(self):
@@ -158,7 +158,7 @@ class TestSingleBallRoutine:
         assert circle == pytest.approx(sphere_circle_length(eps), rel=1e-12)
 
     @pytest.mark.parametrize("theta0", [0.7, 1.9, 2.6])
-    @pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.5, 0.8])
     def test_generic_centre_balls_match_sphere_closed_forms(self, theta0, eps):
         round_spheroid = SurfaceModel.spheroid(1.0, 1.0)
         centre = (theta0, 0.4)
@@ -171,10 +171,10 @@ class TestSingleBallRoutine:
     def test_north_and_south_poles_agree(self, eps):
         north, south = (0.0, 0.0), (math.pi, 0.0)
         assert geodesic_ball_area(SPHEROID, south, eps) == pytest.approx(
-            geodesic_ball_area(SPHEROID, north, eps), rel=1e-13
+            geodesic_ball_area(SPHEROID, north, eps), rel=1e-13, abs=0
         )
         assert geodesic_circle_length(SPHEROID, south, eps) == pytest.approx(
-            geodesic_circle_length(SPHEROID, north, eps), rel=1e-13
+            geodesic_circle_length(SPHEROID, north, eps), rel=1e-13, abs=0
         )
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
@@ -294,9 +294,9 @@ class TestSpheroidIntegrator:
         surface = SurfaceModel.spheroid(*axes)
         north, south = (theta0, 0.0), (math.pi - theta0, 0.0)
         assert geodesic_ball_area(surface, south, eps) == pytest.approx(
-            geodesic_ball_area(surface, north, eps), rel=1e-13)
+            geodesic_ball_area(surface, north, eps), rel=1e-13, abs=0)
         assert geodesic_circle_length(surface, south, eps) == pytest.approx(
-            geodesic_circle_length(surface, north, eps), rel=1e-13)
+            geodesic_circle_length(surface, north, eps), rel=1e-13, abs=0)
 
     def test_conjugate_point_raises(self):
         # On spheroid(1, 5), K = 25 at the pole: J along alpha = pi from
@@ -359,15 +359,17 @@ class TestButcherTableau:
 class TestGrayExpansion:
     def test_flat_case_is_euclidean_volume(self):
         for eps in (0.1, 0.7):
-            assert gray_expansion(0.0, eps, 2) == pytest.approx(math.pi * eps * eps, rel=1e-15)
+            assert gray_expansion(0.0, eps, 2) == pytest.approx(
+                math.pi * eps * eps, rel=1e-15, abs=0
+            )
             assert gray_expansion(0.0, eps, 3) == pytest.approx(
-                4.0 * math.pi * eps**3 / 3.0, rel=1e-14
+                4.0 * math.pi * eps**3 / 3.0, rel=1e-14, abs=0
             )
 
     def test_unit_sphere_value(self):
         oracle = math.pi * 0.25 * (1.0 - 0.25 / 12.0)
         assert oracle == pytest.approx(0.7690357016600015, abs=1e-15)
-        assert gray_expansion(2.0, 0.5, 2) == pytest.approx(oracle, rel=1e-14)
+        assert gray_expansion(2.0, 0.5, 2) == pytest.approx(oracle, rel=1e-14, abs=0)
         # close to the closed form 2 pi (1 - cos 0.5), off only at eps^6
         assert gray_expansion(2.0, 0.5, 2) == pytest.approx(sphere_cap_area(0.5), abs=2e-4)
 
@@ -383,13 +385,13 @@ class TestGeodesicCircleLength:
     def test_sphere_closed_form(self):
         sphere = SurfaceModel.sphere(1.0)
         assert geodesic_circle_length(sphere, (0.0, 0.0), 0.5) == pytest.approx(
-            sphere_circle_length(0.5), rel=1e-14
+            sphere_circle_length(0.5), rel=1e-14, abs=0
         )
 
     def test_equator(self):
         sphere = SurfaceModel.sphere(1.0)
         assert geodesic_circle_length(sphere, (0.0, 0.0), math.pi / 2.0) == pytest.approx(
-            2.0 * math.pi, rel=1e-14
+            2.0 * math.pi, rel=1e-14, abs=0
         )
 
     def test_expansion_remainder_order_empirical(self):
@@ -421,7 +423,7 @@ class TestSurfaceTwoValuedQuotient:
     def test_spheroid_pole_certifies_strict_inequality(self):
         qv = surface_two_valued_quotient(SPHEROID, (0.0, 0.0), 0.3, 1.0)
         assert qv.value < C_STAR
-        assert qv.threshold == pytest.approx(C_STAR, rel=1e-15)
+        assert qv.threshold == pytest.approx(C_STAR, rel=1e-15, abs=0)
         assert qv.gap_to_threshold < -0.02
 
     def test_rejects_q_out_of_range(self):
@@ -435,7 +437,7 @@ class TestCriticalCurvatureThreshold:
         assert critical_curvature_threshold(2, 8.0 * math.pi) == pytest.approx(1.0, abs=1e-12)
         for area in (1.0, 11.7):
             assert critical_curvature_threshold(2, area) == pytest.approx(
-                8.0 * math.pi / area, rel=1e-14
+                8.0 * math.pi / area, rel=1e-14, abs=0
             )
 
     def test_round_three_sphere_sits_at_threshold(self):
@@ -452,7 +454,7 @@ class TestCriticalCurvatureThreshold:
 class TestGaussBonnet:
     def test_unit_sphere(self):
         integral, target = gauss_bonnet_check(SurfaceModel.sphere(1.0))
-        assert target == pytest.approx(8.0 * math.pi, rel=1e-15)
+        assert target == pytest.approx(8.0 * math.pi, rel=1e-15, abs=0)
         assert integral == pytest.approx(8.0 * math.pi, rel=1e-10)
 
     def test_flat_torus(self):
@@ -462,7 +464,7 @@ class TestGaussBonnet:
 
     def test_spheroid(self):
         integral, target = gauss_bonnet_check(SPHEROID)
-        assert target == pytest.approx(8.0 * math.pi, rel=1e-15)
+        assert target == pytest.approx(8.0 * math.pi, rel=1e-15, abs=0)
         assert abs(integral - target) <= 1e-3 * target
 
     def test_normalized_defect_below_tolerance_for_all_models(self):
@@ -484,8 +486,10 @@ class TestHemisphereCertificate:
 
     def test_numerator_and_denominator(self):
         cert = hemisphere_certificate(1.0)
-        assert cert.quotient.numerator == pytest.approx(4.0 * math.pi, rel=1e-15)
-        assert cert.quotient.denominator == pytest.approx(math.sqrt(4.0 * math.pi), rel=1e-15)
+        assert cert.quotient.numerator == pytest.approx(4.0 * math.pi, rel=1e-15, abs=0)
+        assert cert.quotient.denominator == pytest.approx(
+            math.sqrt(4.0 * math.pi), rel=1e-15, abs=0
+        )
 
     def test_rejects_q_out_of_range(self):
         with pytest.raises(ValueError):
