@@ -86,14 +86,35 @@ class GridFunction:
 
 
 def _forward_differences(v: np.ndarray, mask: np.ndarray):
-    """One-sided differences (dx, dy) of v, zero unless both cells are interior."""
-    dx = np.zeros_like(v)
-    dy = np.zeros_like(v)
-    px = mask[:, 1:] & mask[:, :-1]
-    py = mask[1:, :] & mask[:-1, :]
-    dx[:, :-1] = np.where(px, v[:, 1:] - v[:, :-1], 0.0)
-    dy[:-1, :] = np.where(py, v[1:, :] - v[:-1, :], 0.0)
-    return dx, dy
+    """One-sided differences (dx, dy) of v, zero unless both cells are interior.
+
+    Works on the row-major flattened grid, where the right neighbour of
+    cell i is i + 1 and the lower one i + nx: both are contiguous shifts.
+    """
+    nx = v.shape[1]
+    cells = mask.ravel()
+    px = cells[1:] & cells[:-1]
+    px[nx - 1::nx] = False  # a row's last cell and the next row's first
+    py = cells[nx:] & cells[:-nx]
+    flat = v.ravel()
+    dx = np.zeros(v.size)
+    dy = np.zeros(v.size)
+    np.subtract(flat[1:], flat[:-1], out=dx[:-1], where=px)
+    np.subtract(flat[nx:], flat[:-nx], out=dy[:-nx], where=py)
+    return dx.reshape(v.shape), dy.reshape(v.shape)
+
+
+def _pair_norms(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """hypot(dx, dy), evaluated only where a difference is nonzero.
+
+    Elsewhere hypot would return 0.0 too, so the array, and any sum
+    over it, is the same as the full evaluation; skipping the cells
+    where v is locally constant saves most of the libm calls while
+    the support of the differences is small (the first restart).
+    """
+    rho = np.zeros_like(dx)
+    np.hypot(dx, dy, out=rho, where=np.logical_or(dx, dy))
+    return rho
 
 
 def total_variation(u: GridFunction) -> float:
@@ -104,7 +125,7 @@ def total_variation(u: GridFunction) -> float:
     to the boundary trace).
     """
     dx, dy = _forward_differences(u._values, u.domain.interior_mask)
-    return float(u.domain.h * np.sum(np.hypot(dx, dy)))
+    return float(u.domain.h * np.sum(_pair_norms(dx, dy)))
 
 
 def lp_norm_power(u: GridFunction) -> float:
@@ -204,6 +225,10 @@ class SolverConfig:
             raise ValueError("budget must be >= 1")
         if self.restart_count < 0:
             raise ValueError("restart_count must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
 
 
 @dataclass
@@ -212,8 +237,9 @@ class ConstantEstimate:
 
     `value` is a rigorous upper bound for the discrete functional; the
     snapshot is the feasible function attaining it.  `history` rows are
-    (iter, best quotient so far, |constraint residual|, tv, lp norm);
-    the quotient column is nonincreasing by construction.
+    (iter, best quotient so far, |constraint residual|, tv, norm), where
+    tv and norm belong to the normalized iterate: its quotient and 1.0.
+    The quotient column is nonincreasing by construction.
     """
 
     value: float
@@ -228,19 +254,22 @@ class ConstantEstimate:
 
 
 def _smoothed_tv_gradient(v: np.ndarray, mask: np.ndarray, h: float, delta: float):
-    """Gradient of the Huber-smoothed TV sum h * phi_delta(|D v|)."""
-    dx, dy = _forward_differences(v, mask)
-    rho = np.hypot(dx, dy)
-    w = 1.0 / np.maximum(rho, delta)  # Huber: phi'(rho)/rho
-    gx = dx * w
-    gy = dy * w
-    grad = np.zeros_like(v)
-    grad -= gx
-    grad[:, 1:] += gx[:, :-1]
+    """Gradient of the Huber-smoothed TV sum h * phi_delta(|D v|).
+
+    Zero outside the mask: every pair it sums has both cells interior.
+    """
+    gx, gy = _forward_differences(v, mask)
+    w = 1.0 / np.maximum(_pair_norms(gx, gy), delta)  # Huber: phi'(rho)/rho
+    gx *= w
+    gy *= w
+    nx = v.shape[1]
+    gx, gy = gx.ravel(), gy.ravel()
+    grad = -gx
+    grad[1:] += gx[:-1]  # gx is zero at row ends, so nothing crosses a row
     grad -= gy
-    grad[1:, :] += gy[:-1, :]
-    grad[~mask] = 0.0
-    return h * grad
+    grad[nx:] += gy[:-nx]
+    grad *= h
+    return grad.reshape(v.shape)
 
 
 def minimize_quotient(domain: GridDomain, q: float, config: SolverConfig) -> ConstantEstimate:
@@ -249,8 +278,10 @@ def minimize_quotient(domain: GridDomain, q: float, config: SolverConfig) -> Con
     Restart 0 starts from the best two-valued profile (radius from
     `optimal_epsilon`); further restarts perturb it with seeded noise.
     Restarts are independent and reduce deterministically (minimum
-    value, ties to the lower restart index), so a fixed seed gives a
-    bitwise reproducible history.
+    value, ties to the lower restart index).  Every reduction in the
+    loop is a numpy pairwise sum, never a BLAS call, whose split across
+    threads would change the rounding; so a fixed seed gives a bitwise
+    identical history whatever the BLAS thread count.
     """
     config.validate()
     if not 0.0 < q < 2.0:
@@ -300,7 +331,7 @@ def minimize_quotient(domain: GridDomain, q: float, config: SolverConfig) -> Con
 
             delta = _SMOOTHING_WIDTH * h * max(float(np.ptp(w[mask])), 1e-12)
             grad = _smoothed_tv_gradient(w, mask, h, delta)
-            gnorm = float(np.linalg.norm(grad[mask]))
+            gnorm = math.sqrt(float(np.sum(np.square(grad[mask]))))
             if gnorm == 0.0:
                 break
             alpha = _STEP / (1.0 + k) ** _DECAY

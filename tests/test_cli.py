@@ -265,6 +265,13 @@ class TestMainEntryPoint:
         assert status == 2
         assert "q" in capsys.readouterr().err
 
+    def test_negative_seed_names_the_key(self, tmp_path, capsys):
+        status = main(["solve", "--out", str(tmp_path / "x"), "--seed", "-1",
+                       "--h", "0.015625"])
+        assert status == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_square_domain_yields_diagnostic(self, tmp_path, capsys):
         status = main([
             "domain-certificate", "--out", str(tmp_path / "x"),

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +69,61 @@ class TestTotalVariation:
         disk = build_domain(DomainSpec.disk(0.5), 1.0 / 64)
         u = GridFunction(disk, np.where(disk.interior_mask, 1.0, 0.0))
         assert total_variation(u) == 0.0
+
+
+def _where_differences(v, mask):
+    """The reference stencil: np.where on the pair masks."""
+    dx = np.zeros_like(v)
+    dy = np.zeros_like(v)
+    px = mask[:, 1:] & mask[:, :-1]
+    py = mask[1:, :] & mask[:-1, :]
+    with np.errstate(invalid="ignore"):  # inf - inf on exterior cells
+        dx[:, :-1] = np.where(px, v[:, 1:] - v[:, :-1], 0.0)
+        dy[:-1, :] = np.where(py, v[1:, :] - v[:-1, :], 0.0)
+    return dx, dy
+
+
+def _reference_gradient(v, mask, h, delta):
+    """The reference Huber-TV gradient, on the reference stencil."""
+    dx, dy = _where_differences(v, mask)
+    w = 1.0 / np.maximum(np.hypot(dx, dy), delta)
+    gx = dx * w
+    gy = dy * w
+    grad = np.zeros_like(v)
+    grad -= gx
+    grad[:, 1:] += gx[:, :-1]
+    grad -= gy
+    grad[1:, :] += gy[:-1, :]
+    grad[~mask] = 0.0
+    return h * grad
+
+
+class TestForwardDifferences:
+    def test_matches_where_formulation(self, disk128):
+        rng = np.random.default_rng(11)
+        y, x = np.mgrid[-1:1:90j, -1:1:120j]
+        isolated = np.zeros((40, 60), dtype=bool)
+        isolated[1::3, 2::4] = True  # no two interior cells are neighbours
+        isolated[20, 10:14] = True  # but one short row
+        masks = {
+            "disk128": disk128.interior_mask,
+            "annulus": (np.hypot(x, y) > 0.35) & (np.hypot(x, y) < 0.9),
+            "scattered": rng.random((70, 50)) < 0.55,
+            "isolated": isolated,
+            "column": np.ones((9, 1), dtype=bool),
+            "row": np.ones((1, 9), dtype=bool),
+        }
+        for name, mask in masks.items():
+            v = rng.standard_normal(mask.shape)
+            v[::7] = 0.25  # runs of equal values give exact zero differences
+            v[~mask] = np.inf  # the stencil never reads an exterior cell
+            dx, dy = solver._forward_differences(v, mask)
+            ref_dx, ref_dy = _where_differences(v, mask)
+            assert np.array_equal(dx, ref_dx), name
+            assert np.array_equal(dy, ref_dy), name
+            assert np.array_equal(solver._pair_norms(dx, dy), np.hypot(ref_dx, ref_dy)), name
+            assert np.array_equal(solver._smoothed_tv_gradient(v, mask, 0.02, 1e-3),
+                                  _reference_gradient(v, mask, 0.02, 1e-3)), name
 
 
 class TestLpNormPower:
@@ -194,6 +253,37 @@ class TestMinimizeQuotient:
             minimize_quotient(disk128, 1.0, SolverConfig(budget=0))
         with pytest.raises(ValueError):
             minimize_quotient(disk128, 2.5, self.CONFIG)
+
+    @pytest.mark.parametrize("key", ["seed", "patience"])
+    def test_negative_seed_or_patience_names_the_key(self, key):
+        with pytest.raises(ValueError, match=key):
+            SolverConfig(**{key: -1}).validate()
+
+    def test_history_independent_of_blas_threads(self):
+        # Each reduction in the loop is a numpy pairwise sum; a BLAS dot
+        # product would be split across threads and round differently.
+        root = Path(__file__).resolve().parent.parent
+        probe = (
+            "import hashlib, bvsharp as b; "
+            "d = b.build_domain(b.DomainSpec.disk(1.0), 1.0 / 96); "
+            "e = b.minimize_quotient(d, 1.0, "
+            "b.SolverConfig(budget=30, restart_count=0, seed=0)); "
+            "print(e.history.shape[0], hashlib.sha256(e.history.tobytes()).hexdigest())"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=threads)
+            result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout.split())
+        assert digests[0][0] == "30"
+        assert digests[0] == digests[1]
+
+    def test_solver_makes_no_blas_calls(self):
+        source = Path(solver.__file__).read_text()
+        for token in ("np.linalg", "np.dot", ".dot(", " @ "):
+            assert token not in source, token
 
     def test_constant_seed_rejected(self, disk128, monkeypatch):
         # A seed with one level leaves no iterate to evaluate.
