@@ -105,16 +105,15 @@ def _forward_differences(v: np.ndarray, mask: np.ndarray):
 
 
 def _pair_norms(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """hypot(dx, dy), evaluated only where a difference is nonzero.
+    """sqrt(dx*dx + dy*dy) on every cell, into one new array.
 
-    Elsewhere hypot would return 0.0 too, so the array, and any sum
-    over it, is the same as the full evaluation; skipping the cells
-    where v is locally constant saves most of the libm calls while
-    the support of the differences is small (the first restart).
+    Within an ulp of hypot(dx, dy) while |dx| and |dy| lie in about
+    [1e-154, 1e154]: above that the squares overflow, and TV and the
+    L^2 norm raise; below it they are subnormal and lose digits.
     """
-    rho = np.zeros_like(dx)
-    np.hypot(dx, dy, out=rho, where=np.logical_or(dx, dy))
-    return rho
+    rho = np.multiply(dx, dx)
+    rho += np.multiply(dy, dy)
+    return np.sqrt(rho, out=rho)
 
 
 def total_variation(u: GridFunction) -> float:
@@ -125,13 +124,19 @@ def total_variation(u: GridFunction) -> float:
     to the boundary trace).
     """
     dx, dy = _forward_differences(u._values, u.domain.interior_mask)
-    return float(u.domain.h * np.sum(_pair_norms(dx, dy)))
+    return _finite(float(u.domain.h * np.sum(_pair_norms(dx, dy))), "squared differences")
 
 
 def lp_norm_power(u: GridFunction) -> float:
     """(sum h^2 u^2)^(1/2) over interior cells: the L^{n/(n-1)} norm at n = 2."""
     vals = u.interior_values()
-    return float((u.domain.h**2 * np.sum(vals * vals)) ** 0.5)
+    return _finite(float((u.domain.h**2 * np.sum(vals * vals)) ** 0.5), "squared values")
+
+
+def _finite(result: float, squares: str) -> float:
+    if not math.isfinite(result):
+        raise ValueError(f"{squares} overflowed: the result is not finite")
+    return result
 
 
 def grid_quotient(u: GridFunction, q: float) -> float:
@@ -259,7 +264,8 @@ def _smoothed_tv_gradient(v: np.ndarray, mask: np.ndarray, h: float, delta: floa
     Zero outside the mask: every pair it sums has both cells interior.
     """
     gx, gy = _forward_differences(v, mask)
-    w = 1.0 / np.maximum(_pair_norms(gx, gy), delta)  # Huber: phi'(rho)/rho
+    w = _pair_norms(gx, gy)
+    np.divide(1.0, np.maximum(w, delta, out=w), out=w)  # Huber: phi'(rho)/rho
     gx *= w
     gy *= w
     nx = v.shape[1]
@@ -295,62 +301,55 @@ def minimize_quotient(domain: GridDomain, q: float, config: SolverConfig) -> Con
     h = domain.h
     amp = 0.1 * float(np.ptp(u_seed.interior_values()))
 
-    best_value = math.inf
+    best_value, best_resid = math.inf, math.nan
     best_snapshot = None
     rows = []
-    global_iter = 0
 
     for restart in range(config.restart_count + 1):
         rng = np.random.default_rng([config.seed, restart])
         v = u_seed.values.copy()
         if restart > 0:
-            noise = rng.standard_normal(v.shape)
-            v = v + amp * noise * mask
+            v += amp * rng.standard_normal(v.shape) * mask
         stale = 0
         for k in range(config.budget):
             levels = v[mask]
             if np.max(levels) - np.min(levels) <= 0.0:
                 break
-            lam = shift_to_constraint((levels, h * h), q)
-            gf = GridFunction(domain, (v - lam) * mask)
+            v -= shift_to_constraint((levels, h * h), q)
+            v *= mask
+            gf = GridFunction(domain, v)
             norm = lp_norm_power(gf)
             value = total_variation(gf) / norm  # TV is 1-homogeneous
-            w = gf.values / norm
-            resid = abs(
-                float(np.sum(sign_power(w[mask], q))) * h * h
-            )
+            v /= norm  # the normalized iterate w
+            levels = v[mask]  # for the residual and the Huber width
+            resid = abs(float(np.sum(sign_power(levels, q))) * h * h)
             improved = value < best_value * (1.0 - _TOL)
             if value < best_value:
-                best_value = value
-                best_snapshot = GridFunction(domain, w)
-            rows.append((global_iter, best_value, resid, value, 1.0))
-            global_iter += 1
+                best_value, best_resid = value, resid
+                best_snapshot = GridFunction(domain, v)
+            rows.append((len(rows), best_value, resid, value, 1.0))
             stale = 0 if improved else stale + 1
             if stale > config.patience:
                 break
 
-            delta = _SMOOTHING_WIDTH * h * max(float(np.ptp(w[mask])), 1e-12)
-            grad = _smoothed_tv_gradient(w, mask, h, delta)
-            gnorm = math.sqrt(float(np.sum(np.square(grad[mask]))))
+            delta = _SMOOTHING_WIDTH * h * max(float(np.ptp(levels)), 1e-12)
+            grad = _smoothed_tv_gradient(v, mask, h, delta)
+            gnorm = math.sqrt(float(np.sum(np.square(grad))))  # zero off the mask
             if gnorm == 0.0:
                 break
             alpha = _STEP / (1.0 + k) ** _DECAY
-            v = w - alpha * grad / gnorm
+            v -= grad * (alpha / gnorm)
 
     if best_snapshot is None:  # every restart began on equal levels
         raise ValueError("all levels equal: shift is undefined (degenerate input)")
 
-    residual = abs(
-        float(np.sum(sign_power(best_snapshot.interior_values(), q))) * h * h
-    )
     threshold = half_space_constant(2)
-    history = np.array(rows, dtype=float)
     return ConstantEstimate(
         value=best_value,
         q=q,
         snapshot=best_snapshot,
-        residual=residual,
-        history=history,
+        residual=best_resid,
+        history=np.array(rows, dtype=float),
         threshold=threshold,
         below_threshold=best_value < threshold,
         seed_value=seed_qv.value,

@@ -27,6 +27,7 @@ from bvsharp import (
     surface_quotient_expansion,
     two_valued_quotient_exact,
 )
+from bvsharp.geometry import DomainSpec, build_domain
 from oracles import disk_arc_inside, lens_area, two_valued_quotient
 
 C_HALF = half_space_constant(2)
@@ -287,6 +288,29 @@ class TestTwoValuedQuotientExact:
                 return num / den
 
             assert abs(quotient(s) - quotient(1.0)) <= 1e-12 * quotient(1.0)
+
+    @pytest.mark.parametrize("s", [0.5, 3.0])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("shape", ["disk", "ellipse", "fourier"])
+    def test_invariant_under_dilation(self, shape, q, s):
+        # At n = 2 the arc scales like s and the L^2 norm like s, so the
+        # quotient of the dilated profile on the dilated domain is unchanged.
+        def spec(k):
+            return {
+                "disk": DomainSpec.disk(k),
+                "ellipse": DomainSpec.ellipse(2.0 * k, k),
+                "fourier": DomainSpec.fourier(k, (0.0, 0.15 * k), (0.05 * k,)),
+            }[shape]
+
+        centre, eps = {"disk": ((1.0, 0.0), 0.3), "ellipse": ((2.0, 0.0), 0.4),
+                       "fourier": ((1.0, 0.1), 0.35)}[shape]
+
+        def quotient(k):
+            domain = build_domain(spec(k), k / 128)
+            return two_valued_quotient_exact(
+                domain, (k * centre[0], k * centre[1]), k * eps, q).value
+
+        assert abs(quotient(s) - quotient(1.0)) <= 1e-12 * quotient(1.0)
 
     def test_rejects_cap_covering_domain(self, disk256):
         with pytest.raises(ValueError):

@@ -70,6 +70,25 @@ class TestTotalVariation:
         u = GridFunction(disk, np.where(disk.interior_mask, 1.0, 0.0))
         assert total_variation(u) == 0.0
 
+    @pytest.mark.parametrize("s", [1e100, -1e100, 1e-100])
+    def test_homogeneity_at_extreme_scales(self, disk128, s):
+        rng = np.random.default_rng(31)
+        u = GridFunction(disk128, rng.uniform(-1, 1, disk128.interior_mask.shape))
+        scaled = GridFunction(disk128, s * u.values)
+        for norm in (total_variation, lp_norm_power):
+            assert abs(norm(scaled) - abs(s) * norm(u)) <= 1e-13 * abs(s) * norm(u)
+
+    def test_overflow_raises_by_name(self, disk128):
+        rng = np.random.default_rng(37)
+        u = GridFunction(disk128, 1e200 * rng.uniform(-1, 1, disk128.interior_mask.shape))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="squared differences overflowed"):
+                total_variation(u)
+            with pytest.raises(ValueError, match="squared values overflowed"):
+                lp_norm_power(u)
+            with pytest.raises(ValueError, match="overflowed"):
+                grid_quotient(u, 1.0)  # used to return 0 from an infinite norm
+
 
 def _where_differences(v, mask):
     """The reference stencil: np.where on the pair masks."""
@@ -86,7 +105,7 @@ def _where_differences(v, mask):
 def _reference_gradient(v, mask, h, delta):
     """The reference Huber-TV gradient, on the reference stencil."""
     dx, dy = _where_differences(v, mask)
-    w = 1.0 / np.maximum(np.hypot(dx, dy), delta)
+    w = 1.0 / np.maximum(np.sqrt(dx * dx + dy * dy), delta)
     gx = dx * w
     gy = dy * w
     grad = np.zeros_like(v)
@@ -121,7 +140,10 @@ class TestForwardDifferences:
             ref_dx, ref_dy = _where_differences(v, mask)
             assert np.array_equal(dx, ref_dx), name
             assert np.array_equal(dy, ref_dy), name
-            assert np.array_equal(solver._pair_norms(dx, dy), np.hypot(ref_dx, ref_dy)), name
+            norms = solver._pair_norms(dx, dy)
+            assert np.array_equal(norms, np.sqrt(ref_dx * ref_dx + ref_dy * ref_dy)), name
+            exact = np.hypot(ref_dx, ref_dy)  # the sqrt form stays within 1 ulp of it
+            assert np.all(np.abs(norms - exact) <= np.spacing(exact)), name
             assert np.array_equal(solver._smoothed_tv_gradient(v, mask, 0.02, 1e-3),
                                   _reference_gradient(v, mask, 0.02, 1e-3)), name
 
@@ -258,6 +280,19 @@ class TestMinimizeQuotient:
     def test_negative_seed_or_patience_names_the_key(self, key):
         with pytest.raises(ValueError, match=key):
             SolverConfig(**{key: -1}).validate()
+
+    def test_trajectory_matches_hypot_norms(self, disk128, monkeypatch):
+        # The sqrt(dx^2 + dy^2) pair norm moves TV by a few ulps against
+        # hypot; the descent takes the same steps and stops at the same row.
+        fast = minimize_quotient(disk128, 1.0, self.CONFIG)
+        monkeypatch.setattr(solver, "_pair_norms", np.hypot)
+        exact = minimize_quotient(disk128, 1.0, self.CONFIG)
+        assert fast.history.shape == exact.history.shape
+        for col in (0, 1, 3, 4):
+            assert np.all(np.abs(fast.history[:, col] - exact.history[:, col])
+                          <= 2e-15 * np.abs(exact.history[:, col])), col
+        assert np.all(np.abs(fast.history[:, 2] - exact.history[:, 2]) <= 1e-15)
+        assert abs(fast.value - exact.value) <= 2e-15 * exact.value
 
     def test_history_independent_of_blas_threads(self):
         # Each reduction in the loop is a numpy pairwise sum; a BLAS dot

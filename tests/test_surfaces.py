@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +180,25 @@ class TestSingleBallRoutine:
         assert geodesic_circle_length(SPHEROID, south, eps) == pytest.approx(
             geodesic_circle_length(SPHEROID, north, eps), rel=1e-13, abs=0
         )
+
+    def test_spheroid_ball_independent_of_blas_threads(self):
+        # The RK6 stages run through matmul on small arrays; a thread
+        # split of those products would round differently.
+        root = Path(__file__).resolve().parent.parent
+        probe = (
+            "from bvsharp import surfaces as s; "
+            "m = s.SurfaceModel.spheroid(1.0, 1.3); "
+            "print(repr([s._geodesic_ball(m, (0.9, 0.0), e) for e in (0.3, 0.8)]))"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=threads)
+            result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0].count("(") == 2  # two (area, perimeter) pairs
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
     def test_quotient_matches_public_ball_functions(self, q):
