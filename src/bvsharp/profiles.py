@@ -244,12 +244,21 @@ def _two_valued_quotient(total: float, cap: float, jump: float, q: float, n: int
 
         (1 + beta) jump / (cap + beta^(n/(n-1)) (total - cap))^(1-1/n).
 
-    Raises ValueError unless 0 < cap < total.
+    Raises ValueError unless 0 < cap < total.  When beta or beta^p lies
+    beyond the float range, numerator and denominator are both divided by
+    beta, which leaves the quotient unchanged:
+
+        (1 + 1/beta) jump / (cap beta^(-p) + total - cap)^(1-1/n).
     """
-    beta = beta_eps(total, cap, q)
     p = n / (n - 1)
-    numerator = (1.0 + beta) * jump
-    denominator = (cap + beta**p * (total - cap)) ** (1.0 - 1.0 / n)
+    try:
+        beta = beta_eps(total, cap, q)
+        numerator = (1.0 + beta) * jump
+        denominator = (cap + beta**p * (total - cap)) ** (1.0 - 1.0 / n)
+    except OverflowError:
+        inv_beta = (total / cap - 1.0) ** (1.0 / q)
+        numerator = (1.0 + inv_beta) * jump
+        denominator = (cap * inv_beta**p + (total - cap)) ** (1.0 - 1.0 / n)
     return QuotientValue.against(numerator, denominator, threshold)
 
 

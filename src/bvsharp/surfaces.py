@@ -20,8 +20,9 @@ J'(0) = 1, and then
 
 One Jacobi integration per ball gives both numbers, at every center,
 poles included: the geodesics are integrated in the R^3 embedding,
-which has no coordinate singularities at the poles, by Butcher's
-sixth-order Runge-Kutta method, and the inner integral
+which has no coordinate singularities at the poles, by the
+eighth-order Runge-Kutta method of DOP853 with steps of at most 1/25 of
+the curvature length, and the inner integral
 A(s) = int_0^s J is carried as one more state, so the area and the
 perimeter are read off the final state.  A spheroid ball depends only
 on the polar angle of its center and is symmetric about the meridian
@@ -174,19 +175,64 @@ def scalar_curvature(surface: SurfaceModel, point) -> float:
 # geodesic-ball quadrature
 
 
-# Butcher's 7-stage explicit Runge-Kutta method of order 6 (Butcher,
-# J. Austral. Math. Soc. 4, 1964): nodes c, stage matrix A, weights b.
-_RK6_C = np.array([0.0, 1 / 3, 2 / 3, 1 / 3, 1 / 2, 1 / 2, 1.0])
-_RK6_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [0.0, 2 / 3, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 12, 1 / 3, -1 / 12, 0.0, 0.0, 0.0, 0.0],
-    [-1 / 16, 9 / 8, -3 / 16, -3 / 8, 0.0, 0.0, 0.0],
-    [0.0, 9 / 8, -3 / 8, -3 / 4, 1 / 2, 0.0, 0.0],
-    [9 / 44, -9 / 11, 63 / 44, 18 / 11, 0.0, -16 / 11, 0.0],
+# The 12-stage explicit Runge-Kutta method of order 8 that propagates the
+# solution in DOP853 (Prince & Dormand, J. Comput. Appl. Math. 7, 1981;
+# Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., sec. II.10): nodes c,
+# stage matrix A, weights b.  The literals are those of
+# scipy/integrate/_ivp/dop853_coefficients.py (its C[:12], A[:12, :12] and
+# B), copied so that bvsharp does not import scipy.
+_RK8_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
 ])
-_RK6_B = np.array([11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120])
+_RK8_A = np.zeros((12, 12))
+_RK8_A[1, :1] = [5.26001519587677318785587544488e-2]
+_RK8_A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_RK8_A[3, :3] = [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2]
+_RK8_A[4, :4] = [2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+                 9.24834003261792003115737966543e-1]
+_RK8_A[5, :5] = [3.7037037037037037037037037037e-2, 0.0, 0.0,
+                 1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1]
+_RK8_A[6, :6] = [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+                 6.02165389804559606850219397283e-2, -1.7578125e-2]
+_RK8_A[7, :7] = [3.70920001185047927108779319836e-2, 0.0, 0.0,
+                 1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+                 -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3]
+_RK8_A[8, :8] = [6.24110958716075717114429577812e-1, 0.0, 0.0,
+                 -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+                 2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+                 -4.34898841810699588477366255144e1]
+_RK8_A[9, :9] = [4.77662536438264365890433908527e-1, 0.0, 0.0,
+                 -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+                 2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+                 -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2]
+_RK8_A[10, :10] = [-9.3714243008598732571704021658e-1, 0.0, 0.0,
+                   5.18637242884406370830023853209, 1.09143734899672957818500254654,
+                   -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+                   2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+                   -3.0467644718982195003823669022]
+_RK8_A[11, :11] = [2.27331014751653820792359768449, 0.0, 0.0,
+                   -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+                   -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+                   -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+                   1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1]
+_RK8_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+])
 
 
 def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
@@ -205,17 +251,19 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
     Integration happens in the R^3 embedding of the spheroid
     (x1^2+x2^2)/a^2 + x3^2/c^2 = 1, which is immune to the coordinate
     degeneracy at the poles.  The state (A, x, J, v, J') of all
-    directions is one (9, 129) array, advanced by Butcher's sixth-order
-    Runge-Kutta method and re-projected in place to the surface and to
-    unit speed after every step.  The step count is
-    max(32, ceil(eps sqrt(K_max) / 0.01)): steps of at most 1/100 of the
-    curvature length 1/sqrt(K_max).  J must stay positive: a step that
-    ends with J <= 0 has passed a conjugate point, and the ball is then
-    no longer given by these formulas, so that raises `ValueError`.
+    directions is one (9, 129) array, advanced by the eighth-order
+    Runge-Kutta method of DOP853 and re-projected in place to the surface
+    and to unit speed after every step.  The step count is
+    ceil(eps sqrt(K_max) / 0.04): steps of at most 1/25 of the curvature
+    length 1/sqrt(K_max).  J must stay positive: a step that ends with
+    J <= 0 has passed a conjugate point, and the ball is then no longer
+    given by these formulas, so that raises `ValueError`.  Zeros of J are
+    at least pi / sqrt(K_max) apart (Sturm comparison), so J cannot turn
+    negative and back within one step, and step ends are enough to check.
     """
     a2, c2 = a * a, c * c
     k_max = 0.5 * SurfaceModel.spheroid(a, c).curvature_range()[1]
-    steps = max(32, math.ceil(eps * math.sqrt(k_max) / 0.01))
+    steps = math.ceil(eps * math.sqrt(k_max) / 0.04)
     st, ct = math.sin(theta0), math.cos(theta0)
     E0 = math.sqrt(a2 * ct * ct + c2 * st * st)
     # F(x) = g . (x * x) / 2 - 1 is the spheroid, with gradient g * x.
@@ -223,23 +271,24 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
     neg_g, g2 = -g[:, None], g * g
 
     alphas = np.linspace(0.0, math.pi, 129)  # 2 pi m / 256, m = 0..128
-    # S[0] is the state, S[1..7] the stage derivatives.  State rows A, x1,
+    # S[0] is the state, S[1..12] the stage derivatives.  State rows A, x1,
     # x2, x3, J, v1, v2, v3, J': d/ds of rows 0..4 is rows 4..8.
-    S = np.zeros((8, 9, alphas.size))
-    S_flat = S.reshape(8, -1)
+    stages = _RK8_B.size
+    S = np.zeros((stages + 1, 9, alphas.size))
+    S_flat = S.reshape(stages + 1, -1)
     Y = S[0]
     Y[1], Y[3], Y[8] = a * st, c * ct, 1.0
     Y[5:8] = np.outer([a * ct / E0, 0.0, -c * st / E0], np.cos(alphas))
     Y[6] = np.sin(alphas)
     x, J, v = Y[1:4], Y[4], Y[5:8]
 
-    # Row i < 7 combines S[0..i] into the state of stage i, row 7 all of S
-    # into the next state.
+    # Row i < stages combines S[0..i] into the state of stage i, the last
+    # row all of S into the next state.
     ds = eps / steps
-    combine = np.zeros((8, 8))
+    combine = np.zeros((stages + 1, stages + 1))
     combine[:, 0] = 1.0
-    combine[:7, 1:] = ds * _RK6_A
-    combine[7, 1:] = ds * _RK6_B
+    combine[:stages, 1:] = ds * _RK8_A
+    combine[stages, 1:] = ds * _RK8_B
     Ys = np.empty_like(Y)  # stage state
     Ys_flat = Ys.reshape(-1)
 
@@ -276,10 +325,10 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
     J_min = np.full(alphas.size, np.inf)
     for _ in range(steps):
         rhs(Y, S[1])
-        for i in range(1, 7):
+        for i in range(1, stages):
             np.matmul(combine[i, :i + 1], S_flat[:i + 1], out=Ys_flat)
             rhs(Ys, S[i + 1])
-        np.matmul(combine[7], S_flat, out=Ys_flat)
+        np.matmul(combine[stages], S_flat, out=Ys_flat)
         Y[:] = Ys
 
         # Project back to the surface, along grad F ...
@@ -341,8 +390,9 @@ def _geodesic_ball(surface: SurfaceModel, center, eps: float):
     if not all(map(math.isfinite, center)):
         raise ValueError(f"center coordinates must be finite, got {tuple(center)}")
     if surface.kind == "sphere":
+        # 2 pi r^2 (1 - cos(eps/r)) without its cancellation at small eps
         r = surface.r
-        return (2.0 * math.pi * r**2 * (1.0 - math.cos(eps / r)),
+        return (4.0 * math.pi * r**2 * math.sin(0.5 * eps / r) ** 2,
                 2.0 * math.pi * r * math.sin(eps / r))
     if surface.kind == "flat-torus":
         return math.pi * eps**2, 2.0 * math.pi * eps
@@ -385,7 +435,13 @@ def geodesic_circle_expansion(S: float, eps: float, n: int) -> float:
 
 def surface_two_valued_quotient(surface: SurfaceModel, center, eps: float,
                                 q: float, n: int = 2) -> QuotientValue:
-    """Exact quadrature quotient of chi_B - beta chi_complement on M."""
+    """Exact quadrature quotient of chi_B - beta chi_complement on M.
+
+    The models are 2-surfaces, so n must be 2: the quotient of an area
+    and a length is compared with c*_2.
+    """
+    if n != 2:
+        raise ValueError(f"dimension n = {n} does not match the 2-dimensional {surface.kind}")
     if not 0.0 < q < n / (n - 1):
         raise ValueError(f"q must lie in (0, {n/(n-1)}), got {q}")
     ball, perim = _geodesic_ball(surface, center, eps)

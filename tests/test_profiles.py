@@ -21,6 +21,7 @@ from bvsharp import (
     half_space_constant,
     minimize_quotient,
     optimal_epsilon,
+    profiles,
     sharp_sobolev_constant,
     shift_to_constraint,
     sign_power,
@@ -320,6 +321,19 @@ class TestTwoValuedQuotientExact:
     def test_rejects_dimension_other_than_two(self, disk256, n):
         with pytest.raises(ValueError, match="planar"):
             two_valued_quotient_exact(disk256, (1.0, 0.0), 0.2, 1.0, n=n)
+
+    @pytest.mark.parametrize("cap", [0.9994, 0.99999])
+    def test_overflowing_plateau_gives_the_finite_quotient(self, cap):
+        # At q = 0.01, beta = (V/W)^100 lies beyond the float range; the
+        # quotient itself is finite.
+        mpmath = pytest.importorskip("mpmath")
+        qv = profiles._two_valued_quotient(1.0, cap, 3.9, 0.01, 2, C_STAR)
+        with mpmath.workdps(50):
+            V = mpmath.mpf(cap)
+            beta = (V / (1 - V)) ** 100
+            exact = float((1 + beta) * mpmath.mpf(3.9) / mpmath.sqrt(V + beta**2 * (1 - V)))
+        assert qv.value == pytest.approx(exact, rel=1e-14, abs=0)
+        assert qv.gap_to_threshold == qv.value - C_STAR
 
     @pytest.mark.parametrize("q", [0.1, 0.5, 1.0, 1.5, 1.9])
     def test_certificate_holds_across_the_exponent_range(self, disk256, q):

@@ -322,6 +322,10 @@ class TestSpheroidIntegrator:
             geodesic_circle_length(surface, north, eps), rel=1e-13, abs=0)
 
     def test_conjugate_point_raises(self):
+        """A check of J at each step end is enough: zeros of J are at least
+        pi / sqrt(K_max) apart (Sturm comparison), far more than one step of
+        0.04 / sqrt(K_max), so J cannot turn negative and back within a step.
+        """
         # On spheroid(1, 5), K = 25 at the pole: J along alpha = pi from
         # polar angle 0.3 turns negative near s = 0.78.
         with pytest.raises(ValueError, match=r"conjugate point.*1\.2.*0\.3"):
@@ -355,28 +359,42 @@ class TestSpheroidIntegrator:
 
 
 class TestButcherTableau:
-    """The sixth-order Runge-Kutta method behind the spheroid balls."""
+    """The eighth-order Runge-Kutta method (DOP853) behind the spheroid balls."""
 
     def test_consistency(self):
-        A, b, c = surfaces._RK6_A, surfaces._RK6_B, surfaces._RK6_C
+        A, b, c = surfaces._RK8_A, surfaces._RK8_B, surfaces._RK8_C
+        assert A.shape == (b.size, b.size) and c.size == b.size
         assert np.all(np.triu(A) == 0.0)  # explicit
         np.testing.assert_allclose(A.sum(axis=1), c, rtol=0.0, atol=1e-15)
-        assert b.sum() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_quadrature_order_conditions(self, k):
+        # sum_i b_i c_i^(k-1) = 1/k for k <= 8; k = 9 fails by 2.7e-5.
+        b, c = surfaces._RK8_B, surfaces._RK8_C
+        assert b @ c ** (k - 1) == pytest.approx(1.0 / k, rel=0.0, abs=1e-15)
 
     def test_empirical_order(self):
-        # y' = y^2, y(0) = 1 has y = 1 / (1 - t); y(0.5) = 2.
+        # y' = y^2, y(0) = 1 has y = 1 / (1 - t); y(0.5) = 2.  From 16
+        # steps on the error is at roundoff, so compare 8 with 16.
         def solve(steps):
             h, y = 0.5 / steps, 1.0
             for _ in range(steps):
                 k = []
-                for row in surfaces._RK6_A:
+                for row in surfaces._RK8_A:
                     stage = y + h * sum(a * kj for a, kj in zip(row, k))
                     k.append(stage * stage)
-                y += h * sum(bi * ki for bi, ki in zip(surfaces._RK6_B, k))
+                y += h * sum(bi * ki for bi, ki in zip(surfaces._RK8_B, k))
             return y
 
-        order = math.log2(abs(solve(16) - 2.0) / abs(solve(32) - 2.0))
-        assert order >= 5.8
+        order = math.log2(abs(solve(8) - 2.0) / abs(solve(16) - 2.0))
+        assert order >= 7.8
+
+    def test_literals_match_scipy(self):
+        # Transcription check only: bvsharp itself never imports scipy.
+        dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert np.array_equal(surfaces._RK8_A, dop853.A[:12, :12])
+        assert np.array_equal(surfaces._RK8_B, dop853.B)
+        assert np.array_equal(surfaces._RK8_C, dop853.C[:12])
 
 
 class TestGrayExpansion:
@@ -442,6 +460,21 @@ class TestSurfaceTwoValuedQuotient:
         for eps in (0.2, 0.3, 0.4):
             qv = surface_two_valued_quotient(sphere, (0.0, 0.0), eps, 1.0)
             assert abs(qv.value - C_STAR) <= 0.5 * eps**4
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-3, 0.1, 1.0, math.pi / 2.0, 2.5])
+    def test_round_sphere_ball_equals_sharp_constant_at_q1(self, eps):
+        # Q = P sqrt(T) / sqrt(V (T - V)) = 2 sqrt(pi) for every ball; the
+        # cap area 2 pi (1 - cos eps) cancels at small eps unless written
+        # as 4 pi sin^2(eps / 2).  Near pi the complement T - V is formed by
+        # a subtraction that loses about 12 digits, so the range stops at 2.5.
+        sphere = SurfaceModel.sphere(1.0)
+        qv = surface_two_valued_quotient(sphere, (0.0, 0.0), eps, 1.0)
+        assert qv.value == pytest.approx(C_STAR, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rejects_dimension_other_than_two(self, n):
+        with pytest.raises(ValueError, match=f"dimension n = {n}"):
+            surface_two_valued_quotient(SPHEROID, (0.0, 0.0), 0.3, 1.2, n=n)
 
     def test_spheroid_pole_certifies_strict_inequality(self):
         qv = surface_two_valued_quotient(SPHEROID, (0.0, 0.0), 0.3, 1.0)
