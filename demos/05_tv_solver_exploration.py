@@ -1,6 +1,6 @@
 """Exploring the discrete quotient landscape with the TV solver.
 
-The solver performs projected subgradient descent on the discrete
+The solver performs one projected subgradient descent on the discrete
 quotient: every iterate is shifted back onto the constraint set and
 renormalized, so each reported value is the exact quotient of a
 feasible grid function, a rigorous upper bound for the discrete
@@ -15,7 +15,6 @@ import numpy as np
 from bvsharp import (
     DomainSpec,
     GridFunction,
-    SolverConfig,
     build_domain,
     grid_quotient,
     half_space_constant,
@@ -23,8 +22,7 @@ from bvsharp import (
 )
 
 domain = build_domain(DomainSpec.disk(1.0), 1.0 / 128)
-config = SolverConfig(budget=80, restart_count=2, seed=42, patience=40)
-estimate = minimize_quotient(domain, 1.0, config)
+estimate = minimize_quotient(domain, 1.0, budget=80)
 
 print(f"seed: two-valued profile at eps = {estimate.seed_eps:.4f} "
       f"(exact quotient {estimate.seed_value:.6f})")

@@ -50,7 +50,6 @@ from .profiles import (
 from .solver import (
     ConstantEstimate,
     GridFunction,
-    SolverConfig,
     ball_indicator,
     grid_quotient,
     lp_norm_power,

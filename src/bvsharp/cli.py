@@ -96,13 +96,7 @@ class ExperimentConfig:
     target: str = "domain-quotient"
     # solver
     budget: int = 300
-    restarts: int = 2
-    seed: int = 0
-
-    def solver_config(self) -> solver.SolverConfig:
-        return solver.SolverConfig(
-            budget=self.budget, restart_count=self.restarts, seed=self.seed
-        )
+    seed: int = 0  # echoed in the solve summary; changes no result
 
     def domain_spec(self) -> geometry.DomainSpec:
         if self.shape == "disk":
@@ -208,8 +202,8 @@ def _validate(config: ExperimentConfig):
         raise ConfigError("n_min/n_max: need 2 <= n_min <= n_max")
     if config.budget < 1:
         raise ConfigError("budget: must be >= 1")
-    if config.restarts < 0:
-        raise ConfigError("restarts: must be >= 0")
+    if config.seed < 0:
+        raise ConfigError("seed: must be >= 0")
     if config.target not in ("domain-quotient", "gray"):
         raise ConfigError("target: expected domain-quotient or gray")
 
@@ -312,7 +306,7 @@ def _task_domain_sweep(config: ExperimentConfig):
 
 def _task_solve(config: ExperimentConfig):
     domain = geometry.build_domain(config.domain_spec(), config.h)
-    estimate = solver.minimize_quotient(domain, config.q, config.solver_config())
+    estimate = solver.minimize_quotient(domain, config.q, config.budget)
     summary = {
         "q": config.q,
         "value": estimate.value,
@@ -435,12 +429,8 @@ _RUNNERS = {
 
 
 def _to_python(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, np.generic):  # numpy scalars to float, int, bool
+        return value.item()
     if isinstance(value, dict):
         return {k: _to_python(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -471,10 +461,8 @@ def _format_cell(cell):
 
 def run(config: ExperimentConfig) -> int:
     """Execute one task and write summary.json / detail.csv under out."""
-    runner = _RUNNERS[config.task]
-    summary, header, rows = runner(config)
-    summary = dict(summary)
-    summary["task"] = config.task
+    summary, header, rows = _RUNNERS[config.task](config)
+    summary = {**summary, "task": config.task}
     _write_reports(Path(config.out), summary, header, rows)
     return 0
 
@@ -485,13 +473,11 @@ def run(config: ExperimentConfig) -> int:
 
 def _parse_overrides(tokens):
     overrides = {}
-    i = 0
-    while i < len(tokens):
+    for i in range(0, len(tokens), 2):
         token = tokens[i]
         if not token.startswith("--") or i + 1 >= len(tokens):
             raise ConfigError(f"expected --key value pairs, got {token!r}")
         overrides[token[2:]] = tokens[i + 1]
-        i += 2
     return overrides
 
 

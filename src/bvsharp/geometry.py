@@ -273,6 +273,7 @@ class GridDomain:
 
     @property
     def diameter(self) -> float:
+        """Largest distance between 1024 boundary samples: a lower bound."""
         return self._diameter
 
     def cell_centers(self):
@@ -288,7 +289,8 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
     trapezoid rule on 2048 points (the integrand is rho^2): exact for the
     disk and for a Fourier boundary of degree below 1024; for the ellipse,
     whose rho^2 has Fourier coefficients decaying like ((a-b)/(a+b))^k,
-    the error is at rounding level.
+    the error is at rounding level.  The diameter is the maximum distance
+    over 1024 boundary samples, so it is a lower bound on the true one.
     """
     spec.validate()
     if h <= 0:

@@ -102,6 +102,9 @@ def beta_eps(total_measure: float, cap: float, q: float) -> float:
     """Plateau making the two-valued profile satisfy the q-constraint,
 
         beta = (total/cap - 1)^(-1/q).
+
+    Raises OverflowError, naming q and cap/total, when beta lies beyond
+    the float range.
     """
     if q <= 0:
         raise ValueError(f"exponent q must be positive, got {q}")
@@ -110,7 +113,11 @@ def beta_eps(total_measure: float, cap: float, q: float) -> float:
             f"cap measure must lie strictly between 0 and the total "
             f"({cap} vs {total_measure})"
         )
-    return (total_measure / cap - 1.0) ** (-1.0 / q)
+    try:
+        return (total_measure / cap - 1.0) ** (-1.0 / q)
+    except OverflowError as exc:
+        raise OverflowError(f"beta = (total/cap - 1)^(-1/q) lies beyond the float range "
+                            f"at q = {q}, cap/total = {cap / total_measure}") from exc
 
 
 def constraint_residual(values, q: float) -> float:

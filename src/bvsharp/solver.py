@@ -4,7 +4,8 @@ The solver searches for upper bounds on the sharp constant
 
     c_q = inf { |Du|(Omega) : ||u||_{n/(n-1)} = 1, int sgn(u)|u|^q = 0 }
 
-by projected subgradient descent on a shift-normalized quotient.  The
+by one projected subgradient descent on a shift-normalized quotient,
+started from the best two-valued profile; nothing in it is random.  The
 nonconvex constraint is handled by reparameterization, never by
 penalties: every iterate is shifted to the unique feasible level and
 renormalized, so every quotient the solver reports is the exact
@@ -36,7 +37,6 @@ from .profiles import beta_eps, optimal_epsilon, shift_to_constraint, sign_power
 
 __all__ = [
     "GridFunction",
-    "SolverConfig",
     "ConstantEstimate",
     "total_variation",
     "lp_norm_power",
@@ -48,11 +48,15 @@ __all__ = [
 
 # Descent schedule: step _STEP / (1 + k)^_DECAY at iteration k; Huber
 # width _SMOOTHING_WIDTH cells; an iterate counts as an improvement only
-# below (1 - _TOL) times the best value.
+# below (1 - _TOL) times the best value, and the descent stops after
+# _PATIENCE iterations in a row without one.
 _STEP = 0.05
 _DECAY = 0.5
 _SMOOTHING_WIDTH = 1.0
 _TOL = 1e-7
+_PATIENCE = 60
+# TV and L^2 sums below this are redone without squares, which underflow.
+_TINY_SUM = 1e-100
 # Width, in cells, of the anti-aliased band of a rasterized ball.
 _BAND_CELLS = 10.0
 
@@ -60,8 +64,8 @@ _BAND_CELLS = 10.0
 class GridFunction:
     """Cell values on a GridDomain's interior.
 
-    Values live on the full raster; only interior cells (center inside
-    the domain) enter TV and L^p sums.
+    Values live on the full raster, in a read-only copy; only interior
+    cells (center inside the domain) enter TV and L^p sums.
     """
 
     def __init__(self, domain: GridDomain, values):
@@ -72,17 +76,12 @@ class GridFunction:
             )
         if not np.all(np.isfinite(values[domain.interior_mask])):
             raise ValueError("grid function values must be finite")
+        values.flags.writeable = False
         self.domain = domain
-        self._values = values
-
-    @property
-    def values(self) -> np.ndarray:
-        view = self._values.view()
-        view.flags.writeable = False
-        return view
+        self.values = values
 
     def interior_values(self) -> np.ndarray:
-        return self._values[self.domain.interior_mask]
+        return self.values[self.domain.interior_mask]
 
 
 def _forward_differences(v: np.ndarray, mask: np.ndarray):
@@ -109,7 +108,8 @@ def _pair_norms(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
     Within an ulp of hypot(dx, dy) while |dx| and |dy| lie in about
     [1e-154, 1e154]: above that the squares overflow, and TV and the
-    L^2 norm raise; below it they are subnormal and lose digits.
+    L^2 norm raise; below it they lose digits, and TV and the L^2 norm
+    sum again without squares when their sum is below _TINY_SUM.
     """
     rho = np.multiply(dx, dx)
     rho += np.multiply(dy, dy)
@@ -123,14 +123,21 @@ def total_variation(u: GridFunction) -> float:
     is no charge across the domain boundary (BV(Omega) is indifferent
     to the boundary trace).
     """
-    dx, dy = _forward_differences(u._values, u.domain.interior_mask)
-    return _finite(float(u.domain.h * np.sum(_pair_norms(dx, dy))), "squared differences")
+    dx, dy = _forward_differences(u.values, u.domain.interior_mask)
+    tv = float(np.sum(_pair_norms(dx, dy)))
+    if tv < _TINY_SUM:  # squares may have underflowed
+        tv = float(np.sum(np.hypot(dx, dy)))
+    return _finite(u.domain.h * tv, "squared differences")
 
 
 def lp_norm_power(u: GridFunction) -> float:
     """(sum h^2 u^2)^(1/2) over interior cells: the L^{n/(n-1)} norm at n = 2."""
     vals = u.interior_values()
-    return _finite(float((u.domain.h**2 * np.sum(vals * vals)) ** 0.5), "squared values")
+    norm = float((u.domain.h**2 * np.sum(vals * vals)) ** 0.5)
+    if norm < _TINY_SUM:  # squares may have underflowed: scale by the largest value
+        top = float(np.max(np.abs(vals), initial=0.0)) or 1.0
+        norm = u.domain.h * top * float(np.sum(np.square(vals / top))) ** 0.5
+    return _finite(norm, "squared values")
 
 
 def _finite(result: float, squares: str) -> float:
@@ -144,10 +151,8 @@ def grid_quotient(u: GridFunction, q: float) -> float:
 
     TV is shift invariant, so the numerator needs no adjustment.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
     lam = shift_to_constraint((u.interior_values(), u.domain.h**2), q)
-    shifted = GridFunction(u.domain, u._values - lam)
+    shifted = GridFunction(u.domain, u.values - lam)
     denom = lp_norm_power(shifted)
     if denom == 0.0:
         raise ValueError("zero function after shift")
@@ -218,24 +223,6 @@ def rasterize_two_valued(domain: GridDomain, a, eps: float, q: float):
 # solver
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    budget: int = 300
-    restart_count: int = 2
-    seed: int = 0
-    patience: int = 60
-
-    def validate(self):
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.restart_count < 0:
-            raise ValueError("restart_count must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.patience < 0:
-            raise ValueError(f"patience must be >= 0, got {self.patience}")
-
-
 @dataclass
 class ConstantEstimate:
     """Best discrete quotient found, with provenance.
@@ -278,18 +265,18 @@ def _smoothed_tv_gradient(v: np.ndarray, mask: np.ndarray, h: float, delta: floa
     return grad.reshape(v.shape)
 
 
-def minimize_quotient(domain: GridDomain, q: float, config: SolverConfig) -> ConstantEstimate:
+def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> ConstantEstimate:
     """Upper-bound search for the sharp constant on a grid domain.
 
-    Restart 0 starts from the best two-valued profile (radius from
-    `optimal_epsilon`); further restarts perturb it with seeded noise.
-    Restarts are independent and reduce deterministically (minimum
-    value, ties to the lower restart index).  Every reduction in the
+    One descent of at most `budget` iterations from the best two-valued
+    profile (radius from `optimal_epsilon`), stopped early after
+    _PATIENCE iterations without improvement.  Every reduction in the
     loop is a numpy pairwise sum, never a BLAS call, whose split across
-    threads would change the rounding; so a fixed seed gives a bitwise
-    identical history whatever the BLAS thread count.
+    threads would change the rounding; so the history is bitwise
+    identical whatever the BLAS thread count.
     """
-    config.validate()
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if not 0.0 < q < 2.0:
         raise ValueError(f"q must lie in (0, 2.0), got {q}")
 
@@ -299,49 +286,36 @@ def minimize_quotient(domain: GridDomain, q: float, config: SolverConfig) -> Con
 
     mask = domain.interior_mask
     h = domain.h
-    amp = 0.1 * float(np.ptp(u_seed.interior_values()))
-
+    v = u_seed.values.copy()
     best_value, best_resid = math.inf, math.nan
     best_snapshot = None
     rows = []
+    stale = 0
+    for k in range(budget):
+        v -= shift_to_constraint((v[mask], h * h), q)  # raises on equal levels
+        v *= mask
+        gf = GridFunction(domain, v)
+        norm = lp_norm_power(gf)
+        value = total_variation(gf) / norm  # TV is 1-homogeneous
+        v /= norm  # the normalized iterate w
+        levels = v[mask]  # for the residual and the Huber width
+        resid = abs(float(np.sum(sign_power(levels, q))) * h * h)
+        improved = value < best_value * (1.0 - _TOL)
+        if value < best_value:
+            best_value, best_resid = value, resid
+            best_snapshot = GridFunction(domain, v)
+        rows.append((k, best_value, resid, value, 1.0))
+        stale = 0 if improved else stale + 1
+        if stale > _PATIENCE:
+            break
 
-    for restart in range(config.restart_count + 1):
-        rng = np.random.default_rng([config.seed, restart])
-        v = u_seed.values.copy()
-        if restart > 0:
-            v += amp * rng.standard_normal(v.shape) * mask
-        stale = 0
-        for k in range(config.budget):
-            levels = v[mask]
-            if np.max(levels) - np.min(levels) <= 0.0:
-                break
-            v -= shift_to_constraint((levels, h * h), q)
-            v *= mask
-            gf = GridFunction(domain, v)
-            norm = lp_norm_power(gf)
-            value = total_variation(gf) / norm  # TV is 1-homogeneous
-            v /= norm  # the normalized iterate w
-            levels = v[mask]  # for the residual and the Huber width
-            resid = abs(float(np.sum(sign_power(levels, q))) * h * h)
-            improved = value < best_value * (1.0 - _TOL)
-            if value < best_value:
-                best_value, best_resid = value, resid
-                best_snapshot = GridFunction(domain, v)
-            rows.append((len(rows), best_value, resid, value, 1.0))
-            stale = 0 if improved else stale + 1
-            if stale > config.patience:
-                break
-
-            delta = _SMOOTHING_WIDTH * h * max(float(np.ptp(levels)), 1e-12)
-            grad = _smoothed_tv_gradient(v, mask, h, delta)
-            gnorm = math.sqrt(float(np.sum(np.square(grad))))  # zero off the mask
-            if gnorm == 0.0:
-                break
-            alpha = _STEP / (1.0 + k) ** _DECAY
-            v -= grad * (alpha / gnorm)
-
-    if best_snapshot is None:  # every restart began on equal levels
-        raise ValueError("all levels equal: shift is undefined (degenerate input)")
+        delta = _SMOOTHING_WIDTH * h * max(float(np.ptp(levels)), 1e-12)
+        grad = _smoothed_tv_gradient(v, mask, h, delta)
+        gnorm = math.sqrt(float(np.sum(np.square(grad))))  # zero off the mask
+        if gnorm == 0.0:
+            break
+        alpha = _STEP / (1.0 + k) ** _DECAY
+        v -= grad * (alpha / gnorm)
 
     threshold = half_space_constant(2)
     return ConstantEstimate(

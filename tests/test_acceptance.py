@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from bvsharp import (
-    SolverConfig,
     SurfaceModel,
     classify_achievability,
     constraint_residual,
@@ -143,15 +142,15 @@ def test_criterion_7_gauss_bonnet_and_classifier():
           f"inconclusive; {time.time()-started:.1f} s")
 
 
-SOLVER_CONFIG = SolverConfig(budget=120, restart_count=1, seed=0, patience=50)
+SOLVER_BUDGET = 120
 
 
 def test_criterion_8_monotonicity(disk256):
     started = time.time()
-    reference = minimize_quotient(disk256, 1.0, SOLVER_CONFIG).value
+    reference = minimize_quotient(disk256, 1.0, budget=SOLVER_BUDGET).value
     estimates = {}
     for q in (0.25, 0.5, 1.5):
-        estimates[q] = minimize_quotient(disk256, q, SOLVER_CONFIG).value
+        estimates[q] = minimize_quotient(disk256, q, budget=SOLVER_BUDGET).value
         assert estimates[q] <= reference + 0.02
 
     # First-order condition of the shift on random three-level functions:
@@ -172,9 +171,8 @@ def test_criterion_8_monotonicity(disk256):
 
 def test_criterion_9_solver_sanity(disk256, disk512):
     started = time.time()
-    config = SolverConfig(budget=40, restart_count=1, seed=11, patience=25)
-    first = minimize_quotient(disk256, 1.0, config)
-    second = minimize_quotient(disk256, 1.0, config)
+    first = minimize_quotient(disk256, 1.0, budget=40)
+    second = minimize_quotient(disk256, 1.0, budget=40)
     assert np.array_equal(first.history, second.history)
     assert np.all(np.diff(first.history[:, 1]) <= 0.0)
 

@@ -1,4 +1,6 @@
+import ast
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bvsharp import build_domain, geometry, half_space_constant, two_valued_quotient_exact
+from bvsharp import build_domain, cli, geometry, half_space_constant, two_valued_quotient_exact
 from bvsharp.cli import ConfigError, main, make_config, parse_config, run
 
 
@@ -162,7 +164,7 @@ class TestRunTasks:
     def test_solve_task_history_columns(self, tmp_path):
         config = make_config(
             {"task": "solve", "out": str(tmp_path), "shape": "disk", "h": 1.0 / 64,
-             "q": 1.0, "budget": 8, "restarts": 0, "seed": 1}
+             "q": 1.0, "budget": 8, "seed": 1}
         )
         assert run(config) == 0
         rows = read_detail(tmp_path)
@@ -226,6 +228,31 @@ class TestRunTasks:
         summary = read_summary(tmp_path)
         assert summary["ball_order"] >= 3.5
         assert summary["circle_order"] >= 3.5
+
+
+class TestConfigKeys:
+    def test_every_key_is_read_outside_validation(self):
+        # A key read only by _validate changes no output: a dead key.
+        tree = ast.parse(Path(cli.__file__).read_text())
+        read = set()
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name != "_validate":
+                read |= {node.attr for node in ast.walk(func)
+                         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                         and node.value.id in ("config", "self")}
+        keys = {field.name for field in dataclasses.fields(cli.ExperimentConfig)}
+        assert keys - read == set()
+
+    def test_seed_changes_no_solve_output(self, tmp_path):
+        outputs = []
+        for seed in (0, 3):
+            out = tmp_path / str(seed)
+            run(make_config({"task": "solve", "out": str(out), "h": 1.0 / 64, "budget": 8,
+                             "seed": seed}))
+            summary = read_summary(out)
+            assert summary.pop("seed") == seed
+            outputs.append((summary, (out / "detail.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestReproducibility:

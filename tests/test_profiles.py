@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bvsharp import (
-    SolverConfig,
+    achievability_certificate,
     beta_eps,
     boundary_arc_expansion,
     cap_measure,
@@ -82,6 +82,10 @@ class TestBetaEps:
             ratios.append(beta_eps(math.pi, cap, q) / eps ** (2.0 / q))
         assert ratios[-1] == pytest.approx(limit, rel=0.02)
         assert abs(ratios[-1] - limit) < abs(ratios[0] - limit)
+
+    def test_overflow_names_beta_q_and_the_cap_fraction(self):
+        with pytest.raises(OverflowError, match=r"beta .* q = 0\.01, cap/total = 0\.9994$"):
+            beta_eps(1.0, 0.9994, 0.01)
 
     def test_plateau_makes_the_two_valued_profile_feasible(self, disk256):
         cap = cap_measure(disk256, (1.0, 0.0), 0.2)
@@ -252,8 +256,7 @@ class TestSharedShift:
 
     @pytest.mark.parametrize("q", [0.5, 1.0])
     def test_solver_snapshot_is_feasible(self, disk128, q):
-        config = SolverConfig(budget=12, restart_count=0, seed=5, patience=12)
-        assert minimize_quotient(disk128, q, config).residual <= 1e-13
+        assert minimize_quotient(disk128, q, budget=12).residual <= 1e-13
 
 
 class TestTwoValuedQuotientExact:
@@ -339,6 +342,37 @@ class TestTwoValuedQuotientExact:
     def test_certificate_holds_across_the_exponent_range(self, disk256, q):
         qv = two_valued_quotient_exact(disk256, (1.0, 0.0), 0.3, q)
         assert qv.value < C_HALF
+
+
+def _quarter_turns(cos_coeffs, sin_coeffs):
+    """Coefficients of the domain turned by 0, 1, 2 and 3 quarter turns:
+    rho(t - pi/2) maps (c1, c2; s1) to (-s1, -c2; c1), exactly."""
+    (c1, c2), (s1,) = cos_coeffs, sin_coeffs
+    turns = [((c1, c2), (s1,))]
+    for _ in range(3):
+        (c1, c2), (s1,) = turns[-1]
+        turns.append(((-s1, -c2), (c1,)))
+    return turns
+
+
+class TestCertificateRotationInvariance:
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_quarter_turns_give_the_same_gap(self, q):
+        # A turned domain has the same optimum; its witness centre turns
+        # with it, (x, y) -> (-y, x) per quarter turn.  The shape is
+        # symmetric about the y-axis, so two mirror points tie for the
+        # largest curvature, and the witness may sit at either of them.
+        results = [
+            achievability_certificate(build_domain(DomainSpec.fourier(1.0, c, s), 1.0 / 128), q)
+            for c, s in _quarter_turns((0.0, 0.15), (0.05,))
+        ]
+        x, y = results[0].witness["center"]
+        for turns, result in enumerate(results[1:], start=1):
+            assert result.gap == pytest.approx(results[0].gap, rel=1e-9, abs=0)
+            x, y = -y, x
+            mirror = (x, -y) if turns % 2 else (-x, y)  # the axis turns too
+            cx, cy = result.witness["center"]
+            assert min(math.hypot(cx - px, cy - py) for px, py in ((x, y), mirror)) <= 1e-7
 
 
 class TestDomainQuotientExpansion:

@@ -9,7 +9,6 @@ import pytest
 
 from bvsharp import (
     GridFunction,
-    SolverConfig,
     achievability_certificate,
     ball_indicator,
     fit_remainder_order,
@@ -77,6 +76,16 @@ class TestTotalVariation:
         scaled = GridFunction(disk128, s * u.values)
         for norm in (total_variation, lp_norm_power):
             assert abs(norm(scaled) - abs(s) * norm(u)) <= 1e-13 * abs(s) * norm(u)
+
+    @pytest.mark.parametrize("s", [1e-160, 1e-170, 1e-300])
+    def test_homogeneity_where_squares_underflow(self, disk128, s):
+        # The squares of these differences and values are subnormal or 0;
+        # the sums are redone without squaring.
+        rng = np.random.default_rng(41)
+        u = GridFunction(disk128, rng.uniform(-1, 1, disk128.interior_mask.shape))
+        scaled = GridFunction(disk128, s * u.values)
+        for norm in (total_variation, lp_norm_power):
+            assert abs(norm(scaled) / (s * norm(u)) - 1.0) <= 1e-12, norm.__name__
 
     def test_overflow_raises_by_name(self, disk128):
         rng = np.random.default_rng(37)
@@ -233,60 +242,52 @@ class TestGridQuotient:
 
 
 class TestMinimizeQuotient:
-    CONFIG = SolverConfig(budget=40, restart_count=1, seed=123, patience=25)
+    BUDGET = 40
 
     def test_deterministic_under_fixed_seed(self, disk128):
-        first = minimize_quotient(disk128, 1.0, self.CONFIG)
-        second = minimize_quotient(disk128, 1.0, self.CONFIG)
+        first = minimize_quotient(disk128, 1.0, self.BUDGET)
+        second = minimize_quotient(disk128, 1.0, self.BUDGET)
         assert np.array_equal(first.history, second.history)
         assert first.value == second.value
 
     def test_best_history_is_nonincreasing(self, disk128):
-        estimate = minimize_quotient(disk128, 1.0, self.CONFIG)
+        estimate = minimize_quotient(disk128, 1.0, self.BUDGET)
         best = estimate.history[:, 1]
         assert np.all(np.diff(best) <= 0.0 + 1e-15)
 
     def test_never_worse_than_first_iterate(self, disk128):
-        estimate = minimize_quotient(disk128, 1.0, self.CONFIG)
+        estimate = minimize_quotient(disk128, 1.0, self.BUDGET)
         assert estimate.value <= estimate.history[0, 3] + 1e-12
 
     def test_value_is_quotient_of_snapshot(self, disk128):
-        estimate = minimize_quotient(disk128, 1.0, self.CONFIG)
+        estimate = minimize_quotient(disk128, 1.0, self.BUDGET)
         assert grid_quotient(estimate.snapshot, 1.0) == pytest.approx(
             estimate.value, abs=1e-10
         )
 
     def test_below_half_space_threshold(self, disk256):
-        estimate = minimize_quotient(
-            disk256, 1.0, SolverConfig(budget=60, restart_count=0, seed=0, patience=30)
-        )
+        estimate = minimize_quotient(disk256, 1.0, budget=60)
         assert estimate.value < C_HALF
         assert estimate.below_threshold
 
     def test_light_monotonicity_sweep(self, disk128):
-        config = SolverConfig(budget=25, restart_count=0, seed=7, patience=15)
-        reference = minimize_quotient(disk128, 1.0, config).value
+        reference = minimize_quotient(disk128, 1.0, budget=25).value
         for q in (0.5, 1.5):
-            estimate = minimize_quotient(disk128, q, config)
+            estimate = minimize_quotient(disk128, q, budget=25)
             assert estimate.value <= reference + 0.02
 
     def test_invalid_config_rejected(self, disk128):
         with pytest.raises(ValueError):
-            minimize_quotient(disk128, 1.0, SolverConfig(budget=0))
+            minimize_quotient(disk128, 1.0, budget=0)
         with pytest.raises(ValueError):
-            minimize_quotient(disk128, 2.5, self.CONFIG)
-
-    @pytest.mark.parametrize("key", ["seed", "patience"])
-    def test_negative_seed_or_patience_names_the_key(self, key):
-        with pytest.raises(ValueError, match=key):
-            SolverConfig(**{key: -1}).validate()
+            minimize_quotient(disk128, 2.5, self.BUDGET)
 
     def test_trajectory_matches_hypot_norms(self, disk128, monkeypatch):
         # The sqrt(dx^2 + dy^2) pair norm moves TV by a few ulps against
         # hypot; the descent takes the same steps and stops at the same row.
-        fast = minimize_quotient(disk128, 1.0, self.CONFIG)
+        fast = minimize_quotient(disk128, 1.0, self.BUDGET)
         monkeypatch.setattr(solver, "_pair_norms", np.hypot)
-        exact = minimize_quotient(disk128, 1.0, self.CONFIG)
+        exact = minimize_quotient(disk128, 1.0, self.BUDGET)
         assert fast.history.shape == exact.history.shape
         for col in (0, 1, 3, 4):
             assert np.all(np.abs(fast.history[:, col] - exact.history[:, col])
@@ -301,8 +302,7 @@ class TestMinimizeQuotient:
         probe = (
             "import hashlib, bvsharp as b; "
             "d = b.build_domain(b.DomainSpec.disk(1.0), 1.0 / 96); "
-            "e = b.minimize_quotient(d, 1.0, "
-            "b.SolverConfig(budget=30, restart_count=0, seed=0)); "
+            "e = b.minimize_quotient(d, 1.0, budget=30); "
             "print(e.history.shape[0], hashlib.sha256(e.history.tobytes()).hexdigest())"
         )
         digests = []
@@ -324,9 +324,8 @@ class TestMinimizeQuotient:
         # A seed with one level leaves no iterate to evaluate.
         constant = GridFunction(disk128, np.ones(disk128.interior_mask.shape))
         monkeypatch.setattr(solver, "rasterize_two_valued", lambda *args: (constant, 0.0))
-        config = SolverConfig(budget=5, restart_count=0)
         with pytest.raises(ValueError, match="all levels equal"):
-            minimize_quotient(disk128, 1.0, config)
+            minimize_quotient(disk128, 1.0, budget=5)
 
 
 class TestAchievabilityCertificate:
