@@ -11,11 +11,13 @@ which its constant rho ignores.  A "square" spec is recognized only to be
 rejected: its corners have no curvature, so it fails the C^2 requirement
 that every expansion here relies on.
 
-A domain is described analytically (`DomainSpec`) and rasterized to a
-`GridDomain` that carries the spec, the interior mask of the cell
-centres and the Lebesgue measure.  The measure is Green's theorem, 1/2
-of the loop integral of rho(t)^2 dt, by the trapezoid rule, which
-converges spectrally on a periodic analytic curve.
+A domain is described analytically (`DomainSpec`) and placed on a
+`GridDomain` that carries the spec, the grid, the Lebesgue measure and
+the diameter.  The interior mask of the cell centres is built on first
+read, so only the TV solver pays for the raster; the certificates need
+the spec, the measure and the diameter alone.  The measure is Green's
+theorem, 1/2 of the loop integral of rho(t)^2 dt, by the trapezoid rule,
+which converges spectrally on a periodic analytic curve.
 Curvature is never differenced from the grid: it comes from the closed
 forms of rho, rho' and rho''.
 
@@ -36,9 +38,10 @@ circle dB(a, eps) crosses dOmega by the sign of the radial gap, then
 narrows each bracket by safeguarded Newton steps on the analytic slope of
 the gap and a short bisection to the floating-point sign change.  A
 tangential crossing raises ValueError, and so does a non-finite centre
-or radius.  The finder is memoized on (spec, centre, radius), so a circle
-is scanned once and its crossings are shared by the cap and the arc:
-the two-valued quotient, which needs both, pays for one scan.
+or radius.  A circle's cap and arc are memoized together on (spec,
+centre, radius): one scan and one cap quadrature per circle serve every
+request for either, so the two-valued quotient, which needs both, pays
+for one of each.
 
 Both are exact to rounding for the supported shapes, so strict-inequality
 certificates are not contaminated by quadrature noise.
@@ -49,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,10 +188,7 @@ class DomainSpec:
         is constant in t for the disk, so curvature ties there are exact.
         """
         t = np.asarray(t, dtype=float)
-        rho = self._rho(t)
-        drho, ddrho = self._rho_derivatives(t)
-        speed2 = rho * rho + drho * drho
-        return (speed2 + drho * drho - rho * ddrho) / speed2 ** 1.5
+        return _polar_curvature(self._rho(t), *self._rho_derivatives(t))
 
     # ----- point queries --------------------------------------------------
 
@@ -204,41 +204,57 @@ class DomainSpec:
             return np.hypot(px, py) - self.r
         return np.hypot(px, py) - self._rho(np.arctan2(py, px))
 
-    def validate(self):
-        """Check closed/simple/C^2 by dense sampling; raise DomainBuildError."""
+    def validate(self) -> float:
+        """Check finite/closed/simple/C^2 by dense sampling; raise DomainBuildError.
+
+        Returns `min_feature_size()`, measured on the same 4096 samples
+        that the checks read.
+        """
         if self.kind == "square":
             raise DomainBuildError(
                 "square boundary rejected: corners have undefined curvature "
                 "(the boundary must be C^2)"
             )
-        if self.kind == "disk":
-            if self.r <= 0:
-                raise DomainBuildError("disk radius must be positive")
-            return
-        if self.kind == "ellipse":
-            if self.a <= 0 or self.b <= 0:
-                raise DomainBuildError("ellipse semi-axes must be positive")
-            return
+        names = {"disk": ("r",), "ellipse": ("a", "b"), "fourier": ("r0",)}.get(self.kind)
+        if names is None:
+            raise DomainBuildError(f"unknown shape kind {self.kind!r}")
+        values = [(name, getattr(self, name)) for name in names]
         if self.kind == "fourier":
-            t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-            rho = self._rho(t)
-            if np.min(rho) <= 0:
-                raise DomainBuildError(
-                    "fourier boundary radius must stay positive (simple closed curve)"
-                )
-            kappa = self.curvature(t)
-            if not np.all(np.isfinite(kappa)):
-                raise DomainBuildError("fourier boundary curvature is not finite")
-            return
-        raise DomainBuildError(f"unknown shape kind {self.kind!r}")
+            for name in ("cos_coeffs", "sin_coeffs"):
+                values += [(f"{name}[{k}]", c) for k, c in enumerate(getattr(self, name))]
+        for name, value in values:
+            if not math.isfinite(value):
+                raise DomainBuildError(f"{self.kind} parameter {name}={value} is not finite")
+        if self.kind == "disk" and self.r <= 0:
+            raise DomainBuildError("disk radius must be positive")
+        if self.kind == "ellipse" and (self.a <= 0 or self.b <= 0):
+            raise DomainBuildError("ellipse semi-axes must be positive")
+
+        t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        rho = self._rho(t)
+        if self.kind == "fourier" and np.min(rho) <= 0:
+            raise DomainBuildError(
+                "fourier boundary radius must stay positive (simple closed curve)"
+            )
+        kappa = _polar_curvature(rho, *self._rho_derivatives(t))
+        if self.kind == "fourier" and not np.all(np.isfinite(kappa)):
+            raise DomainBuildError("fourier boundary curvature is not finite")
+        kmax = float(np.max(np.abs(kappa)))
+        rmin = float(np.min(np.hypot(rho * np.cos(t), rho * np.sin(t))))
+        return min(1.0 / kmax if kmax > 0 else np.inf, rmin)
 
     def min_feature_size(self) -> float:
-        """Smallest geometric scale: min(1/max curvature, min boundary radius)."""
-        t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        kmax = float(np.max(np.abs(self.curvature(t))))
-        bx, by = self.boundary_point(t)
-        rmin = float(np.min(np.hypot(bx, by)))
-        return min(1.0 / kmax if kmax > 0 else np.inf, rmin)
+        """Smallest geometric scale: min(1/max curvature, min boundary radius).
+
+        The spec is validated on the way, so an invalid one raises.
+        """
+        return self.validate()
+
+
+def _polar_curvature(rho, drho, ddrho):
+    """(rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^(3/2)."""
+    speed2 = rho * rho + drho * drho
+    return (speed2 + drho * drho - rho * ddrho) / speed2 ** 1.5
 
 
 # --------------------------------------------------------------------------
@@ -247,9 +263,11 @@ class DomainSpec:
 
 @dataclass
 class GridDomain:
-    """A rasterized domain: the interior mask of the cell centres plus the
-    analytic spec.
+    """The analytic spec placed on a grid of cell size h, with its measure
+    and diameter.
 
+    The interior mask of the cell centres is built on first read: only the
+    TV solver reads it, and the certificates never pay for the raster.
     Immutable after construction; every query below is read-only.
     """
 
@@ -259,7 +277,6 @@ class GridDomain:
     ymin: float
     nx: int
     ny: int
-    interior_mask: np.ndarray = field(repr=False)
     measure: float = 0.0
     _diameter: float = 0.0
 
@@ -271,6 +288,11 @@ class GridDomain:
     def ys(self):
         return self.ymin + (np.arange(self.ny) + 0.5) * self.h
 
+    @functools.cached_property
+    def interior_mask(self) -> np.ndarray:
+        """The exact inside test at the cell centres, shape (ny, nx)."""
+        return self.spec.is_inside(*self.cell_centers())
+
     @property
     def diameter(self) -> float:
         """Largest distance between 1024 boundary samples: a lower bound."""
@@ -281,21 +303,54 @@ class GridDomain:
         return gx, gy
 
 
-def build_domain(spec: DomainSpec, h: float) -> GridDomain:
-    """Rasterize a valid spec at cell size h and compute its measure.
+# The diameter's 1024 boundary samples are cut into blocks of 16
+# consecutive samples, and a pair of blocks is skipped when the bounding
+# boxes prove that none of its distances reaches the largest one found in
+# the most promising pair.  Rounding is monotone, so the float squared
+# distance of a pair never exceeds the float bound ux^2 + uy^2 of its
+# blocks; the margin only widens that by far more than the few ulp either
+# is off the exact value.  A skipped pair thus lies strictly below the
+# maximum and cannot tie it, and the maximum is the all-pairs one bit for bit.
+_DIAMETER_BLOCK = 16
+_DIAMETER_MARGIN = 1e-12
 
-    The interior mask is the exact inside test at the cell centres.  The
-    measure is 1/2 of the loop integral of (x y' - y x') dt by the
-    trapezoid rule on 2048 points (the integrand is rho^2): exact for the
-    disk and for a Fourier boundary of degree below 1024; for the ellipse,
-    whose rho^2 has Fourier coefficients decaying like ((a-b)/(a+b))^k,
-    the error is at rounding level.  The diameter is the maximum distance
-    over 1024 boundary samples, so it is a lower bound on the true one.
+
+def _largest_squared_distance(sx, sy) -> float:
+    """max over i, j of (sx_i - sx_j)^2 + (sy_i - sy_j)^2, pruned by blocks."""
+    bx, by = sx.reshape(-1, _DIAMETER_BLOCK), sy.reshape(-1, _DIAMETER_BLOCK)
+
+    def span(b):
+        lo, hi = b.min(axis=1), b.max(axis=1)
+        return np.maximum(hi[None, :] - lo[:, None], hi[:, None] - lo[None, :])
+
+    def block_d2(i, j):
+        dx = bx[i][..., :, None] - bx[j][..., None, :]
+        dy = by[i][..., :, None] - by[j][..., None, :]
+        return float(np.max(dx * dx + dy * dy))
+
+    ux, uy = span(bx), span(by)
+    bound = ux * ux + uy * uy
+    best = block_d2(*np.unravel_index(np.argmax(bound), bound.shape))
+    return block_d2(*np.nonzero(np.triu(bound * (1.0 + _DIAMETER_MARGIN) >= best)))
+
+
+def build_domain(spec: DomainSpec, h: float) -> GridDomain:
+    """Place a valid spec on a grid of cell size h and compute its measure.
+
+    The interior mask, built on first read, is the exact inside test at
+    the cell centres.  The measure is 1/2 of the loop integral of
+    (x y' - y x') dt by the trapezoid rule on 2048 points (the integrand
+    is rho^2): exact for the disk and for a Fourier boundary of degree
+    below 1024; for the ellipse, whose rho^2 has Fourier coefficients
+    decaying like ((a-b)/(a+b))^k, the error is at rounding level.  The
+    diameter is the maximum distance over 1024 boundary samples, so it is
+    a lower bound on the true one.
     """
-    spec.validate()
+    feature = spec.validate()
     if h <= 0:
         raise DomainBuildError("cell size h must be positive")
-    feature = spec.min_feature_size()
+    if not math.isfinite(h):
+        raise DomainBuildError(f"cell size h={h} is not finite")
     if h > feature / 8.0:
         raise DomainBuildError(
             f"cell size h={h} too coarse: boundary feature size {feature:.4g} "
@@ -312,23 +367,11 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
     ymin, ymax = float(np.min(by)) - pad, float(np.max(by)) + pad
     nx = int(math.ceil((xmax - xmin) / h))
     ny = int(math.ceil((ymax - ymin) / h))
-    mx, my = np.meshgrid(xmin + (np.arange(nx) + 0.5) * h, ymin + (np.arange(ny) + 0.5) * h)
-    mask = spec.is_inside(mx, my)
 
-    # Largest pairwise distance of 1024 boundary samples, in row chunks so
-    # that no 1024 x 1024 difference array is ever held.  A chunk of rows
-    # i meets only the columns j >= its first row: every pair i <= j is
-    # still seen, and d(i, j) and d(j, i) round alike.
     sx, sy = spec.boundary_point(np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False))
-    d2 = 0.0
-    for lo in range(0, sx.size, 128):
-        dx = sx[lo:lo + 128, None] - sx[lo:]
-        dy = sy[lo:lo + 128, None] - sy[lo:]
-        d2 = max(d2, float(np.max(dx * dx + dy * dy)))
-
     return GridDomain(
-        spec=spec, h=h, xmin=xmin, ymin=ymin, nx=nx, ny=ny,
-        interior_mask=mask, measure=measure, _diameter=math.sqrt(d2),
+        spec=spec, h=h, xmin=xmin, ymin=ymin, nx=nx, ny=ny, measure=measure,
+        _diameter=math.sqrt(_largest_squared_distance(sx, sy)),
     )
 
 
@@ -465,12 +508,6 @@ def _checked_centre(a, eps):
     return ax, ay
 
 
-# Memoized: the cap and the arc of one circle share a scan.  The entries
-# are read-only, since every caller gets the same arrays, and the callers
-# validate the centre and radius first, so no NaN key enters the cache.
-# One entry suffices: every caller asks for the cap and the arc of a
-# circle one after the other, before it moves to the next circle.
-@functools.lru_cache(maxsize=1)
 def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     """Angles at which the circle dB(a, eps) crosses dOmega, and the inside arcs.
 
@@ -494,8 +531,8 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     Returns (theta, inside): the sorted crossing angles, and for each k
     whether the arc from theta[k] to theta[k+1] (cyclically) lies in
     Omega.  Without a crossing theta is empty and inside holds one entry,
-    for the whole circle.  Both arrays are read-only.  Raises ValueError
-    at a tangential crossing.
+    for the whole circle.  Both arrays are read-only and own their data.
+    Raises ValueError at a tangential crossing.
     """
 
     def gap(theta):
@@ -588,6 +625,37 @@ def _green_boundary_integral(spec: DomainSpec, ax: float, ay: float, t0, t1):
     return float(np.sum(w * ((x - ax) * y1 - (y - ay) * x1)))
 
 
+# Memoized: the cap and the arc of one circle share a scan and a cap
+# quadrature.  The callers validate the centre and radius first, so no
+# NaN key enters the cache.  One entry suffices: every caller asks for
+# the cap and the arc of a circle one after the other, before it moves to
+# the next circle.
+@functools.lru_cache(maxsize=1)
+def _circle_measures(spec: DomainSpec, ax: float, ay: float, eps: float):
+    """What the cap and the inside arc of the circle dB(a, eps) are made of.
+
+    Returns (angle, boundary, alone).  With crossings, angle is the total
+    angular width of the arcs of dB inside Omega, boundary the integral of
+    `_green_boundary_integral` over the pieces of dOmega inside B, and
+    alone is None.  Without one, angle and boundary are 0.0 and alone
+    names the case: "circle" when dB lies in Omega, "domain" when Omega
+    lies in B, "apart" when the two are disjoint.
+    """
+    theta, inside = _circle_crossings(spec, ax, ay, eps)
+    if theta.size == 0:
+        if inside[0]:
+            return 0.0, 0.0, "circle"
+        bx, by = spec.boundary_point(0.0)
+        return 0.0, 0.0, "domain" if math.hypot(float(bx) - ax, float(by) - ay) < eps else "apart"
+
+    angle = float(np.sum(_arc_widths(theta)[inside]))
+    t = np.sort(spec.boundary_param(ax + eps * np.cos(theta), ay + eps * np.sin(theta)))
+    following = np.append(t[1:], t[0] + 2.0 * math.pi)
+    mx, my = spec.boundary_point(0.5 * (t + following))
+    in_ball = np.hypot(mx - ax, my - ay) < eps
+    return angle, _green_boundary_integral(spec, ax, ay, t[in_ball], following[in_ball]), None
+
+
 def cap_measure(domain: GridDomain, a, eps: float) -> float:
     """Area of Omega intersected with the disk B(a, eps).
 
@@ -602,20 +670,10 @@ def cap_measure(domain: GridDomain, a, eps: float) -> float:
     (circle inside Omega), the measure (Omega inside B) or 0 (disjoint).
     """
     ax, ay = _checked_centre(a, eps)
-    spec = domain.spec
-    theta, inside = _circle_crossings(spec, ax, ay, eps)
-    if theta.size == 0:
-        if inside[0]:
-            return math.pi * eps * eps
-        bx, by = spec.boundary_point(0.0)
-        return domain.measure if math.hypot(float(bx) - ax, float(by) - ay) < eps else 0.0
-
-    arcs = 0.5 * eps * eps * float(np.sum(_arc_widths(theta)[inside]))
-    t = np.sort(spec.boundary_param(ax + eps * np.cos(theta), ay + eps * np.sin(theta)))
-    following = np.append(t[1:], t[0] + 2.0 * math.pi)
-    mx, my = spec.boundary_point(0.5 * (t + following))
-    in_ball = np.hypot(mx - ax, my - ay) < eps
-    return arcs + 0.5 * _green_boundary_integral(spec, ax, ay, t[in_ball], following[in_ball])
+    angle, boundary, alone = _circle_measures(domain.spec, ax, ay, eps)
+    if alone is None:
+        return 0.5 * eps * eps * angle + 0.5 * boundary
+    return {"circle": math.pi * eps * eps, "domain": domain.measure, "apart": 0.0}[alone]
 
 
 def cap_measure_expansion(H: float, eps: float, n: int) -> float:
@@ -645,10 +703,10 @@ def boundary_arc_inside(domain: GridDomain, a, eps: float) -> float:
     gradient mass inside the domain and is excluded.
     """
     ax, ay = _checked_centre(a, eps)
-    theta, inside = _circle_crossings(domain.spec, ax, ay, eps)
-    if theta.size == 0:
-        return 2.0 * math.pi * eps if inside[0] else 0.0
-    return eps * float(np.sum(_arc_widths(theta)[inside]))
+    angle, _, alone = _circle_measures(domain.spec, ax, ay, eps)
+    if alone is None:
+        return eps * angle
+    return 2.0 * math.pi * eps if alone == "circle" else 0.0
 
 
 def boundary_arc_expansion(H: float, eps: float, n: int) -> float:

@@ -149,17 +149,42 @@ class TestRunTasks:
         summary = read_summary(tmp_path)
         assert summary["best_quotient"] < half_space_constant(2)
 
-    def test_domain_sweep_scans_each_circle_once(self, tmp_path):
+    def test_domain_sweep_scans_each_circle_once(self, tmp_path, monkeypatch):
         # Per radius the sweep asks for the cap and the arc itself and again
-        # through the quotient: four requests, one scan.
-        geometry._circle_crossings.cache_clear()
+        # through the quotient: four requests, one scan, one cap quadrature.
+        geometry._circle_measures.cache_clear()
+        integrals = [0]
+        green = geometry._green_boundary_integral
+
+        def counted(*args):
+            integrals[0] += 1
+            return green(*args)
+
+        monkeypatch.setattr(geometry, "_green_boundary_integral", counted)
         config = make_config(
             {"task": "domain-sweep", "out": str(tmp_path), "shape": "ellipse", "a": 2.0,
              "b": 1.0, "h": 1.0 / 64, "eps_min": 0.1, "eps_max": 0.4, "eps_count": 5}
         )
         assert run(config) == 0
-        info = geometry._circle_crossings.cache_info()
+        info = geometry._circle_measures.cache_info()
         assert (info.misses, info.hits) == (5, 15)
+        assert integrals[0] == 5
+
+    @pytest.mark.parametrize("task", ["domain-certificate", "domain-sweep"])
+    def test_certificate_tasks_build_no_raster(self, task, tmp_path, monkeypatch):
+        # The interior mask is built on first read; only the solver reads it.
+        built = []
+        build = geometry.build_domain
+
+        def recorded(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(geometry, "build_domain", recorded)
+        config = make_config({"task": task, "out": str(tmp_path), "shape": "ellipse",
+                              "a": 2.0, "b": 1.0, "h": 1.0 / 64, "eps_count": 3})
+        assert run(config) == 0
+        assert len(built) == 1 and "interior_mask" not in built[0].__dict__
 
     def test_solve_task_history_columns(self, tmp_path):
         config = make_config(
@@ -306,6 +331,18 @@ class TestMainEntryPoint:
         ])
         assert status == 2
         assert "curvature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, cause", [
+        (["--r", "inf"], "r=inf is not finite"),
+        (["--r", "nan"], "r=nan is not finite"),
+        (["--h", "nan"], "h=nan is not finite"),
+        (["--shape", "ellipse", "--a", "inf"], "a=inf is not finite"),
+    ], ids=["r-inf", "r-nan", "h-nan", "ellipse-a-inf"])
+    def test_non_finite_shape_input_names_its_cause(self, flags, cause, tmp_path, capsys):
+        status = main(["domain-certificate", "--out", str(tmp_path / "x"), *flags])
+        assert status == 2
+        assert cause in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_stray_token_rejected(self, tmp_path, capsys):
         status = main(["constants", "stray"])

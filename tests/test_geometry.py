@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bvsharp import (
     DomainBuildError,
@@ -59,6 +62,76 @@ class TestBuildDomain:
     def test_nonpositive_fourier_radius_rejected(self):
         with pytest.raises(DomainBuildError, match="positive"):
             build_domain(DomainSpec.fourier(1.0, cos_coeffs=(1.2,)), 1.0 / 256)
+
+    @pytest.mark.parametrize("spec, name", [
+        (DomainSpec.disk(math.inf), "r=inf"),
+        (DomainSpec.disk(math.nan), "r=nan"),
+        (DomainSpec.ellipse(2.0, -math.inf), "b=-inf"),
+        (DomainSpec.ellipse(math.nan, 1.0), "a=nan"),
+        (DomainSpec.fourier(math.inf), "r0=inf"),
+        (DomainSpec.fourier(1.0, cos_coeffs=(0.1, math.nan)), "cos_coeffs[1]=nan"),
+        (DomainSpec.fourier(1.0, sin_coeffs=(-math.inf,)), "sin_coeffs[0]=-inf"),
+    ])
+    def test_non_finite_parameter_named(self, spec, name):
+        with pytest.raises(DomainBuildError, match=rf"{re.escape(name)} is not finite"):
+            spec.validate()
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_cell_size_named(self, h):
+        with pytest.raises(DomainBuildError, match=rf"h={h} is not finite"):
+            build_domain(DomainSpec.disk(1.0), h)
+
+    def test_interior_mask_is_built_on_first_read(self):
+        domain = build_domain(DomainSpec.disk(1.0), 1.0 / 64)
+        assert "interior_mask" not in domain.__dict__
+        assert domain.interior_mask is domain.interior_mask
+        assert "interior_mask" in domain.__dict__
+
+    def test_curvature_sampled_once(self, monkeypatch):
+        # validate() and the feature size share the 4096 samples; the only
+        # other evaluation is the measure's tangent on 2048 points.
+        sizes = []
+        derivatives = DomainSpec._rho_derivatives
+
+        def counted(self, t):
+            sizes.append(np.size(t))
+            return derivatives(self, t)
+
+        monkeypatch.setattr(DomainSpec, "_rho_derivatives", counted)
+        build_domain(DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)), 1 / 64)
+        assert sorted(sizes) == [2048, 4096]
+
+
+def _all_pairs_squared_diameter(spec):
+    """The diameter's reference: every pair of the 1024 samples, in row chunks."""
+    sx, sy = spec.boundary_point(np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False))
+    d2 = 0.0
+    for lo in range(0, sx.size, 128):
+        dx = sx[lo:lo + 128, None] - sx
+        dy = sy[lo:lo + 128, None] - sy
+        d2 = max(d2, float(np.max(dx * dx + dy * dy)))
+    return d2
+
+
+class TestDiameter:
+    @pytest.mark.parametrize("spec", [DomainSpec.disk(1.0), DomainSpec.disk(0.37)],
+                             ids=["unit", "small"])
+    def test_disk_matches_all_pairs(self, spec):
+        assert build_domain(spec, 1.0 / 64).diameter == math.sqrt(
+            _all_pairs_squared_diameter(spec))
+
+    @pytest.mark.parametrize("ratio", np.geomspace(0.3, 3.0, 13))
+    def test_ellipse_matches_all_pairs(self, ratio):
+        spec = DomainSpec.ellipse(float(ratio), 1.0)
+        h = spec.min_feature_size() / 8.0
+        assert build_domain(spec, h).diameter == math.sqrt(_all_pairs_squared_diameter(spec))
+
+    @given(coeffs=st.lists(st.floats(-0.12, 0.12), min_size=1, max_size=3),
+           split=st.integers(0, 3))
+    def test_fourier_matches_all_pairs(self, coeffs, split):
+        spec = DomainSpec.fourier(1.0, coeffs[:split], coeffs[split:])
+        domain = build_domain(spec, spec.min_feature_size() / 8.0)
+        assert domain.diameter == math.sqrt(_all_pairs_squared_diameter(spec))
 
 
 RADIAL_SHAPES = [
@@ -398,9 +471,9 @@ class TestCrossingFinder:
     def test_gap_evaluations_per_scan(self, spec, h, monkeypatch):
         # The scans of one radius search: 62 gap evaluations each with a
         # 60-step bisection, about 10 with the Newton polish.  The cap and
-        # the arc of a quotient both ask for the scan, and only the first
-        # request evaluates the gap.
-        geometry._circle_crossings.cache_clear()
+        # the arc of a quotient both ask for the circle's measures, and
+        # only the first request scans it.
+        geometry._circle_measures.cache_clear()
         domain = build_domain(spec, h)
         calls = [0]
         per_scan = []
@@ -423,9 +496,8 @@ class TestCrossingFinder:
         monkeypatch.setattr(geometry, "_gap_and_slope", counted(gap_and_slope))
         monkeypatch.setattr(geometry, "_circle_crossings", scan)
         optimal_epsilon(domain, max_curvature_seed(domain).point, 1.0)
-        assert len(per_scan) == 116
-        assert max(per_scan) <= 16
-        assert sum(1 for count in per_scan if count > 0) == 58
+        assert len(per_scan) == 58
+        assert 0 < min(per_scan) and max(per_scan) <= 16
 
     def test_tangential_crossing_raises(self, disk256):
         # dB((0.5, 0), 0.5) touches the unit circle from inside at theta = 0,
@@ -443,12 +515,12 @@ class TestCrossingFinder:
             bx, by = spec.boundary_point(rng.uniform(0.0, 2.0 * math.pi))
             a = (float(bx), float(by))
             eps = math.exp(rng.uniform(math.log(0.01), 0.0))
-            geometry._circle_crossings.cache_clear()
+            geometry._circle_measures.cache_clear()
             cold = (cap_measure(domain, a, eps), boundary_arc_inside(domain, a, eps))
-            geometry._circle_crossings.cache_clear()
+            geometry._circle_measures.cache_clear()
             arc = boundary_arc_inside(domain, a, eps)
             warm = (cap_measure(domain, a, eps), boundary_arc_inside(domain, a, eps))
-            assert geometry._circle_crossings.cache_info().misses == 1
+            assert geometry._circle_measures.cache_info().misses == 1
             assert warm == cold and arc == cold[1]
 
     @pytest.mark.parametrize("a, eps", [((1.0, 0.0), 0.3), ((0.0, 0.0), 0.3)],
