@@ -106,7 +106,7 @@ class ExperimentConfig:
         if self.shape == "fourier":
             return geometry.DomainSpec.fourier(self.r0, self.cos_coeffs, self.sin_coeffs)
         if self.shape == "square":
-            return geometry.DomainSpec(kind="square", side=self.r)
+            return geometry.DomainSpec(kind="square")
         raise ConfigError(f"shape: unknown value {self.shape!r}")
 
     def surface_model(self) -> surfaces.SurfaceModel:

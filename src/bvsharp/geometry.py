@@ -88,14 +88,13 @@ class DomainSpec:
                    rho(t) = a b / sqrt(b^2 cos^2 t + a^2 sin^2 t)
         "fourier"  params: r0, cos_coeffs, sin_coeffs;
                    rho(t) = r0 + sum_k (c_k cos((k+1) t) + s_k sin((k+1) t))
-        "square"   params: side; always rejected at build time (corners).
+        "square"   no params; always rejected at build time (corners).
     """
 
     kind: str
     r: float = 1.0
     a: float = 1.0
     b: float = 1.0
-    side: float = 1.0
     r0: float = 1.0
     cos_coeffs: tuple = ()
     sin_coeffs: tuple = ()
@@ -232,13 +231,16 @@ class DomainSpec:
 
         t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
         rho = self._rho(t)
+        if not np.all(np.isfinite(rho)):
+            raise DomainBuildError(f"{self.kind} boundary radius is not finite")
         if self.kind == "fourier" and np.min(rho) <= 0:
             raise DomainBuildError(
                 "fourier boundary radius must stay positive (simple closed curve)"
             )
-        kappa = _polar_curvature(rho, *self._rho_derivatives(t))
-        if self.kind == "fourier" and not np.all(np.isfinite(kappa)):
-            raise DomainBuildError("fourier boundary curvature is not finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            kappa = _polar_curvature(rho, *self._rho_derivatives(t))
+        if not np.all(np.isfinite(kappa)):
+            raise DomainBuildError(f"{self.kind} boundary curvature is not finite")
         kmax = float(np.max(np.abs(kappa)))
         rmin = float(np.min(np.hypot(rho * np.cos(t), rho * np.sin(t))))
         return min(1.0 / kmax if kmax > 0 else np.inf, rmin)
@@ -365,8 +367,11 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
     pad = 3.0 * h
     xmin, xmax = float(np.min(bx)) - pad, float(np.max(bx)) + pad
     ymin, ymax = float(np.min(by)) - pad, float(np.max(by)) + pad
-    nx = int(math.ceil((xmax - xmin) / h))
-    ny = int(math.ceil((ymax - ymin) / h))
+    cells_x, cells_y = (xmax - xmin) / h, (ymax - ymin) / h
+    if not (math.isfinite(cells_x) and math.isfinite(cells_y)):
+        raise DomainBuildError(f"cell size h={h} gives a non-finite cell count")
+    nx = int(math.ceil(cells_x))
+    ny = int(math.ceil(cells_y))
 
     sx, sy = spec.boundary_point(np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False))
     return GridDomain(

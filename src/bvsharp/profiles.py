@@ -217,23 +217,16 @@ def _as_level_arrays(values):
 # exact quotient on a domain
 
 
-def two_valued_quotient_exact(domain: GridDomain, a, eps: float, q: float, n: int = 2) -> QuotientValue:
+def two_valued_quotient_exact(domain: GridDomain, a, eps: float, q: float) -> QuotientValue:
     """Exact-quadrature quotient of the two-valued profile at (a, eps).
 
     numerator   = (1 + beta) * |arc of dB(a,eps) inside Omega|
-    denominator = (cap + beta^(n/(n-1)) (measure - cap))^(1-1/n)
+    denominator = (cap + beta^2 (measure - cap))^(1/2)
 
     The jump set of the profile is exactly that arc, with jump height
     1 + beta; the part of the cap boundary on dOmega carries no
-    variation inside Omega.  The domain is planar, so n must be 2.
+    variation inside Omega.  The domain is planar, so n = 2.
     """
-    if n != 2:
-        raise ValueError(
-            f"dimension n={n} does not match the planar domain (n = 2); "
-            "the quotient would be compared with the wrong half-space constant"
-        )
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if eps >= domain.diameter:
         raise ValueError(
             f"eps={eps} covers the whole domain (diameter {domain.diameter:.6g}); "
@@ -241,7 +234,7 @@ def two_valued_quotient_exact(domain: GridDomain, a, eps: float, q: float, n: in
         )
     cap = cap_measure(domain, a, eps)
     arc = boundary_arc_inside(domain, a, eps)
-    return _two_valued_quotient(domain.measure, cap, arc, q, n, half_space_constant(n))
+    return _two_valued_quotient(domain.measure, cap, arc, q, 2, half_space_constant(2))
 
 
 def _two_valued_quotient(total: float, cap: float, jump: float, q: float, n: int,
@@ -251,13 +244,16 @@ def _two_valued_quotient(total: float, cap: float, jump: float, q: float, n: int
 
         (1 + beta) jump / (cap + beta^(n/(n-1)) (total - cap))^(1-1/n).
 
-    Raises ValueError unless 0 < cap < total.  When beta or beta^p lies
-    beyond the float range, numerator and denominator are both divided by
-    beta, which leaves the quotient unchanged:
+    Every two-valued witness is assembled here, so q is checked here:
+    ValueError unless 0 < q < n/(n-1) and 0 < cap < total.  When beta or
+    beta^p lies beyond the float range, numerator and denominator are
+    both divided by beta, which leaves the quotient unchanged:
 
         (1 + 1/beta) jump / (cap beta^(-p) + total - cap)^(1-1/n).
     """
     p = n / (n - 1)
+    if not 0.0 < q < p:
+        raise ValueError(f"q must lie in (0, {p}), got {q}")
     try:
         beta = beta_eps(total, cap, q)
         numerator = (1.0 + beta) * jump
@@ -295,20 +291,24 @@ def surface_quotient_expansion(S: float, eps: float, n: int) -> float:
 def critical_quotient_expansion(S: float, area: float, eps: float, n: int) -> float:
     """Surface quotient expansion at the critical exponent q = n^2/(n^2+n-2),
 
-        c*_n * (1 + ((n-1)/n) (omega_n / area)^(2/n) eps^2
+        c*_n * (1 + sigma ((n-1)/n) (omega_n / area)^(2/n) eps^2
                   - S eps^2 / (2 n (n+2))),
 
-    with omega_n = pi^(n/2)/Gamma(n/2+1).  The positive term is the
-    back-reaction of the constraint plateau, which at this exponent
-    enters at the same eps^2 order as the curvature correction; the two
-    cancel exactly on a round sphere (S = 2 on the unit sphere of area
-    4 pi), which is the borderline case.
+    with omega_n = pi^(n/2)/Gamma(n/2+1), sigma = +1 at n = 2 and -1 for
+    n >= 3.  The sigma term is the back-reaction of the constraint
+    plateau beta ~ eps^(n/q): beta^(n/(n-1)) raises the denominator by
+    ((n-1)/n)(omega_n/area)^(2/n) eps^2, and at n = 2 only the factor
+    1 + beta of the numerator is of the same order, and twice as large.
+    At n = 2 the plateau and curvature terms cancel exactly on a round
+    sphere (S = 2 on the unit sphere of area 4 pi), the borderline case.
     """
     _check_expansion_inputs(n, eps, S=S, area=area)
     if area <= 0:
         raise ValueError("area must be positive")
     omega_n = math.pi ** (n / 2.0) / gamma_half_integer(n / 2.0 + 1.0)
     plateau_term = (n - 1) / n * (omega_n / area) ** (2.0 / n)
+    if n >= 3:
+        plateau_term = -plateau_term
     curvature_term = S / (2.0 * n * (n + 2))
     return sharp_sobolev_constant(n) * (1.0 + (plateau_term - curvature_term) * eps**2)
 
@@ -317,33 +317,23 @@ def critical_quotient_expansion(S: float, area: float, eps: float, n: int) -> fl
 # radius sweep
 
 
-def optimal_epsilon(domain: GridDomain, a, q: float, eps_range=None, n: int = 2,
-                    coarse: int = 16, golden_iters: int = 40):
+def optimal_epsilon(domain: GridDomain, a, q: float, coarse: int = 16, golden_iters: int = 40):
     """Best cap radius for the two-valued profile at boundary point a.
 
-    A 16-point log-spaced sweep brackets the minimum, then golden
-    section refines it.  The lower cutoff is resolution aware (8 cells)
-    so that downstream grid seeds stay representable.  Deterministic;
-    ties resolve to the smaller radius.  A non-finite end of eps_range
-    raises ValueError.
+    A 16-point log-spaced sweep of [8 h, diameter / 4] brackets the
+    minimum, then golden section refines it.  The lower end is resolution
+    aware (8 cells) so that downstream grid seeds stay representable; a
+    grid too coarse for the bracket raises ValueError.  Deterministic;
+    ties resolve to the smaller radius.
 
     Returns (eps, QuotientValue).
     """
-    lo_default = 8.0 * domain.h
-    hi_default = domain.diameter / 4.0
-    if eps_range is None:
-        lo, hi = lo_default, hi_default
-    else:
-        for end, value in zip(("lower", "upper"), eps_range):
-            if not math.isfinite(value):
-                raise ValueError(f"eps range {end} end {value} is not finite")
-        lo = max(float(eps_range[0]), lo_default)
-        hi = min(float(eps_range[1]), hi_default)
-    if not (0.0 < lo < hi):
+    lo, hi = 8.0 * domain.h, domain.diameter / 4.0
+    if not 0.0 < lo < hi:
         raise ValueError(f"empty feasible eps range [{lo}, {hi}]")
 
     def evaluate(eps):
-        return two_valued_quotient_exact(domain, a, eps, q, n=n)
+        return two_valued_quotient_exact(domain, a, eps, q)
 
     grid = np.geomspace(lo, hi, coarse)
     values = [evaluate(e) for e in grid]

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -74,13 +75,13 @@ __all__ = [
 class SurfaceModel:
     """Analytic closed surface; immutable in use (area cached lazily)."""
 
+    dimension: ClassVar[int] = 2
     kind: str  # "sphere" | "spheroid" | "flat-torus"
     r: float = 1.0
     a: float = 1.0
     c: float = 1.0
     L1: float = 1.0
     L2: float = 1.0
-    _area: float | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def sphere(r: float = 1.0) -> "SurfaceModel":
@@ -106,18 +107,15 @@ class SurfaceModel:
     def euler_characteristic(self) -> int:
         return 0 if self.kind == "flat-torus" else 2
 
-    @property
+    @functools.cached_property
     def area(self) -> float:
-        if self._area is None:
-            if self.kind == "sphere":
-                self._area = 4.0 * math.pi * self.r**2
-            elif self.kind == "flat-torus":
-                self._area = self.L1 * self.L2
-            else:
-                th, w = _panel_rule(0.0, math.pi)
-                val = float(np.sum(w * (self.a * np.sin(th) * np.sqrt(self._metric_E(th)))))
-                self._area = 2.0 * math.pi * val
-        return self._area
+        if self.kind == "sphere":
+            return 4.0 * math.pi * self.r**2
+        if self.kind == "flat-torus":
+            return self.L1 * self.L2
+        th, w = _panel_rule(0.0, math.pi)
+        val = float(np.sum(w * (self.a * np.sin(th) * np.sqrt(self._metric_E(th)))))
+        return 2.0 * math.pi * val
 
     def injectivity_radius(self) -> float:
         """Conservative global lower bound on the injectivity radius.
@@ -434,17 +432,11 @@ def geodesic_circle_expansion(S: float, eps: float, n: int) -> float:
 
 
 def surface_two_valued_quotient(surface: SurfaceModel, center, eps: float,
-                                q: float, n: int = 2) -> QuotientValue:
-    """Exact quadrature quotient of chi_B - beta chi_complement on M.
-
-    The models are 2-surfaces, so n must be 2: the quotient of an area
-    and a length is compared with c*_2.
-    """
-    if n != 2:
-        raise ValueError(f"dimension n = {n} does not match the 2-dimensional {surface.kind}")
-    if not 0.0 < q < n / (n - 1):
-        raise ValueError(f"q must lie in (0, {n/(n-1)}), got {q}")
+                                q: float) -> QuotientValue:
+    """Exact quadrature quotient of chi_B - beta chi_complement on M,
+    compared with c*_n for the dimension n of the model."""
     ball, perim = _geodesic_ball(surface, center, eps)
+    n = surface.dimension
     return _two_valued_quotient(surface.area, ball, perim, q, n, sharp_sobolev_constant(n))
 
 
@@ -456,9 +448,11 @@ def critical_curvature_threshold(n: int, area: float) -> float:
 
         n (n-1) (sigma_n / area)^(2/n),    sigma_n = |S^n|,
 
-    which for n = 2 reduces to 8 pi / area.  The round sphere itself
-    sits exactly at the threshold in every dimension, so the strict
-    inequality required by the certificate just fails there.
+    which for n = 2 reduces to 8 pi / area.  The round sphere sits
+    exactly at the threshold in every dimension, but only at n = 2 is it
+    borderline, the strict inequality of the certificate just failing
+    there: for n >= 3 the plateau term of `critical_quotient_expansion`
+    has the other sign, and the hemisphere of S^3 already lies below c*_3.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
@@ -529,10 +523,10 @@ class AchievabilityVerdict:
     witness: dict | None
 
 
-def classify_achievability(surface: SurfaceModel, q: float, n: int = 2) -> AchievabilityVerdict:
+def classify_achievability(surface: SurfaceModel, q: float) -> AchievabilityVerdict:
     """Decide achievability of the sharp constant on a closed surface.
 
-    Rules are tried in priority order:
+    The dimension n is the model's.  Rules are tried in priority order:
 
       (i)   round sphere, n = 2, q in (0, 2)          -> "Thm8"
       (ii)  n >= 3 with max S > 0                      -> "Thm4"
@@ -543,6 +537,7 @@ def classify_achievability(surface: SurfaceModel, q: float, n: int = 2) -> Achie
     and anything that matches none of them is reported inconclusive
     (the zero-curvature flat torus, for instance).
     """
+    n = surface.dimension
     if not 0.0 < q < n / (n - 1):
         raise ValueError(f"q must lie in (0, {n/(n-1)}), got {q}")
     s_min, s_max, argmax_point = surface.curvature_range()

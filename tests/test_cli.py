@@ -337,7 +337,9 @@ class TestMainEntryPoint:
         (["--r", "nan"], "r=nan is not finite"),
         (["--h", "nan"], "h=nan is not finite"),
         (["--shape", "ellipse", "--a", "inf"], "a=inf is not finite"),
-    ], ids=["r-inf", "r-nan", "h-nan", "ellipse-a-inf"])
+        (["--h", "1e-320"], "h=1e-320 gives a non-finite cell count"),
+        (["--r", "1e308"], "disk boundary curvature is not finite"),
+    ], ids=["r-inf", "r-nan", "h-nan", "ellipse-a-inf", "h-subnormal", "r-overflow"])
     def test_non_finite_shape_input_names_its_cause(self, flags, cause, tmp_path, capsys):
         status = main(["domain-certificate", "--out", str(tmp_path / "x"), *flags])
         assert status == 2

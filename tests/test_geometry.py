@@ -53,7 +53,7 @@ class TestBuildDomain:
 
     def test_square_rejected(self):
         with pytest.raises(DomainBuildError, match="curvature"):
-            build_domain(DomainSpec(kind="square", side=1.0), 1.0 / 256)
+            build_domain(DomainSpec(kind="square"), 1.0 / 256)
 
     def test_too_coarse_grid_rejected(self):
         with pytest.raises(DomainBuildError, match="too coarse"):
@@ -75,6 +75,20 @@ class TestBuildDomain:
     def test_non_finite_parameter_named(self, spec, name):
         with pytest.raises(DomainBuildError, match=rf"{re.escape(name)} is not finite"):
             spec.validate()
+
+    @pytest.mark.parametrize("spec, cause", [
+        (DomainSpec.disk(1e308), "disk boundary curvature is not finite"),
+        (DomainSpec.ellipse(1e200, 1e200), "ellipse boundary radius is not finite"),
+    ])
+    def test_overflowing_boundary_named(self, spec, cause):
+        with pytest.raises(DomainBuildError, match=cause):
+            spec.validate()
+
+    def test_overflowing_cell_count_names_h(self):
+        # A subnormal h passes the positivity and feature checks, but
+        # (xmax - xmin) / h is inf.
+        with pytest.raises(DomainBuildError, match="h=1e-320 gives a non-finite cell count"):
+            build_domain(DomainSpec.disk(1.0), 1e-320)
 
     @pytest.mark.parametrize("h", [math.nan, math.inf])
     def test_non_finite_cell_size_named(self, h):

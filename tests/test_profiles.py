@@ -27,6 +27,7 @@ from bvsharp import (
     sign_power,
     surface_quotient_expansion,
     two_valued_quotient_exact,
+    unit_ball_volume,
 )
 from bvsharp.geometry import DomainSpec, build_domain
 from oracles import disk_arc_inside, lens_area, two_valued_quotient
@@ -320,10 +321,14 @@ class TestTwoValuedQuotientExact:
         with pytest.raises(ValueError):
             two_valued_quotient_exact(disk256, (1.0, 0.0), 3.0, 1.0)
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_rejects_dimension_other_than_two(self, disk256, n):
-        with pytest.raises(ValueError, match="planar"):
-            two_valued_quotient_exact(disk256, (1.0, 0.0), 0.2, 1.0, n=n)
+    @pytest.mark.parametrize("q", [0.0, -0.5, 2.0, 3.0, math.nan])
+    def test_rejects_q_outside_the_exponent_range(self, disk256, q):
+        with pytest.raises(ValueError, match="q must lie"):
+            two_valued_quotient_exact(disk256, (1.0, 0.0), 0.2, q)
+
+    def test_rejects_nonpositive_radius(self, disk256):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            two_valued_quotient_exact(disk256, (1.0, 0.0), 0.0, 1.0)
 
     @pytest.mark.parametrize("cap", [0.9994, 0.99999])
     def test_overflowing_plateau_gives_the_finite_quotient(self, cap):
@@ -426,6 +431,41 @@ class TestCriticalQuotientExpansion:
         for eps in (0.05, 0.1):
             assert critical_quotient_expansion(0.0, 4.0 * math.pi, eps, 2) > C_STAR
 
+    @staticmethod
+    def _coefficients(volume, boundary, total, S, n, eps=1e-3):
+        """(Q/c*_n - 1)/eps^2 of the exact two-valued quotient of a ball, and
+        of the expansion, at the critical exponent."""
+        c_star = sharp_sobolev_constant(n)
+        q = n * n / (n * n + n - 2)
+        exact = profiles._two_valued_quotient(total, volume, boundary, q, n, c_star).value
+        expansion = critical_quotient_expansion(S, total, eps, n)
+        return (exact / c_star - 1.0) / eps**2, (expansion / c_star - 1.0) / eps**2
+
+    def test_two_dimensional_value_pinned(self):
+        # The n >= 3 sign leaves n = 2 bit for bit as it was.
+        assert critical_quotient_expansion(1.0, 10.0, 0.3, 2) == 3.57508254795983
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_flat_ball_plateau_term(self, n):
+        # A flat ball of radius eps in a space of total volume 1: the
+        # plateau term is +pi/2 at n = 2 and negative for n >= 3.
+        eps = 1e-3
+        omega = unit_ball_volume(n)
+        exact, expansion = self._coefficients(omega * eps**n, n * omega * eps ** (n - 1),
+                                              1.0, 0.0, n, eps)
+        assert (expansion > 0) == (n == 2)
+        assert expansion == pytest.approx(exact, rel=5e-3)
+
+    def test_three_sphere_ball(self):
+        # A ball of the unit S^3: volume pi (2 eps - sin 2 eps), boundary
+        # 4 pi sin^2 eps, total 2 pi^2, S = 6; the exact coefficient is -0.43722.
+        eps = 1e-3
+        exact, expansion = self._coefficients(math.pi * (2.0 * eps - math.sin(2.0 * eps)),
+                                              4.0 * math.pi * math.sin(eps) ** 2,
+                                              2.0 * math.pi**2, 6.0, 3, eps)
+        assert exact == pytest.approx(-0.43722, abs=1e-5)
+        assert expansion == pytest.approx(exact, rel=5e-3)
+
 
 # Every small-radius expansion with finite values for its arguments other
 # than eps and n, and each argument that a non-finite value must be named by.
@@ -466,15 +506,16 @@ class TestOptimalEpsilon:
         )
         assert qv.value <= coarse + 1e-12
 
-    def test_empty_range_rejected(self, disk256):
-        with pytest.raises(ValueError, match="range"):
-            optimal_epsilon(disk256, (1.0, 0.0), 1.0, eps_range=(0.5, 0.1))
+    def test_empty_range_rejected(self):
+        # At h = 1/10 the lower end 8 h = 0.8 lies above diameter / 4 = 0.5.
+        coarse = build_domain(DomainSpec.disk(1.0), 0.1)
+        with pytest.raises(ValueError, match="empty feasible eps range"):
+            optimal_epsilon(coarse, (1.0, 0.0), 1.0)
 
-    @pytest.mark.parametrize("eps_range, end", [((math.nan, 0.4), "lower"),
-                                                ((0.05, math.nan), "upper")])
-    def test_nan_range_end_rejected(self, disk256, eps_range, end):
-        with pytest.raises(ValueError, match=f"{end} end nan is not finite"):
-            optimal_epsilon(disk256, (1.0, 0.0), 1.0, eps_range=eps_range)
+    @pytest.mark.parametrize("q", [0.0, -0.5, 2.0, 3.0, math.nan])
+    def test_rejects_q_outside_the_exponent_range(self, disk128, q):
+        with pytest.raises(ValueError, match="q must lie"):
+            optimal_epsilon(disk128, (1.0, 0.0), q)
 
 
 class TestShiftVariationalProperties:

@@ -353,3 +353,10 @@ class TestAchievabilityCertificate:
             result = achievability_certificate(domain, q)
             assert result.achieved
             assert result.gap > 0
+
+    @pytest.mark.parametrize("q", [0.0, -0.5, 2.0, 3.0, math.nan])
+    def test_rejects_q_outside_the_exponent_range(self, disk128, q):
+        # q = 3 once certified with gap 1.581, and q = NaN gave a NaN
+        # quotient reported as "not certified".
+        with pytest.raises(ValueError, match="q must lie"):
+            achievability_certificate(disk128, q)

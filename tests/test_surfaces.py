@@ -64,6 +64,24 @@ class TestSurfaceModels:
         assert TORUS.euler_characteristic == 0
         assert TORUS.area == 1.0
 
+    def test_models_are_two_dimensional(self):
+        for surface in (SurfaceModel.sphere(1.0), SPHEROID, TORUS):
+            assert surface.dimension == 2
+        with pytest.raises(TypeError):
+            SurfaceModel(kind="sphere", dimension=3)
+
+    def test_area_is_not_a_constructor_field(self):
+        with pytest.raises(TypeError):
+            SurfaceModel(kind="sphere", _area=1.0)
+
+    def test_area_computed_once(self, monkeypatch):
+        spheroid = SurfaceModel.spheroid(1.0, 2.0)
+        first = spheroid.area
+        calls = []
+        monkeypatch.setattr(SurfaceModel, "_metric_E", lambda self, th: calls.append(th))
+        assert spheroid.area == first
+        assert calls == []
+
     def test_equality_ignores_area_cache(self):
         spheroid = SurfaceModel.spheroid(1.0, 2.0)
         spheroid.area
@@ -471,10 +489,9 @@ class TestSurfaceTwoValuedQuotient:
         qv = surface_two_valued_quotient(sphere, (0.0, 0.0), eps, 1.0)
         assert qv.value == pytest.approx(C_STAR, rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_rejects_dimension_other_than_two(self, n):
-        with pytest.raises(ValueError, match=f"dimension n = {n}"):
-            surface_two_valued_quotient(SPHEROID, (0.0, 0.0), 0.3, 1.2, n=n)
+    def test_dimension_comes_from_the_model(self):
+        with pytest.raises(TypeError):
+            surface_two_valued_quotient(SPHEROID, (0.0, 0.0), 0.3, 1.2, n=2)
 
     def test_spheroid_pole_certifies_strict_inequality(self):
         qv = surface_two_valued_quotient(SPHEROID, (0.0, 0.0), 0.3, 1.0)
@@ -482,9 +499,10 @@ class TestSurfaceTwoValuedQuotient:
         assert qv.threshold == pytest.approx(C_STAR, rel=1e-15, abs=0)
         assert qv.gap_to_threshold < -0.02
 
-    def test_rejects_q_out_of_range(self):
+    @pytest.mark.parametrize("q", [0.0, 2.0, 2.5, math.nan])
+    def test_rejects_q_out_of_range(self, q):
         with pytest.raises(ValueError, match="q must lie"):
-            surface_two_valued_quotient(SPHEROID, (0.0, 0.0), 0.3, 2.5)
+            surface_two_valued_quotient(SPHEROID, (0.0, 0.0), 0.3, q)
 
 
 class TestCriticalCurvatureThreshold:
@@ -555,7 +573,8 @@ class TestHemisphereCertificate:
 class _StubSurface:
     """Duck-typed surface for classifier branches the catalog cannot reach."""
 
-    def __init__(self, kind, chi, s_min, s_max, area):
+    def __init__(self, kind, chi, s_min, s_max, area, dimension=2):
+        self.dimension = dimension
         self.kind = kind
         self.euler_characteristic = chi
         self._range = (s_min, s_max)
@@ -597,9 +616,18 @@ class TestClassifyAchievability:
         assert verdict.witness is None
 
     def test_higher_dimensional_rule(self):
-        stub = _StubSurface("abstract", 0, 0.5, 1.5, 10.0)
-        verdict = classify_achievability(stub, 1.2, n=3)
+        # At n = 3 the exponent range is (0, 3/2).
+        stub = _StubSurface("abstract", 0, 0.5, 1.5, 10.0, dimension=3)
+        verdict = classify_achievability(stub, 1.2)
         assert verdict.justification == "Thm4"
+        with pytest.raises(ValueError, match="q must lie"):
+            classify_achievability(stub, 1.6)
+
+    def test_dimension_comes_from_the_model(self):
+        # A 2-surface never takes the n >= 3 rule.
+        assert classify_achievability(SPHEROID, 1.2).justification == "Thm7"
+        with pytest.raises(TypeError):
+            classify_achievability(SPHEROID, 1.2, n=3)
 
     def test_curvature_above_threshold_rule(self):
         # chi = 0 keeps rule (iii) out; S_max above 8 pi / area fires (iv).
