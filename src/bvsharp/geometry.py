@@ -36,12 +36,13 @@ The two quadrature operations that feed certificate-grade numbers are
 They share one crossing finder.  It brackets the angles at which the
 circle dB(a, eps) crosses dOmega by the sign of the radial gap, then
 narrows each bracket by safeguarded Newton steps on the analytic slope of
-the gap and a short bisection to the floating-point sign change.  A
-tangential crossing raises ValueError, and so does a non-finite centre
-or radius.  A circle's cap and arc are memoized together on (spec,
-centre, radius): one scan and one cap quadrature per circle serve every
-request for either, so the two-valued quotient, which needs both, pays
-for one of each.
+the gap and a bisection to the floating-point sign change, replayed on a
+table of the gap's signs where the bracket holds at most 1024 floats;
+the scan's signs tell which arcs lie in Omega.  A tangential crossing
+raises ValueError, and so does a non-finite centre or radius.  A circle's
+cap and arc are memoized together on (spec, centre, radius): one scan
+and one cap quadrature per circle serve every request for either, so
+the two-valued quotient, which needs both, pays for one of each.
 
 Both are exact to rounding for the supported shapes, so strict-inequality
 certificates are not contaminated by quadrature noise.
@@ -49,6 +50,7 @@ certificates are not contaminated by quadrature noise.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -136,30 +138,37 @@ class DomainSpec:
             return rho
         raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
 
-    def _rho_derivatives(self, t):
-        """(rho'(t), rho''(t)), arrays shaped like t."""
+    def _radial(self, t):
+        """(rho(t), rho'(t), rho''(t)), each harmonic's cos and sin taken once;
+        rho equals `_rho(t)` bit for bit, the derivatives are shaped like t."""
         t = np.asarray(t, dtype=float)
         if self.kind == "disk":
             zero = np.zeros_like(t)
-            return zero, zero
+            return self.r, zero, zero
         if self.kind == "ellipse":
             # rho = a b D^(-1/2), D = b^2 + (a^2 - b^2) sin^2 t; d1 = D'/D, d2 = D''/D.
-            rho = self._rho(t)
+            sin = np.sin(t)
+            rho = self.a * self.b / np.hypot(self.b * np.cos(t), self.a * sin)
             spread = self.a * self.a - self.b * self.b
-            d0 = self.b * self.b + spread * np.sin(t) ** 2
+            d0 = self.b * self.b + spread * sin ** 2
             d1 = spread * np.sin(2.0 * t) / d0
             d2 = 2.0 * spread * np.cos(2.0 * t) / d0
-            return -0.5 * rho * d1, rho * (0.75 * d1 * d1 - 0.5 * d2)
+            return rho, -0.5 * rho * d1, rho * (0.75 * d1 * d1 - 0.5 * d2)
         if self.kind == "fourier":
-            d1 = np.zeros_like(t)
-            d2 = np.zeros_like(t)
+            harmonics = [(np.cos(k * t), np.sin(k * t))
+                         for k in range(1, max(len(self.cos_coeffs), len(self.sin_coeffs)) + 1)]
+            rho, d1, d2 = np.full_like(t, self.r0), np.zeros_like(t), np.zeros_like(t)
             for k, c in enumerate(self.cos_coeffs, start=1):
-                d1 = d1 - c * k * np.sin(k * t)
-                d2 = d2 - c * k * k * np.cos(k * t)
+                cos, sin = harmonics[k - 1]
+                rho = rho + c * cos
+                d1 = d1 - c * k * sin
+                d2 = d2 - c * k * k * cos
             for k, s in enumerate(self.sin_coeffs, start=1):
-                d1 = d1 + s * k * np.cos(k * t)
-                d2 = d2 - s * k * k * np.sin(k * t)
-            return d1, d2
+                cos, sin = harmonics[k - 1]
+                rho = rho + s * sin
+                d1 = d1 + s * k * cos
+                d2 = d2 - s * k * k * sin
+            return rho, d1, d2
         raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
 
     # ----- boundary parameterization (polar angle t) ----------------------
@@ -173,12 +182,12 @@ class DomainSpec:
         """Boundary parameter, the polar angle in (-pi, pi], of points on the curve."""
         return np.arctan2(np.asarray(py, dtype=float), np.asarray(px, dtype=float))
 
-    def boundary_tangent(self, t):
+    def _boundary_frame(self, t):
+        """(x, y, x', y'): the boundary point at t and its derivative in t."""
         t = np.asarray(t, dtype=float)
-        rho = self._rho(t)
-        drho, _ = self._rho_derivatives(t)
+        rho, drho, _ = self._radial(t)
         ct, st = np.cos(t), np.sin(t)
-        return drho * ct - rho * st, drho * st + rho * ct
+        return rho * ct, rho * st, drho * ct - rho * st, drho * st + rho * ct
 
     def curvature(self, t):
         """Signed curvature, positive for the (counterclockwise) convex side.
@@ -186,8 +195,7 @@ class DomainSpec:
         The polar form (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^(3/2)
         is constant in t for the disk, so curvature ties there are exact.
         """
-        t = np.asarray(t, dtype=float)
-        return _polar_curvature(self._rho(t), *self._rho_derivatives(t))
+        return _polar_curvature(*self._radial(t))
 
     # ----- point queries --------------------------------------------------
 
@@ -230,20 +238,24 @@ class DomainSpec:
             raise DomainBuildError("ellipse semi-axes must be positive")
 
         t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        rho = self._rho(t)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            rho, drho, ddrho = self._radial(t)
+            kappa = _polar_curvature(rho, drho, ddrho)
+            cubed = np.max(rho * rho + drho * drho) ** 1.5
         if not np.all(np.isfinite(rho)):
             raise DomainBuildError(f"{self.kind} boundary radius is not finite")
         if self.kind == "fourier" and np.min(rho) <= 0:
             raise DomainBuildError(
                 "fourier boundary radius must stay positive (simple closed curve)"
             )
-        with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            kappa = _polar_curvature(rho, *self._rho_derivatives(t))
         if not np.all(np.isfinite(kappa)):
             raise DomainBuildError(f"{self.kind} boundary curvature is not finite")
         kmax = float(np.max(np.abs(kappa)))
+        if kmax == 0.0 or not np.isfinite(cubed):  # a closed curve has kmax >= 1/diameter
+            raise DomainBuildError(f"{self.kind} boundary radius {float(np.max(rho)):.6g} is too "
+                                   "large: (rho^2 + rho'^2)^(3/2) in its curvature overflows")
         rmin = float(np.min(np.hypot(rho * np.cos(t), rho * np.sin(t))))
-        return min(1.0 / kmax if kmax > 0 else np.inf, rmin)
+        return min(1.0 / kmax, rmin)
 
     def min_feature_size(self) -> float:
         """Smallest geometric scale: min(1/max curvature, min boundary radius).
@@ -360,8 +372,7 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
         )
 
     t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
-    bx, by = spec.boundary_point(t)
-    tx, ty = spec.boundary_tangent(t)
+    bx, by, tx, ty = spec._boundary_frame(t)
     measure = math.pi * float(np.mean(bx * ty - by * tx))
 
     pad = 3.0 * h
@@ -470,9 +481,11 @@ def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
 
 _SCAN_SAMPLES = 4096
 # The scan angles are the same for every circle; built once, read-only.
+# The cosines and sines repeat angle 0 at the end, after the last sample.
 _SCAN_THETAS = np.linspace(0.0, 2.0 * math.pi, _SCAN_SAMPLES, endpoint=False)
-_SCAN_COS, _SCAN_SIN = np.cos(_SCAN_THETAS), np.sin(_SCAN_THETAS)
+_SCAN_COS, _SCAN_SIN = np.cos(np.append(_SCAN_THETAS, 0.0)), np.sin(np.append(_SCAN_THETAS, 0.0))
 _SCAN_THETAS.flags.writeable = _SCAN_COS.flags.writeable = _SCAN_SIN.flags.writeable = False
+_TABLE_FLOATS = 1024  # the most floats of a finish bracket that is tabulated
 # Newton from the regula falsi point stops after 2 or 3 steps; the cap
 # only bounds the loop, since the finish is exact from any bracket.
 _NEWTON_STEPS = 8
@@ -495,9 +508,9 @@ def _gap_and_slope(spec: DomainSpec, ax: float, ay: float, eps: float, theta):
     px, py = ax + eps * cos, ay + eps * sin
     r = np.hypot(px, py)
     phi = np.arctan2(py, px)
-    drho, _ = spec._rho_derivatives(phi)
+    rho, drho, _ = spec._radial(phi)
     slope = eps * ((py * cos - px * sin) / r - drho * (px * cos + py * sin) / (r * r))
-    return r - spec._rho(phi), slope, r
+    return r - rho, slope, r
 
 
 def _checked_centre(a, eps):
@@ -533,6 +546,12 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     exhaustion returns, wherever the sign of the rounded gap is monotone
     near the root.
 
+    A straddling bracket of at most `_TABLE_FLOATS` positive floats, whose
+    int64 bit patterns are consecutive, is tabulated by one gap call and
+    bisected by lookup (`_bisect_table`); any other is bisected by gap
+    calls.  The arc after crossing k lies in Omega exactly when the scan
+    sample before it lies outside.
+
     Returns (theta, inside): the sorted crossing angles, and for each k
     whether the arc from theta[k] to theta[k+1] (cyclically) lies in
     Omega.  Without a crossing theta is empty and inside holds one entry,
@@ -545,7 +564,7 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
 
     gaps = np.asarray(spec.radial_gap(ax + eps * _SCAN_COS, ay + eps * _SCAN_SIN))
     signs = gaps < 0.0
-    flips = np.nonzero(signs != np.roll(signs, -1))[0]
+    flips = np.flatnonzero(signs[:-1] != signs[1:])
     if flips.size == 0:
         theta, inside = flips.astype(float), signs[:1].copy()
         theta.flags.writeable = inside.flags.writeable = False
@@ -554,7 +573,7 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     lo = _SCAN_THETAS[flips]
     hi = lo + 2.0 * math.pi / _SCAN_SAMPLES
     lo_inside = signs[flips]
-    g_lo, g_hi = gaps[flips], gaps[(flips + 1) % _SCAN_SAMPLES]
+    g_lo, g_hi = gaps[flips], gaps[flips + 1]
     t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
     active = np.ones(flips.size, dtype=bool)
     for _ in range(_NEWTON_STEPS):
@@ -583,40 +602,56 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
         )
 
     width = 8.0 * np.spacing(t) + (np.abs(g) + 4.0 * np.spacing(r)) / np.abs(slope)
-    near = np.asarray(gap(np.concatenate((t - width, t + width)))) < 0.0
-    straddle = (near[:t.size] == lo_inside) & (near[t.size:] != lo_inside)
+    first, last = (t - width).view(np.int64), (t + width).view(np.int64)
+    tabulated = np.flatnonzero((first >= 0) & (last - first < _TABLE_FLOATS))
+    tables = [np.arange(first[k], last[k] + 1).view(float) for k in tabulated]
+    near = np.asarray(gap(np.concatenate((t - width, t + width, *tables)))) < 0.0
+    straddle = (near[:t.size] == lo_inside) & (near[t.size:2 * t.size] != lo_inside)
     lo = np.where(straddle, t - width, lo)
     hi = np.where(straddle, t + width, hi)
+    table_signs = np.split(near[2 * t.size:], np.cumsum([table.size for table in tables])[:-1])
+    for k, table, negative in zip(tabulated, tables, table_signs):
+        if straddle[k]:  # the root closes the bracket, and the loop leaves it
+            lo[k] = hi[k] = _bisect_table(float(lo[k]), float(hi[k]), table.tolist(),
+                                          (negative == lo_inside[k]).tolist())
     midpoint = 0.5 * (lo + hi)
     while not np.all((midpoint == lo) | (midpoint == hi)):
         same = (np.asarray(gap(midpoint)) < 0.0) == lo_inside
         lo = np.where(same, midpoint, lo)
         hi = np.where(same, hi, midpoint)
         midpoint = 0.5 * (lo + hi)
-    theta = np.sort(midpoint)
-    following = np.append(theta[1:], theta[0] + 2.0 * math.pi)
-    inside = np.asarray(gap(0.5 * (theta + following))) < 0.0
+    order = np.argsort(midpoint)
+    theta, inside = midpoint[order], ~lo_inside[order]
     theta.flags.writeable = inside.flags.writeable = False
     return theta, inside
 
 
-def _arc_widths(theta):
-    """Angular width of each arc between cyclically consecutive angles."""
-    return np.diff(theta, append=theta[0] + 2.0 * math.pi)
+def _bisect_table(lo: float, hi: float, floats: list, same: list) -> float:
+    """Bisect [lo, hi] as `_circle_crossings` does, reading each midpoint's
+    side from a table: floats lists every float of [lo, hi] in ascending
+    order, and same[i] whether the gap there has the sign it has at lo."""
+    mid = 0.5 * (lo + hi)
+    while mid != lo and mid != hi:
+        lo, hi = (mid, hi) if same[bisect.bisect_left(floats, mid)] else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 # --------------------------------------------------------------------------
 # cap quadrature
 
+# Read-only: `surfaces` shares the rule.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_PANEL_EDGES = np.linspace(0.0, 1.0, 9)
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = _PANEL_EDGES.flags.writeable = False
 
 
 def _panel_rule(t0, t1):
     """Nodes and weights of 32-point Gauss-Legendre on 8 equal panels of
     each interval [t0, t1] (scalars, or arrays of interval ends)."""
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
-    edges = t0[..., None] + (t1 - t0)[..., None] * np.linspace(0.0, 1.0, 9)
-    half = 0.5 * np.diff(edges, axis=-1)[..., None]
+    edges = t0[..., None] + (t1 - t0)[..., None] * _PANEL_EDGES
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
     t = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None] + half * _GL_NODES
     return t, half * _GL_WEIGHTS
 
@@ -625,8 +660,7 @@ def _green_boundary_integral(spec: DomainSpec, ax: float, ay: float, t0, t1):
     """Sum over the parameter intervals [t0, t1] of the integral of
     (x - ax) y' - (y - ay) x' dt, by the panel rule."""
     t, w = _panel_rule(t0, t1)
-    x, y = spec.boundary_point(t)
-    x1, y1 = spec.boundary_tangent(t)
+    x, y, x1, y1 = spec._boundary_frame(t)
     return float(np.sum(w * ((x - ax) * y1 - (y - ay) * x1)))
 
 
@@ -653,9 +687,10 @@ def _circle_measures(spec: DomainSpec, ax: float, ay: float, eps: float):
         bx, by = spec.boundary_point(0.0)
         return 0.0, 0.0, "domain" if math.hypot(float(bx) - ax, float(by) - ay) < eps else "apart"
 
-    angle = float(np.sum(_arc_widths(theta)[inside]))
+    following = np.concatenate((theta[1:], theta[:1] + 2.0 * math.pi))
+    angle = float(np.sum((following - theta)[inside]))
     t = np.sort(spec.boundary_param(ax + eps * np.cos(theta), ay + eps * np.sin(theta)))
-    following = np.append(t[1:], t[0] + 2.0 * math.pi)
+    following = np.concatenate((t[1:], t[:1] + 2.0 * math.pi))
     mx, my = spec.boundary_point(0.5 * (t + following))
     in_ball = np.hypot(mx - ax, my - ay) < eps
     return angle, _green_boundary_integral(spec, ax, ay, t[in_ball], following[in_ball]), None

@@ -234,22 +234,24 @@ def two_valued_quotient_exact(domain: GridDomain, a, eps: float, q: float) -> Qu
         )
     cap = cap_measure(domain, a, eps)
     arc = boundary_arc_inside(domain, a, eps)
-    return _two_valued_quotient(domain.measure, cap, arc, q, 2, half_space_constant(2))
+    return _two_valued_quotient(domain.measure, cap, domain.measure - cap, arc, q, 2,
+                                half_space_constant(2))
 
 
-def _two_valued_quotient(total: float, cap: float, jump: float, q: float, n: int,
+def _two_valued_quotient(total: float, cap: float, rest: float, jump: float, q: float, n: int,
                          threshold: float) -> QuotientValue:
-    """Quotient of chi_cap - beta chi_rest from the cap measure and the
-    length of its jump set, on a space of the given total measure:
+    """Quotient of chi_cap - beta chi_rest from the measures of the cap and
+    of the rest (a closed form keeps the digits that total - cap loses
+    near total) and the length of the jump set:
 
-        (1 + beta) jump / (cap + beta^(n/(n-1)) (total - cap))^(1-1/n).
+        (1 + beta) jump / (cap + beta^(n/(n-1)) rest)^(1-1/n).
 
     Every two-valued witness is assembled here, so q is checked here:
     ValueError unless 0 < q < n/(n-1) and 0 < cap < total.  When beta or
     beta^p lies beyond the float range, numerator and denominator are
     both divided by beta, which leaves the quotient unchanged:
 
-        (1 + 1/beta) jump / (cap beta^(-p) + total - cap)^(1-1/n).
+        (1 + 1/beta) jump / (cap beta^(-p) + rest)^(1-1/n).
     """
     p = n / (n - 1)
     if not 0.0 < q < p:
@@ -257,11 +259,11 @@ def _two_valued_quotient(total: float, cap: float, jump: float, q: float, n: int
     try:
         beta = beta_eps(total, cap, q)
         numerator = (1.0 + beta) * jump
-        denominator = (cap + beta**p * (total - cap)) ** (1.0 - 1.0 / n)
+        denominator = (cap + beta**p * rest) ** (1.0 - 1.0 / n)
     except OverflowError:
         inv_beta = (total / cap - 1.0) ** (1.0 / q)
         numerator = (1.0 + inv_beta) * jump
-        denominator = (cap * inv_beta**p + (total - cap)) ** (1.0 - 1.0 / n)
+        denominator = (cap * inv_beta**p + rest) ** (1.0 - 1.0 / n)
     return QuotientValue.against(numerator, denominator, threshold)
 
 

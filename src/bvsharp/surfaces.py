@@ -436,8 +436,11 @@ def surface_two_valued_quotient(surface: SurfaceModel, center, eps: float,
     """Exact quadrature quotient of chi_B - beta chi_complement on M,
     compared with c*_n for the dimension n of the model."""
     ball, perim = _geodesic_ball(surface, center, eps)
+    # The sphere's complement in closed form: area - ball cancels near eps = pi r.
+    rest = (4.0 * math.pi * surface.r**2 * math.cos(0.5 * eps / surface.r) ** 2
+            if surface.kind == "sphere" else surface.area - ball)
     n = surface.dimension
-    return _two_valued_quotient(surface.area, ball, perim, q, n, sharp_sobolev_constant(n))
+    return _two_valued_quotient(surface.area, ball, rest, perim, q, n, sharp_sobolev_constant(n))
 
 
 def critical_curvature_threshold(n: int, area: float) -> float:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -344,6 +345,16 @@ class TestMainEntryPoint:
         status = main(["domain-certificate", "--out", str(tmp_path / "x"), *flags])
         assert status == 2
         assert cause in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_overflowing_curvature_names_the_radius(self, tmp_path, capsys):
+        # (r^2)^(3/2) overflows for r = 1e154: the curvature would read 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(["domain-certificate", "--out", str(tmp_path / "x"),
+                           "--r", "1e154", "--h", "1e150"])
+        assert status == 2
+        assert "disk boundary radius 1e+154 is too large" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_stray_token_rejected(self, tmp_path, capsys):

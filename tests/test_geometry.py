@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ class TestBuildDomain:
         with pytest.raises(DomainBuildError, match=cause):
             spec.validate()
 
+    @pytest.mark.parametrize("spec, radius", [
+        (DomainSpec.disk(1e154), "1e+154"),
+        (DomainSpec.ellipse(1e150, 5e149), "1e+150"),
+        (DomainSpec.fourier(1e154, cos_coeffs=(1e152,)), "1.01e+154"),
+    ], ids=["disk", "ellipse", "fourier"])
+    def test_overflowing_curvature_names_the_radius(self, spec, radius):
+        # (rho^2 + rho'^2)^(3/2) overflows to inf, so the curvature would
+        # read 0 and the feature size become the radius; a closed curve has
+        # max |curvature| >= 1/diameter > 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainBuildError,
+                               match=rf"boundary radius {re.escape(radius)} is too large"):
+                build_domain(spec, 1e150)
+
     def test_overflowing_cell_count_names_h(self):
         # A subnormal h passes the positivity and feature checks, but
         # (xmax - xmin) / h is inf.
@@ -105,13 +121,13 @@ class TestBuildDomain:
         # validate() and the feature size share the 4096 samples; the only
         # other evaluation is the measure's tangent on 2048 points.
         sizes = []
-        derivatives = DomainSpec._rho_derivatives
+        radial = DomainSpec._radial
 
         def counted(self, t):
             sizes.append(np.size(t))
-            return derivatives(self, t)
+            return radial(self, t)
 
-        monkeypatch.setattr(DomainSpec, "_rho_derivatives", counted)
+        monkeypatch.setattr(DomainSpec, "_radial", counted)
         build_domain(DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)), 1 / 64)
         assert sorted(sizes) == [2048, 4096]
 
@@ -148,6 +164,34 @@ class TestDiameter:
         assert domain.diameter == math.sqrt(_all_pairs_squared_diameter(spec))
 
 
+def _reference_radial(spec, t):
+    """(rho, rho', rho''), each from its own formula, every trigonometric
+    value taken where it is used: the reference for `DomainSpec._radial`."""
+    t = np.asarray(t, dtype=float)
+    if spec.kind == "disk":
+        return spec.r, np.zeros_like(t), np.zeros_like(t)
+    if spec.kind == "ellipse":
+        rho = spec.a * spec.b / np.hypot(spec.b * np.cos(t), spec.a * np.sin(t))
+        spread = spec.a * spec.a - spec.b * spec.b
+        d0 = spec.b * spec.b + spread * np.sin(t) ** 2
+        d1 = spread * np.sin(2.0 * t) / d0
+        d2 = 2.0 * spread * np.cos(2.0 * t) / d0
+        return rho, -0.5 * rho * d1, rho * (0.75 * d1 * d1 - 0.5 * d2)
+    rho = np.full_like(t, spec.r0)
+    for k, c in enumerate(spec.cos_coeffs, start=1):
+        rho = rho + c * np.cos(k * t)
+    for k, s in enumerate(spec.sin_coeffs, start=1):
+        rho = rho + s * np.sin(k * t)
+    d1, d2 = np.zeros_like(t), np.zeros_like(t)
+    for k, c in enumerate(spec.cos_coeffs, start=1):
+        d1 = d1 - c * k * np.sin(k * t)
+        d2 = d2 - c * k * k * np.cos(k * t)
+    for k, s in enumerate(spec.sin_coeffs, start=1):
+        d1 = d1 + s * k * np.cos(k * t)
+        d2 = d2 - s * k * k * np.sin(k * t)
+    return rho, d1, d2
+
+
 RADIAL_SHAPES = [
     DomainSpec.disk(1.3),
     DomainSpec.ellipse(2.4, 1.0),
@@ -166,11 +210,11 @@ class TestRadialModel:
             )
 
     @pytest.mark.parametrize("spec", RADIAL_SHAPES, ids=lambda s: s.kind)
-    def test_rho_derivatives_match_central_differences(self, spec):
+    def test_radial_derivatives_match_central_differences(self, spec):
         # Steps balance truncation against rounding: errors stay below 1e-8
         # and 1e-6 on these shapes, whose rho'' reaches 11.4 (the ellipse).
         t = np.linspace(0.0, 2.0 * math.pi, 97)
-        d1, d2 = spec._rho_derivatives(t)
+        _, d1, d2 = spec._radial(t)
         assert d1.shape == d2.shape == t.shape
         step = 1e-5
         central = (spec._rho(t + step) - spec._rho(t - step)) / (2.0 * step)
@@ -178,6 +222,18 @@ class TestRadialModel:
         step = 1e-4
         second = (spec._rho(t + step) - 2.0 * spec._rho(t) + spec._rho(t - step)) / step**2
         np.testing.assert_allclose(d2, second, rtol=0.0, atol=1e-5)
+
+    @pytest.mark.parametrize("spec", RADIAL_SHAPES + [
+        DomainSpec.fourier(0.9, cos_coeffs=(0.02, -0.05, 0.01)),
+        DomainSpec.fourier(1.1, sin_coeffs=(0.03, 0.0, -0.02, 0.01)),
+    ], ids=["disk", "ellipse", "fourier", "cos-only", "sin-only"])
+    def test_radial_equals_separate_formulas(self, spec):
+        # One trigonometric pass gives the bits of the separate formulas.
+        t = np.random.default_rng(5).uniform(-4.0 * math.pi, 4.0 * math.pi, 4099)
+        for point in (t, float(t[0])):
+            got, want = spec._radial(point), _reference_radial(spec, point)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     @pytest.mark.parametrize("spec", RADIAL_SHAPES, ids=lambda s: s.kind)
     def test_boundary_param_inverts_boundary_point(self, spec):
@@ -428,7 +484,106 @@ def _exhaustive_bisection(spec, ax, ay, eps):
     return np.sort(mid)
 
 
+def _reference_crossings(spec, ax, ay, eps):
+    """The crossing finder with every finish bracket bisected by gap calls
+    and every arc's side read at its midpoint, on the separate radial
+    formulas: the reference for the tabulated finish and the inside flags."""
+
+    def gap(theta):
+        return spec.radial_gap(ax + eps * np.cos(theta), ay + eps * np.sin(theta))
+
+    def gap_and_slope(theta):
+        cos, sin = np.cos(theta), np.sin(theta)
+        px, py = ax + eps * cos, ay + eps * sin
+        r = np.hypot(px, py)
+        phi = np.arctan2(py, px)
+        rho, drho, _ = _reference_radial(spec, phi)
+        slope = eps * ((py * cos - px * sin) / r - drho * (px * cos + py * sin) / (r * r))
+        return r - rho, slope, r
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    gaps = np.asarray(gap(thetas))
+    signs = gaps < 0.0
+    flips = np.nonzero(signs != np.roll(signs, -1))[0]
+    if flips.size == 0:
+        return flips.astype(float), signs[:1].copy()
+    lo = thetas[flips]
+    hi = lo + 2.0 * math.pi / 4096
+    lo_inside = signs[flips]
+    g_lo, g_hi = gaps[flips], gaps[(flips + 1) % 4096]
+    t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+    active = np.ones(flips.size, dtype=bool)
+    for _ in range(8):
+        g, slope, r = gap_and_slope(t)
+        same = (g < 0.0) == lo_inside
+        lo, hi = np.where(same, t, lo), np.where(same, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / slope
+        active &= (np.abs(g) > 4.0 * np.spacing(r)) & ~(np.abs(step) < 2.0 * np.spacing(t))
+        if not active.any():
+            break
+        newton = t - step
+        newton = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+        t = np.where(active, newton, t)
+    if np.any(np.abs(slope) <= 1e-8 * eps):
+        raise ValueError("tangential")
+    width = 8.0 * np.spacing(t) + (np.abs(g) + 4.0 * np.spacing(r)) / np.abs(slope)
+    near = np.asarray(gap(np.concatenate((t - width, t + width)))) < 0.0
+    straddle = (near[:t.size] == lo_inside) & (near[t.size:] != lo_inside)
+    lo, hi = np.where(straddle, t - width, lo), np.where(straddle, t + width, hi)
+    midpoint = 0.5 * (lo + hi)
+    while not np.all((midpoint == lo) | (midpoint == hi)):
+        same = (np.asarray(gap(midpoint)) < 0.0) == lo_inside
+        lo, hi = np.where(same, midpoint, lo), np.where(same, hi, midpoint)
+        midpoint = 0.5 * (lo + hi)
+    theta = np.sort(midpoint)
+    following = np.append(theta[1:], theta[0] + 2.0 * math.pi)
+    return theta, np.asarray(gap(0.5 * (theta + following))) < 0.0
+
+
+def _same_crossings(spec, ax, ay, eps):
+    """Whether `_circle_crossings` gives the reference's bits, or both raise."""
+    try:
+        want = _reference_crossings(spec, ax, ay, eps)
+    except ValueError:
+        with pytest.raises(ValueError, match="tangentially"):
+            geometry._circle_crossings(spec, ax, ay, eps)
+        return True
+    got = geometry._circle_crossings(spec, ax, ay, eps)
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 class TestCrossingFinder:
+    @pytest.mark.parametrize("spec, h", CATALOG)
+    def test_equals_reference_bit_for_bit(self, spec, h):
+        # Centres on the boundary and off it (the circle may miss dOmega).
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            bx, by = spec.boundary_point(rng.uniform(0.0, 2.0 * math.pi))
+            scale = 1.0 if rng.uniform() < 0.5 else rng.uniform(0.6, 1.4)
+            eps = math.exp(rng.uniform(math.log(0.005), math.log(1.5)))
+            assert _same_crossings(spec, scale * float(bx), scale * float(by), eps)
+
+    @pytest.mark.parametrize("spec, h", CATALOG)
+    @pytest.mark.parametrize("delta, tables", [(1e-13, 1), (2e-15, 1), (-3e-13, 2), (0.3, 2)],
+                             ids=["loop-1e-13", "loop-2e-15", "table-near-2pi", "table"])
+    def test_both_finish_paths_equal_reference(self, spec, h, delta, tables, monkeypatch):
+        # The circle crosses dOmega at theta = delta.  Just above theta = 0
+        # the floats are too dense to tabulate the finish bracket, which is
+        # then bisected by gap calls; a crossing just below 0 is found near
+        # 2 pi, where the bracket holds a few floats, as at theta = 0.3.
+        bx, by = spec.boundary_point(0.7)
+        eps = 0.3
+        ax, ay = float(bx) - eps * math.cos(delta), float(by) - eps * math.sin(delta)
+        assert _same_crossings(spec, ax, ay, eps)
+        calls = []
+        table = geometry._bisect_table
+        monkeypatch.setattr(geometry, "_bisect_table",
+                            lambda *args: calls.append(args) or table(*args))
+        theta, _ = geometry._circle_crossings(spec, ax, ay, eps)
+        assert theta.size == 2 and len(calls) == tables
+        assert min(abs(theta - delta % (2.0 * math.pi))) <= 1e-12
+
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.5])
     def test_disk_roots_match_closed_form(self, eps):
         # |a + eps e(theta)| = 1 with a = (1, 0) gives cos theta = -eps / 2.
@@ -484,9 +639,11 @@ class TestCrossingFinder:
     @pytest.mark.parametrize("spec, h", CATALOG)
     def test_gap_evaluations_per_scan(self, spec, h, monkeypatch):
         # The scans of one radius search: 62 gap evaluations each with a
-        # 60-step bisection, about 10 with the Newton polish.  The cap and
-        # the arc of a quotient both ask for the circle's measures, and
-        # only the first request scans it.
+        # 60-step bisection, about 10 with the Newton polish and a finish
+        # bisected by gap calls, 4 or 5 with the tabulated finish (the scan,
+        # 2 or 3 Newton steps, the table).  The cap and the arc of a
+        # quotient both ask for the circle's measures, and only the first
+        # request scans it.
         geometry._circle_measures.cache_clear()
         domain = build_domain(spec, h)
         calls = [0]
@@ -511,7 +668,7 @@ class TestCrossingFinder:
         monkeypatch.setattr(geometry, "_circle_crossings", scan)
         optimal_epsilon(domain, max_curvature_seed(domain).point, 1.0)
         assert len(per_scan) == 58
-        assert 0 < min(per_scan) and max(per_scan) <= 16
+        assert 0 < min(per_scan) and max(per_scan) <= 5
 
     def test_tangential_crossing_raises(self, disk256):
         # dB((0.5, 0), 0.5) touches the unit circle from inside at theta = 0,
@@ -547,6 +704,15 @@ class TestCrossingFinder:
         # Neither is a view: the circle inside the disk, without a
         # crossing, gets a copy of the scan's first sign.
         assert theta.base is None and inside.base is None
+
+    @pytest.mark.parametrize("name", ["_SCAN_THETAS", "_SCAN_COS", "_SCAN_SIN", "_GL_NODES",
+                                      "_GL_WEIGHTS", "_PANEL_EDGES"])
+    def test_shared_constants_are_read_only(self, name):
+        # `surfaces` shares the panel rule, so a stray write would corrupt
+        # both modules.
+        array = getattr(geometry, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array
 
     @pytest.mark.parametrize("function", [cap_measure, boundary_arc_inside])
     @pytest.mark.parametrize("eps", [math.nan, math.inf])

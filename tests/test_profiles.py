@@ -335,7 +335,7 @@ class TestTwoValuedQuotientExact:
         # At q = 0.01, beta = (V/W)^100 lies beyond the float range; the
         # quotient itself is finite.
         mpmath = pytest.importorskip("mpmath")
-        qv = profiles._two_valued_quotient(1.0, cap, 3.9, 0.01, 2, C_STAR)
+        qv = profiles._two_valued_quotient(1.0, cap, 1.0 - cap, 3.9, 0.01, 2, C_STAR)
         with mpmath.workdps(50):
             V = mpmath.mpf(cap)
             beta = (V / (1 - V)) ** 100
@@ -437,7 +437,8 @@ class TestCriticalQuotientExpansion:
         of the expansion, at the critical exponent."""
         c_star = sharp_sobolev_constant(n)
         q = n * n / (n * n + n - 2)
-        exact = profiles._two_valued_quotient(total, volume, boundary, q, n, c_star).value
+        exact = profiles._two_valued_quotient(total, volume, total - volume, boundary, q, n,
+                                              c_star).value
         expansion = critical_quotient_expansion(S, total, eps, n)
         return (exact / c_star - 1.0) / eps**2, (expansion / c_star - 1.0) / eps**2
 

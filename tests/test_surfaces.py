@@ -479,14 +479,23 @@ class TestSurfaceTwoValuedQuotient:
             qv = surface_two_valued_quotient(sphere, (0.0, 0.0), eps, 1.0)
             assert abs(qv.value - C_STAR) <= 0.5 * eps**4
 
-    @pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-3, 0.1, 1.0, math.pi / 2.0, 2.5])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-3, 0.1, 1.0, math.pi / 2.0, 2.5, 3.0,
+                                     math.pi - 1e-3, math.pi - 1e-6])
     def test_round_sphere_ball_equals_sharp_constant_at_q1(self, eps):
         # Q = P sqrt(T) / sqrt(V (T - V)) = 2 sqrt(pi) for every ball; the
         # cap area 2 pi (1 - cos eps) cancels at small eps unless written
-        # as 4 pi sin^2(eps / 2).  Near pi the complement T - V is formed by
-        # a subtraction that loses about 12 digits, so the range stops at 2.5.
+        # as 4 pi sin^2(eps / 2), and near pi the complement T - V cancels
+        # unless written as 4 pi cos^2(eps / 2): T - V reads c*_2 (1 - 1.2e-4)
+        # at pi - 1e-6.
         sphere = SurfaceModel.sphere(1.0)
         qv = surface_two_valued_quotient(sphere, (0.0, 0.0), eps, 1.0)
+        assert qv.value == pytest.approx(C_STAR, rel=1e-14, abs=0)
+
+    def test_complement_in_closed_form_on_a_larger_sphere(self):
+        # The quotient is scale-free in two dimensions, so a sphere of
+        # radius 2.5 reads c*_2 at eps = 2.5 (pi - 1e-6) as well.
+        sphere = SurfaceModel.sphere(2.5)
+        qv = surface_two_valued_quotient(sphere, (0.0, 0.0), 2.5 * (math.pi - 1e-6), 1.0)
         assert qv.value == pytest.approx(C_STAR, rel=1e-14, abs=0)
 
     def test_dimension_comes_from_the_model(self):
