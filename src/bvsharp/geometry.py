@@ -34,11 +34,16 @@ The two quadrature operations that feed certificate-grade numbers are
   `surfaces` use it too).
 
 They share one crossing finder.  It brackets the angles at which the
-circle dB(a, eps) crosses dOmega by the sign of the radial gap, then
+circle dB(a, eps) crosses dOmega by the sign of the radial gap at 4096
+angles.  A sample p whose |p|^2 lies clear of the shape's radial range
+[rho_lo, rho_hi] takes its side from |p|^2; one radial-gap call
+evaluates the rest and both ends of every bracket.  The finder then
 narrows each bracket by safeguarded Newton steps on the analytic slope of
 the gap and a bisection to the floating-point sign change, replayed on a
-table of the gap's signs where the bracket holds at most 1024 floats;
-the scan's signs tell which arcs lie in Omega.  A tangential crossing
+table of the gap's signs where the bracket holds at most 1024 floats.
+Each Newton step is one vectorised call for all brackets; the bracket
+updates and the finish run on Python floats.  The scan's signs tell
+which arcs lie in Omega.  A tangential crossing
 raises ValueError, and so does a non-finite centre or radius.  A circle's
 cap and arc are memoized together on (spec, centre, radius): one scan
 and one cap quadrature per circle serve every request for either, so
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -169,6 +175,22 @@ class DomainSpec:
                 d1 = d1 + s * k * cos
                 d2 = d2 - s * k * k * sin
             return rho, d1, d2
+        raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
+
+    def _radial_range(self):
+        """(rho_lo, rho_hi) with rho_lo <= rho(t) <= rho_hi at every angle.
+
+        A Fourier harmonic c cos(k t) + s sin(k t) lies within hypot(c, s)
+        of 0, so a Fourier rho_lo may be 0 or negative although rho is not.
+        """
+        if self.kind == "disk":
+            return self.r, self.r
+        if self.kind == "ellipse":
+            return min(self.a, self.b), max(self.a, self.b)
+        if self.kind == "fourier":
+            spread = sum(math.hypot(c, s) for c, s in itertools.zip_longest(
+                self.cos_coeffs, self.sin_coeffs, fillvalue=0.0))
+            return self.r0 - spread, self.r0 + spread
         raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
 
     # ----- boundary parameterization (polar angle t) ----------------------
@@ -485,6 +507,10 @@ _SCAN_SAMPLES = 4096
 _SCAN_THETAS = np.linspace(0.0, 2.0 * math.pi, _SCAN_SAMPLES, endpoint=False)
 _SCAN_COS, _SCAN_SIN = np.cos(np.append(_SCAN_THETAS, 0.0)), np.sin(np.append(_SCAN_THETAS, 0.0))
 _SCAN_THETAS.flags.writeable = _SCAN_COS.flags.writeable = _SCAN_SIN.flags.writeable = False
+_SCAN_STEP = 2.0 * math.pi / _SCAN_SAMPLES
+# A point p with |p| < rho_lo - m or |p| > rho_hi + m, m = _BAND_MARGIN * rho_hi,
+# takes its side from |p|^2 alone (`_sides_by_radius`).
+_BAND_MARGIN = 1e-9
 _TABLE_FLOATS = 1024  # the most floats of a finish bracket that is tabulated
 # Newton from the regula falsi point stops after 2 or 3 steps; the cap
 # only bounds the loop, since the finish is exact from any bracket.
@@ -513,6 +539,25 @@ def _gap_and_slope(spec: DomainSpec, ax: float, ay: float, eps: float, theta):
     return r - rho, slope, r
 
 
+def _sides_by_radius(spec: DomainSpec, px, py):
+    """(inside, known): the points p that |p|^2 places in Omega, and those it places at all.
+
+    With [rho_lo, rho_hi] the spec's radial range and m = _BAND_MARGIN rho_hi,
+    p is inside when |p| < rho_lo - m (never when rho_lo <= m) and outside
+    when |p| > rho_hi + m.  Rounding moves |p|^2 and |p| by a few ulp, and
+    rho and the band ends by under 1e-12 rho_hi (a Fourier term of harmonic
+    k by about k pi ulp), far inside m: a known point has the side of `radial_gap`.
+    """
+    rho_lo, rho_hi = spec._radial_range()
+    margin = _BAND_MARGIN * rho_hi
+    r2 = px * px + py * py
+    outside = r2 > (rho_hi + margin) ** 2
+    if rho_lo <= margin:
+        return np.zeros_like(outside), outside
+    inside = r2 < (rho_lo - margin) ** 2
+    return inside, inside | outside
+
+
 def _checked_centre(a, eps):
     """The centre (ax, ay) as floats; raises ValueError unless the centre
     and the radius eps are finite and eps is positive."""
@@ -530,12 +575,21 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     """Angles at which the circle dB(a, eps) crosses dOmega, and the inside arcs.
 
     Crossings are bracketed by sign changes of the radial gap between
-    4096 equispaced angles.  In each bracket a safeguarded Newton iteration
-    on the analytic slope (rtsafe, Numerical Recipes section 9.4) starts at
-    the regula falsi point of the two scan values.  Every step narrows the
-    bracket by the sign of the gap, and a step leaving the open bracket
-    falls back to its midpoint.  An element stops once |gap| <= 4 ulp(r)
-    or its step is below 2 ulp(t), and keeps that iterate t.
+    4096 equispaced angles.  The scan reads the side of most samples from
+    |p|^2 and the spec's radial range (`_sides_by_radius`); one
+    `radial_gap` call evaluates the rest, their neighbours and both ends
+    of every sign change between two samples placed by |p|^2, so every
+    bracket and both its end values are those of a scan by `radial_gap`.
+
+    In each bracket a safeguarded Newton iteration on the analytic slope
+    (rtsafe, Numerical Recipes section 9.4) starts at the regula falsi
+    point of the two scan values.  Every step narrows the bracket by the
+    sign of the gap, and a step leaving the open bracket falls back to its
+    midpoint.  An element stops once |gap| <= 4 ulp(r) or its step is
+    below 2 ulp(t), and keeps that iterate t.  One `_gap_and_slope` call
+    per step serves every bracket; the updates, like the finish below,
+    run on Python floats, whose arithmetic is numpy's to the bit, and
+    `math.ulp` is `np.spacing` on the non-negative t and r.
 
     t lies |gap| / |slope| from the root of the exact gap, and the rounded
     gap changes sign within about 4 ulp(r) / |slope| of that root.  The
@@ -547,10 +601,10 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     near the root.
 
     A straddling bracket of at most `_TABLE_FLOATS` positive floats, whose
-    int64 bit patterns are consecutive, is tabulated by one gap call and
-    bisected by lookup (`_bisect_table`); any other is bisected by gap
-    calls.  The arc after crossing k lies in Omega exactly when the scan
-    sample before it lies outside.
+    int64 bit patterns are consecutive, is tabulated in the same gap call
+    as the straddle test and bisected by lookup (`_bisect_table`); any
+    other is bisected by gap calls.  The arc after crossing k lies in
+    Omega exactly when the scan sample before it lies outside.
 
     Returns (theta, inside): the sorted crossing angles, and for each k
     whether the arc from theta[k] to theta[k+1] (cyclically) lies in
@@ -562,66 +616,96 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     def gap(theta):
         return spec.radial_gap(ax + eps * np.cos(theta), ay + eps * np.sin(theta))
 
-    gaps = np.asarray(spec.radial_gap(ax + eps * _SCAN_COS, ay + eps * _SCAN_SIN))
-    signs = gaps < 0.0
+    # Sample _SCAN_SAMPLES repeats sample 0, so pair i is samples i and i + 1.
+    # A pair that |p|^2 places on one side needs no gap; any other needs
+    # both ends, and sample i ends pairs i - 1 and i (cyclically).
+    px, py = ax + eps * _SCAN_COS, ay + eps * _SCAN_SIN
+    signs, known = _sides_by_radius(spec, px, py)
+    unsettled = ~(known[:-1] & known[1:] & (signs[:-1] == signs[1:]))
+    needed = unsettled.copy()
+    needed[1:] |= unsettled[:-1]
+    needed[0] |= unsettled[-1]
+    needed = np.flatnonzero(needed)
+    found = spec.radial_gap(px[needed], py[needed])
+    gaps = np.zeros(signs.size)
+    gaps[needed], signs[needed] = found, found < 0.0
+    gaps[-1], signs[-1] = gaps[0], signs[0]
     flips = np.flatnonzero(signs[:-1] != signs[1:])
     if flips.size == 0:
         theta, inside = flips.astype(float), signs[:1].copy()
         theta.flags.writeable = inside.flags.writeable = False
         return theta, inside
 
-    lo = _SCAN_THETAS[flips]
-    hi = lo + 2.0 * math.pi / _SCAN_SAMPLES
-    lo_inside = signs[flips]
-    g_lo, g_hi = gaps[flips], gaps[flips + 1]
-    t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
-    active = np.ones(flips.size, dtype=bool)
+    n = flips.size
+    lo_inside = signs[flips].tolist()
+    lo = _SCAN_THETAS[flips].tolist()
+    hi = [x + _SCAN_STEP for x in lo]
+    t = [a + (b - a) * (ga / (ga - gb))
+         for a, b, ga, gb in zip(lo, hi, gaps[flips].tolist(), gaps[flips + 1].tolist())]
+    active = [True] * n
     for _ in range(_NEWTON_STEPS):
-        g, slope, r = _gap_and_slope(spec, ax, ay, eps, t)
-        same = (g < 0.0) == lo_inside
-        lo = np.where(same, t, lo)
-        hi = np.where(same, hi, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = g / slope
-        active &= (np.abs(g) > 4.0 * np.spacing(r)) & ~(np.abs(step) < 2.0 * np.spacing(t))
-        if not active.any():
+        g, slope, r = (v.tolist() for v in _gap_and_slope(spec, ax, ay, eps, np.array(t)))
+        for k in range(n):
+            if (g[k] < 0.0) == lo_inside[k]:
+                lo[k] = t[k]
+            else:
+                hi[k] = t[k]
+            # numpy's g / 0 is +-inf, or NaN at g = 0, and either fails both
+            # the step test and the open-bracket test, as inf does.
+            step = g[k] / slope[k] if slope[k] else math.inf
+            active[k] = (active[k] and abs(g[k]) > 4.0 * math.ulp(r[k])
+                         and not abs(step) < 2.0 * math.ulp(t[k]))
+            if active[k]:
+                newton = t[k] - step
+                t[k] = newton if lo[k] < newton < hi[k] else 0.5 * (lo[k] + hi[k])
+        if not any(active):
             break
-        # A stopped t is an endpoint of its bracket, where even a zero step
-        # would fail the open-bracket test and jump to the midpoint.
-        newton = t - step
-        newton = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
-        t = np.where(active, newton, t)
 
-    tangent = np.abs(slope) <= _TANGENT_SLOPE_FLOOR * eps
-    if tangent.any():
-        raise ValueError(
-            f"circle of radius eps={eps} centred at ({ax}, {ay}) touches the "
-            f"boundary tangentially at angle theta={float(t[tangent][0])} "
-            f"(|d gap/d theta| = {float(abs(slope[tangent][0])):.3g}); "
-            "the crossings are not transversal"
-        )
+    for k in range(n):
+        if abs(slope[k]) <= _TANGENT_SLOPE_FLOOR * eps:
+            raise ValueError(
+                f"circle of radius eps={eps} centred at ({ax}, {ay}) touches the "
+                f"boundary tangentially at angle theta={t[k]} "
+                f"(|d gap/d theta| = {abs(slope[k]):.3g}); "
+                "the crossings are not transversal"
+            )
 
-    width = 8.0 * np.spacing(t) + (np.abs(g) + 4.0 * np.spacing(r)) / np.abs(slope)
-    first, last = (t - width).view(np.int64), (t + width).view(np.int64)
-    tabulated = np.flatnonzero((first >= 0) & (last - first < _TABLE_FLOATS))
-    tables = [np.arange(first[k], last[k] + 1).view(float) for k in tabulated]
-    near = np.asarray(gap(np.concatenate((t - width, t + width, *tables)))) < 0.0
-    straddle = (near[:t.size] == lo_inside) & (near[t.size:2 * t.size] != lo_inside)
-    lo = np.where(straddle, t - width, lo)
-    hi = np.where(straddle, t + width, hi)
-    table_signs = np.split(near[2 * t.size:], np.cumsum([table.size for table in tables])[:-1])
-    for k, table, negative in zip(tabulated, tables, table_signs):
-        if straddle[k]:  # the root closes the bracket, and the loop leaves it
-            lo[k] = hi[k] = _bisect_table(float(lo[k]), float(hi[k]), table.tolist(),
-                                          (negative == lo_inside[k]).tolist())
-    midpoint = 0.5 * (lo + hi)
-    while not np.all((midpoint == lo) | (midpoint == hi)):
-        same = (np.asarray(gap(midpoint)) < 0.0) == lo_inside
-        lo = np.where(same, midpoint, lo)
-        hi = np.where(same, hi, midpoint)
-        midpoint = 0.5 * (lo + hi)
+    width = [8.0 * math.ulp(tk) + (abs(gk) + 4.0 * math.ulp(rk)) / abs(sk)
+             for tk, gk, rk, sk in zip(t, g, r, slope)]
+    below = [tk - wk for tk, wk in zip(t, width)]
+    above = [tk + wk for tk, wk in zip(t, width)]
+    ends = np.array(below + above)
+    bits = ends.view(np.int64).tolist()
+    spans = [range(first, last + 1) if 0 <= first <= last < first + _TABLE_FLOATS else range(0)
+             for first, last in zip(bits[:n], bits[n:])]
+    query = np.concatenate([ends] + [np.arange(span.start, span.stop).view(float)
+                                     for span in spans if span])
+    negative = np.asarray(gap(query)) < 0.0
+    near = negative[:2 * n].tolist()
+    stop = 2 * n
+    for k, span in enumerate(spans):
+        table = slice(stop, stop + len(span))
+        stop = table.stop
+        if near[k] == lo_inside[k] and near[n + k] != lo_inside[k]:
+            lo[k], hi[k] = below[k], above[k]
+            if span:  # the root closes the bracket, and the loop leaves it
+                lo[k] = hi[k] = _bisect_table(lo[k], hi[k], query[table].tolist(),
+                                              (negative[table] == lo_inside[k]).tolist())
+
+    midpoint = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    unfinished = [k for k in range(n) if midpoint[k] not in (lo[k], hi[k])]
+    while unfinished:
+        sides = np.asarray(gap(np.array([midpoint[k] for k in unfinished]))) < 0.0
+        for k, side in zip(unfinished, sides.tolist()):
+            if side == lo_inside[k]:
+                lo[k] = midpoint[k]
+            else:
+                hi[k] = midpoint[k]
+            midpoint[k] = 0.5 * (lo[k] + hi[k])
+        unfinished = [k for k in unfinished if midpoint[k] not in (lo[k], hi[k])]
+    midpoint = np.array(midpoint)
     order = np.argsort(midpoint)
-    theta, inside = midpoint[order], ~lo_inside[order]
+    theta, inside = midpoint[order], ~signs[flips][order]
     theta.flags.writeable = inside.flags.writeable = False
     return theta, inside
 
