@@ -43,8 +43,8 @@ qv = surface_two_valued_quotient(spheroid, (0.0, 0.0), 0.3, 1.0)
 print(f"two-valued quotient at the pole (eps = 0.3): {qv.value:.6f} < c*_2 = {c_star:.6f}")
 
 cert = hemisphere_certificate(1.0)
-print(f"\nhemisphere profile on the round sphere: quotient {cert.quotient.value:.10f}, "
-      f"residual {cert.residual}, equals c*_2: {cert.equals_c_star}")
+print(f"\nhemisphere profile on the round sphere: quotient {cert.value:.10f}, "
+      f"plateau beta = {cert.beta}, gap to c*_2: {cert.gap_to_threshold:.1e}")
 
 print("\nclassifier verdicts at q = 1.5:")
 for name, surface in (("round sphere", sphere), ("spheroid", spheroid), ("flat torus", torus)):

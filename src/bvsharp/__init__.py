@@ -59,7 +59,6 @@ from .solver import (
 )
 from .surfaces import (
     AchievabilityVerdict,
-    HemisphereCertificate,
     SurfaceModel,
     classify_achievability,
     critical_curvature_threshold,

@@ -43,6 +43,8 @@ detail.csv columns per task:
   sphere-certificate  q, value, residual, equals_c_star
   domain-certificate  q, best_quotient, threshold, gap, achieved, center_x, center_y, eps
   domain-sweep        eps, cap, arc, beta, quotient, gap
+                      (beta reads inf where the plateau lies beyond the
+                      float range; the quotient stays finite)
   solve               iter, quotient, residual, tv, norm
   surface-classify    q, verdict, justification, S_max, threshold
   expansion-audit     target=domain-quotient: eps, exact, expansion, difference
@@ -241,16 +243,16 @@ def _task_constants(config: ExperimentConfig):
 
 def _task_sphere_certificate(config: ExperimentConfig):
     q_values = config.q_list or (config.q,)
-    certs = [surfaces.hemisphere_certificate(qv) for qv in q_values]
-    rows = [[qv, cert.quotient.value, cert.residual, cert.equals_c_star]
-            for qv, cert in zip(q_values, certs)]
-    first = certs[0]
-    summary = {
-        "value": first.quotient.value,
-        "residual": first.residual,
-        "equals_c_star": first.equals_c_star,
-        "q_values": list(q_values),
-    }
+    hemisphere = 2.0 * np.pi
+    rows = []
+    for q in q_values:
+        qv = surfaces.hemisphere_certificate(q)
+        # The profile's levels 1 and -beta, each on a hemisphere.
+        residual = profiles.constraint_residual([(1.0, hemisphere), (-qv.beta, hemisphere)], q)
+        rows.append([q, qv.value, residual, abs(qv.gap_to_threshold) <= 1e-12])
+    _, value, residual, equals = rows[0]
+    summary = {"value": value, "residual": residual, "equals_c_star": equals,
+               "q_values": list(q_values)}
     return summary, ["q", "value", "residual", "equals_c_star"], rows
 
 
@@ -286,9 +288,8 @@ def _task_domain_sweep(config: ExperimentConfig):
     def evaluate(eps):
         cap = geometry.cap_measure(domain, seed.point, eps)
         arc = geometry.boundary_arc_inside(domain, seed.point, eps)
-        beta = profiles.beta_eps(domain.measure, cap, config.q)
         qv = profiles.two_valued_quotient_exact(domain, seed.point, eps, config.q)
-        return [float(eps), cap, arc, beta, qv.value, qv.gap_to_threshold]
+        return [float(eps), cap, arc, qv.beta, qv.value, qv.gap_to_threshold]
 
     rows = _parallel_map(evaluate, eps_values)
     best = min(rows, key=lambda row: (row[4], row[0]))

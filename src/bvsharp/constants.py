@@ -42,7 +42,11 @@ def _as_half_integer(x: float) -> int:
 
 
 def gamma_half_integer(x: float) -> float:
-    """Gamma(x) for x in {1/2, 1, 3/2, 2, ...} via the exact recurrence."""
+    """Gamma(x) for x in {1/2, 1, 3/2, 2, ...} via the exact recurrence.
+
+    Raises ValueError, naming x, when Gamma(x) lies beyond the float
+    range (from x = 172 on).
+    """
     k = _as_half_integer(x)
     # k counts half-steps: k even -> integer argument, k odd -> half-integer.
     value = 1.0 if k % 2 == 0 else _SQRT_PI
@@ -50,6 +54,8 @@ def gamma_half_integer(x: float) -> float:
     while t < x - 0.25:
         value *= t
         t += 1.0
+        if value == math.inf:
+            raise ValueError(f"Gamma({x}) lies beyond the float range")
     return value
 
 
@@ -73,14 +79,16 @@ def unit_ball_volume(n: int) -> float:
     """Volume omega_n of the unit ball in R^n."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return math.pi ** (n / 2.0) / gamma_half_integer(n / 2.0 + 1.0)
+    gamma = gamma_half_integer(n / 2.0 + 1.0)  # first: it names an out-of-range n
+    return math.pi ** (n / 2.0) / gamma
 
 
 def unit_sphere_area(n: int) -> float:
     """Surface measure sigma_n of the unit n-sphere S^n embedded in R^(n+1)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / gamma_half_integer((n + 1) / 2.0)
+    gamma = gamma_half_integer((n + 1) / 2.0)  # first: it names an out-of-range n
+    return 2.0 * math.pi ** ((n + 1) / 2.0) / gamma
 
 
 def sharp_sobolev_constant(n: int) -> float:

@@ -11,7 +11,10 @@ int sgn(u) |u|^q = 0 holds exactly.  Its quotient
 
 is assembled from the geometry module's exact quadrature, never from
 grid total variation: discrete TV carries anisotropy error that would
-contaminate a strict-inequality certificate.
+contaminate a strict-inequality certificate.  One function,
+`_two_valued_quotient`, forms beta and the quotient from the measures
+of the cap, of its complement and of the jump set, for every witness:
+boundary caps here, geodesic balls and the hemisphere in `surfaces`.
 
 Quotients are compared against a threshold (the half-space constant on
 domains, the full sharp constant on closed surfaces); a value strictly
@@ -59,10 +62,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuotientValue:
-    """A quotient evaluation together with its certificate threshold.
+    """A two-valued quotient, its plateau beta and its certificate threshold.
 
     gap_to_threshold = value - threshold; negative means the profile
-    certifies strict inequality.
+    certifies strict inequality.  beta is inf only where it overflows.
     """
 
     numerator: float
@@ -70,17 +73,7 @@ class QuotientValue:
     value: float
     threshold: float
     gap_to_threshold: float
-
-    @classmethod
-    def against(cls, numerator: float, denominator: float, threshold: float) -> "QuotientValue":
-        value = numerator / denominator
-        return cls(
-            numerator=numerator,
-            denominator=denominator,
-            value=value,
-            threshold=threshold,
-            gap_to_threshold=value - threshold,
-        )
+    beta: float
 
 
 def sign_power(t: float, q: float):
@@ -246,25 +239,30 @@ def _two_valued_quotient(total: float, cap: float, rest: float, jump: float, q: 
 
         (1 + beta) jump / (cap + beta^(n/(n-1)) rest)^(1-1/n).
 
-    Every two-valued witness is assembled here, so q is checked here:
-    ValueError unless 0 < q < n/(n-1) and 0 < cap < total.  When beta or
-    beta^p lies beyond the float range, numerator and denominator are
-    both divided by beta, which leaves the quotient unchanged:
+    Every two-valued witness and its beta are formed here, so q is checked
+    here: ValueError unless 0 < q < n/(n-1) and 0 < cap < total.  When beta,
+    beta^p or beta^p rest lies beyond the float range, numerator and
+    denominator are both divided by beta, which leaves the quotient unchanged:
 
         (1 + 1/beta) jump / (cap beta^(-p) + rest)^(1-1/n).
     """
     p = n / (n - 1)
     if not 0.0 < q < p:
         raise ValueError(f"q must lie in (0, {p}), got {q}")
+    beta = math.inf
     try:
         beta = beta_eps(total, cap, q)
         numerator = (1.0 + beta) * jump
         denominator = (cap + beta**p * rest) ** (1.0 - 1.0 / n)
+        if denominator == math.inf:  # beta^p rest overflowed silently: the value would read 0
+            raise OverflowError
     except OverflowError:
         inv_beta = (total / cap - 1.0) ** (1.0 / q)
         numerator = (1.0 + inv_beta) * jump
         denominator = (cap * inv_beta**p + rest) ** (1.0 - 1.0 / n)
-    return QuotientValue.against(numerator, denominator, threshold)
+    value = numerator / denominator
+    return QuotientValue(numerator=numerator, denominator=denominator, value=value,
+                         threshold=threshold, gap_to_threshold=value - threshold, beta=beta)
 
 
 def domain_quotient_expansion(H: float, eps: float, n: int) -> float:

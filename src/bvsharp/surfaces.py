@@ -35,6 +35,11 @@ angle from the north pole, longitude) and (x, y) on the torus.
 The spheroid area and the Gauss-Bonnet integral are integrals over the
 meridian angle theta in [0, pi] of analytic integrands; both use the
 Gauss-Legendre panel rule that `geometry` uses for its cap integrals.
+
+`_geodesic_ball` is the one place that knows each model's closed forms
+for a ball: its area, the area of its complement and its perimeter.
+Surface quotients, the hemisphere's included, are formed from those
+measures by `profiles._two_valued_quotient`, as the planar ones are.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ __all__ = [
     "critical_curvature_threshold",
     "gauss_bonnet_check",
     "hemisphere_certificate",
-    "HemisphereCertificate",
     "classify_achievability",
 ]
 
@@ -87,18 +91,31 @@ class SurfaceModel:
     def sphere(r: float = 1.0) -> "SurfaceModel":
         if r <= 0:
             raise ValueError("sphere radius must be positive")
+        r2 = r * r
+        _require_finite_positive(f"sphere r={r!r}", {
+            "r^2": r2, "scalar curvature 2/r^2": 2.0 / r2 if r2 else math.inf,
+            "area 4 pi r^2": 4.0 * math.pi * r2})
         return SurfaceModel(kind="sphere", r=r)
 
     @staticmethod
     def spheroid(a: float, c: float) -> "SurfaceModel":
         if a <= 0 or c <= 0:
             raise ValueError("spheroid semi-axes must be positive")
+        # max(a, c)^4 bounds E^2 in the Gauss-Bonnet integrand.  With these
+        # finite and positive, so is the area, between 4 pi a min(a, c) and
+        # 4 pi a max(a, c).
+        a2, c2 = a * a, c * c
+        _require_finite_positive(f"spheroid a={a!r}, c={c!r}", {
+            "a^4": a2 * a2, "c^2": c2, "max(a, c)^4": max(a2 * a2, c2 * c2),
+            "polar scalar curvature 2c^2/a^4": 2.0 * c2 / (a2 * a2) if a2 * a2 else math.inf,
+            "equatorial scalar curvature 2/c^2": 2.0 / c2 if c2 else math.inf})
         return SurfaceModel(kind="spheroid", a=a, c=c)
 
     @staticmethod
     def flat_torus(L1: float, L2: float) -> "SurfaceModel":
         if L1 <= 0 or L2 <= 0:
             raise ValueError("torus side lengths must be positive")
+        _require_finite_positive(f"flat torus L1={L1!r}, L2={L2!r}", {"area L1 L2": L1 * L2})
         return SurfaceModel(kind="flat-torus", L1=L1, L2=L2)
 
     # ----- invariants of the model --------------------------------------
@@ -162,6 +179,16 @@ class SurfaceModel:
         if s_pole >= s_equator:
             return s_equator, s_pole, (0.0, 0.0)
         return s_pole, s_equator, (0.5 * math.pi, 0.0)
+
+
+def _require_finite_positive(model: str, quantities: dict) -> None:
+    """Raise ValueError naming the model and its parameters unless every
+    quantity derived from them is finite and positive.  The constructors
+    call it with a few float operations and no quadrature, since every
+    spheroid ball builds a model."""
+    for name, value in quantities.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{model}: {name} = {value!r} is not finite and positive")
 
 
 def scalar_curvature(surface: SurfaceModel, point) -> float:
@@ -368,12 +395,12 @@ def _spheroid_ball(a: float, c: float, theta0: float, eps: float):
 
 
 def _geodesic_ball(surface: SurfaceModel, center, eps: float):
-    """(area, perimeter) of the geodesic ball B(center, eps).
+    """(area, complement area, perimeter) of the geodesic ball B(center, eps).
 
-    Closed forms on the sphere and the flat torus; on the spheroid both
-    come from one Jacobi integration per ball: the area is 2 pi times
-    the mean over directions of A(eps), the perimeter 2 pi times the
-    mean of J(eps).
+    The one home of the closed forms on the sphere and the flat torus; on
+    the spheroid ball and perimeter come from one Jacobi integration per
+    ball (2 pi times the means over directions of A(eps) and of J(eps)),
+    and the complement is the model's area less the ball.
     """
     if not math.isfinite(eps):
         raise ValueError(f"geodesic radius must be finite, got {eps}")
@@ -388,13 +415,15 @@ def _geodesic_ball(surface: SurfaceModel, center, eps: float):
     if not all(map(math.isfinite, center)):
         raise ValueError(f"center coordinates must be finite, got {tuple(center)}")
     if surface.kind == "sphere":
-        # 2 pi r^2 (1 - cos(eps/r)) without its cancellation at small eps
+        # 2 pi r^2 (1 -+ cos(eps/r)) without cancellation near eps = 0 and pi r
         r = surface.r
         return (4.0 * math.pi * r**2 * math.sin(0.5 * eps / r) ** 2,
+                4.0 * math.pi * r**2 * math.cos(0.5 * eps / r) ** 2,
                 2.0 * math.pi * r * math.sin(eps / r))
     if surface.kind == "flat-torus":
-        return math.pi * eps**2, 2.0 * math.pi * eps
-    return _spheroid_ball(surface.a, surface.c, float(center[0]), float(eps))
+        return math.pi * eps**2, surface.area - math.pi * eps**2, 2.0 * math.pi * eps
+    ball, perimeter = _spheroid_ball(surface.a, surface.c, float(center[0]), float(eps))
+    return ball, surface.area - ball, perimeter
 
 
 def geodesic_ball_area(surface: SurfaceModel, center, eps: float) -> float:
@@ -404,7 +433,7 @@ def geodesic_ball_area(surface: SurfaceModel, center, eps: float) -> float:
 
 def geodesic_circle_length(surface: SurfaceModel, center, eps: float) -> float:
     """Perimeter of the geodesic ball B(center, eps)."""
-    return _geodesic_ball(surface, center, eps)[1]
+    return _geodesic_ball(surface, center, eps)[2]
 
 
 def gray_expansion(S: float, eps: float, n: int) -> float:
@@ -435,10 +464,7 @@ def surface_two_valued_quotient(surface: SurfaceModel, center, eps: float,
                                 q: float) -> QuotientValue:
     """Exact quadrature quotient of chi_B - beta chi_complement on M,
     compared with c*_n for the dimension n of the model."""
-    ball, perim = _geodesic_ball(surface, center, eps)
-    # The sphere's complement in closed form: area - ball cancels near eps = pi r.
-    rest = (4.0 * math.pi * surface.r**2 * math.cos(0.5 * eps / surface.r) ** 2
-            if surface.kind == "sphere" else surface.area - ball)
+    ball, rest, perim = _geodesic_ball(surface, center, eps)
     n = surface.dimension
     return _two_valued_quotient(surface.area, ball, rest, perim, q, n, sharp_sobolev_constant(n))
 
@@ -481,31 +507,17 @@ def gauss_bonnet_check(surface: SurfaceModel):
     return 2.0 * math.pi * val, target
 
 
-@dataclass(frozen=True)
-class HemisphereCertificate:
-    quotient: QuotientValue
-    residual: float
-    equals_c_star: bool
-
-
-def hemisphere_certificate(q: float) -> HemisphereCertificate:
+def hemisphere_certificate(q: float) -> QuotientValue:
     """The hemisphere-difference profile on the unit sphere.
 
-    u = chi(northern hemisphere) - chi(southern hemisphere) has jump
-    height 2 across the equator of length 2 pi, so |Du| = 4 pi, while
-    int |u|^2 = 4 pi; the quotient is 4 pi / sqrt(4 pi) = 2 sqrt(pi),
-    exactly the sharp constant c*_2.  The antipodal symmetry makes the
-    constraint residual vanish for every exponent q.
+    u = chi(northern hemisphere) - chi(southern hemisphere): the halves'
+    equal areas give beta = 1 for every exponent q, the jump height 2
+    across the equator of length 2 pi gives |Du| = 4 pi, and int |u|^2 =
+    4 pi; the quotient is 4 pi / sqrt(4 pi) = 2 sqrt(pi), exactly c*_2.
     """
-    if not 0.0 < q < 2.0:
-        raise ValueError(f"q must lie in (0, 2), got {q}")
-    hemisphere = 2.0 * math.pi
-    residual = hemisphere * 1.0 + hemisphere * (-1.0)  # sgn(+-1)|+-1|^q
-    numerator = 2.0 * (2.0 * math.pi)  # jump height 2, equator length 2 pi
-    denominator = math.sqrt(4.0 * math.pi)
-    qv = QuotientValue.against(numerator, denominator, sharp_sobolev_constant(2))
-    equals = abs(qv.value - sharp_sobolev_constant(2)) <= 1e-12
-    return HemisphereCertificate(quotient=qv, residual=residual, equals_c_star=equals)
+    hemisphere = 2.0 * math.pi  # the area of each half and the length of the equator
+    return _two_valued_quotient(4.0 * math.pi, hemisphere, hemisphere, hemisphere, q, 2,
+                                sharp_sobolev_constant(2))
 
 
 # --------------------------------------------------------------------------

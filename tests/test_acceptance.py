@@ -60,8 +60,9 @@ def test_criterion_1_constants():
 def test_criterion_2_hemisphere_certificate():
     for q in (0.5, 1.0, 1.5):
         cert = hemisphere_certificate(q)
-        assert abs(cert.quotient.value - sharp_sobolev_constant(2)) <= 1e-12
-        assert cert.residual == 0.0
+        assert abs(cert.value - sharp_sobolev_constant(2)) <= 1e-12
+        hemisphere = 2.0 * math.pi
+        assert constraint_residual([(1.0, hemisphere), (-cert.beta, hemisphere)], q) == 0.0
     print("PASS criterion 2 (hemisphere certificate): value = c*_2 to 1e-12, "
           "residual 0 for q in {0.5, 1, 1.5}")
 

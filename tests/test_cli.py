@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -150,6 +151,19 @@ class TestRunTasks:
         summary = read_summary(tmp_path)
         assert summary["best_quotient"] < half_space_constant(2)
 
+    def test_domain_sweep_reports_an_overflowing_plateau(self, tmp_path):
+        # At q = 0.005 and eps = 1.99, beta = (V/W)^200 lies beyond the float
+        # range, though the quotient does not: the row reads beta = inf.
+        status = main(["domain-sweep", "--out", str(tmp_path), "--shape", "disk",
+                       "--h", "0.015625", "--q", "0.005", "--eps_list", "0.5,1.99"])
+        assert status == 0
+        rows = read_detail(tmp_path)
+        assert [row[0] for row in rows[1:]] == ["0.5", "1.99"]
+        domain = build_domain(geometry.DomainSpec.disk(1.0), 1.0 / 64)
+        qv = two_valued_quotient_exact(domain, (1.0, 0.0), 1.99, 0.005)
+        assert rows[2][3] == "inf"
+        assert rows[2][4] == repr(qv.value) == "7.721078294496175"
+
     def test_domain_sweep_scans_each_circle_once(self, tmp_path, monkeypatch):
         # Per radius the sweep asks for the cap and the arc itself and again
         # through the quotient: four requests, one scan, one cap quadrature.
@@ -295,6 +309,52 @@ class TestReproducibility:
         assert (out_a / "detail.csv").read_bytes() == (out_b / "detail.csv").read_bytes()
 
 
+# sha256 of summary.json and detail.csv of one small run of every task.
+# The digests pin output bytes across refactors; a change that alters
+# outputs on purpose records new digests here.  They depend on the float
+# results of this platform's libm and numpy build.
+GOLDEN_RUNS = {
+    "constants": (["--n_min", "2", "--n_max", "12"],
+                  "5533fb7f09a40a75d46de2284537039ee3507a1ac6ec6f51e2e12146b38f1f33",
+                  "0889d16af4e6c79669902c456268d8590a154c7a364f78bede4e0feca3d64c6d"),
+    "sphere-certificate": (["--q_list", "0.01,0.5,1,1.5,1.99"],
+                           "3cd2d5541cf62556cb9c651932ab569fb9740045119dc9d95b602e9d1dc2e6a4",
+                           "31f82cca23391229dfd1c58eeffa6776bbae305f774f7018fa8e264f2387db66"),
+    "domain-certificate": (["--shape", "ellipse", "--a", "2", "--b", "1", "--h", "0.015625",
+                            "--q", "0.5"],
+                           "159c20d4a0b9a2b3a24c4ae7aacf46de17b67d308036f224a92eaeddee186f5e",
+                           "e2dc7c5a4b2c4727c5d59010a983e518a06ca36bc8a06239d16cda0750781d2a"),
+    # The 1.99 row has a finite beta whose square overflows.
+    "domain-sweep": (["--shape", "disk", "--h", "0.015625", "--q", "0.01",
+                      "--eps_list", "0.1,0.5,1,1.99"],
+                     "3e8c259357c4e0b987bdc4bf44f53576fe591818f55dc25a73a67f62669c20dd",
+                     "cf82b63bb8c3211cba3d6accfd41619332a1afd73a2ab3549aa4a44b529a6894"),
+    "solve": (["--shape", "disk", "--h", "0.015625", "--q", "1", "--budget", "8"],
+              "47215b012ef04f09de65b4da51c6e9e4612f45adf10618dc8ad94077eeccf116",
+              "9ef944a9d8cf36069f879febb655a3a7add7fa46fe9ae356c5943347ac2bec71"),
+    "surface-classify": (["--surface", "spheroid", "--a", "1", "--c", "1.3",
+                          "--q_list", "0.5,1,1.5"],
+                         "d4f72ceac810ae1352870839a2e9b5c51627f111cca7e509ab49f0366009edc3",
+                         "832f25c41fcad04ad31c24a0635a0bb7b67110248be55904a21964eb8eebb44f"),
+    "expansion-audit": (["--target", "gray", "--r", "1.5", "--eps_list", "0.05,0.1,0.2,0.4"],
+                        "ffb97d11dc082da0ce5531dddaa77fea2f9bd1e5663ffd30a28b55ba6fbdce64",
+                        "40662b5adacb5e4c769c34c2eb0bbdc40ea4a54c004be21c7dde14ef37249e13"),
+}
+
+
+@pytest.mark.parametrize("task", sorted(GOLDEN_RUNS))
+def test_output_bytes_match_the_golden_digests(task, tmp_path):
+    flags, summary_digest, detail_digest = GOLDEN_RUNS[task]
+    assert main([task, "--out", str(tmp_path), *flags]) == 0
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("summary.json", "detail.csv")]
+    assert digests == [summary_digest, detail_digest]
+
+
+def test_golden_runs_cover_every_task():
+    assert sorted(GOLDEN_RUNS) == sorted(cli.TASKS)
+
+
 class TestMainEntryPoint:
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -333,16 +393,19 @@ class TestMainEntryPoint:
         assert status == 2
         assert "curvature" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, cause", [
-        (["--r", "inf"], "r=inf is not finite"),
-        (["--r", "nan"], "r=nan is not finite"),
-        (["--h", "nan"], "h=nan is not finite"),
-        (["--shape", "ellipse", "--a", "inf"], "a=inf is not finite"),
-        (["--h", "1e-320"], "h=1e-320 gives a non-finite cell count"),
-        (["--r", "1e308"], "disk boundary curvature is not finite"),
-    ], ids=["r-inf", "r-nan", "h-nan", "ellipse-a-inf", "h-subnormal", "r-overflow"])
-    def test_non_finite_shape_input_names_its_cause(self, flags, cause, tmp_path, capsys):
-        status = main(["domain-certificate", "--out", str(tmp_path / "x"), *flags])
+    @pytest.mark.parametrize("argv, cause", [
+        (["domain-certificate", "--r", "inf"], "r=inf is not finite"),
+        (["domain-certificate", "--r", "nan"], "r=nan is not finite"),
+        (["domain-certificate", "--h", "nan"], "h=nan is not finite"),
+        (["domain-certificate", "--shape", "ellipse", "--a", "inf"], "a=inf is not finite"),
+        (["domain-certificate", "--h", "1e-320"], "h=1e-320 gives a non-finite cell count"),
+        (["domain-certificate", "--r", "1e308"], "disk boundary curvature is not finite"),
+        (["constants", "--n_min", "340", "--n_max", "343"],
+         "Gamma(172.0) lies beyond the float range"),
+    ], ids=["r-inf", "r-nan", "h-nan", "ellipse-a-inf", "h-subnormal", "r-overflow",
+            "constants-gamma-overflow"])
+    def test_non_finite_shape_input_names_its_cause(self, argv, cause, tmp_path, capsys):
+        status = main([*argv, "--out", str(tmp_path / "x")])
         assert status == 2
         assert cause in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
@@ -355,6 +418,27 @@ class TestMainEntryPoint:
                            "--r", "1e154", "--h", "1e150"])
         assert status == 2
         assert "disk boundary radius 1e+154 is too large" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags, cause", [
+        (["--r", "1e-200"], "sphere r=1e-200: r^2 = 0.0"),
+        (["--r", "1e160"], "sphere r=1e+160: r^2 = inf"),
+        (["--surface", "spheroid", "--a", "1e-200"], "spheroid a=1e-200, c=1.0: a^4 = 0.0"),
+        (["--surface", "spheroid", "--a", "1e160"], "spheroid a=1e+160, c=1.0: a^4 = inf"),
+        (["--surface", "spheroid", "--a", "1e-80"],
+         "spheroid a=1e-80, c=1.0: polar scalar curvature 2c^2/a^4 = inf"),
+        (["--surface", "spheroid", "--c", "1e100"],
+         "spheroid a=1.0, c=1e+100: max(a, c)^4 = inf"),
+    ], ids=["sphere-tiny", "sphere-huge", "spheroid-a-tiny", "spheroid-a-huge",
+            "spheroid-curvature-overflow", "spheroid-integrand-overflow"])
+    def test_surface_model_out_of_float_range_names_its_cause(self, flags, cause, tmp_path,
+                                                              capsys):
+        # These crashed with a traceback, or wrote an infinite curvature or a
+        # Gauss-Bonnet integral of 0 against 8 pi.
+        status = main(["surface-classify", "--out", str(tmp_path / "x"), "--a", "1", "--c", "1",
+                       *flags])
+        assert status == 2
+        assert cause + " is not finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_stray_token_rejected(self, tmp_path, capsys):

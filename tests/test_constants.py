@@ -33,6 +33,29 @@ class TestGammaHalfInteger:
         with pytest.raises(ValueError):
             gamma_half_integer(bad)
 
+    def test_beyond_the_float_range_raises_naming_x(self):
+        # Gamma(171.5) ~ 9.5e307 is the last half-integer value below the
+        # float maximum; Gamma(172) = 171! ~ 1.2e309 is not.
+        assert gamma_half_integer(171.5) == 9.483367566824795e307
+        for x in (172.0, 172.5, 1e6):
+            with pytest.raises(ValueError, match=rf"Gamma\({x}\) lies beyond the float range"):
+                gamma_half_integer(x)
+
+    def test_constants_past_the_gamma_range_raise(self):
+        # n = 341 is the last dimension whose Gamma(n/2 + 1) is finite; its
+        # constants keep their values, and n = 342 raises instead of
+        # returning omega_n = c*_n = 0.
+        assert unit_ball_volume(341) == 6.124783060200241e-224
+        assert sharp_sobolev_constant(341) == 75.53897148141543
+        for constant in (unit_ball_volume, sharp_sobolev_constant, half_space_constant,
+                         SharpConstants.for_dimension):
+            with pytest.raises(ValueError, match=r"Gamma\(172.0\)"):
+                constant(342)
+        with pytest.raises(ValueError, match=r"Gamma\(1501.0\)"):
+            unit_ball_volume(3000)  # not an OverflowError from pi^(n/2)
+        with pytest.raises(ValueError, match=r"Gamma\(172.0\)"):
+            unit_sphere_area(343)
+
 
 class TestEulerBeta:
     def test_known_values(self):

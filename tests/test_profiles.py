@@ -342,6 +342,32 @@ class TestTwoValuedQuotientExact:
             exact = float((1 + beta) * mpmath.mpf(3.9) / mpmath.sqrt(V + beta**2 * (1 - V)))
         assert qv.value == pytest.approx(exact, rel=1e-14, abs=0)
         assert qv.gap_to_threshold == qv.value - C_STAR
+        with pytest.raises(OverflowError):
+            beta_eps(1.0, cap, 0.01)
+        assert qv.beta == math.inf
+
+    @pytest.mark.parametrize("rest, q", [(2.0, 0.037), (50.0, 0.028)])
+    def test_overflowing_complement_term_gives_the_finite_quotient(self, rest, q):
+        # beta^2 is finite here but beta^2 * rest is not: the denominator read
+        # inf and the quotient 0, a false certificate on any threshold.
+        mpmath = pytest.importorskip("mpmath")
+        total = 1e6
+        qv = profiles._two_valued_quotient(total, total - rest, rest, 10.0, q, 2, C_HALF)
+        assert qv.beta**2 * rest == math.inf
+        with mpmath.workdps(50):
+            V, W = mpmath.mpf(total - rest), mpmath.mpf(rest)
+            beta = (mpmath.mpf(total) / V - 1) ** (-1 / mpmath.mpf(q))
+            exact = float((1 + beta) * 10 / mpmath.sqrt(V + beta**2 * W))
+        assert qv.value == pytest.approx(exact, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("eps, q", [(0.2, 1.0), (0.5, 0.5), (1.0, 1.5), (1.99, 0.01)])
+    def test_beta_is_the_plateau_of_beta_eps(self, disk256, eps, q):
+        # At eps = 1.99 and q = 0.01 beta is finite but beta^2 overflows, so the
+        # quotient takes the scaled path and must still report the finite beta.
+        qv = two_valued_quotient_exact(disk256, (1.0, 0.0), eps, q)
+        assert qv.beta == beta_eps(disk256.measure, cap_measure(disk256, (1.0, 0.0), eps), q)
+        if eps == 1.99:
+            assert qv.beta == 1.5884058399835718e+307
 
     @pytest.mark.parametrize("q", [0.1, 0.5, 1.0, 1.5, 1.9])
     def test_certificate_holds_across_the_exponent_range(self, disk256, q):

@@ -11,6 +11,7 @@ from bvsharp import (
     SurfaceModel,
     beta_eps,
     classify_achievability,
+    constraint_residual,
     critical_curvature_threshold,
     fit_remainder_order,
     gauss_bonnet_check,
@@ -104,6 +105,12 @@ class TestSurfaceModels:
             SurfaceModel.spheroid(1.0, 0.0)
         with pytest.raises(ValueError):
             SurfaceModel.flat_torus(0.0, 1.0)
+        with pytest.raises(ValueError, match=r"sphere r=nan: r\^2 = nan"):
+            SurfaceModel.sphere(math.nan)
+        with pytest.raises(ValueError, match=r"spheroid a=1.0, c=1e-170: c\^2 = 0.0"):
+            SurfaceModel.spheroid(1.0, 1e-170)
+        with pytest.raises(ValueError, match="flat torus L1=1e\\+200, L2=1e\\+200: area"):
+            SurfaceModel.flat_torus(1e200, 1e200)
 
 
 class TestGeodesicBallArea:
@@ -467,7 +474,7 @@ class TestSurfaceTwoValuedQuotient:
         sphere = SurfaceModel.sphere(1.0)
         qv = surface_two_valued_quotient(sphere, (0.0, 0.0), math.pi / 2.0, 1.0)
         cert = hemisphere_certificate(1.0)
-        assert abs(qv.value - cert.quotient.value) <= 1e-9
+        assert abs(qv.value - cert.value) <= 1e-9
         assert qv.value == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
 
     def test_round_sphere_is_borderline_at_small_radius(self):
@@ -560,17 +567,21 @@ class TestGaussBonnet:
 
 
 class TestHemisphereCertificate:
-    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("q", [0.01, 0.5, 1.0, 1.5, 1.99])
     def test_value_is_sharp_constant(self, q):
         cert = hemisphere_certificate(q)
-        assert cert.residual == 0.0
-        assert abs(cert.quotient.value - C_STAR) <= 1e-12
-        assert cert.equals_c_star
+        hemisphere = 2.0 * math.pi
+        assert constraint_residual([(1.0, hemisphere), (-cert.beta, hemisphere)], q) == 0.0
+        assert abs(cert.value - C_STAR) <= 1e-12
+        assert abs(cert.gap_to_threshold) <= 1e-12
+        # beta = 1 at every q, so the shared quotient is 4 pi / sqrt(4 pi) bit for bit.
+        assert cert.beta == 1.0
+        assert cert.value == 4.0 * math.pi / math.sqrt(4.0 * math.pi)
 
     def test_numerator_and_denominator(self):
         cert = hemisphere_certificate(1.0)
-        assert cert.quotient.numerator == pytest.approx(4.0 * math.pi, rel=1e-15, abs=0)
-        assert cert.quotient.denominator == pytest.approx(
+        assert cert.numerator == pytest.approx(4.0 * math.pi, rel=1e-15, abs=0)
+        assert cert.denominator == pytest.approx(
             math.sqrt(4.0 * math.pi), rel=1e-15, abs=0
         )
 
