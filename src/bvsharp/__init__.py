@@ -12,7 +12,6 @@ classifier, and an exploratory discrete total-variation minimizer.
 
 from .asymptotics import fit_linear_coefficient, fit_remainder_order
 from .constants import (
-    SharpConstants,
     euler_beta,
     gamma_half_integer,
     half_space_constant,

@@ -42,9 +42,11 @@ detail.csv columns per task:
   constants           n, omega_n, c_star, c_half
   sphere-certificate  q, value, residual, equals_c_star
   domain-certificate  q, best_quotient, threshold, gap, achieved, center_x, center_y, eps
+                      (gap = threshold - quotient: positive certifies)
   domain-sweep        eps, cap, arc, beta, quotient, gap
-                      (beta reads inf where the plateau lies beyond the
-                      float range; the quotient stays finite)
+                      (gap = quotient - threshold: negative certifies, the
+                      opposite sign; beta reads inf where the plateau lies
+                      beyond the float range, and the quotient stays finite)
   solve               iter, quotient, residual, tv, norm
   surface-classify    q, verdict, justification, S_max, threshold
   expansion-audit     target=domain-quotient: eps, exact, expansion, difference
@@ -228,10 +230,8 @@ def _parallel_map(fn, items):
 
 
 def _task_constants(config: ExperimentConfig):
-    rows = []
-    for n in range(config.n_min, config.n_max + 1):
-        bundle = constants.SharpConstants.for_dimension(n)
-        rows.append([n, bundle.omega_n, bundle.c_star, bundle.c_half])
+    rows = [[n, constants.unit_ball_volume(n), constants.sharp_sobolev_constant(n),
+             constants.half_space_constant(n)] for n in range(config.n_min, config.n_max + 1)]
     summary = {
         "c_star_2": constants.sharp_sobolev_constant(2) if config.n_min <= 2 else None,
         "rows": [
@@ -327,8 +327,8 @@ def _task_surface_classify(config: ExperimentConfig):
     surface = config.surface_model()
     q_values = config.q_list or (config.q,)
     integral, target = surfaces.gauss_bonnet_check(surface)
-    s_min, s_max, argmax_point = surface.curvature_range()
-    threshold = surfaces.critical_curvature_threshold(2, surface.area)
+    s_min, s_max, _ = surface.curvature_range()
+    threshold = surfaces.critical_curvature_threshold(surface.dimension, surface.area)
     rows = []
     verdicts = []
     for qv in q_values:

@@ -12,12 +12,15 @@ quantities are
 c_star_n is the isoperimetric (Federer-Fleming) constant of the
 inequality  c * ||u||_{n/(n-1)} <= |Du|(R^n);  the half-space variant
 follows by reflecting across the flat boundary.
+
+This module is their one source: every expansion in the package takes
+omega_n from `unit_ball_volume`, which evaluates Gamma first, so a
+dimension beyond the float range raises ValueError naming Gamma.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "gamma_half_integer",
@@ -26,7 +29,6 @@ __all__ = [
     "unit_sphere_area",
     "sharp_sobolev_constant",
     "half_space_constant",
-    "SharpConstants",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -107,26 +109,3 @@ def half_space_constant(n: int) -> float:
     Attained by indicators of half-balls centered on the flat boundary.
     """
     return sharp_sobolev_constant(n) / 2.0 ** (1.0 / n)
-
-
-@dataclass(frozen=True)
-class SharpConstants:
-    """The constants of dimension n bundled together.
-
-    Invariants (checked in the test suite): c_half = c_star * 2^(-1/n)
-    and c_star = n * omega_n^(1/n) to 1e-12 relative.
-    """
-
-    dimension: int
-    c_star: float
-    c_half: float
-    omega_n: float
-
-    @classmethod
-    def for_dimension(cls, n: int) -> "SharpConstants":
-        return cls(
-            dimension=n,
-            c_star=sharp_sobolev_constant(n),
-            c_half=half_space_constant(n),
-            omega_n=unit_ball_volume(n),
-        )

@@ -43,11 +43,13 @@ the gap and a bisection to the floating-point sign change, replayed on a
 table of the gap's signs where the bracket holds at most 1024 floats.
 Each Newton step is one vectorised call for all brackets; the bracket
 updates and the finish run on Python floats.  The scan's signs tell
-which arcs lie in Omega.  A tangential crossing
-raises ValueError, and so does a non-finite centre or radius.  A circle's
-cap and arc are memoized together on (spec, centre, radius): one scan
-and one cap quadrature per circle serve every request for either, so
-the two-valued quotient, which needs both, pays for one of each.
+which arcs lie in Omega.  A tangential crossing raises ValueError, and
+so does a non-finite centre or radius, or a radius below 2^-26 |centre|
+on a circle that can reach dOmega, whose crossings floats cannot
+resolve.  A circle's cap and arc are memoized together on (spec,
+centre, radius): one scan and one cap quadrature per circle serve every
+request for either, so the two-valued quotient, which needs both, pays
+for one of each.
 
 Both are exact to rounding for the supported shapes, so strict-inequality
 certificates are not contaminated by quadrature noise.
@@ -64,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _check_expansion_inputs, euler_beta, gamma_half_integer
+from .constants import _check_expansion_inputs, euler_beta, unit_ball_volume
 
 __all__ = [
     "DomainSpec",
@@ -515,6 +517,11 @@ _TABLE_FLOATS = 1024  # the most floats of a finish bracket that is tabulated
 # Newton from the regula falsi point stops after 2 or 3 steps; the cap
 # only bounds the loop, since the finish is exact from any bracket.
 _NEWTON_STEPS = 8
+# A circle that can reach dOmega needs eps >= _RADIUS_FLOOR |a|: its
+# crossing angles carry a relative error of about 0.3 ulp(|a|) / eps, so
+# the cap and the arc keep about 5e-9 relative at the floor, and below it
+# they fall apart (a negative cap, or the whole domain).
+_RADIUS_FLOOR = 2.0 ** -26
 # A crossing where |d gap/d theta| <= _TANGENT_SLOPE_FLOOR * eps is
 # tangential: the circle touches dOmega there, and the sign scan can miss
 # or mispair such crossings.  Boundary-centred circles cross at slopes
@@ -730,11 +737,12 @@ _PANEL_EDGES = np.linspace(0.0, 1.0, 9)
 _GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = _PANEL_EDGES.flags.writeable = False
 
 
-def _panel_rule(t0, t1):
+def _panel_rule(t0, t1, panel_edges=_PANEL_EDGES):
     """Nodes and weights of 32-point Gauss-Legendre on 8 equal panels of
-    each interval [t0, t1] (scalars, or arrays of interval ends)."""
+    each interval [t0, t1] (scalars, or arrays of interval ends), or on the
+    panels whose edges, as fractions of the interval, are `panel_edges`."""
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
-    edges = t0[..., None] + (t1 - t0)[..., None] * _PANEL_EDGES
+    edges = t0[..., None] + (t1 - t0)[..., None] * panel_edges
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
     t = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None] + half * _GL_NODES
     return t, half * _GL_WEIGHTS
@@ -762,8 +770,20 @@ def _circle_measures(spec: DomainSpec, ax: float, ay: float, eps: float):
     `_green_boundary_integral` over the pieces of dOmega inside B, and
     alone is None.  Without one, angle and boundary are 0.0 and alone
     names the case: "circle" when dB lies in Omega, "domain" when Omega
-    lies in B, "apart" when the two are disjoint.
+    lies in B, "apart" when the two are disjoint.  Raises ValueError when
+    eps < _RADIUS_FLOOR |a| and |p| on the circle can reach the spec's
+    radial range: such a circle's crossings are not resolved in floats.
     """
+    r = math.hypot(ax, ay)
+    if eps < _RADIUS_FLOOR * r:  # rare, so the radial range is read only here
+        rho_lo, rho_hi = spec._radial_range()
+        margin = _BAND_MARGIN * rho_hi
+        if not (r + eps < rho_lo - margin or r - eps > rho_hi + margin):
+            raise ValueError(
+                f"radius eps={eps} of the circle centred at ({ax}, {ay}) lies below "
+                f"the resolution floor {_RADIUS_FLOOR * r:.6g} = 2^-26 |centre|: its crossings "
+                "with the boundary are not resolved in floating point"
+            )
     theta, inside = _circle_crossings(spec, ax, ay, eps)
     if theta.size == 0:
         if inside[0]:
@@ -803,14 +823,13 @@ def cap_measure(domain: GridDomain, a, eps: float) -> float:
 def cap_measure_expansion(H: float, eps: float, n: int) -> float:
     """Two-term small-radius expansion of the boundary-cap area,
 
-        (pi^(n/2) eps^n / (2 Gamma(n/2+1))) *
-            (1 - n H eps / ((n+1) B(1/2, (n-1)/2))),
+        (omega_n eps^n / 2) * (1 - n H eps / ((n+1) B(1/2, (n-1)/2))),
 
     where H is the boundary mean curvature at the center (Hulin &
     Troyanov's asymptotic volume of small balls).
     """
     _check_expansion_inputs(n, eps, H=H)
-    lead = math.pi ** (n / 2.0) * eps**n / (2.0 * gamma_half_integer(n / 2.0 + 1.0))
+    lead = unit_ball_volume(n) * eps**n / 2.0
     corr = n * H * eps / ((n + 1) * euler_beta(0.5, (n - 1) / 2.0))
     return lead * (1.0 - corr)
 
@@ -836,9 +855,8 @@ def boundary_arc_inside(domain: GridDomain, a, eps: float) -> float:
 def boundary_arc_expansion(H: float, eps: float, n: int) -> float:
     """Two-term expansion of the inside arc length,
 
-        eps^(n-1) (pi^(n/2) n / (2 Gamma(n/2+1))) *
-            (1 - H eps / B(1/2, (n-1)/2)).
+        (n omega_n eps^(n-1) / 2) * (1 - H eps / B(1/2, (n-1)/2)).
     """
     _check_expansion_inputs(n, eps, H=H)
-    lead = eps ** (n - 1) * math.pi ** (n / 2.0) * n / (2.0 * gamma_half_integer(n / 2.0 + 1.0))
+    lead = n * unit_ball_volume(n) * eps ** (n - 1) / 2.0
     return lead * (1.0 - H * eps / euler_beta(0.5, (n - 1) / 2.0))

@@ -33,9 +33,9 @@ import numpy as np
 from .constants import (
     _check_expansion_inputs,
     euler_beta,
-    gamma_half_integer,
     half_space_constant,
     sharp_sobolev_constant,
+    unit_ball_volume,
 )
 from .geometry import (
     GridDomain,
@@ -294,7 +294,7 @@ def critical_quotient_expansion(S: float, area: float, eps: float, n: int) -> fl
         c*_n * (1 + sigma ((n-1)/n) (omega_n / area)^(2/n) eps^2
                   - S eps^2 / (2 n (n+2))),
 
-    with omega_n = pi^(n/2)/Gamma(n/2+1), sigma = +1 at n = 2 and -1 for
+    with omega_n the unit-ball volume, sigma = +1 at n = 2 and -1 for
     n >= 3.  The sigma term is the back-reaction of the constraint
     plateau beta ~ eps^(n/q): beta^(n/(n-1)) raises the denominator by
     ((n-1)/n)(omega_n/area)^(2/n) eps^2, and at n = 2 only the factor
@@ -305,8 +305,7 @@ def critical_quotient_expansion(S: float, area: float, eps: float, n: int) -> fl
     _check_expansion_inputs(n, eps, S=S, area=area)
     if area <= 0:
         raise ValueError("area must be positive")
-    omega_n = math.pi ** (n / 2.0) / gamma_half_integer(n / 2.0 + 1.0)
-    plateau_term = (n - 1) / n * (omega_n / area) ** (2.0 / n)
+    plateau_term = (n - 1) / n * (unit_ball_volume(n) / area) ** (2.0 / n)
     if n >= 3:
         plateau_term = -plateau_term
     curvature_term = S / (2.0 * n * (n + 2))
@@ -323,8 +322,10 @@ def optimal_epsilon(domain: GridDomain, a, q: float, coarse: int = 16, golden_it
     A 16-point log-spaced sweep of [8 h, diameter / 4] brackets the
     minimum, then golden section refines it.  The lower end is resolution
     aware (8 cells) so that downstream grid seeds stay representable; a
-    grid too coarse for the bracket raises ValueError.  Deterministic;
-    ties resolve to the smaller radius.
+    grid too coarse for the bracket raises ValueError, and so does one so
+    fine that 8 h lies below the crossing finder's radius floor 2^-26 |a|,
+    that is h < 2^-26 |a| / 8.  Deterministic; ties resolve to the
+    smaller radius.
 
     Returns (eps, QuotientValue).
     """
@@ -373,7 +374,7 @@ def achievability_certificate(domain: GridDomain, q: float) -> CertificateResult
     """
     seed_point = max_curvature_seed(domain).point
     best_eps, exact = optimal_epsilon(domain, seed_point, q)
-    threshold = half_space_constant(2)
+    threshold = exact.threshold
     achieved = exact.value < threshold
     witness = {
         "center": [seed_point[0], seed_point[1]],

@@ -5,7 +5,10 @@ The solver searches for upper bounds on the sharp constant
     c_q = inf { |Du|(Omega) : ||u||_{n/(n-1)} = 1, int sgn(u)|u|^q = 0 }
 
 by one projected subgradient descent on a shift-normalized quotient,
-started from the best two-valued profile; nothing in it is random.  The
+started from the best two-valued profile; nothing in it is random.  That
+profile's plateau beta, the exponent check and the threshold all come
+from the `QuotientValue` of the radius search, their one source
+(`profiles._two_valued_quotient`); the solver forms none of them.  The
 nonconvex constraint is handled by reparameterization, never by
 penalties: every iterate is shifted to the unique feasible level and
 renormalized, so every quotient the solver reports is the exact
@@ -31,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import half_space_constant
-from .geometry import GridDomain, cap_measure, max_curvature_seed
-from .profiles import beta_eps, optimal_epsilon, shift_to_constraint, sign_power
+from .geometry import GridDomain, max_curvature_seed
+from .profiles import optimal_epsilon, shift_to_constraint, sign_power
 
 __all__ = [
     "GridFunction",
@@ -205,18 +207,16 @@ def ball_indicator(domain: GridDomain, center, radius: float) -> GridFunction:
     return GridFunction(domain, frac)
 
 
-def rasterize_two_valued(domain: GridDomain, a, eps: float, q: float):
-    """Grid realization of the two-valued profile; returns (function, beta).
+def rasterize_two_valued(domain: GridDomain, a, eps: float, beta: float) -> GridFunction:
+    """Grid realization of the two-valued profile with plateau beta.
 
-    beta comes from the exact cap quadrature; the grid quotient then
-    re-shifts, so small rasterization mismatches never break
-    feasibility.
+    beta is the exact one of `two_valued_quotient_exact` at (a, eps); the
+    grid quotient then re-shifts, so small rasterization mismatches never
+    break feasibility.
     """
-    cap = cap_measure(domain, a, eps)
-    beta = beta_eps(domain.measure, cap, q)
     frac = ball_indicator(domain, a, eps).values
     values = frac * 1.0 + (1.0 - frac) * (-beta)
-    return GridFunction(domain, values), beta
+    return GridFunction(domain, values)
 
 
 # --------------------------------------------------------------------------
@@ -269,20 +269,19 @@ def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> Consta
     """Upper-bound search for the sharp constant on a grid domain.
 
     One descent of at most `budget` iterations from the best two-valued
-    profile (radius from `optimal_epsilon`), stopped early after
-    _PATIENCE iterations without improvement.  Every reduction in the
-    loop is a numpy pairwise sum, never a BLAS call, whose split across
-    threads would change the rounding; so the history is bitwise
-    identical whatever the BLAS thread count.
+    profile (radius from `optimal_epsilon`, whose quotient raises
+    ValueError unless 0 < q < 2), stopped early after _PATIENCE
+    iterations without improvement.  Every reduction in the loop is a
+    numpy pairwise sum, never a BLAS call, whose split across threads
+    would change the rounding; so the history is bitwise identical
+    whatever the BLAS thread count.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if not 0.0 < q < 2.0:
-        raise ValueError(f"q must lie in (0, 2.0), got {q}")
 
     seed_point = max_curvature_seed(domain).point
-    seed_eps, seed_qv = optimal_epsilon(domain, seed_point, q)
-    u_seed, _ = rasterize_two_valued(domain, seed_point, seed_eps, q)
+    seed_eps, seed_qv = optimal_epsilon(domain, seed_point, q)  # checks q
+    u_seed = rasterize_two_valued(domain, seed_point, seed_eps, seed_qv.beta)
 
     mask = domain.interior_mask
     h = domain.h
@@ -317,15 +316,14 @@ def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> Consta
         alpha = _STEP / (1.0 + k) ** _DECAY
         v -= grad * (alpha / gnorm)
 
-    threshold = half_space_constant(2)
     return ConstantEstimate(
         value=best_value,
         q=q,
         snapshot=best_snapshot,
         residual=best_resid,
         history=np.array(rows, dtype=float),
-        threshold=threshold,
-        below_threshold=best_value < threshold,
+        threshold=seed_qv.threshold,
+        below_threshold=best_value < seed_qv.threshold,
         seed_value=seed_qv.value,
         seed_eps=seed_eps,
     )

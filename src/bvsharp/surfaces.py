@@ -53,11 +53,11 @@ import numpy as np
 
 from .constants import (
     _check_expansion_inputs,
-    gamma_half_integer,
     sharp_sobolev_constant,
+    unit_ball_volume,
     unit_sphere_area,
 )
-from .geometry import _panel_rule
+from .geometry import _PANEL_EDGES, _panel_rule
 from .profiles import QuotientValue, _two_valued_quotient
 
 __all__ = [
@@ -439,20 +439,20 @@ def geodesic_circle_length(surface: SurfaceModel, center, eps: float) -> float:
 def gray_expansion(S: float, eps: float, n: int) -> float:
     """Two-term geodesic-ball volume expansion (Gray's small-ball formula),
 
-        (pi^(n/2) eps^n / Gamma(n/2+1)) * (1 - S eps^2 / (6 (n+2))).
+        omega_n eps^n (1 - S eps^2 / (6 (n+2))).
     """
     _check_expansion_inputs(n, eps, S=S)
-    lead = math.pi ** (n / 2.0) * eps**n / gamma_half_integer(n / 2.0 + 1.0)
+    lead = unit_ball_volume(n) * eps**n
     return lead * (1.0 - S * eps**2 / (6.0 * (n + 2)))
 
 
 def geodesic_circle_expansion(S: float, eps: float, n: int) -> float:
     """Two-term geodesic-sphere perimeter expansion,
 
-        (n pi^(n/2) eps^(n-1) / Gamma(n/2+1)) * (1 - S eps^2 / (6 n)).
+        n omega_n eps^(n-1) (1 - S eps^2 / (6 n)).
     """
     _check_expansion_inputs(n, eps, S=S)
-    lead = n * math.pi ** (n / 2.0) * eps ** (n - 1) / gamma_half_integer(n / 2.0 + 1.0)
+    lead = n * unit_ball_volume(n) * eps ** (n - 1)
     return lead * (1.0 - S * eps**2 / (6.0 * n))
 
 
@@ -490,21 +490,45 @@ def critical_curvature_threshold(n: int, area: float) -> float:
     return n * (n - 1) * (unit_sphere_area(n) / area) ** (2.0 / n)
 
 
+# The Gauss-Bonnet integral is checked against the same rule on twice as
+# many panels; 1e-8 of the target is the tolerance of the benchmark's check.
+_GAUSS_BONNET_CHECK_EDGES = np.linspace(0.0, 1.0, 17)
+_GAUSS_BONNET_CHECK_EDGES.flags.writeable = False
+_GAUSS_BONNET_RTOL = 1e-8
+
+
 def gauss_bonnet_check(surface: SurfaceModel):
-    """Numerically integrated int_M S dmu and its target 4 pi chi(M)."""
+    """Numerically integrated int_M S dmu and its target 4 pi chi(M).
+
+    The integral is the panel rule's 8-panel value.  The same rule on 16
+    panels checks it: where the two differ by more than 1e-8 of the
+    target, the rule does not resolve the curvature peak (a spheroid of
+    aspect ratio near 100 or more), and ValueError names the model and
+    both estimates.
+    """
     target = 4.0 * math.pi * surface.euler_characteristic
     if surface.kind == "flat-torus":
         # The flat metric has S = 0 at every point, so the integral is exactly 0.
         return 0.0, target
-    th, w = _panel_rule(0.0, math.pi)
-    if surface.kind == "sphere":
-        r = surface.r
-        val = float(np.sum(w * ((2.0 / r**2) * r * r * np.sin(th))))
-        return 2.0 * math.pi * val, target
-    E = surface._metric_E(th)
-    S = 2.0 * surface.c**2 / (E * E)
-    val = float(np.sum(w * (S * surface.a * np.sin(th) * np.sqrt(E))))
-    return 2.0 * math.pi * val, target
+
+    def integral(panel_edges):
+        th, w = _panel_rule(0.0, math.pi, panel_edges)
+        if surface.kind == "sphere":
+            r = surface.r
+            return 2.0 * math.pi * float(np.sum(w * ((2.0 / r**2) * r * r * np.sin(th))))
+        E = surface._metric_E(th)
+        S = 2.0 * surface.c**2 / (E * E)
+        return 2.0 * math.pi * float(np.sum(w * (S * surface.a * np.sin(th) * np.sqrt(E))))
+
+    value, finer = integral(_PANEL_EDGES), integral(_GAUSS_BONNET_CHECK_EDGES)
+    if not abs(value - finer) <= _GAUSS_BONNET_RTOL * target:
+        model = (f"sphere r={surface.r!r}" if surface.kind == "sphere"
+                 else f"spheroid a={surface.a!r}, c={surface.c!r}")
+        raise ValueError(
+            f"{model}: the Gauss-Bonnet integral is not resolved by the panel rule "
+            f"({value!r} on 8 panels, {finer!r} on 16, target {target!r})"
+        )
+    return value, target
 
 
 def hemisphere_certificate(q: float) -> QuotientValue:

@@ -177,8 +177,9 @@ def test_criterion_9_solver_sanity(disk256, disk512):
     assert np.array_equal(first.history, second.history)
     assert np.all(np.diff(first.history[:, 1]) <= 0.0)
 
-    u, _ = rasterize_two_valued(disk512, (1.0, 0.0), 0.2, 1.0)
-    exact = two_valued_quotient_exact(disk512, (1.0, 0.0), 0.2, 1.0).value
+    qv = two_valued_quotient_exact(disk512, (1.0, 0.0), 0.2, 1.0)
+    u = rasterize_two_valued(disk512, (1.0, 0.0), 0.2, qv.beta)
+    exact = qv.value
     seed_error = abs(grid_quotient(u, 1.0) - exact) / exact
     assert seed_error <= 0.05
 

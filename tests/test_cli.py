@@ -402,8 +402,21 @@ class TestMainEntryPoint:
         (["domain-certificate", "--r", "1e308"], "disk boundary curvature is not finite"),
         (["constants", "--n_min", "340", "--n_max", "343"],
          "Gamma(172.0) lies beyond the float range"),
+        # The four below exited 0 with a wrong number (a Gauss-Bonnet integral
+        # of 26.23 against 8 pi, a fit through one radius) or named the
+        # wrong cause (a negative cap measure).
+        (["domain-sweep", "--shape", "ellipse", "--a", "2", "--b", "1", "--h", "0.01",
+          "--eps_list", "3e-16"], "eps=3e-16 of the circle centred at (2.0, 0.0) lies below "
+                                  "the resolution floor"),
+        (["surface-classify", "--surface", "spheroid", "--a", "1", "--c", "1000"],
+         "spheroid a=1.0, c=1000.0: the Gauss-Bonnet integral is not resolved"),
+        (["expansion-audit", "--target", "gray", "--eps_list", "0.1,0.1"],
+         "radii must be distinct for an order fit"),
+        (["expansion-audit", "--target", "domain-quotient", "--eps_list", "0.1,0.1"],
+         "radii must be distinct for a coefficient fit"),
     ], ids=["r-inf", "r-nan", "h-nan", "ellipse-a-inf", "h-subnormal", "r-overflow",
-            "constants-gamma-overflow"])
+            "constants-gamma-overflow", "sweep-below-radius-floor", "gauss-bonnet-unresolved",
+            "gray-repeated-radii", "domain-quotient-repeated-radii"])
     def test_non_finite_shape_input_names_its_cause(self, argv, cause, tmp_path, capsys):
         status = main([*argv, "--out", str(tmp_path / "x")])
         assert status == 2

@@ -3,9 +3,13 @@ import math
 import pytest
 
 from bvsharp import (
-    SharpConstants,
+    boundary_arc_expansion,
+    cap_measure_expansion,
+    critical_quotient_expansion,
     euler_beta,
     gamma_half_integer,
+    geodesic_circle_expansion,
+    gray_expansion,
     half_space_constant,
     sharp_sobolev_constant,
     unit_ball_volume,
@@ -13,6 +17,14 @@ from bvsharp import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+# The five expansions that take omega_n from unit_ball_volume, at dimension n.
+EXPANSIONS = (
+    lambda n: cap_measure_expansion(0.7, 0.13, n),
+    lambda n: boundary_arc_expansion(0.7, 0.13, n),
+    lambda n: critical_quotient_expansion(1.3, 5.0, 0.13, n),
+    lambda n: gray_expansion(1.3, 0.13, n),
+    lambda n: geodesic_circle_expansion(1.3, 0.13, n),
+)
 
 
 class TestGammaHalfInteger:
@@ -47,14 +59,31 @@ class TestGammaHalfInteger:
         # returning omega_n = c*_n = 0.
         assert unit_ball_volume(341) == 6.124783060200241e-224
         assert sharp_sobolev_constant(341) == 75.53897148141543
-        for constant in (unit_ball_volume, sharp_sobolev_constant, half_space_constant,
-                         SharpConstants.for_dimension):
+        for constant in (unit_ball_volume, sharp_sobolev_constant, half_space_constant):
             with pytest.raises(ValueError, match=r"Gamma\(172.0\)"):
                 constant(342)
         with pytest.raises(ValueError, match=r"Gamma\(1501.0\)"):
             unit_ball_volume(3000)  # not an OverflowError from pi^(n/2)
         with pytest.raises(ValueError, match=r"Gamma\(172.0\)"):
             unit_sphere_area(343)
+        # Every expansion takes omega_n from unit_ball_volume, which
+        # evaluates Gamma first: at n = 1300 pi^650 alone overflows.
+        for expansion in EXPANSIONS:
+            with pytest.raises(ValueError, match=r"Gamma\(651.0\) lies beyond the float range"):
+                expansion(1300)
+
+
+@pytest.mark.parametrize("n, values", [
+    (2, (0.026033824589500425, 0.3965770449666731, 3.5588610490522736,
+         0.05304431370562046, 0.81531863947036)),
+    (4, (0.0006720537901371622, 0.02042734248028483, 5.884000061607136,
+         0.0014085687133870868, 0.0433273428255953)),
+])
+def test_expansions_keep_their_bits(n, values):
+    # Literals taken when each expansion still formed pi^(n/2) / Gamma
+    # itself; at n = 2 and 4 Gamma(n/2 + 1) is 1 or 2, so the division
+    # by it and by 2 is exact in either order.
+    assert tuple(expansion(n) for expansion in EXPANSIONS) == values
 
 
 class TestEulerBeta:
@@ -131,15 +160,14 @@ class TestHalfSpaceConstant:
 class TestSharpConstantsBundle:
     def test_invariants(self):
         for n in range(2, 8):
-            bundle = SharpConstants.for_dimension(n)
-            assert bundle.c_half == pytest.approx(
-                bundle.c_star * 2.0 ** (-1.0 / n), rel=1e-14, abs=0
-            )
-            assert abs(bundle.c_star - n * bundle.omega_n ** (1.0 / n)) <= 1e-12 * bundle.c_star
+            c_star, c_half = sharp_sobolev_constant(n), half_space_constant(n)
+            assert c_half == pytest.approx(c_star * 2.0 ** (-1.0 / n), rel=1e-14, abs=0)
+            assert abs(c_star - n * unit_ball_volume(n) ** (1.0 / n)) <= 1e-12 * c_star
 
     def test_rejects_low_dimension(self):
-        with pytest.raises(ValueError):
-            SharpConstants.for_dimension(1)
+        for constant in (sharp_sobolev_constant, half_space_constant):
+            with pytest.raises(ValueError):
+                constant(1)
 
 
 def test_unit_sphere_area_low_dimensions():

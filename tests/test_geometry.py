@@ -762,6 +762,38 @@ class TestCrossingFinder:
             with pytest.raises(ValueError, match=r"eps=0\.5 centred at \(0\.5, 0\.0\).*theta="):
                 function(disk256, (0.5, 0.0), 0.5)
 
+    @pytest.mark.parametrize("spec, a, eps", [
+        (DomainSpec.ellipse(2.0, 1.0), (2.0, 0.0), 3e-16),  # read a negative cap
+        (DomainSpec.ellipse(2.0, 1.0), (2.0, 0.0), 1e-16),  # read 4e32 x pi eps^2 / 2
+        (DomainSpec.ellipse(2.0, 1.0), (2.0, 0.0), 1e-14),  # off by 7.1e-3
+        (DomainSpec.disk(1.0), (1.0, 0.0), 1e-17),  # read the whole domain
+        (DomainSpec.disk(1.0), (1.0, 0.0), 1e-12),  # off by 3.5e-5
+    ])
+    def test_radius_below_the_floor_raises(self, spec, a, eps):
+        domain = build_domain(spec, 0.01)
+        for function in (cap_measure, boundary_arc_inside):
+            with pytest.raises(ValueError, match=rf"eps={eps} of the circle centred at "
+                                                 rf"\({a[0]}, {a[1]}\).*resolution floor"):
+                function(domain, a, eps)
+
+    @pytest.mark.parametrize("spec, a", [(DomainSpec.disk(1.0), (1.0, 0.0)),
+                                         (DomainSpec.ellipse(2.0, 1.0), (2.0, 0.0))])
+    def test_radius_at_the_floor_keeps_its_digits(self, spec, a):
+        domain = build_domain(spec, 0.01)
+        H = boundary_mean_curvature(domain, a)
+        eps = 2.0 ** -26 * math.hypot(*a)
+        cap = cap_measure(domain, a, eps)
+        arc = boundary_arc_inside(domain, a, eps)
+        assert cap == pytest.approx(cap_measure_expansion(H, eps, 2), rel=1e-8, abs=0)
+        assert arc == pytest.approx(boundary_arc_expansion(H, eps, 2), rel=1e-8, abs=0)
+
+    def test_circles_clear_of_the_boundary_keep_their_closed_forms(self, disk256):
+        # Below the floor, but |p| on the circle stays off the radial range.
+        assert cap_measure(disk256, (0.5, 0.0), 1e-12) == math.pi * 1e-24
+        assert boundary_arc_inside(disk256, (0.5, 0.0), 1e-12) == 2.0 * math.pi * 1e-12
+        assert cap_measure(disk256, (3.0, 0.0), 1e-12) == 0.0
+        assert boundary_arc_inside(disk256, (3.0, 0.0), 1e-12) == 0.0
+
     @pytest.mark.parametrize("spec, h", CATALOG)
     def test_memoized_scan_gives_the_same_bits(self, spec, h):
         domain = build_domain(spec, h)

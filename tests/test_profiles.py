@@ -16,6 +16,7 @@ from bvsharp import (
     critical_quotient_expansion,
     domain_quotient_expansion,
     fit_linear_coefficient,
+    fit_remainder_order,
     geodesic_circle_expansion,
     gray_expansion,
     half_space_constant,
@@ -426,6 +427,16 @@ class TestDomainQuotientExpansion:
         target = -C_HALF * 2.0 / (3.0 * math.pi)
         assert target == pytest.approx(-0.5319230405352435, abs=1e-12)
         assert abs(fitted - target) <= 0.15 * abs(target)
+
+
+    @pytest.mark.parametrize("radii", [[0.1, 0.1], [0.05, 0.1, 0.1]])
+    def test_fits_reject_repeated_radii(self, radii):
+        # [0.1, 0.1] made a singular fit: numpy's RankWarning and a number.
+        values = [2.4 + 0.1 * eps for eps in radii]
+        with pytest.raises(ValueError, match="radii must be distinct for a coefficient fit"):
+            fit_linear_coefficient(radii, values, C_HALF)
+        with pytest.raises(ValueError, match="radii must be distinct for an order fit"):
+            fit_remainder_order(radii, values)
 
 
 class TestSurfaceQuotientExpansion:

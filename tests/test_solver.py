@@ -180,7 +180,8 @@ class TestLpNormPower:
         cap = lens_area(1.0, 0.2, 1.0)
         deviations = []
         for dom in (disk256, disk512):
-            u, beta = rasterize_two_valued(dom, (1.0, 0.0), 0.2, 1.0)
+            beta = two_valued_quotient_exact(dom, (1.0, 0.0), 0.2, 1.0).beta
+            u = rasterize_two_valued(dom, (1.0, 0.0), 0.2, beta)
             closed = math.sqrt(cap + beta * beta * (math.pi - cap))
             deviations.append(abs(lp_norm_power(u) - closed) / closed)
         assert deviations[0] <= 0.05
@@ -208,8 +209,9 @@ class TestGridQuotient:
         assert grid_quotient(u, 1.0) == pytest.approx(oracle, rel=0.02)
 
     def test_two_valued_profile_close_to_exact_quadrature(self, disk512):
-        u, _ = rasterize_two_valued(disk512, (1.0, 0.0), 0.2, 1.0)
-        exact = two_valued_quotient_exact(disk512, (1.0, 0.0), 0.2, 1.0).value
+        qv = two_valued_quotient_exact(disk512, (1.0, 0.0), 0.2, 1.0)
+        u = rasterize_two_valued(disk512, (1.0, 0.0), 0.2, qv.beta)
+        exact = qv.value
         assert abs(grid_quotient(u, 1.0) - exact) <= 0.05 * exact
 
     def test_scale_invariance_on_random_functions(self, disk128):
@@ -235,7 +237,8 @@ class TestGridQuotient:
         exact = two_valued_quotient_exact(disk128, (1.0, 0.0), 0.2, 1.0).value
         errors = []
         for dom in (disk128, disk256, disk512):
-            u, _ = rasterize_two_valued(dom, (1.0, 0.0), 0.2, 1.0)
+            beta = two_valued_quotient_exact(dom, (1.0, 0.0), 0.2, 1.0).beta
+            u = rasterize_two_valued(dom, (1.0, 0.0), 0.2, beta)
             errors.append(abs(grid_quotient(u, 1.0) - exact))
         hs = [dom.h for dom in (disk128, disk256, disk512)]
         assert fit_remainder_order(hs, errors) >= 0.9
@@ -323,7 +326,7 @@ class TestMinimizeQuotient:
     def test_constant_seed_rejected(self, disk128, monkeypatch):
         # A seed with one level leaves no iterate to evaluate.
         constant = GridFunction(disk128, np.ones(disk128.interior_mask.shape))
-        monkeypatch.setattr(solver, "rasterize_two_valued", lambda *args: (constant, 0.0))
+        monkeypatch.setattr(solver, "rasterize_two_valued", lambda *args: constant)
         with pytest.raises(ValueError, match="all levels equal"):
             minimize_quotient(disk128, 1.0, budget=5)
 

@@ -566,6 +566,22 @@ class TestGaussBonnet:
             assert defect <= 1e-3
 
 
+    @pytest.mark.parametrize("a, c", [(1.0, 100.0), (100.0, 1.0), (1.0, 1000.0), (1e-5, 1.0)])
+    def test_unresolved_integral_raises(self, a, c):
+        # The 8-panel rule read 26.23 against 8 pi = 25.13 at (1, 1000).
+        with pytest.raises(ValueError, match=rf"spheroid a={a!r}, c={c!r}: the Gauss-Bonnet "
+                                             r"integral is not resolved .* on 8 panels"):
+            gauss_bonnet_check(SurfaceModel.spheroid(a, c))
+
+    def test_resolved_integral_keeps_the_eight_panel_value(self):
+        # At (1, 50) the two rules differ by 3.9e-9 of the target: it passes,
+        # and the value is the 8-panel one, which the literal was taken from
+        # before the 16-panel check existed.
+        integral, target = gauss_bonnet_check(SurfaceModel.spheroid(1.0, 50.0))
+        assert integral == 25.132741131214775
+        assert abs(integral - target) <= 1e-8 * target
+
+
 class TestHemisphereCertificate:
     @pytest.mark.parametrize("q", [0.01, 0.5, 1.0, 1.5, 1.99])
     def test_value_is_sharp_constant(self, q):
