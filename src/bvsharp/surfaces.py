@@ -28,18 +28,24 @@ perimeter are read off the final state.  A spheroid ball depends only
 on the polar angle of its center and is symmetric about the meridian
 plane through it, so 129 of 256 equally spaced directions are
 integrated; the last ball is memoized, so its area and its perimeter
-cost one integration together.  Points
-are parametric pairs (theta, phi) on the sphere and spheroid (polar
-angle from the north pole, longitude) and (x, y) on the torus.
+cost one integration together.  The state of all directions is one
+(9, 129) array, so the integrator costs what its numpy calls cost, not
+what its arithmetic does: eight calls a stage, on views built once per
+ball.  Points are parametric pairs (theta, phi) on the sphere and
+spheroid (polar angle from the north pole, longitude) and (x, y) on the
+torus.
 
 The spheroid area and the Gauss-Bonnet integral are integrals over the
 meridian angle theta in [0, pi] of analytic integrands; both use the
-Gauss-Legendre panel rule that `geometry` uses for its cap integrals.
+Gauss-Legendre panel rule that `geometry` uses for its cap integrals,
+on 8 panels, and both raise where 16 panels differ by more than a
+tolerance: 1e-12 of the area, 1e-8 of the Gauss-Bonnet target.
 
 `_geodesic_ball` is the one place that knows each model's closed forms
-for a ball: its area, the area of its complement and its perimeter.
-Surface quotients, the hemisphere's included, are formed from those
-measures by `profiles._two_valued_quotient`, as the planar ones are.
+for a ball: its area, the area of its complement and its perimeter.  It
+refuses radii below 2^-500, where the ball's area nears the subnormal
+range.  Surface quotients, the hemisphere's included, are formed from
+those measures by `profiles._two_valued_quotient`, as the planar ones are.
 """
 
 from __future__ import annotations
@@ -59,6 +65,15 @@ from .constants import (
 )
 from .geometry import _PANEL_EDGES, _panel_rule
 from .profiles import QuotientValue, _two_valued_quotient
+
+# The spheroid area and the Gauss-Bonnet integral over the meridian are
+# checked against the same panel rule on twice as many panels, to 1e-12
+# of the area and to 1e-8 of the Gauss-Bonnet target, the tolerance of
+# the benchmark's check.
+_CHECK_PANEL_EDGES = np.linspace(0.0, 1.0, 17)
+_CHECK_PANEL_EDGES.flags.writeable = False
+_AREA_RTOL = 1e-12
+_GAUSS_BONNET_RTOL = 1e-8
 
 __all__ = [
     "SurfaceModel",
@@ -92,10 +107,9 @@ class SurfaceModel:
         if r <= 0:
             raise ValueError("sphere radius must be positive")
         r2 = r * r
-        _require_finite_positive(f"sphere r={r!r}", {
+        return _require_finite_positive(SurfaceModel(kind="sphere", r=r), {
             "r^2": r2, "scalar curvature 2/r^2": 2.0 / r2 if r2 else math.inf,
             "area 4 pi r^2": 4.0 * math.pi * r2})
-        return SurfaceModel(kind="sphere", r=r)
 
     @staticmethod
     def spheroid(a: float, c: float) -> "SurfaceModel":
@@ -105,18 +119,17 @@ class SurfaceModel:
         # finite and positive, so is the area, between 4 pi a min(a, c) and
         # 4 pi a max(a, c).
         a2, c2 = a * a, c * c
-        _require_finite_positive(f"spheroid a={a!r}, c={c!r}", {
+        return _require_finite_positive(SurfaceModel(kind="spheroid", a=a, c=c), {
             "a^4": a2 * a2, "c^2": c2, "max(a, c)^4": max(a2 * a2, c2 * c2),
             "polar scalar curvature 2c^2/a^4": 2.0 * c2 / (a2 * a2) if a2 * a2 else math.inf,
             "equatorial scalar curvature 2/c^2": 2.0 / c2 if c2 else math.inf})
-        return SurfaceModel(kind="spheroid", a=a, c=c)
 
     @staticmethod
     def flat_torus(L1: float, L2: float) -> "SurfaceModel":
         if L1 <= 0 or L2 <= 0:
             raise ValueError("torus side lengths must be positive")
-        _require_finite_positive(f"flat torus L1={L1!r}, L2={L2!r}", {"area L1 L2": L1 * L2})
-        return SurfaceModel(kind="flat-torus", L1=L1, L2=L2)
+        return _require_finite_positive(SurfaceModel(kind="flat-torus", L1=L1, L2=L2),
+                                        {"area L1 L2": L1 * L2})
 
     # ----- invariants of the model --------------------------------------
 
@@ -126,13 +139,36 @@ class SurfaceModel:
 
     @functools.cached_property
     def area(self) -> float:
+        """Area; on the spheroid the panel rule's 8-panel meridian integral.
+
+        The same rule on 16 panels checks it: where the two differ by more
+        than 1e-12 relative, the rule does not resolve the integrand (a
+        spheroid such as (100, 1) or (1, 1000)), and ValueError names the
+        model and both estimates.  The difference detects that failure but
+        does not bound the error: at (1, 1e-5) it is 6.9e-11 against a true
+        error of 3.7e-10.
+        """
         if self.kind == "sphere":
             return 4.0 * math.pi * self.r**2
         if self.kind == "flat-torus":
             return self.L1 * self.L2
-        th, w = _panel_rule(0.0, math.pi)
-        val = float(np.sum(w * (self.a * np.sin(th) * np.sqrt(self._metric_E(th)))))
-        return 2.0 * math.pi * val
+        value, finer = _meridian_integrals(
+            lambda th: self.a * np.sin(th) * np.sqrt(self._metric_E(th)))
+        if not abs(value - finer) <= _AREA_RTOL * value:
+            raise ValueError(
+                f"{self._name}: the area is not resolved by the panel rule "
+                f"({value!r} on 8 panels, {finer!r} on 16)"
+            )
+        return value
+
+    @property
+    def _name(self) -> str:
+        """The model and its parameters, as error messages name them."""
+        if self.kind == "sphere":
+            return f"sphere r={self.r!r}"
+        if self.kind == "spheroid":
+            return f"spheroid a={self.a!r}, c={self.c!r}"
+        return f"flat torus L1={self.L1!r}, L2={self.L2!r}"
 
     def injectivity_radius(self) -> float:
         """Conservative global lower bound on the injectivity radius.
@@ -181,14 +217,25 @@ class SurfaceModel:
         return s_pole, s_equator, (0.5 * math.pi, 0.0)
 
 
-def _require_finite_positive(model: str, quantities: dict) -> None:
-    """Raise ValueError naming the model and its parameters unless every
-    quantity derived from them is finite and positive.  The constructors
-    call it with a few float operations and no quadrature, since every
-    spheroid ball builds a model."""
+def _require_finite_positive(model: SurfaceModel, quantities: dict) -> SurfaceModel:
+    """Return the model; raise ValueError naming it and its parameters unless
+    every quantity derived from them is finite and positive.  The
+    constructors call it with a few float operations and no quadrature,
+    since every spheroid ball builds a model."""
     for name, value in quantities.items():
         if not 0.0 < value < math.inf:
-            raise ValueError(f"{model}: {name} = {value!r} is not finite and positive")
+            raise ValueError(f"{model._name}: {name} = {value!r} is not finite and positive")
+    return model
+
+
+def _meridian_integrals(integrand):
+    """2 pi times the panel rule's integral of integrand(theta) over
+    [0, pi], on 8 panels and on the 16 that check it."""
+    def integral(panel_edges):
+        th, w = _panel_rule(0.0, math.pi, panel_edges)
+        return 2.0 * math.pi * float(np.sum(w * integrand(th)))
+
+    return integral(_PANEL_EDGES), integral(_CHECK_PANEL_EDGES)
 
 
 def scalar_curvature(surface: SurfaceModel, point) -> float:
@@ -285,6 +332,11 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
     given by these formulas, so that raises `ValueError`.  Zeros of J are
     at least pi / sqrt(K_max) apart (Sturm comparison), so J cannot turn
     negative and back within one step, and step ends are enough to check.
+
+    The arrays are small, so the cost is per numpy call, not per element:
+    every view is built once per ball, before the step loop, and a stage
+    makes eight calls, seven for the right-hand side `rhs` and one matrix
+    product that combines the stage derivatives into the next stage state.
     """
     a2, c2 = a * a, c * c
     k_max = 0.5 * SurfaceModel.spheroid(a, c).curvature_range()[1]
@@ -296,69 +348,63 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
     neg_g, g2 = -g[:, None], g * g
 
     alphas = np.linspace(0.0, math.pi, 129)  # 2 pi m / 256, m = 0..128
-    # S[0] is the state, S[1..12] the stage derivatives.  State rows A, x1,
-    # x2, x3, J, v1, v2, v3, J': d/ds of rows 0..4 is rows 4..8.
-    stages = _RK8_B.size
-    S = np.zeros((stages + 1, 9, alphas.size))
-    S_flat = S.reshape(stages + 1, -1)
-    Y = S[0]
-    Y[1], Y[3], Y[8] = a * st, c * ct, 1.0
-    Y[5:8] = np.outer([a * ct / E0, 0.0, -c * st / E0], np.cos(alphas))
-    Y[6] = np.sin(alphas)
-    x, J, v = Y[1:4], Y[4], Y[5:8]
+    # S[0] is the state, S[1..12] the stage derivatives, Ys the stage state.
+    # State rows A, x1, x2, x3, J, v1, v2, v3, J': d/ds of rows 0..4 is rows 4..8.
+    stages, n = _RK8_B.size, alphas.size
+    S = np.zeros((stages + 1, 9, n))
+    S_flat, Y, Ys = S.reshape(stages + 1, -1), S[0], np.zeros((9, n))
+    Ys[1], Ys[3], Ys[8] = a * st, c * ct, 1.0
+    Ys[5:8] = np.outer([a * ct / E0, 0.0, -c * st / E0], np.cos(alphas))
+    Ys[6] = np.sin(alphas)
+    Y[:] = Ys
+    x, J, v = Ys[1:4], Ys[4], Ys[5:8]
 
-    # Row i < stages combines S[0..i] into the state of stage i, the last
-    # row all of S into the next state.
+    # Row i < stages of `combine` forms the state of stage i from S[0..i],
+    # the last row the next state from all of S.  Entry i of `plan` puts
+    # the derivative at stage i - 1 in S[i] and the state of stage i in Ys.
     ds = eps / steps
     combine = np.zeros((stages + 1, stages + 1))
     combine[:, 0] = 1.0
     combine[:stages, 1:] = ds * _RK8_A
     combine[stages, 1:] = ds * _RK8_B
-    Ys = np.empty_like(Y)  # stage state
-    Ys_flat = Ys.reshape(-1)
+    plan = [(S[i, :5], S[i, 5:], combine[i, :i + 1], S_flat[:i + 1]) for i in range(1, stages + 1)]
 
-    # One product of M with the squares of rows 1..8 gives g2 . (x * x),
-    # (a^2 - c^2) x3^2 / c^2 and g . (v * v).
-    M = np.zeros((3, 8))
-    M[0, :3] = g2
-    M[1, 2] = (a2 - c2) / c2
-    M[2, 4:7] = g
-    squares = np.empty((8, alphas.size))
-    r = np.empty((3, alphas.size))
+    # Rows 0..7 of `squares` take the squares of rows 1..8, and row 8 is 1:
+    # one product with M gives -g (g . (v * v)), g2 . (x * x) three times
+    # and u = W / c, W = c^2 + (a^2 - c^2) x3^2 / c^2.
+    squares = np.ones((9, n))
+    M = np.zeros((7, 9))
+    M[:3, 4:7], M[3:6, :3], M[6, 2], M[6, 8] = neg_g * g, g2, (a2 - c2) / (c2 * c), c
+    r, coef = np.empty((7, n)), np.empty((4, n))
+    tail, rows, xJ, sq = Ys[4:], Ys[1:], Ys[1:5], squares[:8]
+    lam_num, lam_den, u, coef_x, coef_J = r[:3], r[3:6], r[6], coef[:3], coef[3]
 
-    def rhs(Y, dY):
-        dY[:5] = Y[4:]
-        np.multiply(Y[1:], Y[1:], out=squares)
-        np.matmul(M, squares, out=r)
+    def rhs(head, accel):
+        np.copyto(head, tail)
+        np.multiply(rows, rows, out=sq)
+        np.dot(M, squares, out=r)
         # Geodesic acceleration: the normal force -lam g * x that keeps x
-        # on F = 0, lam = g . (v * v) / g2 . (x * x).
-        np.divide(r[2], r[0], out=r[2])
-        np.multiply(Y[1:4], neg_g, out=dY[5:8])
-        dY[5:8] *= r[2]
-        # J'' = -K J with K = c^2 / W^2, W = c^2 + (a^2 - c^2) x3^2 / c^2,
-        # which is exactly 1 / c^2 on a round spheroid.
-        W = r[1]
-        W += c2
-        W *= W
-        np.divide(Y[4], W, out=dY[8])
-        dY[8] *= -c2
+        # on F = 0, lam = g . (v * v) / g2 . (x * x).  J'' = -K J with
+        # K = c^2 / W^2 = 1 / u^2, exactly 1 / c^2 on a round spheroid.
+        # x and J are rows 1..4, so one product gives both accelerations.
+        np.divide(lam_num, lam_den, out=coef_x)
+        np.multiply(u, u, out=u)
+        np.divide(-1.0, u, out=coef_J)
+        np.multiply(xJ, coef, out=accel)
 
     # F + 1 and |grad F|^2 from x * x; the speed from v * v.
-    P = np.array([0.5 * g, g2])
-    ones = np.ones(3)
-    xx, tmp = np.empty((3, alphas.size)), np.empty((3, alphas.size))
-    J_min = np.full(alphas.size, np.inf)
+    P, ones = np.array([0.5 * g, g2]), np.ones(3)
+    xx, tmp, Fg = np.empty((3, n)), np.empty((3, n)), np.empty((2, n))
+    F, grad2 = Fg
+    Ys_flat, J_min = Ys.reshape(-1), np.full(n, np.inf)
     for _ in range(steps):
-        rhs(Y, S[1])
-        for i in range(1, stages):
-            np.matmul(combine[i, :i + 1], S_flat[:i + 1], out=Ys_flat)
-            rhs(Ys, S[i + 1])
-        np.matmul(combine[stages], S_flat, out=Ys_flat)
-        Y[:] = Ys
+        for head, accel, row, block in plan:
+            rhs(head, accel)
+            np.dot(row, block, out=Ys_flat)
 
         # Project back to the surface, along grad F ...
         np.multiply(x, x, out=xx)
-        F, grad2 = P @ xx
+        np.dot(P, xx, out=Fg)
         F -= 1.0
         F /= grad2
         np.multiply(x, neg_g, out=tmp)
@@ -374,13 +420,22 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
         np.multiply(v, v, out=tmp)
         v /= np.sqrt(ones @ tmp)
         np.minimum(J_min, J, out=J_min)
+        np.copyto(Y, Ys)
     m = int(np.argmin(J_min))
     if J_min[m] <= 0.0:
         raise ValueError(
             f"conjugate point within radius {eps} of polar angle {theta0}: "
             f"J <= 0 along direction alpha = {alphas[m]:.6g}"
         )
-    return Y[0], J
+    return Ys[0], J
+
+
+# A ball's area is about pi eps^2, subnormal below eps = 8.4e-155.  At
+# 1e-160 and q = 1 the quotient read c*_2 (1 - 2.7e-5) on the unit sphere
+# and the flat torus, false strict witnesses; at 1e-162 the sphere's ball
+# is 0.  From 2^-500 up, the sphere, the flat torus and the spheroids read
+# c*_2 at q = 1 to 1.4e-15.  The floor is absolute, as areas are.
+_RADIUS_FLOOR = 2.0 ** -500
 
 
 # Memoized on the last ball: callers ask for its area and its perimeter
@@ -406,6 +461,11 @@ def _geodesic_ball(surface: SurfaceModel, center, eps: float):
         raise ValueError(f"geodesic radius must be finite, got {eps}")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if eps < _RADIUS_FLOOR:
+        raise ValueError(
+            f"geodesic radius {eps!r} is below the floor {_RADIUS_FLOOR:.6g} = 2^-500, "
+            "where the ball's area nears the subnormal range"
+        )
     inj = surface.injectivity_radius()
     if eps > inj:
         raise ValueError(
@@ -490,13 +550,6 @@ def critical_curvature_threshold(n: int, area: float) -> float:
     return n * (n - 1) * (unit_sphere_area(n) / area) ** (2.0 / n)
 
 
-# The Gauss-Bonnet integral is checked against the same rule on twice as
-# many panels; 1e-8 of the target is the tolerance of the benchmark's check.
-_GAUSS_BONNET_CHECK_EDGES = np.linspace(0.0, 1.0, 17)
-_GAUSS_BONNET_CHECK_EDGES.flags.writeable = False
-_GAUSS_BONNET_RTOL = 1e-8
-
-
 def gauss_bonnet_check(surface: SurfaceModel):
     """Numerically integrated int_M S dmu and its target 4 pi chi(M).
 
@@ -511,21 +564,18 @@ def gauss_bonnet_check(surface: SurfaceModel):
         # The flat metric has S = 0 at every point, so the integral is exactly 0.
         return 0.0, target
 
-    def integral(panel_edges):
-        th, w = _panel_rule(0.0, math.pi, panel_edges)
+    def integrand(th):
         if surface.kind == "sphere":
             r = surface.r
-            return 2.0 * math.pi * float(np.sum(w * ((2.0 / r**2) * r * r * np.sin(th))))
+            return (2.0 / r**2) * r * r * np.sin(th)
         E = surface._metric_E(th)
         S = 2.0 * surface.c**2 / (E * E)
-        return 2.0 * math.pi * float(np.sum(w * (S * surface.a * np.sin(th) * np.sqrt(E))))
+        return S * surface.a * np.sin(th) * np.sqrt(E)
 
-    value, finer = integral(_PANEL_EDGES), integral(_GAUSS_BONNET_CHECK_EDGES)
+    value, finer = _meridian_integrals(integrand)
     if not abs(value - finer) <= _GAUSS_BONNET_RTOL * target:
-        model = (f"sphere r={surface.r!r}" if surface.kind == "sphere"
-                 else f"spheroid a={surface.a!r}, c={surface.c!r}")
         raise ValueError(
-            f"{model}: the Gauss-Bonnet integral is not resolved by the panel rule "
+            f"{surface._name}: the Gauss-Bonnet integral is not resolved by the panel rule "
             f"({value!r} on 8 panels, {finer!r} on 16, target {target!r})"
         )
     return value, target

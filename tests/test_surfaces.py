@@ -47,7 +47,7 @@ class TestSurfaceModels:
     # (1, 5) and (1, 0.05) are far from round: the fixed panel rule must
     # hold its accuracy where the meridian integrand is sharply peaked.
     def test_prolate_spheroid_area_closed_form(self):
-        for a, c in ((1.0, 1.3), (1.0, 5.0)):
+        for a, c in ((1.0, 1.3), (1.0, 5.0), (1.0, 100.0)):
             area = SurfaceModel.spheroid(a, c).area
             assert area == pytest.approx(prolate_spheroid_area(a, c), rel=1e-12)
 
@@ -55,6 +55,14 @@ class TestSurfaceModels:
         for a, c in ((1.3, 1.0), (1.0, 0.05)):
             area = SurfaceModel.spheroid(a, c).area
             assert area == pytest.approx(oblate_spheroid_area(a, c), rel=1e-12)
+
+    @pytest.mark.parametrize("a, c", [(100.0, 1.0), (1000.0, 1.0), (1.0, 1e-5), (1.0, 1000.0)])
+    def test_unresolved_area_raises(self, a, c):
+        # The 8- and 16-panel areas differ by 1.7e-12 relative at (100, 1)
+        # and by 6.3e-9 at (1000, 1); at (1, 100) by 8.9e-14, which passes.
+        with pytest.raises(ValueError, match=rf"spheroid a={a!r}, c={c!r}: the area is not "
+                                             r"resolved .* on 8 panels, .* on 16"):
+            SurfaceModel.spheroid(a, c).area
 
     def test_spheroid_pole_curvature(self):
         # K at the pole of a spheroid is c^2/a^4, so S = 2 c^2 / a^4.
@@ -207,8 +215,8 @@ class TestSingleBallRoutine:
         )
 
     def test_spheroid_ball_independent_of_blas_threads(self):
-        # The RK6 stages run through matmul on small arrays; a thread
-        # split of those products would round differently.
+        # The DOP853 stages run through matrix products on small arrays; a
+        # thread split of those products would round differently.
         root = Path(__file__).resolve().parent.parent
         probe = (
             "from bvsharp import surfaces as s; "
@@ -238,6 +246,22 @@ class TestSingleBallRoutine:
         assert qv.numerator == numerator
         assert qv.denominator == denominator
         assert qv.value == numerator / denominator
+
+    @pytest.mark.parametrize("surface", [SPHEROID, SurfaceModel.sphere(1.0), TORUS],
+                             ids=["spheroid", "sphere", "torus"])
+    @pytest.mark.parametrize("entry", ["area", "length", "quotient"])
+    def test_radius_below_floor_raises(self, surface, entry):
+        # At 1e-160 the ball's area pi eps^2 is subnormal, and the quotient
+        # at q = 1 read c*_2 (1 - 2.7e-5) on the sphere and the torus and
+        # c*_2 (1 - 5.9e-3) on the spheroid: false strict witnesses.
+        centre, eps = (1.0, 0.0), 1e-160
+        call = {
+            "area": lambda: geodesic_ball_area(surface, centre, eps),
+            "length": lambda: geodesic_circle_length(surface, centre, eps),
+            "quotient": lambda: surface_two_valued_quotient(surface, centre, eps, 1.0),
+        }[entry]
+        with pytest.raises(ValueError, match=r"radius 1e-160 is below the floor .* 2\^-500"):
+            call()
 
     @pytest.mark.parametrize("surface", [SPHEROID, SurfaceModel.sphere(1.0), TORUS],
                              ids=["spheroid", "sphere", "torus"])
@@ -321,6 +345,26 @@ def _rk4_simpson_ball(a, c, centre, eps, steps):
 
 class TestSpheroidIntegrator:
     """The half-direction integrator against a plain 256-direction one."""
+
+    # (axes, theta0, eps, area, perimeter), taken from the integrator before
+    # its numpy calls were fused; a rewrite may move a ball by rounding only.
+    @pytest.mark.parametrize("axes, theta0, eps, area, perimeter", [
+        ((1.0, 0.7), 0.4, 0.05, 0.007853039297263723, 0.31408385715604753),
+        ((1.0, 0.7), 0.4, 0.8, 1.938991434446415, 4.64178469182226),
+        ((1.0, 0.7), 1.2, 0.05, 0.007851397136766278, 0.31395250900930965),
+        ((1.0, 0.7), 1.2, 0.8, 1.8521932076484153, 4.267854522616587),
+        ((1.0, 1.3), 0.4, 0.05, 0.007851716332383933, 0.3139780768685217),
+        ((1.0, 1.3), 0.4, 0.8, 1.8760657451986902, 4.385448268232966),
+        ((1.0, 1.3), 1.2, 0.05, 0.0078529005673189, 0.31407277686499613),
+        ((1.0, 1.3), 1.2, 0.8, 1.9385264467084158, 4.663198812192433),
+        ((1.0, 2.0), 0.4, 1.0, 2.7241607112767294, 4.801002877322105),
+    ])
+    def test_pinned_balls(self, axes, theta0, eps, area, perimeter):
+        surface = SurfaceModel.spheroid(*axes)
+        assert geodesic_ball_area(surface, (theta0, 0.0), eps) == pytest.approx(
+            area, rel=4e-15, abs=0.0)
+        assert geodesic_circle_length(surface, (theta0, 0.0), eps) == pytest.approx(
+            perimeter, rel=4e-15, abs=0.0)
 
     @pytest.mark.parametrize("axes", [(1.0, 0.7), (1.0, 1.3)], ids=["oblate", "prolate"])
     @pytest.mark.parametrize("theta0", [0.0, 0.4, 1.2, math.pi / 2.0, 2.8, math.pi])
@@ -486,8 +530,8 @@ class TestSurfaceTwoValuedQuotient:
             qv = surface_two_valued_quotient(sphere, (0.0, 0.0), eps, 1.0)
             assert abs(qv.value - C_STAR) <= 0.5 * eps**4
 
-    @pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-3, 0.1, 1.0, math.pi / 2.0, 2.5, 3.0,
-                                     math.pi - 1e-3, math.pi - 1e-6])
+    @pytest.mark.parametrize("eps", [2.0**-500, 1e-6, 1e-5, 1e-3, 0.1, 1.0, math.pi / 2.0, 2.5,
+                                     3.0, math.pi - 1e-3, math.pi - 1e-6])
     def test_round_sphere_ball_equals_sharp_constant_at_q1(self, eps):
         # Q = P sqrt(T) / sqrt(V (T - V)) = 2 sqrt(pi) for every ball; the
         # cap area 2 pi (1 - cos eps) cancels at small eps unless written
