@@ -535,11 +535,14 @@ def _gap_and_slope(spec: DomainSpec, ax: float, ay: float, eps: float, theta):
     The gap is computed exactly as `DomainSpec.radial_gap` computes it, so
     the two agree in sign.  With phi the polar angle of p,
     dr/dtheta = eps (p_y cos - p_x sin) / r and
-    dphi/dtheta = eps (p_x cos + p_y sin) / r^2.
+    dphi/dtheta = eps (p_x cos + p_y sin) / r^2.  The disk's rho is constant,
+    so there the slope is dr/dtheta alone and phi is not needed.
     """
     cos, sin = np.cos(theta), np.sin(theta)
     px, py = ax + eps * cos, ay + eps * sin
     r = np.hypot(px, py)
+    if spec.kind == "disk":
+        return r - spec.r, eps * ((py * cos - px * sin) / r), r
     phi = np.arctan2(py, px)
     rho, drho, _ = spec._radial(phi)
     slope = eps * ((py * cos - px * sin) / r - drho * (px * cos + py * sin) / (r * r))

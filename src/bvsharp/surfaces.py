@@ -26,14 +26,21 @@ the curvature length, and the inner integral
 A(s) = int_0^s J is carried as one more state, so the area and the
 perimeter are read off the final state.  A spheroid ball depends only
 on the polar angle of its center and is symmetric about the meridian
-plane through it, so 129 of 256 equally spaced directions are
-integrated; the last ball is memoized, so its area and its perimeter
-cost one integration together.  The state of all directions is one
-(9, 129) array, so the integrator costs what its numpy calls cost, not
-what its arithmetic does: eight calls a stage, on views built once per
-ball.  Points are parametric pairs (theta, phi) on the sphere and
-spheroid (polar angle from the north pole, longitude) and (x, y) on the
-torus.
+plane through it, so of n equally spaced directions the n/2 + 1 in
+[0, pi] are integrated.  The mean over directions is a periodic
+trapezoid rule, which converges geometrically for analytic integrands,
+so the ball checks n itself: from n = 64 it doubles n until the area
+and the perimeter agree with the means over every other direction to
+1e-12 relative, and past n = 1024 it raises.  The benchmark's balls
+and those tested on spheroids (1, 1.3), (1.3, 1) and (1, 0.8) stop at
+64, while eccentric ones go further: (1, 0.2) up to 512, (1, 0.1) to
+1024.
+The last ball is memoized, so its area and its perimeter cost one
+integration together.  The state of all directions is one
+(9, n/2 + 1) array, so the integrator costs mostly what its numpy
+calls cost: eight calls a stage, on views built once per ball.  Points
+are parametric pairs (theta, phi) on the sphere and spheroid (polar
+angle from the north pole, longitude) and (x, y) on the torus.
 
 The spheroid area and the Gauss-Bonnet integral are integrals over the
 meridian angle theta in [0, pi] of analytic integrands; both use the
@@ -69,7 +76,8 @@ from .profiles import QuotientValue, _two_valued_quotient
 # The spheroid area and the Gauss-Bonnet integral over the meridian are
 # checked against the same panel rule on twice as many panels, to 1e-12
 # of the area and to 1e-8 of the Gauss-Bonnet target, the tolerance of
-# the benchmark's check.
+# the benchmark's check.  A geodesic ball's direction count is checked to
+# the same 1e-12.
 _CHECK_PANEL_EDGES = np.linspace(0.0, 1.0, 17)
 _CHECK_PANEL_EDGES.flags.writeable = False
 _AREA_RTOL = 1e-12
@@ -307,7 +315,7 @@ _RK8_B = np.array([
 ])
 
 
-def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
+def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float, m: int):
     """(A(eps, alpha_m), J(eps, alpha_m)) for geodesics from (theta0, 0).
 
     J is the Jacobi field along the unit-speed geodesic in direction
@@ -317,13 +325,16 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
     On a surface of revolution J does not depend on the longitude of the
     center, so the geodesics start at longitude 0, where the reflection
     x2 -> -x2 fixes the center and maps direction alpha to -alpha.  So
-    J(s, alpha) = J(s, 2 pi - alpha), and of 256 equally spaced
-    directions only alpha_m = 2 pi m / 256, m = 0..128, are integrated.
+    J(s, alpha) = J(s, 2 pi - alpha), and of n = 2(m - 1) equally spaced
+    directions only the m columns alpha_k = 2 pi k / n, k = 0..m-1, in
+    [0, pi] are integrated.  `_spheroid_ball` chooses m: it starts at 33
+    columns (64 directions) and doubles the directions until the rule
+    agrees with its every-other-column subset.
 
     Integration happens in the R^3 embedding of the spheroid
     (x1^2+x2^2)/a^2 + x3^2/c^2 = 1, which is immune to the coordinate
     degeneracy at the poles.  The state (A, x, J, v, J') of all
-    directions is one (9, 129) array, advanced by the eighth-order
+    directions is one (9, m) array, advanced by the eighth-order
     Runge-Kutta method of DOP853 and re-projected in place to the surface
     and to unit speed after every step.  The step count is
     ceil(eps sqrt(K_max) / 0.04): steps of at most 1/25 of the curvature
@@ -333,10 +344,13 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
     at least pi / sqrt(K_max) apart (Sturm comparison), so J cannot turn
     negative and back within one step, and step ends are enough to check.
 
-    The arrays are small, so the cost is per numpy call, not per element:
-    every view is built once per ball, before the step loop, and a stage
-    makes eight calls, seven for the right-hand side `rhs` and one matrix
-    product that combines the stage derivatives into the next stage state.
+    The arrays are small, so the cost is mostly per numpy call: every view
+    is built once per ball, before the step loop, and a stage makes eight
+    calls, seven for the right-hand side `rhs` and one matrix product that
+    combines the stage derivatives into the next stage state.  The columns
+    still count: twelve balls (spheroids (1, 0.8) and (1, 1.2), polar angle
+    1, radii 0.1 to 0.8) cost 21.0, 24.2, 30.3, 43.6 and 69.8 ms at 33, 65,
+    129, 257 and 513 columns (CPU time, medians of 15 runs, 2 vCPUs).
     """
     a2, c2 = a * a, c * c
     k_max = 0.5 * SurfaceModel.spheroid(a, c).curvature_range()[1]
@@ -347,12 +361,12 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
     g = np.array([2.0 / a2, 2.0 / a2, 2.0 / c2])
     neg_g, g2 = -g[:, None], g * g
 
-    alphas = np.linspace(0.0, math.pi, 129)  # 2 pi m / 256, m = 0..128
+    alphas = np.linspace(0.0, math.pi, m)  # 2 pi k / (2m - 2), k = 0..m-1
     # S[0] is the state, S[1..12] the stage derivatives, Ys the stage state.
     # State rows A, x1, x2, x3, J, v1, v2, v3, J': d/ds of rows 0..4 is rows 4..8.
-    stages, n = _RK8_B.size, alphas.size
-    S = np.zeros((stages + 1, 9, n))
-    S_flat, Y, Ys = S.reshape(stages + 1, -1), S[0], np.zeros((9, n))
+    stages = _RK8_B.size
+    S = np.zeros((stages + 1, 9, m))
+    S_flat, Y, Ys = S.reshape(stages + 1, -1), S[0], np.zeros((9, m))
     Ys[1], Ys[3], Ys[8] = a * st, c * ct, 1.0
     Ys[5:8] = np.outer([a * ct / E0, 0.0, -c * st / E0], np.cos(alphas))
     Ys[6] = np.sin(alphas)
@@ -372,10 +386,10 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
     # Rows 0..7 of `squares` take the squares of rows 1..8, and row 8 is 1:
     # one product with M gives -g (g . (v * v)), g2 . (x * x) three times
     # and u = W / c, W = c^2 + (a^2 - c^2) x3^2 / c^2.
-    squares = np.ones((9, n))
+    squares = np.ones((9, m))
     M = np.zeros((7, 9))
     M[:3, 4:7], M[3:6, :3], M[6, 2], M[6, 8] = neg_g * g, g2, (a2 - c2) / (c2 * c), c
-    r, coef = np.empty((7, n)), np.empty((4, n))
+    r, coef = np.empty((7, m)), np.empty((4, m))
     tail, rows, xJ, sq = Ys[4:], Ys[1:], Ys[1:5], squares[:8]
     lam_num, lam_den, u, coef_x, coef_J = r[:3], r[3:6], r[6], coef[:3], coef[3]
 
@@ -394,9 +408,9 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
 
     # F + 1 and |grad F|^2 from x * x; the speed from v * v.
     P, ones = np.array([0.5 * g, g2]), np.ones(3)
-    xx, tmp, Fg = np.empty((3, n)), np.empty((3, n)), np.empty((2, n))
+    xx, tmp, Fg = np.empty((3, m)), np.empty((3, m)), np.empty((2, m))
     F, grad2 = Fg
-    Ys_flat, J_min = Ys.reshape(-1), np.full(n, np.inf)
+    Ys_flat, J_min = Ys.reshape(-1), np.full(m, np.inf)
     for _ in range(steps):
         for head, accel, row, block in plan:
             rhs(head, accel)
@@ -421,11 +435,11 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
         v /= np.sqrt(ones @ tmp)
         np.minimum(J_min, J, out=J_min)
         np.copyto(Y, Ys)
-    m = int(np.argmin(J_min))
-    if J_min[m] <= 0.0:
+    k = int(np.argmin(J_min))
+    if J_min[k] <= 0.0:
         raise ValueError(
             f"conjugate point within radius {eps} of polar angle {theta0}: "
-            f"J <= 0 along direction alpha = {alphas[m]:.6g}"
+            f"J <= 0 along direction alpha = {alphas[k]:.6g}"
         )
     return Ys[0], J
 
@@ -438,15 +452,51 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float):
 _RADIUS_FLOOR = 2.0 ** -500
 
 
+# The mean over directions is a periodic trapezoid rule, which converges
+# geometrically for analytic integrands (Trefethen & Weideman, SIAM Rev. 56,
+# 2014), so a ball checks its direction count against every other direction
+# and doubles it until the two agree.
+_DIRECTION_COUNTS = (64, 128, 256, 512, 1024)
+
+
+def _direction_mean(values) -> float:
+    """2 pi times the mean over the 2(m - 1) equally spaced directions whose
+    m columns lie in [0, pi]: columns 1..m-2 stand for -alpha too.  Each
+    measure takes its own 1-D dot product: one (2, m) matrix product rounds
+    differently, and put round-spheroid balls an ulp further from the
+    closed forms."""
+    m = values.size
+    weights = np.full(m, 2.0)
+    weights[[0, -1]] = 1.0
+    return (2.0 * math.pi / (2 * (m - 1))) * float(values @ weights)
+
+
 # Memoized on the last ball: callers ask for its area and its perimeter
 # back to back, as for the crossing memo in `geometry`.  `_geodesic_ball`
 # validates first, so no NaN key enters the cache.
 @functools.lru_cache(maxsize=1)
 def _spheroid_ball(a: float, c: float, theta0: float, eps: float):
-    """(area, perimeter) of the spheroid ball of radius eps at polar angle theta0."""
-    A, J = _spheroid_generic_profile(a, c, theta0, eps)
-    weights = np.r_[1.0, np.full(127, 2.0), 1.0] / 256  # columns 1..127 stand for -alpha_m too
-    return 2.0 * math.pi * float(A @ weights), 2.0 * math.pi * float(J @ weights)
+    """(area, perimeter) of the spheroid ball of radius eps at polar angle theta0.
+
+    From n = 64 directions up, the means over n directions are accepted when
+    the area and the perimeter both agree with the means over every other
+    direction to _AREA_RTOL relative; otherwise n doubles and the ball is
+    integrated again.  Past 1024 directions, ValueError names the model, the
+    ball, n and both estimates.
+    """
+    for n in _DIRECTION_COUNTS:
+        A, J = _spheroid_generic_profile(a, c, theta0, eps, n // 2 + 1)
+        area, perimeter = _direction_mean(A), _direction_mean(J)
+        half_area, half_perimeter = _direction_mean(A[::2]), _direction_mean(J[::2])
+        if (abs(area - half_area) <= _AREA_RTOL * area
+                and abs(perimeter - half_perimeter) <= _AREA_RTOL * perimeter):
+            return area, perimeter
+    raise ValueError(
+        f"{SurfaceModel.spheroid(a, c)._name}: the ball of radius {eps!r} at polar "
+        f"angle {theta0!r} is not resolved by {n} directions (area {area!r} on {n}, "
+        f"{half_area!r} on {n // 2}; perimeter {perimeter!r} on {n}, "
+        f"{half_perimeter!r} on {n // 2})"
+    )
 
 
 def _geodesic_ball(surface: SurfaceModel, center, eps: float):

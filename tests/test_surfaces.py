@@ -344,7 +344,8 @@ def _rk4_simpson_ball(a, c, centre, eps, steps):
 
 
 class TestSpheroidIntegrator:
-    """The half-direction integrator against a plain 256-direction one."""
+    """The half-direction integrator, which checks its own direction count,
+    against a plain 256-direction one."""
 
     # (axes, theta0, eps, area, perimeter), taken from the integrator before
     # its numpy calls were fused; a rewrite may move a ball by rounding only.
@@ -401,15 +402,7 @@ class TestSpheroidIntegrator:
             surfaces._spheroid_ball(1.0, 5.0, 0.3, 1.2)
 
     def test_one_integration_per_ball(self, monkeypatch):
-        calls = []
-        profile = surfaces._spheroid_generic_profile
-
-        def counted(*args):
-            calls.append(args)
-            return profile(*args)
-
-        monkeypatch.setattr(surfaces, "_spheroid_generic_profile", counted)
-        surfaces._spheroid_ball.cache_clear()
+        calls = _count_profiles(monkeypatch)
         geodesic_ball_area(SPHEROID, (0.7, 0.2), 0.3)
         geodesic_circle_length(SPHEROID, (0.7, 0.2), 0.3)
         assert len(calls) == 1
@@ -425,6 +418,58 @@ class TestSpheroidIntegrator:
         with pytest.raises(ValueError, match="center"):
             geodesic_ball_area(SPHEROID, (0.7, math.nan), 0.4)
         assert len(calls) == 4
+        # 64 directions resolve every ball: 33 columns in [0, pi], one
+        # integration each, on the catalog spheroids and the round one.
+        for axes in [(1.0, 1.3), (1.3, 1.0), (1.0, 0.8), (1.0, 1.0)]:
+            for theta0 in [0.0, 0.7, math.pi / 2.0]:
+                for eps in [0.05, 0.6, 1.2]:
+                    surface_two_valued_quotient(
+                        SurfaceModel.spheroid(*axes), (theta0, 0.4), eps, 1.0)
+        assert len(calls) == 4 + 36
+        assert set(calls) == {33}
+
+    @pytest.mark.parametrize("axes, theta0, eps, columns", [
+        ((1.0, 0.4), math.pi / 2.0, 0.6, [33, 65]),
+        ((1.0, 0.4), 1.2, 0.6, [33, 65, 129]),
+        ((1.0, 0.2), math.pi / 2.0, 0.3, [33, 65, 129]),
+        ((1.0, 0.2), 1.2, 0.3, [33, 65, 129, 257]),
+    ])
+    def test_eccentric_balls_double_their_directions(self, monkeypatch, axes, theta0, eps,
+                                                      columns):
+        calls = _count_profiles(monkeypatch)
+        got = surfaces._spheroid_ball(*axes, theta0, eps)
+        assert calls == columns
+        # The trapezoid rule on 1024 directions, as a reference.
+        A, J = surfaces._spheroid_generic_profile(*axes, theta0, eps, 513)
+        reference = surfaces._direction_mean(A), surfaces._direction_mean(J)
+        assert got == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    def test_unresolved_ball_raises_at_1024_directions(self, monkeypatch):
+        calls = _count_profiles(monkeypatch)
+        # This ball's two means differ in the last bits at every direction
+        # count, so a zero tolerance accepts none of them.
+        monkeypatch.setattr(surfaces, "_AREA_RTOL", 0.0)
+        with pytest.raises(ValueError, match=(
+                r"spheroid a=1\.0, c=0\.7: the ball of radius 0\.8 at polar angle 1\.2 "
+                r"is not resolved by 1024 directions \(area .* on 1024, .* on 512; "
+                r"perimeter .* on 1024, .* on 512\)")):
+            surfaces._spheroid_ball(1.0, 0.7, 1.2, 0.8)
+        assert calls == [33, 65, 129, 257, 513]
+
+
+def _count_profiles(monkeypatch):
+    """The column counts of the profiles integrated from here on, with the
+    ball memo cleared."""
+    calls = []
+    profile = surfaces._spheroid_generic_profile
+
+    def counted(*args):
+        calls.append(args[-1])
+        return profile(*args)
+
+    monkeypatch.setattr(surfaces, "_spheroid_generic_profile", counted)
+    surfaces._spheroid_ball.cache_clear()
+    return calls
 
 
 class TestButcherTableau:
