@@ -33,23 +33,18 @@ The two quadrature operations that feed certificate-grade numbers are
   for smooth integrals (the surface area and Gauss-Bonnet integrals in
   `surfaces` use it too).
 
-They share one crossing finder.  It brackets the angles at which the
-circle dB(a, eps) crosses dOmega by the sign of the radial gap at 4096
-angles.  A sample p whose |p|^2 lies clear of the shape's radial range
-[rho_lo, rho_hi] takes its side from |p|^2; one radial-gap call
-evaluates the rest and both ends of every bracket.  The finder then
-narrows each bracket by safeguarded Newton steps on the analytic slope of
-the gap and a bisection to the floating-point sign change, replayed on a
-table of the gap's signs where the bracket holds at most 1024 floats.
-Each Newton step is one vectorised call for all brackets; the bracket
-updates and the finish run on Python floats.  The scan's signs tell
-which arcs lie in Omega.  A tangential crossing raises ValueError, and
-so does a non-finite centre or radius, or a radius below 2^-26 |centre|
-on a circle that can reach dOmega, whose crossings floats cannot
-resolve.  A circle's cap and arc are memoized together on (spec,
-centre, radius): one scan and one cap quadrature per circle serve every
-request for either, so the two-valued quotient, which needs both, pays
-for one of each.
+They share one crossing finder, which works along the boundary parameter
+t: dB(a, eps) meets dOmega where f(t) = |gamma(t) - a|^2 - eps^2 changes
+sign.  A table per centre holds |gamma(t_i) - a|^2 at 4096 samples and a
+bound M on |f''|, so a radius costs a comparison with the table; M clears
+or splits every sample interval near eps^2, so no pair of crossings hides
+in one, and bracketed Newton on |gamma(t) - a| - eps polishes each
+crossing.  A tangential crossing raises ValueError, and so does a
+non-finite centre or radius, or a radius below 2^-26 |centre| on a circle
+that can reach dOmega, whose crossings floats cannot resolve.  A circle's
+cap and arc are memoized together on (spec, centre, radius), so the
+two-valued quotient, which needs both, pays for one crossing search and
+one cap quadrature.
 
 Both are exact to rounding for the supported shapes, so strict-inequality
 certificates are not contaminated by quadrature noise.
@@ -57,7 +52,6 @@ certificates are not contaminated by quadrature noise.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -179,20 +173,25 @@ class DomainSpec:
             return rho, d1, d2
         raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
 
-    def _radial_range(self):
-        """(rho_lo, rho_hi) with rho_lo <= rho(t) <= rho_hi at every angle.
+    def _radial_bounds(self):
+        """(R0, R1, R2) with |rho| <= R0, |rho'| <= R1 and |rho''| <= R2 at every angle.
 
-        A Fourier harmonic c cos(k t) + s sin(k t) lies within hypot(c, s)
-        of 0, so a Fourier rho_lo may be 0 or negative although rho is not.
+        The ellipse's rho = a b D^(-1/2), D = b^2 cos^2 t + a^2 sin^2 t >=
+        min(a, b)^2, has |D'/D| <= s and |D''/D| <= 2 s, s = |a^2 - b^2| /
+        min(a, b)^2.  The j-th derivative of a Fourier harmonic
+        c cos(k t) + s sin(k t) stays within k^j hypot(c, s).
         """
         if self.kind == "disk":
-            return self.r, self.r
+            return self.r, 0.0, 0.0
         if self.kind == "ellipse":
-            return min(self.a, self.b), max(self.a, self.b)
+            big = max(self.a, self.b)
+            s = abs(self.a * self.a - self.b * self.b) / min(self.a, self.b) ** 2
+            return big, 0.5 * big * s, big * (0.75 * s * s + s)
         if self.kind == "fourier":
-            spread = sum(math.hypot(c, s) for c, s in itertools.zip_longest(
-                self.cos_coeffs, self.sin_coeffs, fillvalue=0.0))
-            return self.r0 - spread, self.r0 + spread
+            sizes = [math.hypot(c, s) for c, s in itertools.zip_longest(
+                self.cos_coeffs, self.sin_coeffs, fillvalue=0.0)]
+            return (abs(self.r0) + sum(sizes), sum(k * h for k, h in enumerate(sizes, start=1)),
+                    sum(k * k * h for k, h in enumerate(sizes, start=1)))
         raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
 
     # ----- boundary parameterization (polar angle t) ----------------------
@@ -504,68 +503,48 @@ def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
 
 
 _SCAN_SAMPLES = 4096
-# The scan angles are the same for every circle; built once, read-only.
-# The cosines and sines repeat angle 0 at the end, after the last sample.
-_SCAN_THETAS = np.linspace(0.0, 2.0 * math.pi, _SCAN_SAMPLES, endpoint=False)
-_SCAN_COS, _SCAN_SIN = np.cos(np.append(_SCAN_THETAS, 0.0)), np.sin(np.append(_SCAN_THETAS, 0.0))
-_SCAN_THETAS.flags.writeable = _SCAN_COS.flags.writeable = _SCAN_SIN.flags.writeable = False
 _SCAN_STEP = 2.0 * math.pi / _SCAN_SAMPLES
-# A point p with |p| < rho_lo - m or |p| > rho_hi + m, m = _BAND_MARGIN * rho_hi,
-# takes its side from |p|^2 alone (`_sides_by_radius`).
-_BAND_MARGIN = 1e-9
-_TABLE_FLOATS = 1024  # the most floats of a finish bracket that is tabulated
-# Newton from the regula falsi point stops after 2 or 3 steps; the cap
-# only bounds the loop, since the finish is exact from any bracket.
-_NEWTON_STEPS = 8
 # A circle that can reach dOmega needs eps >= _RADIUS_FLOOR |a|: its
 # crossing angles carry a relative error of about 0.3 ulp(|a|) / eps, so
 # the cap and the arc keep about 5e-9 relative at the floor, and below it
 # they fall apart (a negative cap, or the whole domain).
 _RADIUS_FLOOR = 2.0 ** -26
-# A crossing where |d gap/d theta| <= _TANGENT_SLOPE_FLOOR * eps is
-# tangential: the circle touches dOmega there, and the sign scan can miss
-# or mispair such crossings.  Boundary-centred circles cross at slopes
-# close to eps, far above the floor.
+# A parameter interval narrower than _TANGENT_SLOPE_FLOOR eps / sqrt(M)
+# that the bound M >= |f''| still cannot decide holds a point where the
+# circle meets dOmega within about 1e-8 of tangency.  Boundary-centred
+# circles cross nearly at right angles and are decided near eps / sqrt(M).
 _TANGENT_SLOPE_FLOOR = 1e-8
 
 
-def _gap_and_slope(spec: DomainSpec, ax: float, ay: float, eps: float, theta):
-    """(gap, d gap/d theta, r) at p = a + eps (cos theta, sin theta), r = |p|.
+@functools.lru_cache(maxsize=4)
+def _centre_table(spec: DomainSpec, ax: float, ay: float):
+    """What the crossing finder knows of dOmega seen from the centre a.
 
-    The gap is computed exactly as `DomainSpec.radial_gap` computes it, so
-    the two agree in sign.  With phi the polar angle of p,
-    dr/dtheta = eps (p_y cos - p_x sin) / r and
-    dphi/dtheta = eps (p_x cos + p_y sin) / r^2.  The disk's rho is constant,
-    so there the slope is dr/dtheta alone and phi is not needed.
+    Along dOmega, f(t) = |gamma(t) - a|^2 - eps^2 depends on the radius only
+    through the constant eps^2, so one table serves every radius about a:
+    d_i = |gamma(t_i) - a|^2 at the samples t_i = i h (d_4096 repeats d_0),
+    and M = 2 max|gamma'|^2 + 2 max|gamma - a| max|gamma''| >= max|f''| from
+    the spec's bounds on rho.  f stays within M h^2 / 8 of its chord, so no
+    circle whose eps^2 lies outside [lo_i, hi_i] = [min(d_i, d_i+1) - M h^2/8,
+    max(d_i, d_i+1) + M h^2/8] meets dOmega on [t_i, t_i+1].
+
+    Returns the read-only arrays d, lo, hi, then M, the bounds on |gamma'|
+    and |gamma''|, and 4 ulp of the bound on |gamma - a|, the rounding level
+    of a distance.
     """
-    cos, sin = np.cos(theta), np.sin(theta)
-    px, py = ax + eps * cos, ay + eps * sin
-    r = np.hypot(px, py)
-    if spec.kind == "disk":
-        return r - spec.r, eps * ((py * cos - px * sin) / r), r
-    phi = np.arctan2(py, px)
-    rho, drho, _ = spec._radial(phi)
-    slope = eps * ((py * cos - px * sin) / r - drho * (px * cos + py * sin) / (r * r))
-    return r - rho, slope, r
-
-
-def _sides_by_radius(spec: DomainSpec, px, py):
-    """(inside, known): the points p that |p|^2 places in Omega, and those it places at all.
-
-    With [rho_lo, rho_hi] the spec's radial range and m = _BAND_MARGIN rho_hi,
-    p is inside when |p| < rho_lo - m (never when rho_lo <= m) and outside
-    when |p| > rho_hi + m.  Rounding moves |p|^2 and |p| by a few ulp, and
-    rho and the band ends by under 1e-12 rho_hi (a Fourier term of harmonic
-    k by about k pi ulp), far inside m: a known point has the side of `radial_gap`.
-    """
-    rho_lo, rho_hi = spec._radial_range()
-    margin = _BAND_MARGIN * rho_hi
-    r2 = px * px + py * py
-    outside = r2 > (rho_hi + margin) ** 2
-    if rho_lo <= margin:
-        return np.zeros_like(outside), outside
-    inside = r2 < (rho_lo - margin) ** 2
-    return inside, inside | outside
+    x, y = spec.boundary_point(np.arange(_SCAN_SAMPLES) * _SCAN_STEP)
+    d = np.square(x - ax) + np.square(y - ay)
+    d = np.append(d, d[0])
+    rho, drho, ddrho = spec._radial_bounds()
+    reach = rho + math.hypot(ax, ay)
+    # |gamma'|^2 = rho^2 + rho'^2 and |gamma''|^2 = (rho'' - rho)^2 + 4 rho'^2.
+    speed, bend = math.hypot(rho, drho), math.hypot(rho + ddrho, 2.0 * drho)
+    bound = 2.0 * speed * speed + 2.0 * reach * bend
+    margin = bound * _SCAN_STEP * _SCAN_STEP / 8.0
+    lo = np.minimum(d[:-1], d[1:]) - margin
+    hi = np.maximum(d[:-1], d[1:]) + margin
+    d.flags.writeable = lo.flags.writeable = hi.flags.writeable = False
+    return d, lo, hi, bound, speed, bend, 4.0 * math.ulp(reach)
 
 
 def _checked_centre(a, eps):
@@ -582,153 +561,102 @@ def _checked_centre(a, eps):
 
 
 def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
-    """Angles at which the circle dB(a, eps) crosses dOmega, and the inside arcs.
+    """The points where the circle dB(a, eps) crosses dOmega, in boundary order.
 
-    Crossings are bracketed by sign changes of the radial gap between
-    4096 equispaced angles.  The scan reads the side of most samples from
-    |p|^2 and the spec's radial range (`_sides_by_radius`); one
-    `radial_gap` call evaluates the rest, their neighbours and both ends
-    of every sign change between two samples placed by |p|^2, so every
-    bracket and both its end values are those of a scan by `radial_gap`.
+    Every sample interval of `_centre_table` whose [lo, hi] holds eps^2 is
+    decided on f = d - eps^2 at its ends and M, with w its width: where
+    |f(t1) - f(t0)| > M w^2, f' keeps its sign, so the interval holds one
+    crossing if f changes sign and none if not; one sign at two ends more
+    than M w^2 / 8 from 0 also rules a crossing out.  Any other interval is
+    split at its midpoint and decided again, so no pair of crossings hides
+    in an interval; one still undecided below the width of
+    `_TANGENT_SLOPE_FLOOR` raises ValueError, as a tangential crossing.
 
-    In each bracket a safeguarded Newton iteration on the analytic slope
-    (rtsafe, Numerical Recipes section 9.4) starts at the regula falsi
-    point of the two scan values.  Every step narrows the bracket by the
-    sign of the gap, and a step leaving the open bracket falls back to its
-    midpoint.  An element stops once |gap| <= 4 ulp(r) or its step is
-    below 2 ulp(t), and keeps that iterate t.  One `_gap_and_slope` call
-    per step serves every bracket; the updates, like the finish below,
-    run on Python floats, whose arithmetic is numpy's to the bit, and
-    `math.ulp` is `np.spacing` on the non-negative t and r.
+    Each crossing is then polished by bracketed Newton on the distance
+    g(t) = |gamma(t) - a| - eps, which keeps its relative accuracy at radii
+    where f is rounding noise.  It starts at the regula falsi point of f,
+    and a step leaving the bracket is replaced by the midpoint.  Newton's
+    error after a step s is about |g''| s^2 / (2 |g'|), with
+    |g''| <= |gamma'|^2 / eps + |gamma''|; a step whose error moves gamma by
+    less than the rounding level of a distance is the last, and gamma
+    follows it by its Taylor update.
 
-    t lies |gap| / |slope| from the root of the exact gap, and the rounded
-    gap changes sign within about 4 ulp(r) / |slope| of that root.  The
-    finish bisects t +- (8 ulp(t) + (|gap| + 4 ulp(r)) / |slope|), or the
-    Newton bracket where the signs there do not straddle the change, until
-    the midpoint equals an endpoint.  The root is thus a floating-point
-    sign change of the gap: the one that bisecting the scan bracket to
-    exhaustion returns, wherever the sign of the rounded gap is monotone
-    near the root.
-
-    A straddling bracket of at most `_TABLE_FLOATS` positive floats, whose
-    int64 bit patterns are consecutive, is tabulated in the same gap call
-    as the straddle test and bisected by lookup (`_bisect_table`); any
-    other is bisected by gap calls.  The arc after crossing k lies in
-    Omega exactly when the scan sample before it lies outside.
-
-    Returns (theta, inside): the sorted crossing angles, and for each k
-    whether the arc from theta[k] to theta[k+1] (cyclically) lies in
-    Omega.  Without a crossing theta is empty and inside holds one entry,
-    for the whole circle.  Both arrays are read-only and own their data.
-    Raises ValueError at a tangential crossing.
+    Returns lists (t, x, y, exits): the sorted boundary parameters, the
+    crossing points, and whether dOmega leaves B there.  Raises ValueError
+    when eps < 2^-26 |a| and the table cannot keep dOmega off the circle.
     """
-
-    def gap(theta):
-        return spec.radial_gap(ax + eps * np.cos(theta), ay + eps * np.sin(theta))
-
-    # Sample _SCAN_SAMPLES repeats sample 0, so pair i is samples i and i + 1.
-    # A pair that |p|^2 places on one side needs no gap; any other needs
-    # both ends, and sample i ends pairs i - 1 and i (cyclically).
-    px, py = ax + eps * _SCAN_COS, ay + eps * _SCAN_SIN
-    signs, known = _sides_by_radius(spec, px, py)
-    unsettled = ~(known[:-1] & known[1:] & (signs[:-1] == signs[1:]))
-    needed = unsettled.copy()
-    needed[1:] |= unsettled[:-1]
-    needed[0] |= unsettled[-1]
-    needed = np.flatnonzero(needed)
-    found = spec.radial_gap(px[needed], py[needed])
-    gaps = np.zeros(signs.size)
-    gaps[needed], signs[needed] = found, found < 0.0
-    gaps[-1], signs[-1] = gaps[0], signs[0]
-    flips = np.flatnonzero(signs[:-1] != signs[1:])
-    if flips.size == 0:
-        theta, inside = flips.astype(float), signs[:1].copy()
-        theta.flags.writeable = inside.flags.writeable = False
-        return theta, inside
-
-    n = flips.size
-    lo_inside = signs[flips].tolist()
-    lo = _SCAN_THETAS[flips].tolist()
-    hi = [x + _SCAN_STEP for x in lo]
-    t = [a + (b - a) * (ga / (ga - gb))
-         for a, b, ga, gb in zip(lo, hi, gaps[flips].tolist(), gaps[flips + 1].tolist())]
-    active = [True] * n
-    for _ in range(_NEWTON_STEPS):
-        g, slope, r = (v.tolist() for v in _gap_and_slope(spec, ax, ay, eps, np.array(t)))
-        for k in range(n):
-            if (g[k] < 0.0) == lo_inside[k]:
-                lo[k] = t[k]
-            else:
-                hi[k] = t[k]
-            # numpy's g / 0 is +-inf, or NaN at g = 0, and either fails both
-            # the step test and the open-bracket test, as inf does.
-            step = g[k] / slope[k] if slope[k] else math.inf
-            active[k] = (active[k] and abs(g[k]) > 4.0 * math.ulp(r[k])
-                         and not abs(step) < 2.0 * math.ulp(t[k]))
-            if active[k]:
-                newton = t[k] - step
-                t[k] = newton if lo[k] < newton < hi[k] else 0.5 * (lo[k] + hi[k])
-        if not any(active):
+    d, lo, hi, bound, speed, bend, noise = _centre_table(spec, ax, ay)
+    e2 = eps * eps
+    near = np.flatnonzero((lo <= e2) & (e2 <= hi)).tolist()
+    if near and eps < _RADIUS_FLOOR * math.hypot(ax, ay):
+        raise ValueError(
+            f"radius eps={eps} of the circle centred at ({ax}, {ay}) lies below the "
+            f"resolution floor {_RADIUS_FLOOR * math.hypot(ax, ay):.6g} = 2^-26 |centre|: "
+            "its crossings with the boundary are not resolved in floating point"
+        )
+    pending = [(i * _SCAN_STEP, (i + 1) * _SCAN_STEP, d.item(i) - e2, d.item(i + 1) - e2)
+               for i in near]
+    narrowest = max(_TANGENT_SLOPE_FLOOR * eps / math.sqrt(bound), 64.0 * math.ulp(2.0 * math.pi))
+    brackets = []
+    while pending:
+        split = []
+        for t0, t1, f0, f1 in pending:
+            curve = bound * (t1 - t0) ** 2
+            steep = abs(f1 - f0) > curve
+            if (f0 < 0.0) != (f1 < 0.0):
+                if steep:
+                    brackets.append((t0, t1, f0, f1))
+                    continue
+            elif steep or min(abs(f0), abs(f1)) > curve / 8.0:
+                continue
+            if t1 - t0 < narrowest:
+                t = 0.5 * (t0 + t1)
+                bx, by = spec.boundary_point(t)
+                raise ValueError(
+                    f"circle of radius eps={eps} centred at ({ax}, {ay}) touches the "
+                    f"boundary tangentially at angle theta={math.atan2(by - ay, bx - ax)} "
+                    f"(boundary parameter t={t}); the crossings are not transversal"
+                )
+            split.append((t0, t1, f0, f1))
+        if not split:
             break
+        mid = [0.5 * (t0 + t1) for t0, t1, _, _ in split]
+        x, y = spec.boundary_point(np.array(mid))
+        fm = (np.square(x - ax) + np.square(y - ay) - e2).tolist()
+        pending = [half for (t0, t1, f0, f1), m, g in zip(split, mid, fm)
+                   for half in ((t0, m, f0, g), (m, t1, g, f1))]
 
-    for k in range(n):
-        if abs(slope[k]) <= _TANGENT_SLOPE_FLOOR * eps:
-            raise ValueError(
-                f"circle of radius eps={eps} centred at ({ax}, {ay}) touches the "
-                f"boundary tangentially at angle theta={t[k]} "
-                f"(|d gap/d theta| = {abs(slope[k]):.3g}); "
-                "the crossings are not transversal"
-            )
-
-    width = [8.0 * math.ulp(tk) + (abs(gk) + 4.0 * math.ulp(rk)) / abs(sk)
-             for tk, gk, rk, sk in zip(t, g, r, slope)]
-    below = [tk - wk for tk, wk in zip(t, width)]
-    above = [tk + wk for tk, wk in zip(t, width)]
-    ends = np.array(below + above)
-    bits = ends.view(np.int64).tolist()
-    spans = [range(first, last + 1) if 0 <= first <= last < first + _TABLE_FLOATS else range(0)
-             for first, last in zip(bits[:n], bits[n:])]
-    query = np.concatenate([ends] + [np.arange(span.start, span.stop).view(float)
-                                     for span in spans if span])
-    negative = np.asarray(gap(query)) < 0.0
-    near = negative[:2 * n].tolist()
-    stop = 2 * n
-    for k, span in enumerate(spans):
-        table = slice(stop, stop + len(span))
-        stop = table.stop
-        if near[k] == lo_inside[k] and near[n + k] != lo_inside[k]:
-            lo[k], hi[k] = below[k], above[k]
-            if span:  # the root closes the bracket, and the loop leaves it
-                lo[k] = hi[k] = _bisect_table(lo[k], hi[k], query[table].tolist(),
-                                              (negative[table] == lo_inside[k]).tolist())
-
-    midpoint = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    unfinished = [k for k in range(n) if midpoint[k] not in (lo[k], hi[k])]
-    while unfinished:
-        sides = np.asarray(gap(np.array([midpoint[k] for k in unfinished]))) < 0.0
-        for k, side in zip(unfinished, sides.tolist()):
-            if side == lo_inside[k]:
-                lo[k] = midpoint[k]
+    brackets.sort()
+    lo_t, hi_t = [b[0] for b in brackets], [b[1] for b in brackets]
+    exits = [b[2] < 0.0 for b in brackets]
+    t = [t0 + (t1 - t0) * (f0 / (f0 - f1)) for t0, t1, f0, f1 in brackets]
+    found = [None] * len(t)
+    growth = 0.5 * speed * (speed * speed / eps + bend)
+    active = list(range(len(t)))
+    while active:
+        frame = spec._boundary_frame(np.array([t[k] for k in active]))
+        still = []
+        for k, px, py, px1, py1 in zip(active, *(v.tolist() for v in frame)):
+            dx, dy = px - ax, py - ay
+            r = math.hypot(dx, dy)
+            if (r < eps) == exits[k]:
+                lo_t[k] = t[k]
             else:
-                hi[k] = midpoint[k]
-            midpoint[k] = 0.5 * (lo[k] + hi[k])
-        unfinished = [k for k in unfinished if midpoint[k] not in (lo[k], hi[k])]
-    midpoint = np.array(midpoint)
-    order = np.argsort(midpoint)
-    theta, inside = midpoint[order], ~signs[flips][order]
-    theta.flags.writeable = inside.flags.writeable = False
-    return theta, inside
-
-
-def _bisect_table(lo: float, hi: float, floats: list, same: list) -> float:
-    """Bisect [lo, hi] as `_circle_crossings` does, reading each midpoint's
-    side from a table: floats lists every float of [lo, hi] in ascending
-    order, and same[i] whether the gap there has the sign it has at lo."""
-    mid = 0.5 * (lo + hi)
-    while mid != lo and mid != hi:
-        lo, hi = (mid, hi) if same[bisect.bisect_left(floats, mid)] else (lo, mid)
-        mid = 0.5 * (lo + hi)
-    return mid
+                hi_t[k] = t[k]
+            slope = (dx * px1 + dy * py1) / r
+            step = (r - eps) / slope if slope else math.inf
+            newton = t[k] - step
+            if growth * step * step <= noise * abs(slope) and lo_t[k] <= newton <= hi_t[k]:
+                found[k] = (newton, px - step * px1, py - step * py1)
+                continue
+            found[k] = (t[k], px, py)
+            following = newton if lo_t[k] < newton < hi_t[k] else 0.5 * (lo_t[k] + hi_t[k])
+            if following != t[k]:  # a bracket narrowed to one float stops
+                t[k] = following
+                still.append(k)
+        active = still
+    t, x, y = (list(v) for v in zip(*found)) if found else ([],) * 3
+    return t, x, y, exits
 
 
 # --------------------------------------------------------------------------
@@ -759,11 +687,10 @@ def _green_boundary_integral(spec: DomainSpec, ax: float, ay: float, t0, t1):
     return float(np.sum(w * ((x - ax) * y1 - (y - ay) * x1)))
 
 
-# Memoized: the cap and the arc of one circle share a scan and a cap
-# quadrature.  The callers validate the centre and radius first, so no
-# NaN key enters the cache.  One entry suffices: every caller asks for
-# the cap and the arc of a circle one after the other, before it moves to
-# the next circle.
+# Memoized: the cap and the arc of one circle share a crossing search and a
+# cap quadrature.  The callers validate the centre and radius first, so no
+# NaN key enters the cache.  One entry suffices: every caller asks for the
+# cap and the arc of a circle one after the other.
 @functools.lru_cache(maxsize=1)
 def _circle_measures(spec: DomainSpec, ax: float, ay: float, eps: float):
     """What the cap and the inside arc of the circle dB(a, eps) are made of.
@@ -773,34 +700,26 @@ def _circle_measures(spec: DomainSpec, ax: float, ay: float, eps: float):
     `_green_boundary_integral` over the pieces of dOmega inside B, and
     alone is None.  Without one, angle and boundary are 0.0 and alone
     names the case: "circle" when dB lies in Omega, "domain" when Omega
-    lies in B, "apart" when the two are disjoint.  Raises ValueError when
-    eps < _RADIUS_FLOOR |a| and |p| on the circle can reach the spec's
-    radial range: such a circle's crossings are not resolved in floats.
-    """
-    r = math.hypot(ax, ay)
-    if eps < _RADIUS_FLOOR * r:  # rare, so the radial range is read only here
-        rho_lo, rho_hi = spec._radial_range()
-        margin = _BAND_MARGIN * rho_hi
-        if not (r + eps < rho_lo - margin or r - eps > rho_hi + margin):
-            raise ValueError(
-                f"radius eps={eps} of the circle centred at ({ax}, {ay}) lies below "
-                f"the resolution floor {_RADIUS_FLOOR * r:.6g} = 2^-26 |centre|: its crossings "
-                "with the boundary are not resolved in floating point"
-            )
-    theta, inside = _circle_crossings(spec, ax, ay, eps)
-    if theta.size == 0:
-        if inside[0]:
-            return 0.0, 0.0, "circle"
-        bx, by = spec.boundary_point(0.0)
-        return 0.0, 0.0, "domain" if math.hypot(float(bx) - ax, float(by) - ay) < eps else "apart"
+    lies in B, "apart" when the two are disjoint.
 
-    following = np.concatenate((theta[1:], theta[:1] + 2.0 * math.pi))
-    angle = float(np.sum((following - theta)[inside]))
-    t = np.sort(spec.boundary_param(ax + eps * np.cos(theta), ay + eps * np.sin(theta)))
-    following = np.concatenate((t[1:], t[:1] + 2.0 * math.pi))
-    mx, my = spec.boundary_point(0.5 * (t + following))
-    in_ball = np.hypot(mx - ax, my - ay) < eps
-    return angle, _green_boundary_integral(spec, ax, ay, t[in_ball], following[in_ball]), None
+    A piece of dOmega inside B runs from an entry to the next crossing in t,
+    an exit.  Omega lies left of dOmega, so an arc of dB inside Omega runs
+    counterclockwise from an exit to the next crossing on the circle.
+    """
+    t, x, y, exits = _circle_crossings(spec, ax, ay, eps)
+    if not t:
+        if _centre_table(spec, ax, ay)[0][0] < eps * eps:
+            return 0.0, 0.0, "domain"
+        return 0.0, 0.0, "circle" if spec.is_inside(ax, ay) else "apart"
+    # Each arc's width is the angle between the radii to its ends, which
+    # keeps its relative accuracy where the width is small.
+    radii = sorted((math.atan2(py - ay, px - ax), px - ax, py - ay, out)
+                   for px, py, out in zip(x, y, exits))
+    angle = math.fsum(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy) % (2.0 * math.pi)
+                      for (_, ux, uy, out), (_, vx, vy, _) in zip(radii, radii[1:] + radii[:1])
+                      if out)
+    pieces = [(t0, t1) for t0, t1, out in zip(t, t[1:] + [t[0] + 2.0 * math.pi], exits) if not out]
+    return angle, _green_boundary_integral(spec, ax, ay, *zip(*pieces)), None
 
 
 def cap_measure(domain: GridDomain, a, eps: float) -> float:

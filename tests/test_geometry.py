@@ -2,9 +2,10 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bvsharp import (
@@ -463,231 +464,192 @@ CATALOG = [
 ]
 
 
-def _exhaustive_bisection(spec, ax, ay, eps):
-    """The crossing finder's scan, then bisection of every bracket until the
-    midpoint equals an endpoint: the reference for the Newton polish."""
+def _reference_point(spec, s):
+    """The boundary in the shape's own parameter: (a cos s, b sin s) for the
+    disk and the ellipse, the polar curve for a Fourier shape."""
+    if spec.kind == "fourier":
+        return spec.boundary_point(s)
+    a, b = (spec.r, spec.r) if spec.kind == "disk" else (spec.a, spec.b)
+    return a * np.cos(s), b * np.sin(s)
 
-    def negative(theta):
-        return spec.radial_gap(ax + eps * np.cos(theta), ay + eps * np.sin(theta)) < 0.0
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    signs = negative(thetas)
-    flips = np.nonzero(signs != np.roll(signs, -1))[0]
-    lo = thetas[flips]
-    hi = lo + 2.0 * math.pi / 4096
-    lo_inside = signs[flips]
+def _reference_green(spec, ax, ay, s0, s1):
+    """The integral of (x - ax) y' - (y - ay) x' ds over [s0, s1] in closed
+    form: x y' - y x' is a b on the disk and the ellipse and rho^2 on a
+    Fourier shape, whose antiderivative follows from the coefficients of
+    rho^2, the convolution of rho's complex coefficients with themselves."""
+    (x0, y0), (x1, y1) = _reference_point(spec, s0), _reference_point(spec, s1)
+    if spec.kind == "fourier":
+        k = max(len(spec.cos_coeffs), len(spec.sin_coeffs))
+        z = np.zeros(2 * k + 1, dtype=complex)
+        z[k] = spec.r0
+        for j, c in enumerate(spec.cos_coeffs, start=1):
+            z[k + j] += 0.5 * c
+            z[k - j] += 0.5 * c
+        for j, s in enumerate(spec.sin_coeffs, start=1):
+            z[k + j] -= 0.5j * s
+            z[k - j] += 0.5j * s
+        w, m = np.convolve(z, z), np.arange(-2 * k, 2 * k + 1)
+        nonzero = np.where(m == 0, 1, m)
+
+        def antiderivative(t):
+            t = np.asarray(t, dtype=float)[..., None]
+            return np.sum(np.where(m == 0, w * t, w * np.exp(1j * m * t) / (1j * nonzero)),
+                          axis=-1).real
+
+        squared = antiderivative(s1) - antiderivative(s0)
+    else:
+        a, b = (spec.r, spec.r) if spec.kind == "disk" else (spec.a, spec.b)
+        squared = a * b * (np.asarray(s1) - np.asarray(s0))
+    return squared - ax * (y1 - y0) + ay * (x1 - x0)
+
+
+def _reference_measures(spec, circles, samples=8192):
+    """(cap, arc) of every circle (ax, ay, eps), independently of the finder.
+
+    Crossings are bracketed by the sign of |gamma(s) - a|^2 - eps^2 at
+    samples half a step off the finder's, in the shape's own parameter, and
+    bisected to a float sign change, all circles at once.  The pieces of
+    dOmega inside B are integrated in closed form, and each arc of dB lies
+    in Omega when its midpoint passes the inside test.
+    """
+    step = 2.0 * math.pi / samples
+    s = (np.arange(samples) + 0.5) * step
+    bx, by = _reference_point(spec, s)
+    lo, exits, owner = [], [], []
+    for k, (ax, ay, eps) in enumerate(circles):
+        inside = (bx - ax) ** 2 + (by - ay) ** 2 < eps * eps
+        flips = np.flatnonzero(inside != np.roll(inside, -1))
+        lo.append(s[flips])
+        exits.append(inside[flips])
+        owner.append(np.full(flips.size, k))
+    lo, exits, owner = (np.concatenate(v) for v in (lo, exits, owner))
+    hi = lo + step
+    cx, cy, ce = np.asarray(circles, dtype=float)[owner].T
     mid = 0.5 * (lo + hi)
-    while not np.all((mid == lo) | (mid == hi)):
-        same = negative(mid) == lo_inside
+    while np.any((mid != lo) & (mid != hi)):
+        x, y = _reference_point(spec, mid)
+        same = ((x - cx) ** 2 + (y - cy) ** 2 < ce * ce) == exits
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
         mid = 0.5 * (lo + hi)
-    return np.sort(mid)
+
+    measure = 0.5 * float(_reference_green(spec, 0.0, 0.0, 0.0, 2.0 * math.pi))
+    result = []
+    for k, (ax, ay, eps) in enumerate(circles):
+        order = np.argsort(mid[owner == k])
+        t, out = mid[owner == k][order], exits[owner == k][order]
+        if t.size == 0:
+            if (bx[0] - ax) ** 2 + (by[0] - ay) ** 2 < eps * eps:
+                result.append((measure, 0.0))
+            elif spec.is_inside(ax, ay):
+                result.append((math.pi * eps * eps, 2.0 * math.pi * eps))
+            else:
+                result.append((0.0, 0.0))
+            continue
+        x, y = _reference_point(spec, t)
+        theta = np.sort(np.arctan2(y - ay, x - ax))
+        following = np.append(theta[1:], theta[0] + 2.0 * math.pi)
+        middle = 0.5 * (theta + following)
+        inside = spec.is_inside(ax + eps * np.cos(middle), ay + eps * np.sin(middle))
+        angle = float(np.sum((following - theta)[inside]))
+        t_next = np.append(t[1:], t[0] + 2.0 * math.pi)
+        pieces = float(np.sum(_reference_green(spec, ax, ay, t[~out], t_next[~out])))
+        result.append((0.5 * eps * eps * angle + 0.5 * pieces, eps * angle))
+    return np.array(result)
 
 
-def _reference_crossings(spec, ax, ay, eps):
-    """The crossing finder with every finish bracket bisected by gap calls
-    and every arc's side read at its midpoint, on the separate radial
-    formulas: the reference for the tabulated finish and the inside flags."""
-
-    def gap(theta):
-        return spec.radial_gap(ax + eps * np.cos(theta), ay + eps * np.sin(theta))
-
-    def gap_and_slope(theta):
-        cos, sin = np.cos(theta), np.sin(theta)
-        px, py = ax + eps * cos, ay + eps * sin
-        r = np.hypot(px, py)
-        phi = np.arctan2(py, px)
-        rho, drho, _ = _reference_radial(spec, phi)
-        slope = eps * ((py * cos - px * sin) / r - drho * (px * cos + py * sin) / (r * r))
-        return r - rho, slope, r
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    gaps = np.asarray(gap(thetas))
-    signs = gaps < 0.0
-    flips = np.nonzero(signs != np.roll(signs, -1))[0]
-    if flips.size == 0:
-        return flips.astype(float), signs[:1].copy()
-    lo = thetas[flips]
-    hi = lo + 2.0 * math.pi / 4096
-    lo_inside = signs[flips]
-    g_lo, g_hi = gaps[flips], gaps[(flips + 1) % 4096]
-    t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
-    active = np.ones(flips.size, dtype=bool)
-    for _ in range(8):
-        g, slope, r = gap_and_slope(t)
-        same = (g < 0.0) == lo_inside
-        lo, hi = np.where(same, t, lo), np.where(same, hi, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = g / slope
-        active &= (np.abs(g) > 4.0 * np.spacing(r)) & ~(np.abs(step) < 2.0 * np.spacing(t))
-        if not active.any():
-            break
-        newton = t - step
-        newton = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
-        t = np.where(active, newton, t)
-    if np.any(np.abs(slope) <= 1e-8 * eps):
-        raise ValueError("tangential")
-    width = 8.0 * np.spacing(t) + (np.abs(g) + 4.0 * np.spacing(r)) / np.abs(slope)
-    near = np.asarray(gap(np.concatenate((t - width, t + width)))) < 0.0
-    straddle = (near[:t.size] == lo_inside) & (near[t.size:] != lo_inside)
-    lo, hi = np.where(straddle, t - width, lo), np.where(straddle, t + width, hi)
-    midpoint = 0.5 * (lo + hi)
-    while not np.all((midpoint == lo) | (midpoint == hi)):
-        same = (np.asarray(gap(midpoint)) < 0.0) == lo_inside
-        lo, hi = np.where(same, midpoint, lo), np.where(same, hi, midpoint)
-        midpoint = 0.5 * (lo + hi)
-    theta = np.sort(midpoint)
-    following = np.append(theta[1:], theta[0] + 2.0 * math.pi)
-    return theta, np.asarray(gap(0.5 * (theta + following))) < 0.0
+def _random_circles(spec, diameter, rng, centres=40, radii=50):
+    """Centres on dOmega or up to 30% off it, each with radii log-uniform
+    from 0.005 to the diameter."""
+    circles = []
+    for _ in range(centres):
+        bx, by = spec.boundary_point(rng.uniform(0.0, 2.0 * math.pi))
+        scale = 1.0 if rng.uniform() < 0.5 else rng.uniform(0.7, 1.3)
+        for eps in np.exp(rng.uniform(math.log(0.005), math.log(diameter), radii)):
+            circles.append((scale * float(bx), scale * float(by), float(eps)))
+    return circles
 
 
-def _same_crossings(spec, ax, ay, eps):
-    """Whether `_circle_crossings` gives the reference's bits, or both raise."""
-    try:
-        want = _reference_crossings(spec, ax, ay, eps)
-    except ValueError:
-        with pytest.raises(ValueError, match="tangentially"):
-            geometry._circle_crossings(spec, ax, ay, eps)
-        return True
-    got = geometry._circle_crossings(spec, ax, ay, eps)
-    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
-
-
-@st.composite
-def _radial_specs(draw):
-    """Valid ellipses and Fourier shapes; a Fourier shape of several
-    harmonics often has rho_lo <= 0 while its rho stays positive."""
-    if draw(st.booleans()):
-        return DomainSpec.ellipse(draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
-    coeffs = st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=8)
-    cos_coeffs, sin_coeffs = draw(coeffs), draw(coeffs)
-    low = float(np.min(DomainSpec.fourier(1.0, cos_coeffs, sin_coeffs)._rho(
-        np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False))))
-    if low < 0.05:  # shrink the harmonics until the sampled rho is at least 0.05
-        scale = 0.95 / (1.0 - low)
-        cos_coeffs, sin_coeffs = [scale * c for c in cos_coeffs], [scale * c for c in sin_coeffs]
-    spec = DomainSpec.fourier(draw(st.floats(0.5, 2.0)), cos_coeffs, sin_coeffs)
-    try:
-        spec.validate()
-    except DomainBuildError:
-        assume(False)
-    return spec
-
-
-class TestSidesByRadius:
-    # A band that starts below 0: rho = 1 + 0.6 cos t + 0.6 cos 2t stays
-    # above 0.32, while rho_lo = 1 - 1.2.
-    @example(spec=DomainSpec.fourier(1.0, cos_coeffs=(0.6, 0.6)), cx=0.0, cy=0.0, eps=0.3)
-    @given(spec=_radial_specs(), cx=st.floats(-3.0, 3.0), cy=st.floats(-3.0, 3.0),
-           eps=st.floats(0.01, 4.0))
-    def test_placed_samples_agree_with_radial_gap(self, spec, cx, cy, eps):
-        # The scan of dB(c, eps), and points on the circles about the origin
-        # whose radii are the band ends and the two thresholds.
-        rho_lo, rho_hi = spec._radial_range()
-        margin = geometry._BAND_MARGIN * rho_hi
-        radii = np.repeat([rho_lo, rho_hi, rho_lo - margin, rho_hi + margin], 1024)
-        px = np.concatenate((cx + eps * geometry._SCAN_COS, radii * geometry._SCAN_COS[:4096]))
-        py = np.concatenate((cy + eps * geometry._SCAN_SIN, radii * geometry._SCAN_SIN[:4096]))
-        inside, known = geometry._sides_by_radius(spec, px, py)
-        negative = spec.radial_gap(px, py) < 0.0
-        assert np.array_equal(inside[known], negative[known])
-        assert not np.any(inside[~known])
-        # A computed rho strays from the range by rounding alone, under 1e-12 rho_hi.
-        rho = spec._rho(np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False))
-        assert rho_lo - 1e-12 * rho_hi <= np.min(rho) and np.max(rho) <= rho_hi + 1e-12 * rho_hi
-
-
-def _band_edge_circles(spec, rng):
-    """Circles at the edges of the scan's radial band: centres far off
-    Omega, disks B(a, eps) that contain Omega, and circles about the origin
-    whose radius is an end of the band or lies just inside or outside it."""
-    rho_lo, rho_hi = spec._radial_range()
-    for _ in range(100):
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        far = rng.uniform(2.5, 6.0) * rho_hi
-        yield far * math.cos(phi), far * math.sin(phi), rng.uniform(0.05, 3.0) * rho_hi
-        near = rng.uniform(0.0, 0.9) * rho_lo
-        yield near * math.cos(phi), near * math.sin(phi), near + rng.uniform(1.0, 3.0) * rho_hi
-    for radius in (rho_lo, rho_hi):
-        for factor in (1.0 - 2e-9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 2e-9):
-            yield 1e-7 * rho_hi, -2e-7 * rho_hi, factor * radius
-
-
-# Its radial band, under 3e-10 wide, is much narrower than the band margin, so
-# the circle jumps from a sample placed inside to one placed outside.
-NEAR_DISK = pytest.param(DomainSpec.fourier(1.0, cos_coeffs=(0.0, 1e-10), sin_coeffs=(1e-10,)),
-                         1.0 / 128, id="near-disk")
+def _inward_circle(spec, t, depth):
+    """A circle inside Omega that touches dOmega at gamma(t) from within,
+    with half the radius of curvature there, grown by `depth`: it leaves
+    Omega over a short arc around gamma(t), between two nearby crossings."""
+    x, y, x1, y1 = (float(v) for v in spec._boundary_frame(t))
+    speed = math.hypot(x1, y1)
+    radius = 0.5 / float(spec.curvature(t))
+    ax, ay = x - radius * y1 / speed, y + radius * x1 / speed  # the inward normal
+    return ax, ay, radius + depth
 
 
 class TestCrossingFinder:
-    @pytest.mark.parametrize("spec, h", CATALOG + [NEAR_DISK])
-    def test_equals_reference_bit_for_bit(self, spec, h):
-        # Centres on the boundary and off it (the circle may miss dOmega).
-        rng = np.random.default_rng(17)
-        for _ in range(2000):
-            bx, by = spec.boundary_point(rng.uniform(0.0, 2.0 * math.pi))
-            scale = 1.0 if rng.uniform() < 0.5 else rng.uniform(0.6, 1.4)
-            eps = math.exp(rng.uniform(math.log(0.005), math.log(1.5)))
-            assert _same_crossings(spec, scale * float(bx), scale * float(by), eps)
-        for ax, ay, eps in _band_edge_circles(spec, np.random.default_rng(19)):
-            assert _same_crossings(spec, ax, ay, eps)
-
-    @pytest.mark.parametrize("spec, h", CATALOG)
-    @pytest.mark.parametrize("delta, tables", [(1e-13, 1), (2e-15, 1), (-3e-13, 2), (0.3, 2)],
-                             ids=["loop-1e-13", "loop-2e-15", "table-near-2pi", "table"])
-    def test_both_finish_paths_equal_reference(self, spec, h, delta, tables, monkeypatch):
-        # The circle crosses dOmega at theta = delta.  Just above theta = 0
-        # the floats are too dense to tabulate the finish bracket, which is
-        # then bisected by gap calls; a crossing just below 0 is found near
-        # 2 pi, where the bracket holds a few floats, as at theta = 0.3.
-        bx, by = spec.boundary_point(0.7)
-        eps = 0.3
-        ax, ay = float(bx) - eps * math.cos(delta), float(by) - eps * math.sin(delta)
-        assert _same_crossings(spec, ax, ay, eps)
-        calls = []
-        table = geometry._bisect_table
-        monkeypatch.setattr(geometry, "_bisect_table",
-                            lambda *args: calls.append(args) or table(*args))
-        theta, _ = geometry._circle_crossings(spec, ax, ay, eps)
-        assert theta.size == 2 and len(calls) == tables
-        assert min(abs(theta - delta % (2.0 * math.pi))) <= 1e-12
-
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.5])
     def test_disk_roots_match_closed_form(self, eps):
-        # |a + eps e(theta)| = 1 with a = (1, 0) gives cos theta = -eps / 2.
-        theta, inside = geometry._circle_crossings(DomainSpec.disk(1.0), 1.0, 0.0, eps)
-        root = math.acos(-eps / 2.0)
-        np.testing.assert_allclose(theta, [root, 2.0 * math.pi - root], rtol=0.0, atol=1e-14)
-        assert inside.tolist() == [True, False]
+        # |gamma(t) - (1, 0)| = 2 sin(t / 2) = eps; dOmega leaves B at the first.
+        crossings = geometry._circle_crossings(DomainSpec.disk(1.0), 1.0, 0.0, eps)
+        t, x, y, exits = map(np.array, crossings)
+        root = 2.0 * math.asin(eps / 2.0)
+        np.testing.assert_allclose(t, [root, 2.0 * math.pi - root], rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(np.hypot(x - 1.0, y), eps, rtol=1e-14, atol=0.0)
+        assert exits.tolist() == [True, False]
+
+    @pytest.mark.parametrize("turn", [0.0, 0.7, 2.1, -1.3])
+    def test_disk_matches_the_lens_closed_forms(self, disk256, turn):
+        # Centred on the unit circle, eps in [0.01, 1.5], in mpmath so that
+        # the closed forms keep their digits at small eps.
+        a = (math.cos(turn), math.sin(turn))
+        for eps in np.geomspace(0.01, 1.5, 30).tolist():
+            with mpmath.workdps(40):
+                s, e = mpmath.hypot(*a), mpmath.mpf(eps)
+                far = mpmath.acos((s * s + e * e - 1) / (2 * s * e))
+                near = mpmath.acos((s * s + 1 - e * e) / (2 * s))
+                lens = near + e * e * far - mpmath.sqrt(
+                    (-s + 1 + e) * (s + 1 - e) * (s - 1 + e) * (s + 1 + e)) / 2
+            assert cap_measure(disk256, a, eps) == pytest.approx(float(lens), rel=1e-13, abs=0)
+            assert boundary_arc_inside(disk256, a, eps) == pytest.approx(
+                float(2 * e * far), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("spec, h", CATALOG)
-    def test_matches_exhaustive_bisection(self, spec, h):
-        # Where the sign of the rounded gap is monotone near a root, both
-        # methods return the same float.  Where rounding makes it flicker,
-        # any sign change is as good, and they may pick different ones
-        # within the rounding band ulp(r) / |slope|.
-        rng = np.random.default_rng(7)
-        equal = total = 0
-        for _ in range(200):
+    def test_random_circles_match_the_dense_reference(self, spec, h):
+        # 2000 circles about 40 centres, on dOmega and off it (the circle
+        # may miss dOmega or hold all of Omega).
+        domain = build_domain(spec, h)
+        circles = _random_circles(spec, domain.diameter, np.random.default_rng(17))
+        want = _reference_measures(spec, circles)
+        got = np.array([(cap_measure(domain, a, eps), boundary_arc_inside(domain, a, eps))
+                        for *a, eps in circles])
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_green_cap_matches_shifted_lattice_counts(self):
+        # Random valid Fourier shapes.  A lattice shifted uniformly at random
+        # counts the points of Omega n B with expectation |Omega n B| / cell,
+        # so the mean of 16 shifted counts estimates the cap without bias,
+        # and their spread gives the estimate's own standard error.
+        rng = np.random.default_rng(23)
+        checked = 0
+        while checked < 8:
+            harmonics = rng.integers(1, 5)
+            scale = 0.25 / np.arange(1, harmonics + 1)
+            cos_coeffs, sin_coeffs = (rng.uniform(-scale, scale) for _ in range(2))
+            spec = DomainSpec.fourier(1.0, cos_coeffs.tolist(), sin_coeffs.tolist())
+            try:
+                domain = build_domain(spec, spec.min_feature_size() / 8.0)
+            except DomainBuildError:
+                continue
             bx, by = spec.boundary_point(rng.uniform(0.0, 2.0 * math.pi))
-            ax, ay = float(bx), float(by)
-            eps = math.exp(rng.uniform(math.log(0.01), 0.0))
-            theta, _ = geometry._circle_crossings(spec, ax, ay, eps)
-            reference = _exhaustive_bisection(spec, ax, ay, eps)
-            assert theta.shape == reference.shape
-            _, slope, r = geometry._gap_and_slope(spec, ax, ay, eps, reference)
-            band = 2.0 * np.spacing(reference) + 4.0 * np.spacing(r) / np.abs(slope)
-            assert np.all(np.abs(theta - reference) <= band)
-            # Each root is a sign change between neighbouring floats.
-            gap = spec.radial_gap(ax + eps * np.cos(theta), ay + eps * np.sin(theta)) < 0.0
-            before = np.nextafter(theta, -np.inf)
-            after = np.nextafter(theta, np.inf)
-            gap_before = spec.radial_gap(ax + eps * np.cos(before), ay + eps * np.sin(before))
-            gap_after = spec.radial_gap(ax + eps * np.cos(after), ay + eps * np.sin(after))
-            assert np.all((gap != (gap_before < 0.0)) | (gap != (gap_after < 0.0)))
-            equal += int(np.sum(theta == reference))
-            total += theta.size
-        assert equal >= 0.97 * total
+            a = (float(bx), float(by))
+            eps = float(rng.uniform(0.05, 0.5) * domain.diameter)
+            cap = cap_measure(domain, a, eps)
+            cells = 150
+            step = 2.0 * eps / cells
+            grid = (np.arange(cells) - 0.5 * cells) * step
+            counts = []
+            for shift in rng.uniform(0.0, step, (16, 2)):
+                gx, gy = np.meshgrid(a[0] + grid + shift[0], a[1] + grid + shift[1])
+                in_ball = (gx - a[0]) ** 2 + (gy - a[1]) ** 2 < eps * eps
+                counts.append(np.count_nonzero(in_ball & spec.is_inside(gx, gy)) * step * step)
+            error = np.std(counts, ddof=1) / math.sqrt(len(counts))
+            assert abs(cap - np.mean(counts)) <= 6.0 * error
+            checked += 1
 
     @pytest.mark.parametrize("spec, h", CATALOG)
     def test_cap_derivative_is_inside_arc(self, spec, h):
@@ -705,54 +667,68 @@ class TestCrossingFinder:
             assert slope == pytest.approx(boundary_arc_inside(domain, a, eps), rel=1e-7, abs=1e-12)
 
     @pytest.mark.parametrize("spec, h", CATALOG)
-    def test_gap_evaluations_per_scan(self, spec, h, monkeypatch):
-        # The scans of one radius search: 62 gap evaluations each with a
-        # 60-step bisection, about 10 with the Newton polish and a finish
-        # bisected by gap calls, 4 or 5 with the tabulated finish (the scan,
-        # 2 or 3 Newton steps, the table).  The cap and the arc of a
-        # quotient both ask for the circle's measures, and only the first
-        # request scans it.
+    def test_one_table_per_radius_search(self, spec, h, monkeypatch):
+        # The search's 58 circles share their centre's table of 4096
+        # boundary samples; no circle evaluates the boundary at all of them.
         geometry._circle_measures.cache_clear()
+        geometry._centre_table.cache_clear()
         domain = build_domain(spec, h)
-        calls = []
-        per_scan = []
-        radial_gap, gap_and_slope = DomainSpec.radial_gap, geometry._gap_and_slope
+        seed = max_curvature_seed(domain)
+        sizes, circles = [], []
         crossings = geometry._circle_crossings
 
         def counted(function):
-            def wrapper(*args):
-                calls.append(function.__name__)
-                return function(*args)
+            def wrapper(self, t):
+                sizes.append(np.size(t))
+                return function(self, t)
             return wrapper
 
-        def scan(*args):
-            calls.clear()
-            result = crossings(*args)
-            per_scan.append(list(calls))
-            return result
+        monkeypatch.setattr(DomainSpec, "boundary_point", counted(DomainSpec.boundary_point))
+        monkeypatch.setattr(DomainSpec, "_boundary_frame", counted(DomainSpec._boundary_frame))
+        monkeypatch.setattr(geometry, "_circle_crossings",
+                            lambda *args: circles.append(args) or crossings(*args))
+        optimal_epsilon(domain, seed.point, 1.0)
+        assert len(circles) == 58
+        assert geometry._centre_table.cache_info().misses == 1
+        assert sizes.count(4096) == 1 and sorted(sizes)[-2] < 4096
 
-        monkeypatch.setattr(DomainSpec, "radial_gap", counted(radial_gap))
-        monkeypatch.setattr(geometry, "_gap_and_slope", counted(gap_and_slope))
-        monkeypatch.setattr(geometry, "_circle_crossings", scan)
-        optimal_epsilon(domain, max_curvature_seed(domain).point, 1.0)
-        assert len(per_scan) == 58
-        assert 0 < min(map(len, per_scan)) and max(map(len, per_scan)) <= 5
-        # The scan, samples placed by |p|^2 and the rest alike, is one gap call.
-        assert all(names[:2] == ["radial_gap", "_gap_and_slope"] for names in per_scan)
-
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="two crossings inside one scan step are missed silently; "
-                              "ROADMAP item 10 (double crossings)")
     def test_two_crossings_in_one_scan_step(self, disk256):
         # dB(a, eps) leaves the unit disk over 1.8e-4 rad around the angle of
         # a, pi / 4096, which lies midway between two scan samples; the arc
-        # read is the whole circle, 3.14159266, against 3.14150322.
+        # read was the whole circle, 3.14159266, against 3.14150322.
         alpha = math.pi / 4096
         eps = 0.5 + 1e-9
         # |a + eps e(theta)| > 1 where cos(theta - alpha) > (0.75 - eps^2) / eps.
         outside = 2.0 * math.acos((0.75 - eps * eps) / eps)
         arc = boundary_arc_inside(disk256, (0.5 * math.cos(alpha), 0.5 * math.sin(alpha)), eps)
         assert arc == pytest.approx(eps * (2.0 * math.pi - outside), rel=1e-9, abs=0)
+
+    def test_two_crossings_in_one_scan_step_on_the_ellipse(self, ellipse256):
+        # The same on ellipse (2, 1): a circle inside Omega, touching dOmega
+        # from within midway between two samples of the polar angle, grown
+        # by 1e-9 so that it leaves Omega between two crossings 4.7e-5
+        # apart in the polar angle, a thirtieth of the sample step.
+        t = 200.5 * 2.0 * math.pi / 4096
+        ax, ay, eps = _inward_circle(ellipse256.spec, t, 1e-9)
+        t_cross, _, _, exits = geometry._circle_crossings(ellipse256.spec, ax, ay, eps)
+        assert exits == [False, True]
+        assert 200 < t_cross[0] / geometry._SCAN_STEP < t_cross[1] / geometry._SCAN_STEP < 201
+        with mpmath.workdps(30):
+            def gap(u):  # on the ellipse (2 cos u, sin u)
+                return mpmath.hypot(2 * mpmath.cos(u) - ax, mpmath.sin(u) - ay) - eps
+
+            s = mpmath.atan2(2 * mpmath.sin(t), mpmath.cos(t))  # gamma(t), inside B
+            roots = [mpmath.findroot(gap, (s, s + side * mpmath.mpf("1e-3")), solver="anderson")
+                     for side in (-1, 1)]
+            ends = [mpmath.atan2(mpmath.sin(u) - ay, 2 * mpmath.cos(u) - ax) for u in roots]
+            arc = float(eps * (2 * mpmath.pi - abs(ends[1] - ends[0])))
+            # (x - ax) y' - (y - ay) x' = 2 - ax cos u - 2 ay sin u.
+            piece = (2 * (roots[1] - roots[0]) - ax * (mpmath.sin(roots[1]) - mpmath.sin(roots[0]))
+                     + 2 * ay * (mpmath.cos(roots[1]) - mpmath.cos(roots[0])))
+        arc_got = boundary_arc_inside(ellipse256, (ax, ay), eps)
+        assert arc_got == pytest.approx(arc, rel=1e-9, abs=0)
+        assert cap_measure(ellipse256, (ax, ay), eps) == pytest.approx(
+            0.5 * eps * arc + 0.5 * float(piece), rel=1e-12, abs=0)
 
     def test_tangential_crossing_raises(self, disk256):
         # dB((0.5, 0), 0.5) touches the unit circle from inside at theta = 0,
@@ -810,19 +786,16 @@ class TestCrossingFinder:
             assert geometry._circle_measures.cache_info().misses == 1
             assert warm == cold and arc == cold[1]
 
-    @pytest.mark.parametrize("a, eps", [((1.0, 0.0), 0.3), ((0.0, 0.0), 0.3)],
-                             ids=["crossing", "inside"])
-    def test_memoized_arrays_are_read_only(self, a, eps):
-        theta, inside = geometry._circle_crossings(DomainSpec.disk(1.0), a[0], a[1], eps)
-        for array in (theta, inside):
+    @pytest.mark.parametrize("a", [(1.0, 0.0), (0.0, 0.0)], ids=["crossing", "inside"])
+    def test_memoized_arrays_are_read_only(self, a):
+        # Every radius about a reads the centre's memoized table.  No array
+        # of it is a view of another.
+        for array in geometry._centre_table(DomainSpec.disk(1.0), *a)[:3]:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = array
-        # Neither is a view: the circle inside the disk, without a
-        # crossing, gets a copy of the scan's first sign.
-        assert theta.base is None and inside.base is None
+            assert array.base is None
 
-    @pytest.mark.parametrize("name", ["_SCAN_THETAS", "_SCAN_COS", "_SCAN_SIN", "_GL_NODES",
-                                      "_GL_WEIGHTS", "_PANEL_EDGES"])
+    @pytest.mark.parametrize("name", ["_GL_NODES", "_GL_WEIGHTS", "_PANEL_EDGES"])
     def test_shared_constants_are_read_only(self, name):
         # `surfaces` shares the panel rule, so a stray write would corrupt
         # both modules.
