@@ -368,7 +368,7 @@ class TestTwoValuedQuotientExact:
         qv = two_valued_quotient_exact(disk256, (1.0, 0.0), eps, q)
         assert qv.beta == beta_eps(disk256.measure, cap_measure(disk256, (1.0, 0.0), eps), q)
         if eps == 1.99:
-            assert qv.beta == 1.5884058399835718e+307
+            assert qv.beta == 1.5884058399003109e+307
 
     @pytest.mark.parametrize("q", [0.1, 0.5, 1.0, 1.5, 1.9])
     def test_certificate_holds_across_the_exponent_range(self, disk256, q):
