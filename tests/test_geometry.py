@@ -764,7 +764,7 @@ class TestCrossingFinder:
         assert arc == pytest.approx(boundary_arc_expansion(H, eps, 2), rel=1e-8, abs=0)
 
     def test_circles_clear_of_the_boundary_keep_their_closed_forms(self, disk256):
-        # Below the floor, but |p| on the circle stays off the radial range.
+        # Below the floor, but the centre's table keeps dOmega off the circle.
         assert cap_measure(disk256, (0.5, 0.0), 1e-12) == math.pi * 1e-24
         assert boundary_arc_inside(disk256, (0.5, 0.0), 1e-12) == 2.0 * math.pi * 1e-12
         assert cap_measure(disk256, (3.0, 0.0), 1e-12) == 0.0
