@@ -730,6 +730,122 @@ class TestCrossingFinder:
         assert cap_measure(ellipse256, (ax, ay), eps) == pytest.approx(
             0.5 * eps * arc + 0.5 * float(piece), rel=1e-12, abs=0)
 
+    def test_two_crossings_in_one_scan_step_on_the_fourier_shape(self):
+        # The same on the catalog's Fourier shape, where gamma(t) is the
+        # polar curve rho(t) (cos t, sin t) itself.
+        spec = DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,))
+        domain = build_domain(spec, 1.0 / 128)
+        t = 300.5 * 2.0 * math.pi / 4096
+        ax, ay, eps = _inward_circle(spec, t, 1e-9)
+        t_cross, _, _, exits = geometry._circle_crossings(spec, ax, ay, eps)
+        assert exits == [False, True]
+        assert 300 < t_cross[0] / geometry._SCAN_STEP < t_cross[1] / geometry._SCAN_STEP < 301
+        with mpmath.workdps(30):
+            def rho(u):
+                return 1 + mpmath.mpf(0.15) * mpmath.cos(2 * u) + mpmath.mpf(0.05) * mpmath.sin(u)
+
+            def point(u):
+                return rho(u) * mpmath.cos(u), rho(u) * mpmath.sin(u)
+
+            def gap(u):
+                x, y = point(u)
+                return mpmath.hypot(x - ax, y - ay) - eps
+
+            roots = [mpmath.findroot(gap, (t, t + side * mpmath.mpf("1e-3")), solver="anderson")
+                     for side in (-1, 1)]
+            (x0, y0), (x1, y1) = point(roots[0]), point(roots[1])
+            ends = [mpmath.atan2(y - ay, x - ax) for x, y in ((x0, y0), (x1, y1))]
+            arc = float(eps * (2 * mpmath.pi - abs(ends[1] - ends[0])))
+            # (x - ax) y' - (y - ay) x' = rho^2 - ax y' + ay x'.
+            piece = (mpmath.quad(lambda u: rho(u) ** 2, roots)
+                     - ax * (y1 - y0) + ay * (x1 - x0))
+        assert boundary_arc_inside(domain, (ax, ay), eps) == pytest.approx(arc, rel=1e-9, abs=0)
+        assert cap_measure(domain, (ax, ay), eps) == pytest.approx(
+            0.5 * eps * arc + 0.5 * float(piece), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("spec, h", CATALOG)
+    def test_crossings_lie_on_both_curves_and_alternate(self, spec, h):
+        # Entries and exits alternate along dOmega, each one where the
+        # distance to a rises (an exit) or falls (an entry).
+        domain = build_domain(spec, h)
+        for ax, ay, eps in _random_circles(spec, domain.diameter, np.random.default_rng(29),
+                                           centres=8, radii=20):
+            t, x, y, exits = (np.array(v) for v in geometry._circle_crossings(spec, ax, ay, eps))
+            assert t.size % 2 == 0
+            assert np.all(np.diff(t) > 0) and (t.size == 0 or 0.0 <= t[0] <= t[-1] <= 2 * math.pi)
+            assert np.all(exits[1:] != exits[:-1])
+            np.testing.assert_allclose(np.hypot(x - ax, y - ay), eps, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(np.array(spec.boundary_point(t)), [x, y],
+                                       rtol=0.0, atol=1e-13)
+            px, py, px1, py1 = spec._boundary_frame(t)
+            assert np.array_equal((px - ax) * px1 + (py - ay) * py1 > 0.0, exits)
+
+    @pytest.mark.parametrize("spec, h", CATALOG + [
+        pytest.param(DomainSpec.ellipse(2.36, 1.0), 1.0 / 128, id="ellipse-2.36")])
+    def test_table_bound_dominates_the_second_derivative(self, spec, h):
+        # M >= max |f''| for f(t) = |gamma(t) - a|^2, by central second
+        # differences on 16 times the table's samples, about centres on
+        # dOmega, off it, at the origin and far away.
+        step = geometry._SCAN_STEP / 16
+        t = np.arange(16 * 4096) * step
+        x, y = spec.boundary_point(t)
+        centres = [(s * float(bx), s * float(by)) for s in (1.0, 0.6, 1.4)
+                   for bx, by in zip(*spec.boundary_point(np.array([0.0, 1.1, 2.9, 4.4])))]
+        for ax, ay in centres + [(0.0, 0.0), (5.0, -3.0)]:
+            d = np.square(x - ax) + np.square(y - ay)
+            second = (np.roll(d, -1) - 2.0 * d + np.roll(d, 1)) / (step * step)
+            assert np.max(np.abs(second)) <= geometry._centre_table(spec, ax, ay)[3]
+
+    @pytest.mark.parametrize("spec, h", CATALOG)
+    def test_cleared_steps_hold_no_crossing(self, spec, h):
+        # A sample step whose [lo, hi] misses eps^2 is never searched: f
+        # keeps one sign at 16 points inside each such step.  Random radii
+        # about random centres, and circles that leave Omega inside one step
+        # as in the tests above, whose two ends lie on the same side of eps.
+        domain = build_domain(spec, h)
+        sub = np.arange(4096)[:, None] + np.linspace(0.0, 1.0, 17)
+        x, y = spec.boundary_point(sub * geometry._SCAN_STEP)
+        rng = np.random.default_rng(31)
+        circles = [(*a, np.exp(rng.uniform(math.log(0.005), math.log(domain.diameter), 30)))
+                   for *a, _ in _random_circles(spec, domain.diameter, rng, centres=10, radii=1)]
+        for k in rng.integers(0, 4096, 10):
+            ax, ay, eps = _inward_circle(spec, (k + 0.5) * geometry._SCAN_STEP, 1e-9)
+            circles.append((ax, ay, [eps]))
+        for ax, ay, radii in circles:
+            d = np.square(x - ax) + np.square(y - ay)
+            _, lo, hi, *_ = geometry._centre_table(spec, ax, ay)
+            for eps in radii:
+                cleared = (eps * eps < lo) | (hi < eps * eps)
+                inside = d[cleared] < eps * eps
+                assert np.all(inside.all(axis=1) | (~inside).all(axis=1))
+
+    def test_table_is_keyed_on_the_spec_and_the_centre(self):
+        # Radii about one centre share a table, an equal spec included; a
+        # new centre builds its own.
+        geometry._centre_table.cache_clear()
+        domain = build_domain(DomainSpec.ellipse(2.0, 1.0), 1.0 / 64)
+        for eps in (0.1, 0.5, 1.0):
+            cap_measure(domain, (2.0, 0.0), eps)
+        again = build_domain(DomainSpec.ellipse(2.0, 1.0), 1.0 / 32)
+        boundary_arc_inside(again, (2.0, 0.0), 0.3)
+        assert geometry._centre_table.cache_info().misses == 1
+        cap_measure(domain, (0.0, 1.0), 0.5)
+        assert geometry._centre_table.cache_info().misses == 2
+
+    @pytest.mark.parametrize("spec, a, eps", [
+        (DomainSpec.disk(1.0), (2.0, 0.0), 1.0),  # from outside, at theta = pi
+        (DomainSpec.ellipse(2.0, 1.0), (1.75, 0.0), 0.25),  # from inside the vertex
+        (DomainSpec.ellipse(2.0, 1.0), (3.0, 0.0), 1.0),  # from outside the vertex
+    ], ids=["disk-outside", "ellipse-inside", "ellipse-outside"])
+    def test_tangency_at_a_sample_raises(self, spec, a, eps):
+        # Each circle touches dOmega at t = 0, where f = 0 exactly and no
+        # subdivision decides the steps on either side.
+        domain = build_domain(spec, 0.05)
+        for function in (cap_measure, boundary_arc_inside):
+            with pytest.raises(ValueError, match=rf"eps={eps} centred at \({a[0]}, {a[1]}\)"
+                                                 r".*tangentially at angle theta="):
+                function(domain, a, eps)
+
     def test_tangential_crossing_raises(self, disk256):
         # dB((0.5, 0), 0.5) touches the unit circle from inside at theta = 0,
         # which is a scan sample.  A failed scan is not memoized, so a
