@@ -509,11 +509,6 @@ _SCAN_STEP = 2.0 * math.pi / _SCAN_SAMPLES
 # the cap and the arc keep about 5e-9 relative at the floor, and below it
 # they fall apart (a negative cap, or the whole domain).
 _RADIUS_FLOOR = 2.0 ** -26
-# A parameter interval narrower than _TANGENT_SLOPE_FLOOR eps / sqrt(M)
-# that the bound M >= |f''| still cannot decide holds a point where the
-# circle meets dOmega within about 1e-8 of tangency.  Boundary-centred
-# circles cross nearly at right angles and are decided near eps / sqrt(M).
-_TANGENT_SLOPE_FLOOR = 1e-8
 
 
 @functools.lru_cache(maxsize=4)
@@ -523,10 +518,12 @@ def _centre_table(spec: DomainSpec, ax: float, ay: float):
     Along dOmega, f(t) = |gamma(t) - a|^2 - eps^2 depends on the radius only
     through the constant eps^2, so one table serves every radius about a:
     d_i = |gamma(t_i) - a|^2 at the samples t_i = i h (d_4096 repeats d_0),
-    and M = 2 max|gamma'|^2 + 2 max|gamma - a| max|gamma''| >= max|f''| from
-    the spec's bounds on rho.  f stays within M h^2 / 8 of its chord, so no
-    circle whose eps^2 lies outside [lo_i, hi_i] = [min(d_i, d_i+1) - M h^2/8,
-    max(d_i, d_i+1) + M h^2/8] meets dOmega on [t_i, t_i+1].
+    and a bound M >= max|f''| from the spec's bounds on rho.  As |gamma|^2 =
+    rho^2, f'' = (rho^2)'' - 2 a . gamma'', so M = 2 max|rho'^2 + rho rho''|
+    + 2 |a| max|gamma''|, which is 0 for a disk about its centre.  f stays
+    within M h^2 / 8 of its chord, so no circle whose eps^2 lies outside
+    [lo_i, hi_i] = [min(d_i, d_i+1), max(d_i, d_i+1)] widened by M h^2 / 8
+    and the rounding of d meets dOmega on [t_i, t_i+1].
 
     Returns the read-only arrays d, lo, hi, then M, the bounds on |gamma'|
     and |gamma''|, and 4 ulp of the bound on |gamma - a|, the rounding level
@@ -539,8 +536,8 @@ def _centre_table(spec: DomainSpec, ax: float, ay: float):
     reach = rho + math.hypot(ax, ay)
     # |gamma'|^2 = rho^2 + rho'^2 and |gamma''|^2 = (rho'' - rho)^2 + 4 rho'^2.
     speed, bend = math.hypot(rho, drho), math.hypot(rho + ddrho, 2.0 * drho)
-    bound = 2.0 * speed * speed + 2.0 * reach * bend
-    margin = bound * _SCAN_STEP * _SCAN_STEP / 8.0
+    bound = 2.0 * (drho * drho + rho * ddrho) + 2.0 * math.hypot(ax, ay) * bend
+    margin = bound * _SCAN_STEP * _SCAN_STEP / 8.0 + 8.0 * reach * math.ulp(reach)
     lo = np.minimum(d[:-1], d[1:]) - margin
     hi = np.maximum(d[:-1], d[1:]) + margin
     d.flags.writeable = lo.flags.writeable = hi.flags.writeable = False
@@ -564,13 +561,16 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
     """The points where the circle dB(a, eps) crosses dOmega, in boundary order.
 
     Every sample interval of `_centre_table` whose [lo, hi] holds eps^2 is
-    decided on f = d - eps^2 at its ends and M, with w its width: where
-    |f(t1) - f(t0)| > M w^2, f' keeps its sign, so the interval holds one
-    crossing if f changes sign and none if not; one sign at two ends more
-    than M w^2 / 8 from 0 also rules a crossing out.  Any other interval is
-    split at its midpoint and decided again, so no pair of crossings hides
-    in an interval; one still undecided below the width of
-    `_TANGENT_SLOPE_FLOOR` raises ValueError, as a tangential crossing.
+    decided on f = d - eps^2 at its ends and M, with w its width and r the
+    rounding of f near f = 0, 2 eps times that of a distance: where
+    |f(t1) - f(t0)| > M w^2 + 2 r, f' keeps its sign, so the interval holds
+    one crossing if f changes sign and none if not; one sign at two ends
+    more than M w^2 / 8 + r from 0 also rules a crossing out.  Any other
+    interval is split at its midpoint and decided again, so no pair of
+    crossings hides in an interval.  One still undecided once M w^2 <= r,
+    where f is its rounding across the interval, raises ValueError as a
+    tangential crossing, and so does a level that splits more intervals
+    than the table has samples (the circle runs along dOmega).
 
     Each crossing is then polished by bracketed Newton on the distance
     g(t) = |gamma(t) - a| - eps, which keeps its relative accuracy at radii
@@ -596,20 +596,21 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
         )
     pending = [(i * _SCAN_STEP, (i + 1) * _SCAN_STEP, d.item(i) - e2, d.item(i + 1) - e2)
                for i in near]
-    narrowest = max(_TANGENT_SLOPE_FLOOR * eps / math.sqrt(bound), 64.0 * math.ulp(2.0 * math.pi))
+    rounding = 2.0 * eps * noise
     brackets = []
     while pending:
         split = []
         for t0, t1, f0, f1 in pending:
             curve = bound * (t1 - t0) ** 2
-            steep = abs(f1 - f0) > curve
+            steep = abs(f1 - f0) > curve + 2.0 * rounding
             if (f0 < 0.0) != (f1 < 0.0):
                 if steep:
                     brackets.append((t0, t1, f0, f1))
                     continue
-            elif steep or min(abs(f0), abs(f1)) > curve / 8.0:
+            elif steep or min(abs(f0), abs(f1)) > curve / 8.0 + rounding:
                 continue
-            if t1 - t0 < narrowest:
+            if (curve <= rounding or len(split) == _SCAN_SAMPLES
+                    or t1 - t0 < 64.0 * math.ulp(2.0 * math.pi)):
                 t = 0.5 * (t0 + t1)
                 bx, by = spec.boundary_point(t)
                 raise ValueError(

@@ -691,6 +691,12 @@ class TestCrossingFinder:
         assert len(circles) == 58
         assert geometry._centre_table.cache_info().misses == 1
         assert sizes.count(4096) == 1 and sorted(sizes)[-2] < 4096
+        # The table is keyed on the spec, not the domain: an equal spec on
+        # another grid shares it, and a new centre builds its own.
+        boundary_arc_inside(build_domain(spec, 2.0 * h), seed.point, 0.3)
+        assert geometry._centre_table.cache_info().misses == 1
+        cap_measure(domain, (0.0, 0.0), 0.5)
+        assert geometry._centre_table.cache_info().misses == 2
 
     def test_two_crossings_in_one_scan_step(self, disk256):
         # dB(a, eps) leaves the unit disk over 1.8e-4 rad around the angle of
@@ -703,47 +709,26 @@ class TestCrossingFinder:
         arc = boundary_arc_inside(disk256, (0.5 * math.cos(alpha), 0.5 * math.sin(alpha)), eps)
         assert arc == pytest.approx(eps * (2.0 * math.pi - outside), rel=1e-9, abs=0)
 
-    def test_two_crossings_in_one_scan_step_on_the_ellipse(self, ellipse256):
-        # The same on ellipse (2, 1): a circle inside Omega, touching dOmega
-        # from within midway between two samples of the polar angle, grown
-        # by 1e-9 so that it leaves Omega between two crossings 4.7e-5
-        # apart in the polar angle, a thirtieth of the sample step.
-        t = 200.5 * 2.0 * math.pi / 4096
-        ax, ay, eps = _inward_circle(ellipse256.spec, t, 1e-9)
-        t_cross, _, _, exits = geometry._circle_crossings(ellipse256.spec, ax, ay, eps)
-        assert exits == [False, True]
-        assert 200 < t_cross[0] / geometry._SCAN_STEP < t_cross[1] / geometry._SCAN_STEP < 201
-        with mpmath.workdps(30):
-            def gap(u):  # on the ellipse (2 cos u, sin u)
-                return mpmath.hypot(2 * mpmath.cos(u) - ax, mpmath.sin(u) - ay) - eps
-
-            s = mpmath.atan2(2 * mpmath.sin(t), mpmath.cos(t))  # gamma(t), inside B
-            roots = [mpmath.findroot(gap, (s, s + side * mpmath.mpf("1e-3")), solver="anderson")
-                     for side in (-1, 1)]
-            ends = [mpmath.atan2(mpmath.sin(u) - ay, 2 * mpmath.cos(u) - ax) for u in roots]
-            arc = float(eps * (2 * mpmath.pi - abs(ends[1] - ends[0])))
-            # (x - ax) y' - (y - ay) x' = 2 - ax cos u - 2 ay sin u.
-            piece = (2 * (roots[1] - roots[0]) - ax * (mpmath.sin(roots[1]) - mpmath.sin(roots[0]))
-                     + 2 * ay * (mpmath.cos(roots[1]) - mpmath.cos(roots[0])))
-        arc_got = boundary_arc_inside(ellipse256, (ax, ay), eps)
-        assert arc_got == pytest.approx(arc, rel=1e-9, abs=0)
-        assert cap_measure(ellipse256, (ax, ay), eps) == pytest.approx(
-            0.5 * eps * arc + 0.5 * float(piece), rel=1e-12, abs=0)
-
-    def test_two_crossings_in_one_scan_step_on_the_fourier_shape(self):
-        # The same on the catalog's Fourier shape, where gamma(t) is the
-        # polar curve rho(t) (cos t, sin t) itself.
-        spec = DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,))
+    @pytest.mark.parametrize("spec, rho, sample", [
+        (DomainSpec.ellipse(2.0, 1.0),
+         lambda u: 2 / mpmath.sqrt(mpmath.cos(u) ** 2 + 4 * mpmath.sin(u) ** 2), 200),
+        (DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)),
+         lambda u: 1 + mpmath.mpf(0.15) * mpmath.cos(2 * u) + mpmath.mpf(0.05) * mpmath.sin(u),
+         300),
+    ], ids=["ellipse", "fourier"])
+    def test_two_crossings_in_one_scan_step_on_curved_shapes(self, spec, rho, sample):
+        # The same on the catalog's curved shapes, rho their polar radius in
+        # mpmath: a circle inside Omega, touching dOmega from within midway
+        # between two samples of the polar angle, grown by 1e-9 so that it
+        # leaves Omega between two crossings inside that sample step (4.7e-5
+        # apart on the ellipse, a thirtieth of the step).
         domain = build_domain(spec, 1.0 / 128)
-        t = 300.5 * 2.0 * math.pi / 4096
+        t = (sample + 0.5) * geometry._SCAN_STEP
         ax, ay, eps = _inward_circle(spec, t, 1e-9)
         t_cross, _, _, exits = geometry._circle_crossings(spec, ax, ay, eps)
         assert exits == [False, True]
-        assert 300 < t_cross[0] / geometry._SCAN_STEP < t_cross[1] / geometry._SCAN_STEP < 301
+        assert sample < t_cross[0] / geometry._SCAN_STEP < t_cross[1] / geometry._SCAN_STEP < sample + 1
         with mpmath.workdps(30):
-            def rho(u):
-                return 1 + mpmath.mpf(0.15) * mpmath.cos(2 * u) + mpmath.mpf(0.05) * mpmath.sin(u)
-
             def point(u):
                 return rho(u) * mpmath.cos(u), rho(u) * mpmath.sin(u)
 
@@ -756,7 +741,7 @@ class TestCrossingFinder:
             (x0, y0), (x1, y1) = point(roots[0]), point(roots[1])
             ends = [mpmath.atan2(y - ay, x - ax) for x, y in ((x0, y0), (x1, y1))]
             arc = float(eps * (2 * mpmath.pi - abs(ends[1] - ends[0])))
-            # (x - ax) y' - (y - ay) x' = rho^2 - ax y' + ay x'.
+            # On a polar curve (x - ax) y' - (y - ay) x' = rho^2 - ax y' + ay x'.
             piece = (mpmath.quad(lambda u: rho(u) ** 2, roots)
                      - ax * (y1 - y0) + ay * (x1 - x0))
         assert boundary_arc_inside(domain, (ax, ay), eps) == pytest.approx(arc, rel=1e-9, abs=0)
@@ -785,7 +770,8 @@ class TestCrossingFinder:
     def test_table_bound_dominates_the_second_derivative(self, spec, h):
         # M >= max |f''| for f(t) = |gamma(t) - a|^2, by central second
         # differences on 16 times the table's samples, about centres on
-        # dOmega, off it, at the origin and far away.
+        # dOmega, off it, at the origin and far away.  M is exact on the
+        # disk, so the differences may pass it by their own rounding.
         step = geometry._SCAN_STEP / 16
         t = np.arange(16 * 4096) * step
         x, y = spec.boundary_point(t)
@@ -794,7 +780,8 @@ class TestCrossingFinder:
         for ax, ay in centres + [(0.0, 0.0), (5.0, -3.0)]:
             d = np.square(x - ax) + np.square(y - ay)
             second = (np.roll(d, -1) - 2.0 * d + np.roll(d, 1)) / (step * step)
-            assert np.max(np.abs(second)) <= geometry._centre_table(spec, ax, ay)[3]
+            rounding = 16.0 * math.ulp(float(np.max(d))) / (step * step)
+            assert np.max(np.abs(second)) <= geometry._centre_table(spec, ax, ay)[3] + rounding
 
     @pytest.mark.parametrize("spec, h", CATALOG)
     def test_cleared_steps_hold_no_crossing(self, spec, h):
@@ -819,19 +806,6 @@ class TestCrossingFinder:
                 inside = d[cleared] < eps * eps
                 assert np.all(inside.all(axis=1) | (~inside).all(axis=1))
 
-    def test_table_is_keyed_on_the_spec_and_the_centre(self):
-        # Radii about one centre share a table, an equal spec included; a
-        # new centre builds its own.
-        geometry._centre_table.cache_clear()
-        domain = build_domain(DomainSpec.ellipse(2.0, 1.0), 1.0 / 64)
-        for eps in (0.1, 0.5, 1.0):
-            cap_measure(domain, (2.0, 0.0), eps)
-        again = build_domain(DomainSpec.ellipse(2.0, 1.0), 1.0 / 32)
-        boundary_arc_inside(again, (2.0, 0.0), 0.3)
-        assert geometry._centre_table.cache_info().misses == 1
-        cap_measure(domain, (0.0, 1.0), 0.5)
-        assert geometry._centre_table.cache_info().misses == 2
-
     @pytest.mark.parametrize("spec, a, eps", [
         (DomainSpec.disk(1.0), (2.0, 0.0), 1.0),  # from outside, at theta = pi
         (DomainSpec.ellipse(2.0, 1.0), (1.75, 0.0), 0.25),  # from inside the vertex
@@ -845,6 +819,38 @@ class TestCrossingFinder:
             with pytest.raises(ValueError, match=rf"eps={eps} centred at \({a[0]}, {a[1]}\)"
                                                  r".*tangentially at angle theta="):
                 function(domain, a, eps)
+
+    def test_circles_about_the_disk_centre_are_decided_from_the_table(self, disk256, monkeypatch):
+        # About the centre f = 1 - eps^2 all along dOmega, and M = 0: circles
+        # 1e-12 inside and outside dOmega are decided without a midpoint, and
+        # the unit circle itself, which runs along dOmega, raises at once.
+        geometry._centre_table(disk256.spec, 0.0, 0.0)
+        sizes = []
+        point = DomainSpec.boundary_point
+        monkeypatch.setattr(DomainSpec, "boundary_point",
+                            lambda self, t: sizes.append(np.size(t)) or point(self, t))
+        inner, outer = 1.0 - 1e-12, 1.0 + 1e-12
+        assert cap_measure(disk256, (0.0, 0.0), inner) == math.pi * inner * inner
+        assert boundary_arc_inside(disk256, (0.0, 0.0), inner) == 2.0 * math.pi * inner
+        assert cap_measure(disk256, (0.0, 0.0), outer) == disk256.measure
+        assert boundary_arc_inside(disk256, (0.0, 0.0), outer) == 0.0
+        with pytest.raises(ValueError, match=r"eps=1\.0 centred at \(0\.0, 0\.0\).*tangentially"):
+            cap_measure(disk256, (0.0, 0.0), 1.0)
+        assert sizes == [1]  # the touching point of the message
+
+    def test_a_loose_bound_cannot_grow_the_search_without_limit(self, ellipse256, monkeypatch):
+        # With M 1e12 times too large every sample step stays undecided for
+        # some twenty halvings; the level that would split more steps than
+        # the table has samples raises instead.
+        table = geometry._centre_table
+
+        def loose(spec, ax, ay):
+            d, lo, hi, bound, *rest = table(spec, ax, ay)
+            return (d, np.full_like(lo, -np.inf), np.full_like(hi, np.inf), 1e12 * bound, *rest)
+
+        monkeypatch.setattr(geometry, "_centre_table", loose)
+        with pytest.raises(ValueError, match=r"eps=0\.5 centred at \(2\.0, 0\.0\).*tangentially"):
+            cap_measure(ellipse256, (2.0, 0.0), 0.5)
 
     def test_tangential_crossing_raises(self, disk256):
         # dB((0.5, 0), 0.5) touches the unit circle from inside at theta = 0,
