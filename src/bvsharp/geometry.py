@@ -12,14 +12,14 @@ rejected: its corners have no curvature, so it fails the C^2 requirement
 that every expansion here relies on.
 
 A domain is described analytically (`DomainSpec`) and placed on a
-`GridDomain` that carries the spec, the grid, the Lebesgue measure and
-the diameter.  The interior mask of the cell centres is built on first
-read, so only the TV solver pays for the raster; the certificates need
-the spec, the measure and the diameter alone.  The measure is Green's
-theorem, 1/2 of the loop integral of rho(t)^2 dt, by the trapezoid rule,
-which converges spectrally on a periodic analytic curve.
-Curvature is never differenced from the grid: it comes from the closed
-forms of rho, rho' and rho''.
+`GridDomain` with the spec, the grid, the measure and the diameter; its
+interior mask is built on first read, so only the TV solver pays for it.
+A spec's boundary is evaluated once, at 4096 samples of t, and read by
+the validation, the measure (Green's theorem, trapezoid rule on every
+second sample), the diameter (every fourth), the curvature seed and the
+crossing finder's tables.  Curvature is never differenced from the grid:
+it comes from the closed forms of rho, rho' and rho''.  The crossing
+finder's own boundary evaluations take rho and rho' alone.
 
 The two quadrature operations that feed certificate-grade numbers are
 
@@ -140,37 +140,41 @@ class DomainSpec:
             return rho
         raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
 
-    def _radial(self, t):
+    def _radial(self, t, second=True, trig=None):
         """(rho(t), rho'(t), rho''(t)), each harmonic's cos and sin taken once;
-        rho equals `_rho(t)` bit for bit, the derivatives are shaped like t."""
+        rho equals `_rho(t)` bit for bit, the derivatives are shaped like t.
+        With second=False the tuple stops at rho'; trig is (cos t, sin t) if known."""
         t = np.asarray(t, dtype=float)
         if self.kind == "disk":
             zero = np.zeros_like(t)
-            return self.r, zero, zero
+            return (self.r, zero, zero)[:2 + second]
         if self.kind == "ellipse":
             # rho = a b D^(-1/2), D = b^2 + (a^2 - b^2) sin^2 t; d1 = D'/D, d2 = D''/D.
-            sin = np.sin(t)
-            rho = self.a * self.b / np.hypot(self.b * np.cos(t), self.a * sin)
+            cos, sin = trig or (np.cos(t), np.sin(t))
+            rho = self.a * self.b / np.hypot(self.b * cos, self.a * sin)
             spread = self.a * self.a - self.b * self.b
             d0 = self.b * self.b + spread * sin ** 2
             d1 = spread * np.sin(2.0 * t) / d0
+            if not second:
+                return rho, -0.5 * rho * d1
             d2 = 2.0 * spread * np.cos(2.0 * t) / d0
             return rho, -0.5 * rho * d1, rho * (0.75 * d1 * d1 - 0.5 * d2)
         if self.kind == "fourier":
-            harmonics = [(np.cos(k * t), np.sin(k * t))
-                         for k in range(1, max(len(self.cos_coeffs), len(self.sin_coeffs)) + 1)]
+            harmonics = [trig or (np.cos(t), np.sin(t))] + [
+                (np.cos(k * t), np.sin(k * t))
+                for k in range(2, max(len(self.cos_coeffs), len(self.sin_coeffs)) + 1)]
             rho, d1, d2 = np.full_like(t, self.r0), np.zeros_like(t), np.zeros_like(t)
             for k, c in enumerate(self.cos_coeffs, start=1):
                 cos, sin = harmonics[k - 1]
                 rho = rho + c * cos
                 d1 = d1 - c * k * sin
-                d2 = d2 - c * k * k * cos
+                d2 = d2 - c * k * k * cos if second else d2
             for k, s in enumerate(self.sin_coeffs, start=1):
                 cos, sin = harmonics[k - 1]
                 rho = rho + s * sin
                 d1 = d1 + s * k * cos
-                d2 = d2 - s * k * k * sin
-            return rho, d1, d2
+                d2 = d2 - s * k * k * sin if second else d2
+            return (rho, d1, d2)[:2 + second]
         raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
 
     def _radial_bounds(self):
@@ -208,8 +212,11 @@ class DomainSpec:
     def _boundary_frame(self, t):
         """(x, y, x', y'): the boundary point at t and its derivative in t."""
         t = np.asarray(t, dtype=float)
-        rho, drho, _ = self._radial(t)
         ct, st = np.cos(t), np.sin(t)
+        if self.kind == "disk":  # rho' = 0, so x' = 0 - y: +0 at t = 0, where -y is -0
+            x, y = self.r * ct, self.r * st
+            return x, y, 0.0 - y, x
+        rho, drho = self._radial(t, second=False, trig=(ct, st))
         return rho * ct, rho * st, drho * ct - rho * st, drho * st + rho * ct
 
     def curvature(self, t):
@@ -260,24 +267,18 @@ class DomainSpec:
         if self.kind == "ellipse" and (self.a <= 0 or self.b <= 0):
             raise DomainBuildError("ellipse semi-axes must be positive")
 
-        t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            rho, drho, ddrho = self._radial(t)
-            kappa = _polar_curvature(rho, drho, ddrho)
-            cubed = np.max(rho * rho + drho * drho) ** 1.5
-        if not np.all(np.isfinite(rho)):
+        rho_lo, rho_hi, kmax, cubed, rmin = _boundary_samples(self)[1]
+        if not (math.isfinite(rho_lo) and math.isfinite(rho_hi)):
             raise DomainBuildError(f"{self.kind} boundary radius is not finite")
-        if self.kind == "fourier" and np.min(rho) <= 0:
+        if self.kind == "fourier" and rho_lo <= 0:
             raise DomainBuildError(
                 "fourier boundary radius must stay positive (simple closed curve)"
             )
-        if not np.all(np.isfinite(kappa)):
+        if not math.isfinite(kmax):
             raise DomainBuildError(f"{self.kind} boundary curvature is not finite")
-        kmax = float(np.max(np.abs(kappa)))
-        if kmax == 0.0 or not np.isfinite(cubed):  # a closed curve has kmax >= 1/diameter
-            raise DomainBuildError(f"{self.kind} boundary radius {float(np.max(rho)):.6g} is too "
+        if kmax == 0.0 or not math.isfinite(cubed):  # a closed curve has kmax >= 1/diameter
+            raise DomainBuildError(f"{self.kind} boundary radius {rho_hi:.6g} is too "
                                    "large: (rho^2 + rho'^2)^(3/2) in its curvature overflows")
-        rmin = float(np.min(np.hypot(rho * np.cos(t), rho * np.sin(t))))
         return min(1.0 / kmax, rmin)
 
     def min_feature_size(self) -> float:
@@ -292,6 +293,30 @@ def _polar_curvature(rho, drho, ddrho):
     """(rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^(3/2)."""
     speed2 = rho * rho + drho * drho
     return (speed2 + drho * drho - rho * ddrho) / speed2 ** 1.5
+
+
+# One entry: a build, its seed and its radius searches read one spec.
+@functools.lru_cache(maxsize=1)
+def _boundary_samples(spec: DomainSpec):
+    """The boundary at the 4096 samples t_i = i h of `_centre_table`.
+
+    Returns the read-only arrays (x, y, kappa); what `validate` checks, (min
+    rho, max rho, max |kappa|, max (rho^2 + rho'^2)^(3/2), min |gamma|), NaN
+    or inf where a sample overflows; and `build_domain`'s measure.  Every
+    second and fourth t_i are linspace(0, 2 pi, n, endpoint=False), n = 2048
+    and 1024, bit for bit: a reader's slice is a direct evaluation there."""
+    t = np.arange(_SCAN_SAMPLES) * _SCAN_STEP
+    with np.errstate(over="ignore", invalid="ignore"):  # `validate` checks
+        ct, st = np.cos(t), np.sin(t)
+        rho, drho, ddrho = spec._radial(t, trig=(ct, st))
+        x, y, kappa = rho * ct, rho * st, _polar_curvature(rho, drho, ddrho)
+        tx, ty = (drho * ct - rho * st)[::2], (drho * st + rho * ct)[::2]
+        measure = math.pi * float(np.mean(x[::2] * ty - y[::2] * tx))
+        checks = (float(np.min(rho)), float(np.max(rho)), float(np.max(np.abs(kappa))),
+                  float(np.max(rho * rho + drho * drho) ** 1.5), float(np.min(np.hypot(x, y))))
+    for array in (x, y, kappa):
+        array.flags.writeable = False
+    return (x, y, kappa), checks, measure
 
 
 # --------------------------------------------------------------------------
@@ -394,9 +419,8 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
             "requires h <= feature/8"
         )
 
-    t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
-    bx, by, tx, ty = spec._boundary_frame(t)
-    measure = math.pi * float(np.mean(bx * ty - by * tx))
+    (x, y, _), _, measure = _boundary_samples(spec)
+    bx, by = x[::2], y[::2]
 
     pad = 3.0 * h
     xmin, xmax = float(np.min(bx)) - pad, float(np.max(bx)) + pad
@@ -407,10 +431,9 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
     nx = int(math.ceil(cells_x))
     ny = int(math.ceil(cells_y))
 
-    sx, sy = spec.boundary_point(np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False))
     return GridDomain(
         spec=spec, h=h, xmin=xmin, ymin=ymin, nx=nx, ny=ny, measure=measure,
-        _diameter=math.sqrt(_largest_squared_distance(sx, sy)),
+        _diameter=math.sqrt(_largest_squared_distance(x[::4], y[::4])),
     )
 
 
@@ -475,14 +498,14 @@ def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
     Ties (constant curvature) resolve to the smallest parameter value.
     """
     spec = domain.spec
-    ts = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
-    kappa = spec.curvature(ts)
+    kappa = _boundary_samples(spec)[0][2][::2]  # at t = i step, i < 2048
+    step = 2.0 * _SCAN_STEP
     i = int(np.argmax(kappa))  # argmax takes the first index, so ties break low
-    t_best, k_best = float(ts[i]), float(kappa[i])
+    t_best, k_best = i * step, float(kappa[i])
 
     # Local golden-section polish; kept only if it genuinely improves.
-    lo, hi, _ = _golden_section(lambda t: float(spec.curvature(t)), t_best - ts[1],
-                                t_best + ts[1], 60, key=operator.neg)
+    lo, hi, _ = _golden_section(lambda t: float(spec.curvature(t)), t_best - step,
+                                t_best + step, 60, key=operator.neg)
     t_ref = 0.5 * (lo + hi)
     k_ref = float(spec.curvature(t_ref))
     if k_ref > k_best + 1e-12:
@@ -511,7 +534,7 @@ _SCAN_STEP = 2.0 * math.pi / _SCAN_SAMPLES
 _RADIUS_FLOOR = 2.0 ** -26
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _centre_table(spec: DomainSpec, ax: float, ay: float):
     """What the crossing finder knows of dOmega seen from the centre a.
 
@@ -529,7 +552,7 @@ def _centre_table(spec: DomainSpec, ax: float, ay: float):
     and |gamma''|, and 4 ulp of the bound on |gamma - a|, the rounding level
     of a distance.
     """
-    x, y = spec.boundary_point(np.arange(_SCAN_SAMPLES) * _SCAN_STEP)
+    x, y = _boundary_samples(spec)[0][:2]
     d = np.square(x - ax) + np.square(y - ay)
     d = np.append(d, d[0])
     rho, drho, ddrho = spec._radial_bounds()

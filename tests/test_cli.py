@@ -185,6 +185,19 @@ class TestRunTasks:
         assert (info.misses, info.hits) == (5, 15)
         assert integrals[0] == 5
 
+    def test_geometry_memos_keep_the_last_op_only(self, tmp_path):
+        # One op reads one spec and one centre, so each geometry memo holds
+        # one entry, and each op samples its boundary and tabulates its
+        # centre once.
+        memos = (geometry._boundary_samples, geometry._centre_table, geometry._circle_measures)
+        for memo in memos:
+            memo.cache_clear()
+        for name, shape in (("disk", []), ("ellipse", ["--shape", "ellipse", "--a", "2"])):
+            assert main(["domain-certificate", "--out", str(tmp_path / name), "--h", "0.015625",
+                         *shape]) == 0
+        assert [memo.cache_info().currsize for memo in memos] == [1, 1, 1]
+        assert [memo.cache_info().misses for memo in memos[:2]] == [2, 2]
+
     @pytest.mark.parametrize("task", ["domain-certificate", "domain-sweep"])
     def test_certificate_tasks_build_no_raster(self, task, tmp_path, monkeypatch):
         # The interior mask is built on first read; only the solver reads it.

@@ -119,18 +119,26 @@ class TestBuildDomain:
         assert "interior_mask" in domain.__dict__
 
     def test_curvature_sampled_once(self, monkeypatch):
-        # validate() and the feature size share the 4096 samples; the only
-        # other evaluation is the measure's tangent on 2048 points.
-        sizes = []
+        # validate(), the measure, the diameter, the seed's grid and the
+        # centre's table share the 4096 samples: a build, its seed and a
+        # radius search take rho'' there once, and at single angles for the
+        # seed's polish.  Every crossing frame takes rho and rho' alone.
+        for memo in (geometry._boundary_samples, geometry._centre_table,
+                     geometry._circle_measures):
+            memo.cache_clear()
+        calls = []
         radial = DomainSpec._radial
 
-        def counted(self, t):
-            sizes.append(np.size(t))
-            return radial(self, t)
+        def counted(self, t, second=True, **kwargs):
+            calls.append((np.size(t), second))
+            return radial(self, t, second, **kwargs)
 
         monkeypatch.setattr(DomainSpec, "_radial", counted)
-        build_domain(DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)), 1 / 64)
-        assert sorted(sizes) == [2048, 4096]
+        domain = build_domain(
+            DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)), 1 / 64)
+        optimal_epsilon(domain, max_curvature_seed(domain).point, 1.0)
+        assert [size for size, second in calls if second and size > 1] == [4096]
+        assert 0 < max(size for size, second in calls if not second) < 1024
 
 
 def _all_pairs_squared_diameter(spec):
@@ -668,29 +676,32 @@ class TestCrossingFinder:
 
     @pytest.mark.parametrize("spec, h", CATALOG)
     def test_one_table_per_radius_search(self, spec, h, monkeypatch):
-        # The search's 58 circles share their centre's table of 4096
-        # boundary samples; no circle evaluates the boundary at all of them.
+        # The search's 58 circles share their centre's table, made from the
+        # spec's 4096 shared boundary samples.  Once those exist, nothing
+        # evaluates the boundary at 4096, 2048 or 1024 points.
         geometry._circle_measures.cache_clear()
         geometry._centre_table.cache_clear()
         domain = build_domain(spec, h)
         seed = max_curvature_seed(domain)
+        samples = geometry._boundary_samples.cache_info().misses
         sizes, circles = [], []
         crossings = geometry._circle_crossings
 
         def counted(function):
-            def wrapper(self, t):
+            def wrapper(self, t, **kwargs):
                 sizes.append(np.size(t))
-                return function(self, t)
+                return function(self, t, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(DomainSpec, "boundary_point", counted(DomainSpec.boundary_point))
-        monkeypatch.setattr(DomainSpec, "_boundary_frame", counted(DomainSpec._boundary_frame))
+        for name in ("_rho", "_radial", "boundary_point", "_boundary_frame"):
+            monkeypatch.setattr(DomainSpec, name, counted(getattr(DomainSpec, name)))
         monkeypatch.setattr(geometry, "_circle_crossings",
                             lambda *args: circles.append(args) or crossings(*args))
         optimal_epsilon(domain, seed.point, 1.0)
         assert len(circles) == 58
         assert geometry._centre_table.cache_info().misses == 1
-        assert sizes.count(4096) == 1 and sorted(sizes)[-2] < 4096
+        assert geometry._boundary_samples.cache_info().misses == samples
+        assert 0 < max(sizes) < 1024
         # The table is keyed on the spec, not the domain: an equal spec on
         # another grid shares it, and a new centre builds its own.
         boundary_arc_inside(build_domain(spec, 2.0 * h), seed.point, 0.3)
@@ -939,3 +950,79 @@ class TestCrossingFinder:
         centre[axis] = value
         with pytest.raises(ValueError, match="non-finite coordinate"):
             function(disk256, tuple(centre), 0.2)
+
+
+def _radial_frame(spec, t):
+    """(x, y, x', y') through `_radial`, rho'' and all: the reference for
+    `DomainSpec._boundary_frame`."""
+    t = np.asarray(t, dtype=float)
+    rho, drho, _ = spec._radial(t)
+    ct, st = np.cos(t), np.sin(t)
+    return rho * ct, rho * st, drho * ct - rho * st, drho * st + rho * ct
+
+
+def _reference_seed(spec):
+    """(param, curvature) of the seed from its own 2048-point curvature grid."""
+    t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+    kappa = spec.curvature(t)
+    i = int(np.argmax(kappa))
+    lo, hi, _ = geometry._golden_section(lambda u: float(spec.curvature(u)), t[i] - t[1],
+                                         t[i] + t[1], 60, key=lambda k: -k)
+    polished = float(spec.curvature(0.5 * (lo + hi)))
+    if polished > kappa[i] + 1e-12:
+        return (0.5 * (lo + hi)) % (2.0 * math.pi), polished
+    return float(t[i]), float(kappa[i])
+
+
+def _random_fourier_shapes(count, seed):
+    rng = np.random.default_rng(seed)
+    return [DomainSpec.fourier(1.0, rng.uniform(-0.06, 0.06, rng.integers(0, 4)),
+                               rng.uniform(-0.06, 0.06, rng.integers(1, 4)))
+            for _ in range(count)]
+
+
+SAMPLED_SHAPES = [pytest.param(p.values[0], id=p.id) for p in CATALOG] + [
+    pytest.param(spec, id=f"random-{k}") for k, spec in enumerate(_random_fourier_shapes(4, 41))]
+
+
+class TestSharedSamples:
+    # Every reader of the spec's 4096 shared boundary samples gets the
+    # floats that its own direct evaluation gives, bit for bit.
+
+    @pytest.mark.parametrize("spec", SAMPLED_SHAPES)
+    def test_readers_match_direct_evaluations(self, spec):
+        geometry._boundary_samples.cache_clear()
+        geometry._centre_table.cache_clear()
+        h = spec.min_feature_size() / 8.0
+        domain = build_domain(spec, h)
+        t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+        bx, by, tx, ty = spec._boundary_frame(t)
+        assert domain.measure == math.pi * float(np.mean(bx * ty - by * tx))
+        xmin, ymin = float(np.min(bx)) - 3.0 * h, float(np.min(by)) - 3.0 * h
+        assert (domain.xmin, domain.ymin, domain.nx, domain.ny) == (
+            xmin, ymin, math.ceil((float(np.max(bx)) + 3.0 * h - xmin) / h),
+            math.ceil((float(np.max(by)) + 3.0 * h - ymin) / h))
+        sx, sy = spec.boundary_point(np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False))
+        assert domain.diameter == math.sqrt(geometry._largest_squared_distance(sx, sy))
+        seed = max_curvature_seed(domain)
+        assert (seed.param, seed.curvature) == _reference_seed(spec)
+        x, y = spec.boundary_point(np.arange(4096) * geometry._SCAN_STEP)
+        for ax, ay in (seed.point, (0.3, -0.2)):
+            d = np.square(x - ax) + np.square(y - ay)
+            assert geometry._centre_table(spec, ax, ay)[0].tobytes() == np.append(d, d[0]).tobytes()
+
+    @pytest.mark.parametrize("spec", SAMPLED_SHAPES)
+    def test_samples_match_the_points_and_curvature(self, spec):
+        t = np.arange(4096) * geometry._SCAN_STEP
+        samples = geometry._boundary_samples(spec)[0]
+        for got, want in zip(samples, (*spec.boundary_point(t), spec.curvature(t))):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", SAMPLED_SHAPES)
+    def test_frame_without_rho_second_keeps_the_bits(self, spec):
+        rng = np.random.default_rng(43)
+        for t in (0.0, float(rng.uniform(-7.0, 7.0)), rng.uniform(-7.0, 7.0, 2),
+                  rng.uniform(-7.0, 7.0, 256), np.arange(4096) * geometry._SCAN_STEP):
+            for got, want in zip(spec._boundary_frame(t), _radial_frame(spec, t)):
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
