@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -482,7 +483,9 @@ def _parse_overrides(tokens):
     return overrides
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bv-sharp",
         description="Sharp BV Poincare-Sobolev constants: certificates, sweeps, solver runs.",
@@ -493,7 +496,11 @@ def main(argv=None) -> int:
     parser.add_argument("task", nargs="?", choices=TASKS, help="experiment task to run")
     parser.add_argument("--config", type=Path, help="flat key = value config file")
     parser.add_argument("--out", help="output directory (overrides config)")
-    args, extra = parser.parse_known_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args, extra = _parser().parse_known_args(argv)
 
     try:
         values = {}

@@ -19,7 +19,9 @@ the validation, the measure (Green's theorem, trapezoid rule on every
 second sample), the diameter (every fourth), the curvature seed and the
 crossing finder's tables.  Curvature is never differenced from the grid:
 it comes from the closed forms of rho, rho' and rho''.  The crossing
-finder's own boundary evaluations take rho and rho' alone.
+finder's own boundary evaluations take rho and rho' alone.  At one point
+(a Newton step, the seed's polish) the boundary is evaluated on Python
+floats, which give the bits of numpy's functions without their cost per call.
 
 The two quadrature operations that feed certificate-grade numbers are
 
@@ -56,6 +58,7 @@ import functools
 import itertools
 import math
 import operator
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +77,23 @@ __all__ = [
     "boundary_arc_inside",
     "boundary_arc_expansion",
 ]
+
+# What `_radial` and `_boundary_frame` evaluate with on a float t, without
+# numpy's cost per call.  math.cos and math.sin give np.cos's and np.sin's
+# bits (tests check it); math.hypot rounds unlike np.hypot, so the ellipse
+# keeps numpy's.
+_FLOATS = types.SimpleNamespace(
+    cos=math.cos, sin=math.sin, full_like=lambda t, value: value,
+    hypot=lambda x, y: float(np.hypot(x, y)))
+
+
+def _library(t):
+    """(functions, t): `_FLOATS` and float(t) for a float t, else numpy and
+    t as a float array."""
+    if isinstance(t, float):
+        return _FLOATS, float(t)
+    return np, np.asarray(t, dtype=float)
+
 
 class DomainBuildError(ValueError):
     """Raised when a DomainSpec cannot produce a valid C^2 domain."""
@@ -143,27 +163,28 @@ class DomainSpec:
     def _radial(self, t, second=True, trig=None):
         """(rho(t), rho'(t), rho''(t)), each harmonic's cos and sin taken once;
         rho equals `_rho(t)` bit for bit, the derivatives are shaped like t.
-        With second=False the tuple stops at rho'; trig is (cos t, sin t) if known."""
-        t = np.asarray(t, dtype=float)
+        With second=False the tuple stops at rho'; trig is (cos t, sin t) if known.
+        A float t (np.float64 too) gives floats, by the same formulas in the same order."""
+        lib, t = _library(t)
         if self.kind == "disk":
-            zero = np.zeros_like(t)
+            zero = lib.full_like(t, 0.0)
             return (self.r, zero, zero)[:2 + second]
         if self.kind == "ellipse":
             # rho = a b D^(-1/2), D = b^2 + (a^2 - b^2) sin^2 t; d1 = D'/D, d2 = D''/D.
-            cos, sin = trig or (np.cos(t), np.sin(t))
-            rho = self.a * self.b / np.hypot(self.b * cos, self.a * sin)
+            cos, sin = trig or (lib.cos(t), lib.sin(t))
+            rho = self.a * self.b / lib.hypot(self.b * cos, self.a * sin)
             spread = self.a * self.a - self.b * self.b
             d0 = self.b * self.b + spread * sin ** 2
-            d1 = spread * np.sin(2.0 * t) / d0
+            d1 = spread * lib.sin(2.0 * t) / d0
             if not second:
                 return rho, -0.5 * rho * d1
-            d2 = 2.0 * spread * np.cos(2.0 * t) / d0
+            d2 = 2.0 * spread * lib.cos(2.0 * t) / d0
             return rho, -0.5 * rho * d1, rho * (0.75 * d1 * d1 - 0.5 * d2)
         if self.kind == "fourier":
-            harmonics = [trig or (np.cos(t), np.sin(t))] + [
-                (np.cos(k * t), np.sin(k * t))
+            harmonics = [trig or (lib.cos(t), lib.sin(t))] + [
+                (lib.cos(k * t), lib.sin(k * t))
                 for k in range(2, max(len(self.cos_coeffs), len(self.sin_coeffs)) + 1)]
-            rho, d1, d2 = np.full_like(t, self.r0), np.zeros_like(t), np.zeros_like(t)
+            rho, d1, d2 = lib.full_like(t, self.r0), lib.full_like(t, 0.0), lib.full_like(t, 0.0)
             for k, c in enumerate(self.cos_coeffs, start=1):
                 cos, sin = harmonics[k - 1]
                 rho = rho + c * cos
@@ -210,9 +231,10 @@ class DomainSpec:
         return np.arctan2(np.asarray(py, dtype=float), np.asarray(px, dtype=float))
 
     def _boundary_frame(self, t):
-        """(x, y, x', y'): the boundary point at t and its derivative in t."""
-        t = np.asarray(t, dtype=float)
-        ct, st = np.cos(t), np.sin(t)
+        """(x, y, x', y'): the boundary point at t and its derivative in t,
+        Python floats for a float t."""
+        lib, t = _library(t)
+        ct, st = lib.cos(t), lib.sin(t)
         if self.kind == "disk":  # rho' = 0, so x' = 0 - y: +0 at t = 0, where -y is -0
             x, y = self.r * ct, self.r * st
             return x, y, 0.0 - y, x
@@ -495,7 +517,12 @@ def _golden_section(f, lo: float, hi: float, iters: int, key):
 def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
     """Boundary point of maximal curvature, plus the 1/diameter audit bound.
 
-    Ties (constant curvature) resolve to the smallest parameter value.
+    Ties (constant curvature) resolve to the smallest parameter value.  The
+    polish evaluates kappa on Python floats, where the (...)^(3/2) of
+    `_polar_curvature` is C `pow`; the sampled grid takes numpy's vector
+    power, which differs from it in the last bit for about 5% of arguments
+    in (0.5, 2).  A polished and a sampled kappa at one t can thus differ by
+    an ulp, which the 1e-12 margin of the polish absorbs.
     """
     spec = domain.spec
     kappa = _boundary_samples(spec)[0][2][::2]  # at t = i step, i < 2048
@@ -651,34 +678,30 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
                    for half in ((t0, m, f0, g), (m, t1, g, f1))]
 
     brackets.sort()
-    lo_t, hi_t = [b[0] for b in brackets], [b[1] for b in brackets]
     exits = [b[2] < 0.0 for b in brackets]
-    t = [t0 + (t1 - t0) * (f0 / (f0 - f1)) for t0, t1, f0, f1 in brackets]
-    found = [None] * len(t)
+    found = []
     growth = 0.5 * speed * (speed * speed / eps + bend)
-    active = list(range(len(t)))
-    while active:
-        frame = spec._boundary_frame(np.array([t[k] for k in active]))
-        still = []
-        for k, px, py, px1, py1 in zip(active, *(v.tolist() for v in frame)):
+    for (lo_t, hi_t, f0, f1), out in zip(brackets, exits):
+        t = lo_t + (hi_t - lo_t) * (f0 / (f0 - f1))
+        while True:
+            px, py, px1, py1 = spec._boundary_frame(t)
             dx, dy = px - ax, py - ay
             r = math.hypot(dx, dy)
-            if (r < eps) == exits[k]:
-                lo_t[k] = t[k]
+            if (r < eps) == out:
+                lo_t = t
             else:
-                hi_t[k] = t[k]
+                hi_t = t
             slope = (dx * px1 + dy * py1) / r
             step = (r - eps) / slope if slope else math.inf
-            newton = t[k] - step
-            if growth * step * step <= noise * abs(slope) and lo_t[k] <= newton <= hi_t[k]:
-                found[k] = (newton, px - step * px1, py - step * py1)
-                continue
-            found[k] = (t[k], px, py)
-            following = newton if lo_t[k] < newton < hi_t[k] else 0.5 * (lo_t[k] + hi_t[k])
-            if following != t[k]:  # a bracket narrowed to one float stops
-                t[k] = following
-                still.append(k)
-        active = still
+            newton = t - step
+            if growth * step * step <= noise * abs(slope) and lo_t <= newton <= hi_t:
+                found.append((newton, px - step * px1, py - step * py1))
+                break
+            following = newton if lo_t < newton < hi_t else 0.5 * (lo_t + hi_t)
+            if following == t:  # a bracket narrowed to one float stops
+                found.append((t, px, py))
+                break
+            t = following
     t, x, y = (list(v) for v in zip(*found)) if found else ([],) * 3
     return t, x, y, exits
 

@@ -123,22 +123,33 @@ class TestBuildDomain:
         # centre's table share the 4096 samples: a build, its seed and a
         # radius search take rho'' there once, and at single angles for the
         # seed's polish.  Every crossing frame takes rho and rho' alone.
+        # Single angles go in as floats, never as small arrays, whose numpy
+        # calls cost more than the arithmetic.
         for memo in (geometry._boundary_samples, geometry._centre_table,
                      geometry._circle_measures):
             memo.cache_clear()
-        calls = []
-        radial = DomainSpec._radial
+        calls, frames = [], []
+        radial, frame = DomainSpec._radial, DomainSpec._boundary_frame
 
         def counted(self, t, second=True, **kwargs):
-            calls.append((np.size(t), second))
+            calls.append((t, second))
             return radial(self, t, second, **kwargs)
 
+        def counted_frame(self, t):
+            frames.append(t)
+            return frame(self, t)
+
         monkeypatch.setattr(DomainSpec, "_radial", counted)
+        monkeypatch.setattr(DomainSpec, "_boundary_frame", counted_frame)
         domain = build_domain(
             DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)), 1 / 64)
         optimal_epsilon(domain, max_curvature_seed(domain).point, 1.0)
-        assert [size for size, second in calls if second and size > 1] == [4096]
-        assert 0 < max(size for size, second in calls if not second) < 1024
+        sizes = [(np.size(t), second) for t, second in calls]
+        assert [size for size, second in sizes if second and size > 1] == [4096]
+        assert 0 < max(size for size, second in sizes if not second) < 1024
+        for inputs in ([t for t, _ in calls], frames):
+            assert all(isinstance(t, float) or np.size(t) >= 256 for t in inputs)
+            assert any(isinstance(t, float) for t in inputs)
 
 
 def _all_pairs_squared_diameter(spec):
@@ -1024,5 +1035,35 @@ class TestSharedSamples:
         for t in (0.0, float(rng.uniform(-7.0, 7.0)), rng.uniform(-7.0, 7.0, 2),
                   rng.uniform(-7.0, 7.0, 256), np.arange(4096) * geometry._SCAN_STEP):
             for got, want in zip(spec._boundary_frame(t), _radial_frame(spec, t)):
-                assert type(got) is type(want)
+                # A float t gives floats: Python's, or numpy's where the spec's
+                # coefficients are numpy floats (the random shapes).
+                assert isinstance(got, float) if isinstance(t, float) else type(got) is type(want)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestFloatPath:
+    # At one float t the boundary is evaluated with math's functions: the
+    # same formulas in the same order as on an array, and the same bits.
+
+    def test_math_trigonometry_matches_numpy(self):
+        x = np.random.default_rng(47).uniform(-8.0, 8.0, 100_000)
+        for name in ("cos", "sin"):
+            want = getattr(np, name)(x)
+            got = np.array([getattr(math, name)(v) for v in x.tolist()])
+            assert got.tobytes() == want.tobytes(), (
+                f"math.{name} differs from np.{name} of numpy {np.__version__} at "
+                f"{np.count_nonzero(got != want)} of {x.size} float64 arguments")
+
+    @pytest.mark.parametrize("spec", SAMPLED_SHAPES)
+    def test_float_matches_array_bits(self, spec):
+        rng = np.random.default_rng(53)
+        points = [0.0, *rng.uniform(-7.0, 7.0, 1000).tolist(),
+                  *(np.arange(4096) * (2.0 * math.pi / 4096)).tolist()]
+        for t in points + [np.float64(t) for t in points[::64]]:
+            array = np.asarray(t)
+            for got, want in [(spec._radial(t), spec._radial(array)),
+                              (spec._radial(t, False), spec._radial(array, False)),
+                              (spec._boundary_frame(t), spec._boundary_frame(array)),
+                              ((spec.curvature(t),), (spec.curvature(array),))]:
+                assert all(isinstance(v, float) for v in got)
+                assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes(), t
