@@ -3,11 +3,11 @@
 Every supported shape (disk, ellipse, boundary given by a Fourier radius
 function) is star-shaped with respect to the origin, so one boundary
 model serves them all: the polar curve rho(t) (cos t, sin t) in the polar
-angle t.  Only the radial function rho and its first two derivatives
-differ per shape; the boundary point, tangent, curvature, the exact
-inside test |p| < rho(angle of p) and the radial gap each have a single
-code path, except that the disk's radial gap skips the polar angle of p,
-which its constant rho ignores.  A "square" spec is recognized only to be
+angle t.  Only the radial function rho differs per shape; every boundary
+quantity (point, tangent, curvature, the exact inside test |p| < rho(angle
+of p), the radial gap) comes from its one evaluator `_radial`, except that
+the disk's frame and radial gap read its constant rho = r directly, the
+latter without the polar angle of p.  A "square" spec is recognized only to be
 rejected: its corners have no curvature, so it fails the C^2 requirement
 that every expansion here relies on.
 
@@ -123,46 +123,29 @@ class DomainSpec:
     cos_coeffs: tuple = ()
     sin_coeffs: tuple = ()
 
+    # Python floats, so that one-point evaluations run float arithmetic.
     @staticmethod
     def disk(r: float = 1.0) -> "DomainSpec":
-        return DomainSpec(kind="disk", r=r)
+        return DomainSpec(kind="disk", r=float(r))
 
     @staticmethod
     def ellipse(a: float, b: float) -> "DomainSpec":
-        return DomainSpec(kind="ellipse", a=a, b=b)
+        return DomainSpec(kind="ellipse", a=float(a), b=float(b))
 
     @staticmethod
     def fourier(r0: float, cos_coeffs=(), sin_coeffs=()) -> "DomainSpec":
         return DomainSpec(
             kind="fourier",
-            r0=r0,
-            cos_coeffs=tuple(cos_coeffs),
-            sin_coeffs=tuple(sin_coeffs),
+            r0=float(r0),
+            cos_coeffs=tuple(map(float, cos_coeffs)),
+            sin_coeffs=tuple(map(float, sin_coeffs)),
         )
 
     # ----- radial function ------------------------------------------------
 
-    def _rho(self, t):
-        """rho(t) alone: the inside test and the radial gap need nothing else.
-
-        The disk returns the scalar r, which broadcasts against t.
-        """
-        if self.kind == "disk":
-            return self.r
-        if self.kind == "ellipse":
-            return self.a * self.b / np.hypot(self.b * np.cos(t), self.a * np.sin(t))
-        if self.kind == "fourier":
-            rho = np.full_like(np.asarray(t, dtype=float), self.r0)
-            for k, c in enumerate(self.cos_coeffs, start=1):
-                rho = rho + c * np.cos(k * t)
-            for k, s in enumerate(self.sin_coeffs, start=1):
-                rho = rho + s * np.sin(k * t)
-            return rho
-        raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
-
     def _radial(self, t, second=True, trig=None):
         """(rho(t), rho'(t), rho''(t)), each harmonic's cos and sin taken once;
-        rho equals `_rho(t)` bit for bit, the derivatives are shaped like t.
+        the disk's rho is the scalar r, the derivatives are shaped like t.
         With second=False the tuple stops at rho'; trig is (cos t, sin t) if known.
         A float t (np.float64 too) gives floats, by the same formulas in the same order."""
         lib, t = _library(t)
@@ -222,9 +205,8 @@ class DomainSpec:
     # ----- boundary parameterization (polar angle t) ----------------------
 
     def boundary_point(self, t):
-        t = np.asarray(t, dtype=float)
-        rho = self._rho(t)
-        return rho * np.cos(t), rho * np.sin(t)
+        """(x, y) at t, Python floats for a float t."""
+        return self._boundary_frame(t)[:2]
 
     def boundary_param(self, px, py):
         """Boundary parameter, the polar angle in (-pi, pi], of points on the curve."""
@@ -261,7 +243,7 @@ class DomainSpec:
         py = np.asarray(py, dtype=float)
         if self.kind == "disk":
             return np.hypot(px, py) - self.r
-        return np.hypot(px, py) - self._rho(np.arctan2(py, px))
+        return np.hypot(px, py) - self._radial(np.arctan2(py, px), second=False)[0]
 
     def validate(self) -> float:
         """Check finite/closed/simple/C^2 by dense sampling; raise DomainBuildError.
@@ -345,14 +327,14 @@ def _boundary_samples(spec: DomainSpec):
 # GridDomain
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridDomain:
     """The analytic spec placed on a grid of cell size h, with its measure
-    and diameter.
+    and diameter (the largest distance between 1024 boundary samples, a
+    lower bound).
 
     The interior mask of the cell centres is built on first read: only the
     TV solver reads it, and the certificates never pay for the raster.
-    Immutable after construction; every query below is read-only.
     """
 
     spec: DomainSpec
@@ -361,30 +343,18 @@ class GridDomain:
     ymin: float
     nx: int
     ny: int
-    measure: float = 0.0
-    _diameter: float = 0.0
-
-    @property
-    def xs(self):
-        return self.xmin + (np.arange(self.nx) + 0.5) * self.h
-
-    @property
-    def ys(self):
-        return self.ymin + (np.arange(self.ny) + 0.5) * self.h
+    measure: float
+    diameter: float
 
     @functools.cached_property
     def interior_mask(self) -> np.ndarray:
         """The exact inside test at the cell centres, shape (ny, nx)."""
         return self.spec.is_inside(*self.cell_centers())
 
-    @property
-    def diameter(self) -> float:
-        """Largest distance between 1024 boundary samples: a lower bound."""
-        return self._diameter
-
     def cell_centers(self):
-        gx, gy = np.meshgrid(self.xs, self.ys)
-        return gx, gy
+        """The cell centres' coordinates (gx, gy), each of shape (ny, nx)."""
+        return np.meshgrid(self.xmin + (np.arange(self.nx) + 0.5) * self.h,
+                           self.ymin + (np.arange(self.ny) + 0.5) * self.h)
 
 
 # The diameter's 1024 boundary samples are cut into blocks of 16
@@ -455,7 +425,7 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
 
     return GridDomain(
         spec=spec, h=h, xmin=xmin, ymin=ymin, nx=nx, ny=ny, measure=measure,
-        _diameter=math.sqrt(_largest_squared_distance(x[::4], y[::4])),
+        diameter=math.sqrt(_largest_squared_distance(x[::4], y[::4])),
     )
 
 
@@ -740,14 +710,8 @@ def _green_boundary_integral(spec: DomainSpec, ax: float, ay: float, t0, t1):
 # cap and the arc of a circle one after the other.
 @functools.lru_cache(maxsize=1)
 def _circle_measures(spec: DomainSpec, ax: float, ay: float, eps: float):
-    """What the cap and the inside arc of the circle dB(a, eps) are made of.
-
-    Returns (angle, boundary, alone).  With crossings, angle is the total
-    angular width of the arcs of dB inside Omega, boundary the integral of
-    `_green_boundary_integral` over the pieces of dOmega inside B, and
-    alone is None.  Without one, angle and boundary are 0.0 and alone
-    names the case: "circle" when dB lies in Omega, "domain" when Omega
-    lies in B, "apart" when the two are disjoint.
+    """(cap, arc): the area of Omega n B(a, eps) and the length of dB(a, eps)
+    inside Omega, as `cap_measure` and `boundary_arc_inside` describe them.
 
     A piece of dOmega inside B runs from an entry to the next crossing in t,
     an exit.  Omega lies left of dOmega, so an arc of dB inside Omega runs
@@ -755,9 +719,11 @@ def _circle_measures(spec: DomainSpec, ax: float, ay: float, eps: float):
     """
     t, x, y, exits = _circle_crossings(spec, ax, ay, eps)
     if not t:
-        if _centre_table(spec, ax, ay)[0][0] < eps * eps:
-            return 0.0, 0.0, "domain"
-        return 0.0, 0.0, "circle" if spec.is_inside(ax, ay) else "apart"
+        if _centre_table(spec, ax, ay)[0][0] < eps * eps:  # Omega inside B
+            return _boundary_samples(spec)[2], 0.0
+        if spec.is_inside(ax, ay):  # dB inside Omega
+            return math.pi * eps * eps, 2.0 * math.pi * eps
+        return 0.0, 0.0
     # Each arc's width is the angle between the radii to its ends, which
     # keeps its relative accuracy where the width is small.
     radii = sorted((math.atan2(py - ay, px - ax), px - ax, py - ay, out)
@@ -766,7 +732,8 @@ def _circle_measures(spec: DomainSpec, ax: float, ay: float, eps: float):
                       for (_, ux, uy, out), (_, vx, vy, _) in zip(radii, radii[1:] + radii[:1])
                       if out)
     pieces = [(t0, t1) for t0, t1, out in zip(t, t[1:] + [t[0] + 2.0 * math.pi], exits) if not out]
-    return angle, _green_boundary_integral(spec, ax, ay, *zip(*pieces)), None
+    boundary = _green_boundary_integral(spec, ax, ay, *zip(*pieces))
+    return 0.5 * eps * eps * angle + 0.5 * boundary, eps * angle
 
 
 def cap_measure(domain: GridDomain, a, eps: float) -> float:
@@ -782,11 +749,7 @@ def cap_measure(domain: GridDomain, a, eps: float) -> float:
     boundaries supported here.  Without a crossing the area is pi eps^2
     (circle inside Omega), the measure (Omega inside B) or 0 (disjoint).
     """
-    ax, ay = _checked_centre(a, eps)
-    angle, boundary, alone = _circle_measures(domain.spec, ax, ay, eps)
-    if alone is None:
-        return 0.5 * eps * eps * angle + 0.5 * boundary
-    return {"circle": math.pi * eps * eps, "domain": domain.measure, "apart": 0.0}[alone]
+    return _circle_measures(domain.spec, *_checked_centre(a, eps), eps)[0]
 
 
 def cap_measure_expansion(H: float, eps: float, n: int) -> float:
@@ -814,11 +777,7 @@ def boundary_arc_inside(domain: GridDomain, a, eps: float) -> float:
     portion of the cap boundary running along dOmega carries no
     gradient mass inside the domain and is excluded.
     """
-    ax, ay = _checked_centre(a, eps)
-    angle, _, alone = _circle_measures(domain.spec, ax, ay, eps)
-    if alone is None:
-        return eps * angle
-    return 2.0 * math.pi * eps if alone == "circle" else 0.0
+    return _circle_measures(domain.spec, *_checked_centre(a, eps), eps)[1]
 
 
 def boundary_arc_expansion(H: float, eps: float, n: int) -> float:

@@ -217,6 +217,10 @@ RADIAL_SHAPES = [
     DomainSpec.ellipse(2.4, 1.0),
     DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)),
 ]
+FORMULA_SHAPES = pytest.mark.parametrize("spec", RADIAL_SHAPES + [
+    DomainSpec.fourier(0.9, cos_coeffs=(0.02, -0.05, 0.01)),
+    DomainSpec.fourier(1.1, sin_coeffs=(0.03, 0.0, -0.02, 0.01)),
+], ids=["disk", "ellipse", "fourier", "cos-only", "sin-only"])
 
 
 class TestRadialModel:
@@ -236,22 +240,38 @@ class TestRadialModel:
         t = np.linspace(0.0, 2.0 * math.pi, 97)
         _, d1, d2 = spec._radial(t)
         assert d1.shape == d2.shape == t.shape
+
+        def rho(s):
+            return spec._radial(s, second=False)[0]
+
         step = 1e-5
-        central = (spec._rho(t + step) - spec._rho(t - step)) / (2.0 * step)
+        central = (rho(t + step) - rho(t - step)) / (2.0 * step)
         np.testing.assert_allclose(d1, central, rtol=0.0, atol=1e-7)
         step = 1e-4
-        second = (spec._rho(t + step) - 2.0 * spec._rho(t) + spec._rho(t - step)) / step**2
+        second = (rho(t + step) - 2.0 * rho(t) + rho(t - step)) / step**2
         np.testing.assert_allclose(d2, second, rtol=0.0, atol=1e-5)
 
-    @pytest.mark.parametrize("spec", RADIAL_SHAPES + [
-        DomainSpec.fourier(0.9, cos_coeffs=(0.02, -0.05, 0.01)),
-        DomainSpec.fourier(1.1, sin_coeffs=(0.03, 0.0, -0.02, 0.01)),
-    ], ids=["disk", "ellipse", "fourier", "cos-only", "sin-only"])
+    @FORMULA_SHAPES
     def test_radial_equals_separate_formulas(self, spec):
         # One trigonometric pass gives the bits of the separate formulas.
         t = np.random.default_rng(5).uniform(-4.0 * math.pi, 4.0 * math.pi, 4099)
         for point in (t, float(t[0])):
             got, want = spec._radial(point), _reference_radial(spec, point)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @FORMULA_SHAPES
+    def test_point_and_gap_equal_separate_formulas(self, spec):
+        # The boundary point and the radial gap read rho from `_radial`,
+        # with the bits of rho's own formula.
+        rng = np.random.default_rng(7)
+        t = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 4099)
+        px, py = rng.uniform(-3.0, 3.0, (2, 4099))
+        for point, x, y in ((t, px, py), (float(t[0]), float(px[0]), float(py[0]))):
+            rho = _reference_radial(spec, point)[0]
+            want = (rho * np.cos(point), rho * np.sin(point),
+                    np.hypot(x, y) - _reference_radial(spec, np.arctan2(y, x))[0])
+            got = (*spec.boundary_point(point), spec.radial_gap(x, y))
             for a, b in zip(got, want):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
@@ -704,7 +724,7 @@ class TestCrossingFinder:
                 return function(self, t, **kwargs)
             return wrapper
 
-        for name in ("_rho", "_radial", "boundary_point", "_boundary_frame"):
+        for name in ("_radial", "boundary_point", "_boundary_frame"):
             monkeypatch.setattr(DomainSpec, name, counted(getattr(DomainSpec, name)))
         monkeypatch.setattr(geometry, "_circle_crossings",
                             lambda *args: circles.append(args) or crossings(*args))
@@ -1035,9 +1055,9 @@ class TestSharedSamples:
         for t in (0.0, float(rng.uniform(-7.0, 7.0)), rng.uniform(-7.0, 7.0, 2),
                   rng.uniform(-7.0, 7.0, 256), np.arange(4096) * geometry._SCAN_STEP):
             for got, want in zip(spec._boundary_frame(t), _radial_frame(spec, t)):
-                # A float t gives floats: Python's, or numpy's where the spec's
-                # coefficients are numpy floats (the random shapes).
-                assert isinstance(got, float) if isinstance(t, float) else type(got) is type(want)
+                # A float t gives Python floats, also for the random shapes,
+                # whose coefficients were given as numpy floats.
+                assert type(got) is float if isinstance(t, float) else type(got) is type(want)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
@@ -1053,6 +1073,24 @@ class TestFloatPath:
             assert got.tobytes() == want.tobytes(), (
                 f"math.{name} differs from np.{name} of numpy {np.__version__} at "
                 f"{np.count_nonzero(got != want)} of {x.size} float64 arguments")
+
+    @pytest.mark.parametrize("make, args", [
+        (DomainSpec.disk, (1.3,)), (DomainSpec.ellipse, (2.4, 1)),
+        (DomainSpec.fourier, (1.0, (0.0, 0.15), (0.05,))),
+        (DomainSpec.fourier, (0.9, (0.02, -0.05, 0.01), ())),
+    ], ids=["disk", "ellipse", "fourier", "cos-only"])
+    def test_numpy_parameters_are_stored_as_floats(self, make, args):
+        spec = make(*(np.array(a, dtype=float) if isinstance(a, tuple) else np.float64(a)
+                      for a in args))
+        reference = make(*args)
+        values = [spec.r, spec.a, spec.b, spec.r0, *spec.cos_coeffs, *spec.sin_coeffs]
+        assert all(type(v) is float for v in values)
+        assert spec == reference
+        t = np.random.default_rng(59).uniform(-7.0, 7.0, 257)
+        for point in (t, float(t[0]), np.float64(t[1])):
+            for got, want in zip(spec._radial(point), reference._radial(point)):
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("spec", SAMPLED_SHAPES)
     def test_float_matches_array_bits(self, spec):
