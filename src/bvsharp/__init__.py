@@ -33,7 +33,6 @@ from .geometry import (
     max_curvature_seed,
 )
 from .profiles import (
-    CertificateResult,
     QuotientValue,
     achievability_certificate,
     beta_eps,

@@ -28,16 +28,6 @@ from . import asymptotics, constants, geometry, profiles, solver, surfaces
 
 SCHEMA_VERSION = 1
 
-TASKS = (
-    "constants",
-    "domain-certificate",
-    "domain-sweep",
-    "solve",
-    "surface-classify",
-    "sphere-certificate",
-    "expansion-audit",
-)
-
 _CSV_COLUMNS_DOC = """\
 detail.csv columns per task:
   constants           n, omega_n, c_star, c_half
@@ -259,21 +249,20 @@ def _task_sphere_certificate(config: ExperimentConfig):
 
 def _task_domain_certificate(config: ExperimentConfig):
     domain = geometry.build_domain(config.domain_spec(), config.h)
-    result = profiles.achievability_certificate(domain, config.q)
+    center, eps, exact = profiles.achievability_certificate(domain, config.q)
+    gap = exact.threshold - exact.value  # not -gap_to_threshold, which reads -0.0 on a tie
+    achieved = exact.gap_to_threshold < 0
     summary = {
-        "best_quotient": result.exact.value,
-        "threshold": result.exact.threshold,
-        "gap": result.gap,
-        "achieved": result.achieved,
+        "best_quotient": exact.value,
+        "threshold": exact.threshold,
+        "gap": gap,
+        "achieved": achieved,
         "theorem": "Prop 3.1",
-        "flag": result.flag,
-        "witness": result.witness,
+        "flag": "achieved (Prop 3.1 + Prop 3.5)" if achieved else "not certified",
+        "witness": {"center": list(center), "eps": eps, "q": config.q,
+                    "quotient": exact.value, "threshold": exact.threshold},
     }
-    rows = [[
-        config.q, result.exact.value, result.exact.threshold, result.gap,
-        result.achieved, result.witness["center"][0], result.witness["center"][1],
-        result.witness["eps"],
-    ]]
+    rows = [[config.q, exact.value, exact.threshold, gap, achieved, *center, eps]]
     header = ["q", "best_quotient", "threshold", "gap", "achieved",
               "center_x", "center_y", "eps"]
     return summary, header, rows
@@ -417,13 +406,14 @@ def expansion_audit(config: ExperimentConfig):
 
 _RUNNERS = {
     "constants": _task_constants,
-    "sphere-certificate": _task_sphere_certificate,
     "domain-certificate": _task_domain_certificate,
     "domain-sweep": _task_domain_sweep,
     "solve": _task_solve,
     "surface-classify": _task_surface_classify,
+    "sphere-certificate": _task_sphere_certificate,
     "expansion-audit": expansion_audit,
 }
+TASKS = tuple(_RUNNERS)  # in this order in --help and in error messages
 
 
 # --------------------------------------------------------------------------

@@ -456,7 +456,6 @@ class MaxCurvatureSeed:
     point: tuple
     param: float
     curvature: float
-    diameter: float
     curvature_lower_bound: float  # 1/diam; the boundedness argument for H > 0
 
 
@@ -513,7 +512,6 @@ def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
         point=(float(bx), float(by)),
         param=t_best,
         curvature=k_best,
-        diameter=domain.diameter,
         curvature_lower_bound=1.0 / domain.diameter,
     )
 

@@ -56,7 +56,6 @@ __all__ = [
     "surface_quotient_expansion",
     "critical_quotient_expansion",
     "optimal_epsilon",
-    "CertificateResult",
     "achievability_certificate",
 ]
 
@@ -355,38 +354,14 @@ def optimal_epsilon(domain: GridDomain, a, q: float, coarse: int = 16, golden_it
 # certificates
 
 
-@dataclass(frozen=True)
-class CertificateResult:
-    gap: float
-    achieved: bool
-    flag: str
-    witness: dict
-    exact: QuotientValue
-
-
-def achievability_certificate(domain: GridDomain, q: float) -> CertificateResult:
+def achievability_certificate(domain: GridDomain, q: float):
     """Certify that the sharp constant of the domain problem is attained.
 
     The witness is the best two-valued cap at the maximum-curvature
-    boundary point (`optimal_epsilon`, exact quadrature);
-    gap = half-space constant minus its quotient, and achieved means
-    the gap is positive.
+    boundary point (`optimal_epsilon`, exact quadrature).  Returns
+    (center, eps, QuotientValue); the certificate holds where the
+    quotient's gap_to_threshold is negative.
     """
-    seed_point = max_curvature_seed(domain).point
-    best_eps, exact = optimal_epsilon(domain, seed_point, q)
-    threshold = exact.threshold
-    achieved = exact.value < threshold
-    witness = {
-        "center": [seed_point[0], seed_point[1]],
-        "eps": best_eps,
-        "q": q,
-        "quotient": exact.value,
-        "threshold": threshold,
-    }
-    return CertificateResult(
-        gap=threshold - exact.value,
-        achieved=achieved,
-        flag="achieved (Prop 3.1 + Prop 3.5)" if achieved else "not certified",
-        witness=witness,
-        exact=exact,
-    )
+    center = max_curvature_seed(domain).point
+    eps, exact = optimal_epsilon(domain, center, q)
+    return center, eps, exact

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridDomain, max_curvature_seed
-from .profiles import optimal_epsilon, shift_to_constraint, sign_power
+from .geometry import GridDomain
+from .profiles import achievability_certificate, shift_to_constraint, sign_power
 
 __all__ = [
     "GridFunction",
@@ -269,8 +269,8 @@ def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> Consta
     """Upper-bound search for the sharp constant on a grid domain.
 
     One descent of at most `budget` iterations from the best two-valued
-    profile (radius from `optimal_epsilon`, whose quotient raises
-    ValueError unless 0 < q < 2), stopped early after _PATIENCE
+    profile of `achievability_certificate`, whose quotient raises
+    ValueError unless 0 < q < 2, stopped early after _PATIENCE
     iterations without improvement.  Every reduction in the loop is a
     numpy pairwise sum, never a BLAS call, whose split across threads
     would change the rounding; so the history is bitwise identical
@@ -279,8 +279,7 @@ def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> Consta
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
 
-    seed_point = max_curvature_seed(domain).point
-    seed_eps, seed_qv = optimal_epsilon(domain, seed_point, q)  # checks q
+    seed_point, seed_eps, seed_qv = achievability_certificate(domain, q)  # checks q
     u_seed = rasterize_two_valued(domain, seed_point, seed_eps, seed_qv.beta)
 
     mask = domain.interior_mask

@@ -202,13 +202,10 @@ class SurfaceModel:
         """theta-theta metric coefficient of the spheroid meridian."""
         return self.a**2 * np.cos(theta) ** 2 + self.c**2 * np.sin(theta) ** 2
 
-    def gaussian_curvature(self, point) -> float:
-        if self.kind == "sphere":
-            return 1.0 / self.r**2
-        if self.kind == "flat-torus":
-            return 0.0
-        theta = float(point[0])
-        return float(self.c**2 / self._metric_E(theta) ** 2)
+    def _spheroid_scalar_curvature(self, E):
+        """S = 2 c^2 / E^2 on the spheroid, E = `_metric_E` of the polar angle.  E**2, not
+        E * E: on a scalar it is C `pow`, which can differ from E * E in the last bit."""
+        return 2.0 * self.c**2 / E**2
 
     def curvature_range(self):
         """(S_min, S_max, argmax point) of the scalar curvature."""
@@ -248,7 +245,11 @@ def _meridian_integrals(integrand):
 
 def scalar_curvature(surface: SurfaceModel, point) -> float:
     """Scalar curvature S(p) = 2 K(p) (so that int_M S = 4 pi chi)."""
-    return 2.0 * surface.gaussian_curvature(point)
+    if surface.kind == "sphere":
+        return 2.0 / surface.r**2
+    if surface.kind == "flat-torus":
+        return 0.0
+    return float(surface._spheroid_scalar_curvature(surface._metric_E(float(point[0]))))
 
 
 # --------------------------------------------------------------------------
@@ -619,8 +620,7 @@ def gauss_bonnet_check(surface: SurfaceModel):
             r = surface.r
             return (2.0 / r**2) * r * r * np.sin(th)
         E = surface._metric_E(th)
-        S = 2.0 * surface.c**2 / (E * E)
-        return S * surface.a * np.sin(th) * np.sqrt(E)
+        return surface._spheroid_scalar_curvature(E) * surface.a * np.sin(th) * np.sqrt(E)
 
     value, finer = _meridian_integrals(integrand)
     if not abs(value - finer) <= _GAUSS_BONNET_RTOL * target:
@@ -683,9 +683,7 @@ def classify_achievability(surface: SurfaceModel, q: float) -> AchievabilityVerd
     spread = s_max - s_min
     constant_curvature = spread <= 1e-12 * max(1.0, abs(s_max))
 
-    is_round_sphere = surface.kind == "sphere" or (
-        surface.euler_characteristic == 2 and constant_curvature and s_max > 0
-    )
+    is_round_sphere = surface.euler_characteristic == 2 and constant_curvature and s_max > 0
     if n == 2 and is_round_sphere:
         return AchievabilityVerdict(
             verdict="achieved",

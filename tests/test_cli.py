@@ -127,8 +127,12 @@ class TestRunTasks:
         summary = read_summary(tmp_path)
         assert summary["achieved"] is True
         assert summary["gap"] > 0
+        assert summary["gap"] == summary["witness"]["threshold"] - summary["best_quotient"]
         assert summary["theorem"] == "Prop 3.1"
+        assert summary["flag"] == "achieved (Prop 3.1 + Prop 3.5)"
         assert summary["threshold"] == pytest.approx(half_space_constant(2), rel=1e-12)
+        assert summary["witness"]["threshold"] == pytest.approx(half_space_constant(2),
+                                                                rel=1e-15, abs=0)
         # Any achieved report must ship a witness that revalidates through
         # the library.
         witness = summary["witness"]
@@ -355,17 +359,39 @@ GOLDEN_RUNS = {
 }
 
 
+def _output_digests(out_dir):
+    return [hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("summary.json", "detail.csv")]
+
+
 @pytest.mark.parametrize("task", sorted(GOLDEN_RUNS))
 def test_output_bytes_match_the_golden_digests(task, tmp_path):
     flags, summary_digest, detail_digest = GOLDEN_RUNS[task]
     assert main([task, "--out", str(tmp_path), *flags]) == 0
-    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("summary.json", "detail.csv")]
-    assert digests == [summary_digest, detail_digest]
+    assert _output_digests(tmp_path) == [summary_digest, detail_digest]
 
 
 def test_golden_runs_cover_every_task():
     assert sorted(GOLDEN_RUNS) == sorted(cli.TASKS)
+
+
+# Surfaces whose curvature no GOLDEN_RUNS entry reaches: the round sphere
+# (constant S = 2/r^2) and the flat torus (S = 0).
+CURVATURE_RUNS = {
+    "sphere": (["--surface", "sphere", "--q_list", "0.5,1,1.5"],
+               "64e364b3adf376bf90a33411eb4fcff00b3779156c8429d3b727cc4310550705",
+               "ca17e9211e6d1cd9ce4d5468861f433d9f6693b3e07af62712cbc6e8dbc5c3ee"),
+    "torus": (["--surface", "torus", "--L1", "0.5", "--L2", "1"],
+              "0660e76f19d0d9778170b555d6dc2f58fda04b84f7fa1609f5c55345923da1ae",
+              "1bdfc2319a59ae05f8e0312bde078fa196109559c9d70fcfadf427ee0b91c19b"),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(CURVATURE_RUNS))
+def test_surface_classify_bytes_match_the_curvature_digests(surface, tmp_path):
+    flags, summary_digest, detail_digest = CURVATURE_RUNS[surface]
+    assert main(["surface-classify", "--out", str(tmp_path), *flags]) == 0
+    assert _output_digests(tmp_path) == [summary_digest, detail_digest]
 
 
 class TestMainEntryPoint:

@@ -323,7 +323,7 @@ class TestMaxCurvatureSeed:
         seed = max_curvature_seed(ellipse256)
         assert seed.curvature == pytest.approx(2.0, rel=1e-9)
         assert seed.point == pytest.approx((2.0, 0.0), abs=1e-6)
-        assert seed.diameter == pytest.approx(4.0, rel=1e-4)
+        assert ellipse256.diameter == pytest.approx(4.0, rel=1e-4)
         assert seed.curvature_lower_bound == pytest.approx(0.25, rel=1e-3)
 
 

@@ -387,6 +387,37 @@ def _quarter_turns(cos_coeffs, sin_coeffs):
     return turns
 
 
+class TestAchievabilityCertificate:
+    def test_unit_disk_certificate(self, disk256):
+        _, _, exact = achievability_certificate(disk256, 1.0)
+        assert exact.gap_to_threshold < 0
+        assert exact.threshold - exact.value >= 0.07
+        assert exact.threshold == pytest.approx(C_HALF, rel=1e-15, abs=0)
+
+    def test_ellipse_witness_at_high_curvature_vertex(self, ellipse256):
+        (cx, cy), _, exact = achievability_certificate(ellipse256, 1.0)
+        assert exact.gap_to_threshold < 0
+        assert exact.threshold - exact.value > 0
+        assert abs(abs(cx) - 2.0) <= 1e-6 and abs(cy) <= 1e-6
+
+    def test_every_catalog_domain_certifies(self, disk256, ellipse256):
+        fourier = build_domain(
+            DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)), 1.0 / 128
+        )
+        cases = [(disk256, 0.5), (ellipse256, 1.5), (fourier, 1.0)]
+        for domain, q in cases:
+            _, _, exact = achievability_certificate(domain, q)
+            assert exact.gap_to_threshold < 0
+            assert exact.threshold - exact.value > 0
+
+    @pytest.mark.parametrize("q", [0.0, -0.5, 2.0, 3.0, math.nan])
+    def test_rejects_q_outside_the_exponent_range(self, disk128, q):
+        # q = 3 once certified with gap 1.581, and q = NaN gave a NaN
+        # quotient reported as "not certified".
+        with pytest.raises(ValueError, match="q must lie"):
+            achievability_certificate(disk128, q)
+
+
 class TestCertificateRotationInvariance:
     @pytest.mark.parametrize("q", [0.5, 1.0])
     def test_quarter_turns_give_the_same_gap(self, q):
@@ -398,12 +429,12 @@ class TestCertificateRotationInvariance:
             achievability_certificate(build_domain(DomainSpec.fourier(1.0, c, s), 1.0 / 128), q)
             for c, s in _quarter_turns((0.0, 0.15), (0.05,))
         ]
-        x, y = results[0].witness["center"]
-        for turns, result in enumerate(results[1:], start=1):
-            assert result.gap == pytest.approx(results[0].gap, rel=1e-9, abs=0)
+        (x, y), _, first = results[0]
+        for turns, ((cx, cy), _, exact) in enumerate(results[1:], start=1):
+            gap = exact.threshold - exact.value
+            assert gap == pytest.approx(first.threshold - first.value, rel=1e-9, abs=0)
             x, y = -y, x
             mirror = (x, -y) if turns % 2 else (-x, y)  # the axis turns too
-            cx, cy = result.witness["center"]
             assert min(math.hypot(cx - px, cy - py) for px, py in ((x, y), mirror)) <= 1e-7
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from bvsharp import (
     GridFunction,
-    achievability_certificate,
     ball_indicator,
     fit_remainder_order,
     grid_quotient,
@@ -329,37 +328,3 @@ class TestMinimizeQuotient:
         monkeypatch.setattr(solver, "rasterize_two_valued", lambda *args: constant)
         with pytest.raises(ValueError, match="all levels equal"):
             minimize_quotient(disk128, 1.0, budget=5)
-
-
-class TestAchievabilityCertificate:
-    def test_unit_disk_certificate(self, disk256):
-        result = achievability_certificate(disk256, 1.0)
-        assert result.achieved
-        assert result.gap >= 0.07
-        assert result.gap == result.witness["threshold"] - result.exact.value
-        assert result.flag == "achieved (Prop 3.1 + Prop 3.5)"
-        assert result.witness["threshold"] == pytest.approx(C_HALF, rel=1e-15, abs=0)
-
-    def test_ellipse_witness_at_high_curvature_vertex(self, ellipse256):
-        result = achievability_certificate(ellipse256, 1.0)
-        assert result.achieved
-        assert result.gap > 0
-        cx, cy = result.witness["center"]
-        assert abs(abs(cx) - 2.0) <= 1e-6 and abs(cy) <= 1e-6
-
-    def test_every_catalog_domain_certifies(self, disk256, ellipse256):
-        fourier = build_domain(
-            DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)), 1.0 / 128
-        )
-        cases = [(disk256, 0.5), (ellipse256, 1.5), (fourier, 1.0)]
-        for domain, q in cases:
-            result = achievability_certificate(domain, q)
-            assert result.achieved
-            assert result.gap > 0
-
-    @pytest.mark.parametrize("q", [0.0, -0.5, 2.0, 3.0, math.nan])
-    def test_rejects_q_outside_the_exponent_range(self, disk128, q):
-        # q = 3 once certified with gap 1.581, and q = NaN gave a NaN
-        # quotient reported as "not certified".
-        with pytest.raises(ValueError, match="q must lie"):
-            achievability_certificate(disk128, q)

@@ -68,6 +68,16 @@ class TestSurfaceModels:
         # K at the pole of a spheroid is c^2/a^4, so S = 2 c^2 / a^4.
         assert scalar_curvature(SPHEROID, (0.0, 0.0)) == pytest.approx(3.38, rel=1e-12)
 
+    @pytest.mark.parametrize("a, c", [(1.0, 1.3), (1.3, 1.0), (1.0, 0.8), (1.0, 0.2),
+                                      (1.0, 0.1), (1.0, 1.0), (2.5, 0.7), (0.3, 1.9),
+                                      (7.0, 3.0)])
+    def test_spheroid_curvature_is_the_closed_form_bit_for_bit(self, a, c):
+        # S = 2 c^2 / (a^2 cos^2 theta + c^2 sin^2 theta)^2, formed here on its own.
+        surface = SurfaceModel.spheroid(a, c)
+        for theta in np.linspace(0.0, math.pi, 1001):
+            E = a**2 * np.cos(theta) ** 2 + c**2 * np.sin(theta) ** 2
+            assert scalar_curvature(surface, (theta, 0.3)) == 2.0 * c**2 / E**2
+
     def test_torus_is_flat(self):
         assert scalar_curvature(TORUS, (0.3, 0.9)) == 0.0
         assert TORUS.euler_characteristic == 0
