@@ -13,7 +13,7 @@ that every expansion here relies on.
 
 A domain is described analytically (`DomainSpec`) and placed on a
 `GridDomain` with the spec, the grid, the measure and the diameter; its
-interior mask is built on first read, so only the TV solver pays for it.
+interior and pair masks are built on first read: only the TV solver pays.
 A spec's boundary is evaluated once, at 4096 samples of t, and read by
 the validation, the measure (Green's theorem, trapezoid rule on every
 second sample), the diameter (every fourth), the curvature seed and the
@@ -333,8 +333,8 @@ class GridDomain:
     and diameter (the largest distance between 1024 boundary samples, a
     lower bound).
 
-    The interior mask of the cell centres is built on first read: only the
-    TV solver reads it, and the certificates never pay for the raster.
+    The interior and stencil pair masks are built on first read: only the
+    TV solver reads them, and the certificates never pay for the raster.
     """
 
     spec: DomainSpec
@@ -350,6 +350,14 @@ class GridDomain:
     def interior_mask(self) -> np.ndarray:
         """The exact inside test at the cell centres, shape (ny, nx)."""
         return self.spec.is_inside(*self.cell_centers())
+
+    @functools.cached_property
+    def pair_masks(self):
+        """(px, py) flat: px[i] if cells i, i + 1 (one row) are interior, py[i] if i, i + nx."""
+        cells = self.interior_mask.ravel()
+        px = cells[1:] & cells[:-1]
+        px[self.nx - 1::self.nx] = False  # a row's last cell and the next row's first
+        return px, cells[self.nx:] & cells[:-self.nx]
 
     def cell_centers(self):
         """The cell centres' coordinates (gx, gy), each of shape (ny, nx)."""

@@ -75,19 +75,28 @@ class QuotientValue:
     beta: float
 
 
+def _check_exponent(q: float) -> None:
+    if not math.isfinite(q):
+        raise ValueError(f"exponent q must be finite, got {q}")
+    if q <= 0:
+        raise ValueError(f"exponent q must be positive, got {q}")
+
+
 def sign_power(t: float, q: float):
     """sgn(t) |t|^q, with the continuous extension 0 at t = 0.
 
     The extension matters for q < 1, where the raw |t|^(q-1) t form is
-    singular at the origin.
+    singular at the origin.  At q = 1 it is a copy of t, bit for bit.
     """
-    if q <= 0:
-        raise ValueError(f"exponent q must be positive, got {q}")
+    _check_exponent(q)
     t = np.asarray(t, dtype=float)
-    out = np.copysign(np.abs(t) ** q, t)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if q == 1.0:
+        out = t.copy()
+    else:  # one new array, raised and signed in place
+        out = np.abs(t, out=np.empty_like(t))
+        out **= q
+        np.copysign(out, t, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
 def beta_eps(total_measure: float, cap: float, q: float) -> float:
@@ -98,8 +107,7 @@ def beta_eps(total_measure: float, cap: float, q: float) -> float:
     Raises OverflowError, naming q and cap/total, when beta lies beyond
     the float range.
     """
-    if q <= 0:
-        raise ValueError(f"exponent q must be positive, got {q}")
+    _check_exponent(q)
     if not 0.0 < cap < total_measure:
         raise ValueError(
             f"cap measure must lie strictly between 0 and the total "
@@ -134,8 +142,7 @@ def shift_to_constraint(values, q: float) -> float:
     levels or measures, zero total measure and equal levels raise.
     """
     levels, measures = _as_level_arrays(values)
-    if q <= 0:
-        raise ValueError(f"exponent q must be positive, got {q}")
+    _check_exponent(q)
     lo = float(np.min(levels))
     hi = float(np.max(levels))
     if not (math.isfinite(lo) and math.isfinite(hi)):

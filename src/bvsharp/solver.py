@@ -18,7 +18,8 @@ constant).  The shift is `profiles.shift_to_constraint` on the interior
 levels with the common cell measure h^2: the mean at q = 1, otherwise
 Illinois regula falsi warm-started on a narrow bracket around 0, since
 the previous iterate was feasible; both stop on the same residual
-tolerance.
+tolerance.  One gather of the interior levels per iteration, shifted and
+scaled in place; pair masks built per domain; at q = 1 no power is taken.
 
 Descent directions come from a Huber-smoothed total variation to avoid
 stagnation on flat regions; reported values always use the exact
@@ -82,26 +83,19 @@ class GridFunction:
         self.domain = domain
         self.values = values
 
-    def interior_values(self) -> np.ndarray:
-        return self.values[self.domain.interior_mask]
 
-
-def _forward_differences(v: np.ndarray, mask: np.ndarray):
+def _forward_differences(v: np.ndarray, pairs):
     """One-sided differences (dx, dy) of v, zero unless both cells are interior.
 
     Works on the row-major flattened grid, where the right neighbour of
-    cell i is i + 1 and the lower one i + nx: both are contiguous shifts.
+    cell i is i + 1 and the lower one i + nx: `pairs` is the domain's `pair_masks`.
     """
     nx = v.shape[1]
-    cells = mask.ravel()
-    px = cells[1:] & cells[:-1]
-    px[nx - 1::nx] = False  # a row's last cell and the next row's first
-    py = cells[nx:] & cells[:-nx]
     flat = v.ravel()
     dx = np.zeros(v.size)
     dy = np.zeros(v.size)
-    np.subtract(flat[1:], flat[:-1], out=dx[:-1], where=px)
-    np.subtract(flat[nx:], flat[:-nx], out=dy[:-nx], where=py)
+    np.subtract(flat[1:], flat[:-1], out=dx[:-1], where=pairs[0])
+    np.subtract(flat[nx:], flat[:-nx], out=dy[:-nx], where=pairs[1])
     return dx.reshape(v.shape), dy.reshape(v.shape)
 
 
@@ -125,7 +119,7 @@ def total_variation(u: GridFunction) -> float:
     is no charge across the domain boundary (BV(Omega) is indifferent
     to the boundary trace).
     """
-    dx, dy = _forward_differences(u.values, u.domain.interior_mask)
+    dx, dy = _forward_differences(u.values, u.domain.pair_masks)
     tv = float(np.sum(_pair_norms(dx, dy)))
     if tv < _TINY_SUM:  # squares may have underflowed
         tv = float(np.sum(np.hypot(dx, dy)))
@@ -134,11 +128,14 @@ def total_variation(u: GridFunction) -> float:
 
 def lp_norm_power(u: GridFunction) -> float:
     """(sum h^2 u^2)^(1/2) over interior cells: the L^{n/(n-1)} norm at n = 2."""
-    vals = u.interior_values()
-    norm = float((u.domain.h**2 * np.sum(vals * vals)) ** 0.5)
+    return _l2_norm(u.values[u.domain.interior_mask], u.domain.h)
+
+
+def _l2_norm(vals: np.ndarray, h: float) -> float:
+    norm = float((h**2 * np.sum(vals * vals)) ** 0.5)
     if norm < _TINY_SUM:  # squares may have underflowed: scale by the largest value
         top = float(np.max(np.abs(vals), initial=0.0)) or 1.0
-        norm = u.domain.h * top * float(np.sum(np.square(vals / top))) ** 0.5
+        norm = h * top * float(np.sum(np.square(vals / top))) ** 0.5
     return _finite(norm, "squared values")
 
 
@@ -153,7 +150,7 @@ def grid_quotient(u: GridFunction, q: float) -> float:
 
     TV is shift invariant, so the numerator needs no adjustment.
     """
-    lam = shift_to_constraint((u.interior_values(), u.domain.h**2), q)
+    lam = shift_to_constraint((u.values[u.domain.interior_mask], u.domain.h**2), q)
     shifted = GridFunction(u.domain, u.values - lam)
     denom = lp_norm_power(shifted)
     if denom == 0.0:
@@ -245,12 +242,12 @@ class ConstantEstimate:
     seed_eps: float
 
 
-def _smoothed_tv_gradient(v: np.ndarray, mask: np.ndarray, h: float, delta: float):
+def _smoothed_tv_gradient(v: np.ndarray, pairs, h: float, delta: float):
     """Gradient of the Huber-smoothed TV sum h * phi_delta(|D v|).
 
     Zero outside the mask: every pair it sums has both cells interior.
     """
-    gx, gy = _forward_differences(v, mask)
+    gx, gy = _forward_differences(v, pairs)
     w = _pair_norms(gx, gy)
     np.divide(1.0, np.maximum(w, delta, out=w), out=w)  # Huber: phi'(rho)/rho
     gx *= w
@@ -290,13 +287,16 @@ def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> Consta
     rows = []
     stale = 0
     for k in range(budget):
-        v -= shift_to_constraint((v[mask], h * h), q)  # raises on equal levels
+        levels = v[mask]  # the one gather: shifted and normalized below in place
+        lam = shift_to_constraint((levels, h * h), q)  # raises on equal levels
+        v -= lam
         v *= mask
+        levels -= lam
         gf = GridFunction(domain, v)
-        norm = lp_norm_power(gf)
+        norm = _l2_norm(levels, h)
         value = total_variation(gf) / norm  # TV is 1-homogeneous
         v /= norm  # the normalized iterate w
-        levels = v[mask]  # for the residual and the Huber width
+        levels /= norm  # for the residual and the Huber width
         resid = abs(float(np.sum(sign_power(levels, q))) * h * h)
         improved = value < best_value * (1.0 - _TOL)
         if value < best_value:
@@ -308,12 +308,12 @@ def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> Consta
             break
 
         delta = _SMOOTHING_WIDTH * h * max(float(np.ptp(levels)), 1e-12)
-        grad = _smoothed_tv_gradient(v, mask, h, delta)
+        grad = _smoothed_tv_gradient(v, domain.pair_masks, h, delta)
         gnorm = math.sqrt(float(np.sum(np.square(grad))))  # zero off the mask
         if gnorm == 0.0:
             break
-        alpha = _STEP / (1.0 + k) ** _DECAY
-        v -= grad * (alpha / gnorm)
+        grad *= _STEP / (1.0 + k) ** _DECAY / gnorm  # the step length over |grad|
+        v -= grad
 
     return ConstantEstimate(
         value=best_value,

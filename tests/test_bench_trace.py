@@ -1,12 +1,14 @@
-"""The benchmark's traced call-count audit on a small certificate and sweep.
+"""The benchmark's traced call-count audit on a small certificate, sweep and solve.
 
 `bench/tracing.py` wraps bvsharp's public functions by name and checks the
 call counts that the code implies (quotient evaluations per radius search,
-cap and arc calls per sweep radius).  This test loads it unchanged, so a
-change to the package that drops a name or a default the audit reads fails
-here, not only in a traced benchmark run.
+cap and arc calls per sweep radius, one direct `total_variation` call per
+solver history row).  This test loads it unchanged, so a change to the
+package that drops a name, a default or a call the audit reads fails here,
+not only in a traced benchmark run.
 """
 
+import csv
 import importlib.util
 from pathlib import Path
 
@@ -49,3 +51,20 @@ def test_traced_certificate_and_sweep_pass_the_audit(tracing, tmp_path):
     assert len(index.named("cli._parallel_map")) == 1
     assert tracing.call_count_audit(index, [((0, first), {}),
                                             ((first, last), {"sweep_radii": 4})]) == []
+
+
+def test_traced_solve_passes_the_audit(tracing, tmp_path):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["solve", "--out", str(tmp_path), "--h", "0.015625",
+                         "--budget", "8"]) == 0
+    finally:
+        tracer.uninstall()
+    with open(tmp_path / "detail.csv", newline="") as handle:
+        rows = len(list(csv.DictReader(handle)))
+    assert rows > 0
+    index = tracing.SpanIndex(tracer.spans)
+    assert index.named("solver.total_variation")
+    assert tracing.call_count_audit(
+        index, [((0, len(tracer.spans)), {"history_rows": rows})]) == []

@@ -394,6 +394,24 @@ def test_surface_classify_bytes_match_the_curvature_digests(surface, tmp_path):
     assert _output_digests(tmp_path) == [summary_digest, detail_digest]
 
 
+# The solver's Illinois-shift path, which the q = 1 GOLDEN_RUNS entry
+# does not reach.
+SOLVE_RUNS = {
+    "0.5": ("08368091e668dc51b27e84e9ec6b5c689ba6be46cd672a3f84d8adecbe07e782",
+            "c80fe04a2207e619d7aa7e81b01ccdf466f354a024e9383d87295564b5543a24"),
+    "1.5": ("220d58981dbe2202815b1705d2c20270dd284bf12fd4e40200e041b9ef59cbbd",
+            "b8b7ffd79521f695847cdf3d72e0fc0b19b8d68d44416971308ac8635c8b75b4"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(SOLVE_RUNS))
+def test_solve_bytes_match_the_shift_digests(q, tmp_path):
+    summary_digest, detail_digest = SOLVE_RUNS[q]
+    assert main(["solve", "--out", str(tmp_path), "--shape", "disk", "--h", "0.015625",
+                 "--q", q, "--budget", "8"]) == 0
+    assert _output_digests(tmp_path) == [summary_digest, detail_digest]
+
+
 class TestMainEntryPoint:
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -503,6 +503,40 @@ CATALOG = [
 ]
 
 
+def _per_call_pair_masks(mask):
+    """The stencil pair masks as the solver once built them on every call."""
+    nx = mask.shape[1]
+    cells = mask.ravel()
+    px = cells[1:] & cells[:-1]
+    px[nx - 1::nx] = False
+    py = cells[nx:] & cells[:-nx]
+    return px, py
+
+
+class TestPairMasks:
+    @pytest.mark.parametrize("edges", [False, True], ids=["mask", "interior-row-ends"])
+    @pytest.mark.parametrize("spec, h", CATALOG)
+    def test_cached_masks_equal_the_per_call_construction(self, spec, h, edges):
+        domain = build_domain(spec, h)
+        mask = domain.interior_mask
+        assert not mask[:, [0, -1]].any()
+        if edges:  # make every row's first and last cells interior
+            mask = mask.copy()
+            mask[:, [0, -1]] = True
+            domain.__dict__["interior_mask"] = mask
+        assert "pair_masks" not in domain.__dict__
+        px, py = domain.pair_masks
+        assert domain.pair_masks[0] is px and domain.pair_masks[1] is py
+        ref_px, ref_py = _per_call_pair_masks(mask)
+        assert np.array_equal(px, ref_px) and np.array_equal(py, ref_py)
+        # On the 2-D grid: right and lower neighbours, never across a row end.
+        right = np.append(px, False).reshape(mask.shape)
+        below = np.append(py, np.zeros(domain.nx, dtype=bool)).reshape(mask.shape)
+        assert not right[:, -1].any()
+        assert np.array_equal(right[:, :-1], mask[:, 1:] & mask[:, :-1])
+        assert np.array_equal(below[:-1], mask[1:] & mask[:-1])
+
+
 def _reference_point(spec, s):
     """The boundary in the shape's own parameter: (a cos s, b sin s) for the
     disk and the ellipse, the polar curve for a Fourier shape."""

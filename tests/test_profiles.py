@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bvsharp import (
     achievability_certificate,
+    ball_indicator,
     beta_eps,
     boundary_arc_expansion,
     cap_measure,
@@ -19,6 +20,7 @@ from bvsharp import (
     fit_remainder_order,
     geodesic_circle_expansion,
     gray_expansion,
+    grid_quotient,
     half_space_constant,
     minimize_quotient,
     optimal_epsilon,
@@ -55,6 +57,40 @@ class TestSignPower:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
             sign_power(1.0, 0.0)
+
+    def test_exponent_one_is_a_bitwise_copy(self):
+        tiny = np.nextafter(0.0, 1.0)
+        t = np.array([0.0, -0.0, tiny, -tiny, 3.0 * tiny, 2.2e-308, 1e300, -1e300, -2.5])
+        out = sign_power(t, 1.0)
+        assert out is not t and not np.shares_memory(out, t)
+        assert out.tobytes() == t.tobytes()  # the sign of -0.0 included
+        assert out.tobytes() == np.copysign(np.abs(t) ** 1.0, t).tobytes()
+        assert math.copysign(1.0, sign_power(-0.0, 1.0)) == -1.0
+
+
+TWO_LEVELS = [(1.0, 1.0), (0.0, 2.0)]
+EXPONENT_CALLS = {
+    "sign_power": lambda q: sign_power(np.array([1.0, -2.0]), q),
+    "constraint_residual": lambda q: constraint_residual(TWO_LEVELS, q),
+    "shift_to_constraint": lambda q: shift_to_constraint(TWO_LEVELS, q),
+    "beta_eps": lambda q: beta_eps(3.0, 1.0, q),
+    "grid_quotient": lambda q: grid_quotient(
+        ball_indicator(build_domain(DomainSpec.disk(1.0), 1.0 / 32), (0.3, 0.0), 0.4), q),
+}
+
+
+class TestExponentChecks:
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(EXPONENT_CALLS))
+    def test_non_finite_exponent_is_named(self, name, q):
+        with pytest.raises(ValueError, match="exponent q must be finite"):
+            EXPONENT_CALLS[name](q)
+
+    @pytest.mark.parametrize("q", [0.0, -1.0])
+    @pytest.mark.parametrize("name", sorted(EXPONENT_CALLS))
+    def test_nonpositive_exponent_keeps_its_message(self, name, q):
+        with pytest.raises(ValueError, match="exponent q must be positive"):
+            EXPONENT_CALLS[name](q)
 
 
 class TestBetaEps:
