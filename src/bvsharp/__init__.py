@@ -10,7 +10,17 @@ certificate profiles, geodesic-ball asymptotics, an achievability
 classifier, and an exploratory discrete total-variation minimizer.
 """
 
-from .asymptotics import fit_linear_coefficient, fit_remainder_order
+from .asymptotics import (
+    boundary_arc_expansion,
+    cap_measure_expansion,
+    critical_quotient_expansion,
+    domain_quotient_expansion,
+    fit_linear_coefficient,
+    fit_remainder_order,
+    geodesic_circle_expansion,
+    gray_expansion,
+    surface_quotient_expansion,
+)
 from .constants import (
     euler_beta,
     gamma_half_integer,
@@ -24,12 +34,9 @@ from .geometry import (
     DomainSpec,
     GridDomain,
     MaxCurvatureSeed,
-    boundary_arc_expansion,
     boundary_arc_inside,
-    boundary_mean_curvature,
     build_domain,
     cap_measure,
-    cap_measure_expansion,
     max_curvature_seed,
 )
 from .profiles import (
@@ -37,12 +44,9 @@ from .profiles import (
     achievability_certificate,
     beta_eps,
     constraint_residual,
-    critical_quotient_expansion,
-    domain_quotient_expansion,
     optimal_epsilon,
     shift_to_constraint,
     sign_power,
-    surface_quotient_expansion,
     two_valued_quotient_exact,
 )
 from .solver import (
@@ -62,9 +66,7 @@ from .surfaces import (
     critical_curvature_threshold,
     gauss_bonnet_check,
     geodesic_ball_area,
-    geodesic_circle_expansion,
     geodesic_circle_length,
-    gray_expansion,
     hemisphere_certificate,
     scalar_curvature,
     surface_two_valued_quotient,

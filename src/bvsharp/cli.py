@@ -186,7 +186,7 @@ def _validate(config: ExperimentConfig):
             raise ConfigError(f"{name}: must be positive")
     for qv in (config.q, *config.q_list):
         if not 0.0 < qv < 2.0:
-            raise ConfigError(f"q: must lie in (0, 2) for planar problems; got {qv}")
+            raise ConfigError(f"q: must lie in (0, n/(n-1)) = (0, 2) at n = 2; got {qv}")
     if config.eps_min <= 0 or config.eps_max <= config.eps_min:
         raise ConfigError("eps_min/eps_max: need 0 < eps_min < eps_max")
     if any(e <= 0 for e in config.eps_list):
@@ -356,7 +356,7 @@ def expansion_audit(config: ExperimentConfig):
 
         def evaluate(eps):
             exact = profiles.two_valued_quotient_exact(domain, seed.point, eps, config.q).value
-            expansion = profiles.domain_quotient_expansion(H, eps, 2)
+            expansion = asymptotics.domain_quotient_expansion(H, eps, 2)
             return [float(eps), exact, expansion, exact - expansion]
 
         rows = _parallel_map(evaluate, eps_values)
@@ -364,7 +364,7 @@ def expansion_audit(config: ExperimentConfig):
         exact_arr = [row[1] for row in rows]
         c_half = constants.half_space_constant(2)
         fitted = asymptotics.fit_linear_coefficient(eps_arr, exact_arr, c_half)
-        target_slope = -c_half * 2.0 * H / (3.0 * constants.euler_beta(0.5, 0.5))
+        target_slope = asymptotics.domain_quotient_slope(H, 2)
         order = asymptotics.fit_remainder_order(eps_arr, [row[3] for row in rows])
         summary = {
             "target": config.target,
@@ -386,8 +386,8 @@ def expansion_audit(config: ExperimentConfig):
     def evaluate(eps):
         ball = surfaces.geodesic_ball_area(sphere, sphere.pole(), eps)
         circle = surfaces.geodesic_circle_length(sphere, sphere.pole(), eps)
-        ball_exp = surfaces.gray_expansion(S, eps, 2)
-        circle_exp = surfaces.geodesic_circle_expansion(S, eps, 2)
+        ball_exp = asymptotics.gray_expansion(S, eps, 2)
+        circle_exp = asymptotics.geodesic_circle_expansion(S, eps, 2)
         return [float(eps), ball, ball_exp, ball - ball_exp,
                 circle, circle_exp, circle - circle_exp]
 

@@ -13,7 +13,7 @@ c_star_n is the isoperimetric (Federer-Fleming) constant of the
 inequality  c * ||u||_{n/(n-1)} <= |Du|(R^n);  the half-space variant
 follows by reflecting across the flat boundary.
 
-This module is their one source: every expansion in the package takes
+This module is their one source: every expansion in `asymptotics` takes
 omega_n from `unit_ball_volume`, which evaluates Gamma first, so a
 dimension beyond the float range raises ValueError naming Gamma.
 """
@@ -64,17 +64,6 @@ def gamma_half_integer(x: float) -> float:
 def euler_beta(x: float, y: float) -> float:
     """Euler beta B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), half-integer arguments."""
     return gamma_half_integer(x) * gamma_half_integer(y) / gamma_half_integer(x + y)
-
-
-def _check_expansion_inputs(n: int, eps: float, **coefficients: float) -> None:
-    """Raise ValueError naming a non-finite argument, or for eps <= 0 or n < 2."""
-    for name, value in {**coefficients, "eps": eps}.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
 
 
 def unit_ball_volume(n: int) -> float:

@@ -9,7 +9,7 @@ of p), the radial gap) comes from its one evaluator `_radial`, except that
 the disk's frame and radial gap read its constant rho = r directly, the
 latter without the polar angle of p.  A "square" spec is recognized only to be
 rejected: its corners have no curvature, so it fails the C^2 requirement
-that every expansion here relies on.
+that the boundary-cap expansions of `asymptotics` rely on.
 
 A domain is described analytically (`DomainSpec`) and placed on a
 `GridDomain` with the spec, the grid, the measure and the diameter; its
@@ -63,19 +63,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _check_expansion_inputs, euler_beta, unit_ball_volume
-
 __all__ = [
     "DomainSpec",
     "GridDomain",
     "build_domain",
-    "boundary_mean_curvature",
     "max_curvature_seed",
     "MaxCurvatureSeed",
     "cap_measure",
-    "cap_measure_expansion",
     "boundary_arc_inside",
-    "boundary_arc_expansion",
 ]
 
 # What `_radial` and `_boundary_frame` evaluate with on a float t, without
@@ -207,10 +202,6 @@ class DomainSpec:
     def boundary_point(self, t):
         """(x, y) at t, Python floats for a float t."""
         return self._boundary_frame(t)[:2]
-
-    def boundary_param(self, px, py):
-        """Boundary parameter, the polar angle in (-pi, pi], of points on the curve."""
-        return np.arctan2(np.asarray(py, dtype=float), np.asarray(px, dtype=float))
 
     def _boundary_frame(self, t):
         """(x, y, x', y'): the boundary point at t and its derivative in t,
@@ -439,22 +430,6 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
 
 # --------------------------------------------------------------------------
 # curvature queries
-
-
-def boundary_mean_curvature(domain: GridDomain, point) -> float:
-    """Curvature of the boundary at the polar angle of `point`.
-
-    The query point must lie on the boundary (|radial gap| < h).
-    """
-    px, py = float(point[0]), float(point[1])
-    spec = domain.spec
-    gap = float(spec.radial_gap(px, py))
-    if abs(gap) >= domain.h:
-        raise ValueError(
-            f"point {point} is not on the boundary (radial gap {gap:.3g}, "
-            f"cell size {domain.h:.3g})"
-        )
-    return float(spec.curvature(spec.boundary_param(px, py)))
 
 
 @dataclass(frozen=True)
@@ -758,20 +733,6 @@ def cap_measure(domain: GridDomain, a, eps: float) -> float:
     return _circle_measures(domain.spec, *_checked_centre(a, eps), eps)[0]
 
 
-def cap_measure_expansion(H: float, eps: float, n: int) -> float:
-    """Two-term small-radius expansion of the boundary-cap area,
-
-        (omega_n eps^n / 2) * (1 - n H eps / ((n+1) B(1/2, (n-1)/2))),
-
-    where H is the boundary mean curvature at the center (Hulin &
-    Troyanov's asymptotic volume of small balls).
-    """
-    _check_expansion_inputs(n, eps, H=H)
-    lead = unit_ball_volume(n) * eps**n / 2.0
-    corr = n * H * eps / ((n + 1) * euler_beta(0.5, (n - 1) / 2.0))
-    return lead * (1.0 - corr)
-
-
 # --------------------------------------------------------------------------
 # relative perimeter of the cap
 
@@ -784,13 +745,3 @@ def boundary_arc_inside(domain: GridDomain, a, eps: float) -> float:
     gradient mass inside the domain and is excluded.
     """
     return _circle_measures(domain.spec, *_checked_centre(a, eps), eps)[1]
-
-
-def boundary_arc_expansion(H: float, eps: float, n: int) -> float:
-    """Two-term expansion of the inside arc length,
-
-        (n omega_n eps^(n-1) / 2) * (1 - H eps / B(1/2, (n-1)/2)).
-    """
-    _check_expansion_inputs(n, eps, H=H)
-    lead = n * unit_ball_volume(n) * eps ** (n - 1) / 2.0
-    return lead * (1.0 - H * eps / euler_beta(0.5, (n - 1) / 2.0))

@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    _check_expansion_inputs,
-    euler_beta,
-    half_space_constant,
-    sharp_sobolev_constant,
-    unit_ball_volume,
-)
+from .constants import half_space_constant
 from .geometry import (
     GridDomain,
     _golden_section,
@@ -52,9 +46,6 @@ __all__ = [
     "constraint_residual",
     "shift_to_constraint",
     "two_valued_quotient_exact",
-    "domain_quotient_expansion",
-    "surface_quotient_expansion",
-    "critical_quotient_expansion",
     "optimal_epsilon",
     "achievability_certificate",
 ]
@@ -269,53 +260,6 @@ def _two_valued_quotient(total: float, cap: float, rest: float, jump: float, q: 
     value = numerator / denominator
     return QuotientValue(numerator=numerator, denominator=denominator, value=value,
                          threshold=threshold, gap_to_threshold=value - threshold, beta=beta)
-
-
-def domain_quotient_expansion(H: float, eps: float, n: int) -> float:
-    """First-order expansion of the domain quotient in the cap radius,
-
-        (c*_n / 2^(1/n)) * (1 - 2 H eps / ((n+1) B(1/2, (n-1)/2))).
-
-    At H = 0 this is exactly the half-space constant.
-    """
-    _check_expansion_inputs(n, eps, H=H)
-    slope = 2.0 * H * eps / ((n + 1) * euler_beta(0.5, (n - 1) / 2.0))
-    return half_space_constant(n) * (1.0 - slope)
-
-
-def surface_quotient_expansion(S: float, eps: float, n: int) -> float:
-    """Second-order expansion of the closed-surface quotient (subcritical q),
-
-        c*_n * (1 - S eps^2 / (2 n (n+2))),
-
-    where S is the scalar curvature at the geodesic-ball center.
-    """
-    _check_expansion_inputs(n, eps, S=S)
-    return sharp_sobolev_constant(n) * (1.0 - S * eps**2 / (2.0 * n * (n + 2)))
-
-
-def critical_quotient_expansion(S: float, area: float, eps: float, n: int) -> float:
-    """Surface quotient expansion at the critical exponent q = n^2/(n^2+n-2),
-
-        c*_n * (1 + sigma ((n-1)/n) (omega_n / area)^(2/n) eps^2
-                  - S eps^2 / (2 n (n+2))),
-
-    with omega_n the unit-ball volume, sigma = +1 at n = 2 and -1 for
-    n >= 3.  The sigma term is the back-reaction of the constraint
-    plateau beta ~ eps^(n/q): beta^(n/(n-1)) raises the denominator by
-    ((n-1)/n)(omega_n/area)^(2/n) eps^2, and at n = 2 only the factor
-    1 + beta of the numerator is of the same order, and twice as large.
-    At n = 2 the plateau and curvature terms cancel exactly on a round
-    sphere (S = 2 on the unit sphere of area 4 pi), the borderline case.
-    """
-    _check_expansion_inputs(n, eps, S=S, area=area)
-    if area <= 0:
-        raise ValueError("area must be positive")
-    plateau_term = (n - 1) / n * (unit_ball_volume(n) / area) ** (2.0 / n)
-    if n >= 3:
-        plateau_term = -plateau_term
-    curvature_term = S / (2.0 * n * (n + 2))
-    return sharp_sobolev_constant(n) * (1.0 + (plateau_term - curvature_term) * eps**2)
 
 
 # --------------------------------------------------------------------------

@@ -77,7 +77,7 @@ class GridFunction:
             raise ValueError(
                 f"values shape {values.shape} does not match grid {domain.interior_mask.shape}"
             )
-        if not np.all(np.isfinite(values[domain.interior_mask])):
+        if not np.all(np.isfinite(values) | ~domain.interior_mask):
             raise ValueError("grid function values must be finite")
         values.flags.writeable = False
         self.domain = domain

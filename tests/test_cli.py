@@ -412,6 +412,26 @@ def test_solve_bytes_match_the_shift_digests(q, tmp_path):
     assert _output_digests(tmp_path) == [summary_digest, detail_digest]
 
 
+# The domain-quotient audit, at its default radii; GOLDEN_RUNS pins only
+# the gray target.
+AUDIT_RUNS = {
+    "ellipse": (["--shape", "ellipse", "--a", "2", "--b", "1", "--h", "0.015625", "--q", "1"],
+                "868d64d08e97e7a25d56f19ccde09667450d95ae8e98dd595569fe6ad7c0f914",
+                "a7d9d4d9fd19357cfe50e1523d09260159ee3c6d717d63982f39db12164f6cb3"),
+    "disk": (["--shape", "disk", "--h", "0.015625", "--q", "0.5"],
+             "3a5e2e58be8c9ccdc386ab0ada84c1c224da3fc786392da5b37476a626471bc9",
+             "be8a373dd70d47d20f943c92dc5ee8f1d56bb8c4ef1bde2cc8640e6de7f90d60"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(AUDIT_RUNS))
+def test_domain_audit_bytes_match_the_audit_digests(shape, tmp_path):
+    flags, summary_digest, detail_digest = AUDIT_RUNS[shape]
+    assert main(["expansion-audit", "--target", "domain-quotient", "--out", str(tmp_path),
+                 *flags]) == 0
+    assert _output_digests(tmp_path) == [summary_digest, detail_digest]
+
+
 class TestMainEntryPoint:
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -434,6 +454,15 @@ class TestMainEntryPoint:
         status = main(["solve", "--out", str(tmp_path / "x"), "--q", "2.5"])
         assert status == 2
         assert "q" in capsys.readouterr().err
+
+    def test_surface_q_out_of_range_names_the_dimension(self, tmp_path, capsys):
+        # The check covers surfaces as well as planar domains: both are n = 2.
+        status = main(["surface-classify", "--out", str(tmp_path / "x"), "--q_list", "0.5,2.5"])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "q: must lie in (0, n/(n-1)) = (0, 2) at n = 2; got 2.5" in err
+        assert "planar" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_negative_seed_names_the_key(self, tmp_path, capsys):
         status = main(["solve", "--out", str(tmp_path / "x"), "--seed", "-1",

@@ -13,7 +13,6 @@ from bvsharp import (
     DomainSpec,
     boundary_arc_expansion,
     boundary_arc_inside,
-    boundary_mean_curvature,
     build_domain,
     cap_measure,
     cap_measure_expansion,
@@ -278,9 +277,8 @@ class TestRadialModel:
     @pytest.mark.parametrize("spec", RADIAL_SHAPES, ids=lambda s: s.kind)
     def test_boundary_param_inverts_boundary_point(self, spec):
         phi = np.linspace(-math.pi, math.pi, 129)[1:]
-        np.testing.assert_allclose(
-            spec.boundary_param(*spec.boundary_point(phi)), phi, rtol=0.0, atol=1e-14
-        )
+        x, y = spec.boundary_point(phi)
+        np.testing.assert_allclose(np.arctan2(y, x), phi, rtol=0.0, atol=1e-14)
 
     def test_ellipse_boundary_points_lie_on_the_ellipse(self):
         spec = DomainSpec.ellipse(2.4, 1.0)
@@ -291,23 +289,18 @@ class TestRadialModel:
 class TestBoundaryCurvature:
     def test_circle_constant(self, disk256):
         for t in (0.0, 1.0, 2.5):
-            p = (math.cos(t), math.sin(t))
-            assert boundary_mean_curvature(disk256, p) == pytest.approx(1.0, rel=1e-12)
+            assert disk256.spec.curvature(t) == pytest.approx(1.0, rel=1e-12)
 
     def test_ellipse_vertices(self, ellipse256):
-        assert boundary_mean_curvature(ellipse256, (2.0, 0.0)) == pytest.approx(
+        assert ellipse256.spec.curvature(0.0) == pytest.approx(
             ellipse_curvature(2.0, 1.0, 0.0), rel=1e-12
         )
-        assert boundary_mean_curvature(ellipse256, (0.0, 1.0)) == pytest.approx(
+        assert ellipse256.spec.curvature(math.pi / 2.0) == pytest.approx(
             ellipse_curvature(2.0, 1.0, math.pi / 2.0), rel=1e-10
         )
         # a/b^2 and b/a^2 in closed form
         assert ellipse_curvature(2.0, 1.0, 0.0) == pytest.approx(2.0)
         assert ellipse_curvature(2.0, 1.0, math.pi / 2.0) == pytest.approx(0.25)
-
-    def test_off_boundary_point_rejected(self, disk256):
-        with pytest.raises(ValueError, match="boundary"):
-            boundary_mean_curvature(disk256, (0.5, 0.0))
 
 
 class TestMaxCurvatureSeed:
@@ -954,7 +947,7 @@ class TestCrossingFinder:
                                          (DomainSpec.ellipse(2.0, 1.0), (2.0, 0.0))])
     def test_radius_at_the_floor_keeps_its_digits(self, spec, a):
         domain = build_domain(spec, 0.01)
-        H = boundary_mean_curvature(domain, a)
+        H = spec.curvature(0.0)  # both centres lie at polar angle 0
         eps = 2.0 ** -26 * math.hypot(*a)
         cap = cap_measure(domain, a, eps)
         arc = boundary_arc_inside(domain, a, eps)

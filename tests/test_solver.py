@@ -26,6 +26,27 @@ from bvsharp.geometry import DomainSpec, GridDomain, build_domain
 C_HALF = half_space_constant(2)
 
 
+class TestGridFunction:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_interior_value_raises(self, disk128, bad):
+        values = np.ones(disk128.interior_mask.shape)
+        values[tuple(np.argwhere(disk128.interior_mask)[0])] = bad
+        with pytest.raises(ValueError, match="grid function values must be finite"):
+            GridFunction(disk128, values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exterior_value_is_accepted(self, disk128, bad):
+        values = np.ones(disk128.interior_mask.shape)
+        values[tuple(np.argwhere(~disk128.interior_mask)[0])] = bad
+        u = GridFunction(disk128, values)
+        assert total_variation(u) == 0.0
+
+    def test_wrong_shape_raises(self, disk128):
+        ny, nx = disk128.interior_mask.shape
+        with pytest.raises(ValueError, match="does not match grid"):
+            GridFunction(disk128, np.ones((ny, nx + 1)))
+
+
 class TestTotalVariation:
     def test_constant_function_has_zero_tv(self, disk256):
         u = GridFunction(disk256, np.full(disk256.interior_mask.shape, 2.5))
