@@ -181,6 +181,56 @@ class TestForwardDifferences:
                                   _reference_gradient(v, mask, 0.02, 1e-3)), name
 
 
+def _full_grid_indicator(domain, center, radius):
+    """The reference raster: the cut fraction evaluated on every cell."""
+    ax, ay = float(center[0]), float(center[1])
+    gx, gy = domain.cell_centers()
+    rho = np.hypot(gx - ax, gy - ay)
+    safe = np.maximum(rho, 1e-300)
+    return solver._plane_cut_fraction(
+        (rho - radius).ravel(), ((gx - ax) / safe).ravel(), ((gy - ay) / safe).ravel(),
+        solver._BAND_CELLS * domain.h,
+    ).reshape(rho.shape)
+
+
+class TestBallIndicator:
+    @pytest.mark.parametrize("spec, h", [(DomainSpec.disk(1.0), 1.0 / 128),
+                                         (DomainSpec.ellipse(2.0, 1.0), 1.0 / 64)],
+                             ids=["disk", "ellipse"])
+    def test_band_raster_matches_full_grid(self, spec, h):
+        # Cells outside the band are set from the sign of d alone; the cut
+        # would give the same 0.0 or 1.0 there, so every byte agrees.
+        domain = build_domain(spec, h)
+        gx, gy = domain.cell_centers()
+        span = math.hypot(domain.nx * h, domain.ny * h)
+        interior = np.argwhere(domain.interior_mask)
+        rng = np.random.default_rng(47)
+        for _ in range(6):
+            cell = rng.integers(gx.size)
+            inside = tuple(interior[rng.integers(len(interior))])
+            centres = {
+                "inside": (gx[inside] + rng.uniform(-0.5, 0.5) * h,
+                           gy[inside] + rng.uniform(-0.5, 0.5) * h),
+                "outside": (domain.xmin - rng.uniform(0.0, 0.5), rng.uniform(-3.0, 3.0)),
+                "cell centre": (gx.ravel()[cell], gy.ravel()[cell]),  # rho = 0 there
+            }
+            radii = {
+                "below a cell": rng.uniform(0.01, 1.0) * h,
+                "below the band": rng.uniform(1.0, solver._BAND_CELLS) * h,
+                "covering": span + 4.0 + solver._BAND_CELLS * h,
+            }
+            for where, centre in centres.items():
+                for size, radius in radii.items():
+                    # At rho = 0 the cut divides by a zero half-width and
+                    # still returns the exact 0.0 or 1.0.
+                    with np.errstate(divide="ignore"):
+                        fast = ball_indicator(domain, centre, radius).values
+                        reference = _full_grid_indicator(domain, centre, radius)
+                    assert fast.tobytes() == reference.tobytes(), (where, size)
+            assert np.all(ball_indicator(domain, centres["outside"], radii["covering"]).values
+                          == 1.0)
+
+
 class TestLpNormPower:
     def test_binary_indicator_gives_sqrt_of_measure(self, disk256):
         gx, gy = disk256.cell_centers()
@@ -341,6 +391,31 @@ class TestMinimizeQuotient:
             digests.append(result.stdout.split())
         assert digests[0][0] == "30"
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("spec", [
+        DomainSpec.disk(1.0), DomainSpec.ellipse(2.0, 1.0),
+        DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)),
+        # At q = 0.5 its descent improves after 2 stale iterates, the
+        # longest such run in 150 measured descents.
+        DomainSpec.fourier(1.0, cos_coeffs=(-0.048407335834663376, 0.11207092803897373),
+                           sin_coeffs=(0.10076403852894678,)),
+    ], ids=["disk", "ellipse", "fourier", "fourier-late"])
+    def test_default_patience_reports_what_patience_60_does(self, spec, q, monkeypatch):
+        # The default stops the descent long before a patience of 60, but
+        # no iterate after its stop improves on the best: the reported
+        # bits agree and its history is the first rows of the long one.
+        domain = build_domain(spec, 1.0 / 48)
+        short = minimize_quotient(domain, q)
+        monkeypatch.setattr(solver, "_PATIENCE", 60)
+        long = minimize_quotient(domain, q)
+        assert short.value == long.value
+        assert short.residual == long.residual
+        assert short.below_threshold == long.below_threshold
+        assert short.snapshot.values.tobytes() == long.snapshot.values.tobytes()
+        rows = short.history.shape[0]
+        assert rows < long.history.shape[0]
+        assert short.history.tobytes() == long.history[:rows].tobytes()
 
     def test_solver_makes_no_blas_calls(self):
         source = Path(solver.__file__).read_text()
