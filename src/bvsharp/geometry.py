@@ -357,32 +357,36 @@ class GridDomain:
 
 
 # The diameter's 1024 boundary samples are cut into blocks of 16
-# consecutive samples, and a pair of blocks is skipped when the bounding
-# boxes prove that none of its distances reaches the largest one found in
-# the most promising pair.  Rounding is monotone, so the float squared
-# distance of a pair never exceeds the float bound ux^2 + uy^2 of its
-# blocks; the margin only widens that by far more than the few ulp either
-# is off the exact value.  A skipped pair thus lies strictly below the
-# maximum and cannot tie it, and the maximum is the all-pairs one bit for bit.
+# consecutive samples, and a pair of blocks is skipped when the law of
+# cosines proves that none of its distances reaches the largest one found
+# in the most promising pair.  Its bound R_I^2 + R_J^2 - 2 P c (R, r a
+# block's largest and smallest |p|, c the smallest cosine between the
+# blocks) holds exactly at the true angles and radii, which the float
+# samples match to a few ulp.  The origin is inside, so R^2 <= best (a
+# sample and its antipode are R or more apart): each rounding in the bound
+# is a few ulp of best, far inside the margin.  A skipped pair thus lies
+# strictly below the maximum, which is the all-pairs one bit for bit.
 _DIAMETER_BLOCK = 16
 _DIAMETER_MARGIN = 1e-12
 
 
 def _largest_squared_distance(sx, sy) -> float:
-    """max over i, j of (sx_i - sx_j)^2 + (sy_i - sy_j)^2, pruned by blocks."""
+    """max over i, j of (sx_i - sx_j)^2 + (sy_i - sy_j)^2, pruned by blocks.
+    Sample i of the n (even) must sit at polar angle 2 pi i / n about an inside origin."""
     bx, by = sx.reshape(-1, _DIAMETER_BLOCK), sy.reshape(-1, _DIAMETER_BLOCK)
-
-    def span(b):
-        lo, hi = b.min(axis=1), b.max(axis=1)
-        return np.maximum(hi[None, :] - lo[:, None], hi[:, None] - lo[None, :])
 
     def block_d2(i, j):
         dx = bx[i][..., :, None] - bx[j][..., None, :]
         dy = by[i][..., :, None] - by[j][..., None, :]
         return float(np.max(dx * dx + dy * dy))
 
-    ux, uy = span(bx), span(by)
-    bound = ux * ux + uy * uy
+    rho = np.hypot(bx, by)
+    big, small = rho.max(axis=1), rho.min(axis=1)
+    k, m = np.arange(big.size), big.size  # blocks k = (J - I) mod m apart: samples 16 k -/+ 15
+    far = np.minimum(_DIAMETER_BLOCK * np.minimum(k, m - k) + _DIAMETER_BLOCK - 1, sx.size // 2)
+    c = np.cos(2.0 * math.pi / sx.size * far)[(k[None, :] - k[:, None]) % m]  # widest, folded
+    outer = np.where(c < 0.0, np.multiply.outer(big, big), np.multiply.outer(small, small))
+    bound = (big * big)[:, None] + big * big - 2.0 * outer * c
     best = block_d2(*np.unravel_index(np.argmax(bound), bound.shape))
     return block_d2(*np.nonzero(np.triu(bound * (1.0 + _DIAMETER_MARGIN) >= best)))
 

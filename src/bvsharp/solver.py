@@ -101,7 +101,7 @@ def _forward_differences(v: np.ndarray, pairs):
 
 
 def _pair_norms(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """sqrt(dx*dx + dy*dy) on every cell, into one new array.
+    """sqrt(dx*dx + dy*dy) on every cell, into one new array (TV does it in place).
 
     Within an ulp of hypot(dx, dy) while |dx| and |dy| lie in about
     [1e-154, 1e154]: above that the squares overflow, and TV and the
@@ -121,9 +121,10 @@ def total_variation(u: GridFunction) -> float:
     to the boundary trace).
     """
     dx, dy = _forward_differences(u.values, u.domain.pair_masks)
-    tv = float(np.sum(_pair_norms(dx, dy)))
+    np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)  # `_pair_norms`, in place
+    tv = float(np.sum(np.sqrt(dx, out=dx)))
     if tv < _TINY_SUM:  # squares may have underflowed
-        tv = float(np.sum(np.hypot(dx, dy)))
+        tv = float(np.sum(np.hypot(*_forward_differences(u.values, u.domain.pair_masks))))
     return _finite(u.domain.h * tv, "squared differences")
 
 
@@ -192,16 +193,25 @@ def ball_indicator(domain: GridDomain, center, radius: float) -> GridFunction:
     band of cells brings TV within a percent of the perimeter at a bias
     O(H), H = _BAND_CELLS * h.  Cells H or more from the circle skip the
     cut, which would give exactly 0.0 or 1.0: its half-width is <= 0.71 H.
+    So does the centre's own cell (rho = 0, no normal), plainly inside.  Squared
+    distances sort out the cells past the band by a margin of 1e-12: hypot takes the rest.
     """
-    ax, ay = float(center[0]), float(center[1])
+    band_width = _BAND_CELLS * domain.h
     gx, gy = domain.cell_centers()
-    rho = np.hypot(gx - ax, gy - ay)
+    gx -= float(center[0])
+    gy -= float(center[1])
+    r2 = gx * gx + gy * gy
+    inner = (max(radius - band_width, 0.0) * (1.0 - 1e-12)) ** 2
+    frac = (r2 < inner).astype(float)
+    ring = (r2 >= inner) & (r2 <= ((radius + band_width) * (1.0 + 1e-12)) ** 2)
+    rx, ry = gx[ring], gy[ring]
+    rho = np.hypot(rx, ry)
     d = rho - radius
-    band = np.abs(d) < _BAND_CELLS * domain.h
-    frac = (d < 0.0).astype(float)
-    safe = np.maximum(rho[band], 1e-300)
-    frac[band] = _plane_cut_fraction(d[band], (gx[band] - ax) / safe, (gy[band] - ay) / safe,
-                                     _BAND_CELLS * domain.h)
+    band = (np.abs(d) < band_width) & (rho > 0.0)
+    cut = (d < 0.0).astype(float)
+    cut[band] = _plane_cut_fraction(d[band], rx[band] / rho[band], ry[band] / rho[band],
+                                    band_width)
+    frac[ring] = cut
     return GridFunction(domain, frac)
 
 
@@ -283,7 +293,7 @@ def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> Consta
     h = domain.h
     v = u_seed.values.copy()
     best_value, best_resid = math.inf, math.nan
-    best_snapshot = None
+    best = None  # (gf, norm): the snapshot is gf.values / norm, formed once
     rows = []
     stale = 0
     for k in range(budget):
@@ -300,8 +310,7 @@ def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> Consta
         resid = abs(float(np.sum(sign_power(levels, q))) * h * h)
         improved = value < best_value * (1.0 - _TOL)
         if value < best_value:
-            best_value, best_resid = value, resid
-            best_snapshot = GridFunction(domain, v)
+            best_value, best_resid, best = value, resid, (gf, norm)
         rows.append((k, best_value, resid, value, 1.0))
         stale = 0 if improved else stale + 1
         if stale > _PATIENCE:
@@ -318,7 +327,7 @@ def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> Consta
     return ConstantEstimate(
         value=best_value,
         q=q,
-        snapshot=best_snapshot,
+        snapshot=GridFunction(domain, best[0].values / best[1]),  # the bits of v /= norm
         residual=best_resid,
         history=np.array(rows, dtype=float),
         threshold=seed_qv.threshold,

@@ -163,22 +163,37 @@ def _all_pairs_squared_diameter(spec):
 
 
 class TestDiameter:
-    @pytest.mark.parametrize("spec", [DomainSpec.disk(1.0), DomainSpec.disk(0.37)],
-                             ids=["unit", "small"])
+    # The prune bounds block pairs by the law of cosines.  On a disk every
+    # antipodal pair ties for the maximum, so no pair it skips may hold one.
+    @pytest.mark.parametrize("spec", [DomainSpec.disk(1.0), DomainSpec.disk(0.37),
+                                      DomainSpec.disk(1e-3), DomainSpec.disk(1e3)],
+                             ids=["unit", "small", "tiny", "huge"])
     def test_disk_matches_all_pairs(self, spec):
-        assert build_domain(spec, 1.0 / 64).diameter == math.sqrt(
+        assert build_domain(spec, spec.min_feature_size() / 8.0).diameter == math.sqrt(
             _all_pairs_squared_diameter(spec))
 
-    @pytest.mark.parametrize("ratio", np.geomspace(0.3, 3.0, 13))
+    @pytest.mark.parametrize("ratio", [*np.geomspace(0.3, 3.0, 13), 0.1, 0.2, 5.0, 10.0])
     def test_ellipse_matches_all_pairs(self, ratio):
         spec = DomainSpec.ellipse(float(ratio), 1.0)
         h = spec.min_feature_size() / 8.0
         assert build_domain(spec, h).diameter == math.sqrt(_all_pairs_squared_diameter(spec))
 
     @given(coeffs=st.lists(st.floats(-0.12, 0.12), min_size=1, max_size=3),
-           split=st.integers(0, 3))
-    def test_fourier_matches_all_pairs(self, coeffs, split):
-        spec = DomainSpec.fourier(1.0, coeffs[:split], coeffs[split:])
+           split=st.integers(0, 3), r0=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_fourier_matches_all_pairs(self, coeffs, split, r0):
+        coeffs = [r0 * c for c in coeffs]
+        spec = DomainSpec.fourier(r0, coeffs[:split], coeffs[split:])
+        domain = build_domain(spec, spec.min_feature_size() / 8.0)
+        assert domain.diameter == math.sqrt(_all_pairs_squared_diameter(spec))
+
+    @pytest.mark.parametrize("turn", range(4))
+    def test_fourier_quarter_turns_match_all_pairs(self, turn):
+        # A near-circular shape in its four quarter turns, as the sweep
+        # benchmark runs it: (c1, c2; s1) -> (-s1, -c2; c1), exact in floats.
+        (c1, c2), (s1,) = (0.0028371899280616175, 0.10811128711822446), (-0.0854016929472879,)
+        for _ in range(turn):
+            (c1, c2), (s1,) = (-s1, -c2), (c1,)
+        spec = DomainSpec.fourier(1.0, (c1, c2), (s1,))
         domain = build_domain(spec, spec.min_feature_size() / 8.0)
         assert domain.diameter == math.sqrt(_all_pairs_squared_diameter(spec))
 

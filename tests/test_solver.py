@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -61,6 +62,12 @@ class TestTotalVariation:
                 u = GridFunction(domain, a * gx)
                 expected = abs(a) * domain.measure
                 assert abs(total_variation(u) - expected) <= 0.01 * expected
+
+    def test_in_place_squares_match_pair_norms(self, ellipse256):
+        rng = np.random.default_rng(11)
+        u = GridFunction(ellipse256, rng.uniform(-1, 1, ellipse256.interior_mask.shape))
+        dx, dy = solver._forward_differences(u.values, ellipse256.pair_masks)
+        assert total_variation(u) == ellipse256.h * float(np.sum(solver._pair_norms(dx, dy)))
 
     def test_disk_indicator_perimeter(self, disk512):
         u = ball_indicator(disk512, (0.1, -0.2), 0.25)
@@ -221,10 +228,11 @@ class TestBallIndicator:
             }
             for where, centre in centres.items():
                 for size, radius in radii.items():
-                    # At rho = 0 the cut divides by a zero half-width and
-                    # still returns the exact 0.0 or 1.0.
+                    # At rho = 0 the full-grid cut divides by a zero
+                    # half-width and still returns the exact 1.0; the band
+                    # leaves that cell out, with no warning.
+                    fast = ball_indicator(domain, centre, radius).values
                     with np.errstate(divide="ignore"):
-                        fast = ball_indicator(domain, centre, radius).values
                         reference = _full_grid_indicator(domain, centre, radius)
                     assert fast.tobytes() == reference.tobytes(), (where, size)
             assert np.all(ball_indicator(domain, centres["outside"], radii["covering"]).values
@@ -364,6 +372,8 @@ class TestMinimizeQuotient:
         # hypot; the descent takes the same steps and stops at the same row.
         fast = minimize_quotient(disk128, 1.0, self.BUDGET)
         monkeypatch.setattr(solver, "_pair_norms", np.hypot)
+        monkeypatch.setattr(solver, "total_variation", lambda u: u.domain.h * float(np.sum(
+            np.hypot(*solver._forward_differences(u.values, u.domain.pair_masks)))))
         exact = minimize_quotient(disk128, 1.0, self.BUDGET)
         assert fast.history.shape == exact.history.shape
         for col in (0, 1, 3, 4):
@@ -371,6 +381,23 @@ class TestMinimizeQuotient:
                           <= 2e-15 * np.abs(exact.history[:, col])), col
         assert np.all(np.abs(fast.history[:, 2] - exact.history[:, 2]) <= 1e-15)
         assert abs(fast.value - exact.value) <= 2e-15 * exact.value
+
+    @pytest.mark.parametrize("q, rows, best_row, value, residual, digest", [
+        (0.5, 18, 11, 2.4141651668442914, 5.945861087436949e-15,
+         "53cdecbbd0aea7e799620bcb1df043f3b779d07cf68a255faba6ccb3c141920c"),
+        (1.0, 26, 19, 2.526336503145116, 2.4671622769447922e-17,
+         "38f0785e88e1f1026b0ffbcd606f56ef6b6cd8981f59496733dbc872478ad14b"),
+    ])
+    def test_snapshot_of_a_best_iterate_before_the_last(self, q, rows, best_row, value,
+                                                        residual, digest):
+        # The best iterate is kept unnormalized with its norm, and the
+        # snapshot is divided once after the loop: these bits were recorded
+        # when every improving iterate was copied as it came.
+        estimate = minimize_quotient(build_domain(DomainSpec.disk(1.0), 1.0 / 48), q)
+        assert estimate.history.shape[0] == rows
+        assert list(estimate.history[:, 3]).index(estimate.value) == best_row < rows - 1
+        assert (estimate.value, estimate.residual) == (value, residual)
+        assert hashlib.sha256(estimate.snapshot.values.tobytes()).hexdigest() == digest
 
     def test_history_independent_of_blas_threads(self):
         # Each reduction in the loop is a numpy pairwise sum; a BLAS dot
