@@ -73,20 +73,23 @@ def _check_exponent(q: float) -> None:
         raise ValueError(f"exponent q must be positive, got {q}")
 
 
-def sign_power(t: float, q: float):
+def sign_power(t: float, q: float, out=None):
     """sgn(t) |t|^q, with the continuous extension 0 at t = 0.
 
     The extension matters for q < 1, where the raw |t|^(q-1) t form is
     singular at the origin.  At q = 1 it is a copy of t, bit for bit.
+    The result goes into `out` when given, which may be t itself.
     """
     _check_exponent(q)
     t = np.asarray(t, dtype=float)
+    out = np.empty_like(t) if out is None else out
     if q == 1.0:
-        out = t.copy()
-    else:  # one new array, raised and signed in place
-        out = np.abs(t, out=np.empty_like(t))
+        np.copyto(out, t)
+    else:  # raised and signed in place; the sign bits are read first
+        negative = np.signbit(t)
+        np.abs(t, out=out)
         out **= q
-        np.copysign(out, t, out=out)
+        np.negative(out, out=out, where=negative)
     return float(out) if out.ndim == 0 else out
 
 
@@ -117,7 +120,7 @@ def constraint_residual(values, q: float) -> float:
     return float(np.sum(measures * sign_power(levels, q)))
 
 
-def shift_to_constraint(values, q: float) -> float:
+def shift_to_constraint(values, q: float, scratch=None) -> float:
     """The unique lambda with sum measure * sgn(level-lambda)|level-lambda|^q = 0.
 
     `values` is a list of (level, measure) pairs or a (levels, measures)
@@ -131,6 +134,8 @@ def shift_to_constraint(values, q: float) -> float:
     an ulp of a level, which a 1:1e4 measure imbalance gives at small
     q): then the residual changes sign next to lambda.  Non-finite
     levels or measures, zero total measure and equal levels raise.
+    Every residual writes its terms over one array of the levels' shape:
+    `scratch` when given, else one new array per call.
     """
     levels, measures = _as_level_arrays(values)
     _check_exponent(q)
@@ -147,16 +152,19 @@ def shift_to_constraint(values, q: float) -> float:
         raise ValueError("all levels equal: shift is undefined (degenerate input)")
     tol = 1e-12 * total
     seen = {}
+    terms = np.empty_like(levels) if scratch is None else scratch
 
     def residual(lam):  # 0 inside the tolerance
         if lam not in seen:
-            terms = sign_power(levels - lam, q)
+            np.subtract(levels, lam, out=terms)
+            if q != 1.0:  # at q = 1 the power is the identity
+                sign_power(terms, q, out=terms)
             seen[lam] = float(measures * np.sum(terms) if measures.ndim == 0
-                              else np.sum(measures * terms))
+                              else np.sum(np.multiply(measures, terms, out=terms)))
         return 0.0 if abs(seen[lam]) <= tol else seen[lam]
 
     if q == 1.0:
-        lam = float(np.sum(measures * levels)) / total
+        lam = float(np.sum(np.multiply(measures, levels, out=terms))) / total
         if residual(lam) == 0.0:
             return lam
     w = 1e-5 * (hi - lo)

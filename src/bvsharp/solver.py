@@ -23,7 +23,10 @@ scaled in place; pair masks built per domain; at q = 1 no power is taken.
 
 Descent directions come from a Huber-smoothed total variation to avoid
 stagnation on flat regions; reported values always use the exact
-(unsmoothed) TV.  Certificates quoted against the half-space threshold
+(unsmoothed) TV.  One difference stencil per iteration: the iterate is
+normalized before it is measured, and the differences and pair norms of
+its TV feed the Huber gradient, in work arrays allocated once per
+descent.  Certificates quoted against the half-space threshold
 rely on the geometry module's exact quadrature, not on grid TV, whose
 anisotropy error is unquantified here.
 """
@@ -85,46 +88,53 @@ class GridFunction:
         self.values = values
 
 
-def _forward_differences(v: np.ndarray, pairs):
+def _forward_differences(v: np.ndarray, pairs, dx=None, dy=None):
     """One-sided differences (dx, dy) of v, zero unless both cells are interior.
 
     Works on the row-major flattened grid, where the right neighbour of
-    cell i is i + 1 and the lower one i + nx: `pairs` is the domain's `pair_masks`.
+    cell i is i + 1 and the lower one i + nx: `pairs` is the domain's
+    `pair_masks`.  dx and dy, contiguous arrays of v's shape, are new
+    ones when omitted.
     """
     nx = v.shape[1]
-    flat = v.ravel()
-    dx = np.zeros(v.size)
-    dy = np.zeros(v.size)
-    np.subtract(flat[1:], flat[:-1], out=dx[:-1], where=pairs[0])
-    np.subtract(flat[nx:], flat[:-nx], out=dy[:-nx], where=pairs[1])
-    return dx.reshape(v.shape), dy.reshape(v.shape)
+    if dx is None:
+        dx, dy = np.empty(v.shape), np.empty(v.shape)
+    dx.fill(0.0)  # where no pair is
+    dy.fill(0.0)
+    flat, fdx, fdy = v.ravel(), dx.reshape(-1), dy.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=fdx[:-1], where=pairs[0])
+    np.subtract(flat[nx:], flat[:-nx], out=fdy[:-nx], where=pairs[1])
+    return dx, dy
 
 
-def _pair_norms(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """sqrt(dx*dx + dy*dy) on every cell, into one new array (TV does it in place).
+def _pair_norms(dx: np.ndarray, dy: np.ndarray, out=None, spare=None) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy) on every cell into `out`, with dy*dy in `spare`.
 
     Within an ulp of hypot(dx, dy) while |dx| and |dy| lie in about
     [1e-154, 1e154]: above that the squares overflow, and TV and the
     L^2 norm raise; below it they lose digits, and TV and the L^2 norm
     sum again without squares when their sum is below _TINY_SUM.
     """
-    rho = np.multiply(dx, dx)
-    rho += np.multiply(dy, dy)
-    return np.sqrt(rho, out=rho)
+    out = np.multiply(dx, dx, out=out)
+    out += np.multiply(dy, dy, out=spare)
+    return np.sqrt(out, out=out)
 
 
-def total_variation(u: GridFunction) -> float:
+def total_variation(u: GridFunction, work=None) -> float:
     """Isotropic discrete TV with one-sided differences.
 
     Only differences between pairs of interior cells contribute; there
     is no charge across the domain boundary (BV(Omega) is indifferent
-    to the boundary trace).
+    to the boundary trace).  `work`, four contiguous float arrays of the
+    grid's shape (new ones when omitted), receives dx, dy and their pair
+    norms, which `_smoothed_tv_gradient` reads; the fourth is scratch.
     """
-    dx, dy = _forward_differences(u.values, u.domain.pair_masks)
-    np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)  # `_pair_norms`, in place
-    tv = float(np.sum(np.sqrt(dx, out=dx)))
-    if tv < _TINY_SUM:  # squares may have underflowed
-        tv = float(np.sum(np.hypot(*_forward_differences(u.values, u.domain.pair_masks))))
+    dx, dy, rho, spare = (None,) * 4 if work is None else work
+    dx, dy = _forward_differences(u.values, u.domain.pair_masks, dx, dy)
+    rho = _pair_norms(dx, dy, rho, spare)
+    tv = float(np.sum(rho))
+    if tv < _TINY_SUM:  # squares may have underflowed: the norms are redone without them
+        tv = float(np.sum(np.hypot(dx, dy, out=rho)))
     return _finite(u.domain.h * tv, "squared differences")
 
 
@@ -133,8 +143,9 @@ def lp_norm_power(u: GridFunction) -> float:
     return _l2_norm(u.values[u.domain.interior_mask], u.domain.h)
 
 
-def _l2_norm(vals: np.ndarray, h: float) -> float:
-    norm = float((h**2 * np.sum(vals * vals)) ** 0.5)
+def _l2_norm(vals: np.ndarray, h: float, scratch=None) -> float:
+    """The norm of `lp_norm_power` on interior values; the squares go into `scratch` if given."""
+    norm = float((h**2 * np.sum(np.multiply(vals, vals, out=scratch))) ** 0.5)
     if norm < _TINY_SUM:  # squares may have underflowed: scale by the largest value
         top = float(np.max(np.abs(vals), initial=0.0)) or 1.0
         norm = h * top * float(np.sum(np.square(vals / top))) ** 0.5
@@ -235,7 +246,8 @@ class ConstantEstimate:
     """Best discrete quotient found, with provenance.
 
     `value` is a rigorous upper bound for the discrete functional; the
-    snapshot is the feasible function attaining it.  `history` rows are
+    snapshot is the feasible, normalized function attaining it, and
+    `value` is exactly `total_variation(snapshot)`.  `history` rows are
     (iter, best quotient so far, |constraint residual|, tv, norm), where
     tv and norm belong to the normalized iterate: its quotient and 1.0.
     The quotient column is nonincreasing by construction.
@@ -252,24 +264,25 @@ class ConstantEstimate:
     seed_eps: float
 
 
-def _smoothed_tv_gradient(v: np.ndarray, pairs, h: float, delta: float):
+def _smoothed_tv_gradient(work, h: float, delta: float) -> np.ndarray:
     """Gradient of the Huber-smoothed TV sum h * phi_delta(|D v|).
 
-    Zero outside the mask: every pair it sums has both cells interior.
+    Reads the differences and pair norms of v that `total_variation(u,
+    work)` left in `work`, and overwrites them: the gradient takes the
+    place of the norms.  Zero outside the mask: every pair it sums has
+    both cells interior.
     """
-    gx, gy = _forward_differences(v, pairs)
-    w = _pair_norms(gx, gy)
+    gx, gy, w = work[:3]
     np.divide(1.0, np.maximum(w, delta, out=w), out=w)  # Huber: phi'(rho)/rho
     gx *= w
     gy *= w
-    nx = v.shape[1]
-    gx, gy = gx.ravel(), gy.ravel()
-    grad = -gx
+    nx = w.shape[1]
+    gx, gy, grad = gx.ravel(), gy.ravel(), np.negative(gx, out=w).ravel()
     grad[1:] += gx[:-1]  # gx is zero at row ends, so nothing crosses a row
     grad -= gy
     grad[nx:] += gy[:-nx]
     grad *= h
-    return grad.reshape(v.shape)
+    return w
 
 
 def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> ConstantEstimate:
@@ -279,55 +292,67 @@ def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> Consta
     profile of `achievability_certificate`, whose quotient raises
     ValueError unless 0 < q < 2, stopped early once more than _PATIENCE
     iterates in a row fail to improve on the best by the factor 1 - _TOL.
-    Every loop reduction is a numpy pairwise sum, never a BLAS call, whose
-    split across threads would change the rounding; so the history is
-    bitwise identical whatever the BLAS thread count.
+    Each iteration shifts and normalizes the iterate, then makes its one
+    `total_variation` call, whose differences and pair norms the Huber
+    gradient reuses: one difference stencil per iteration, and no new
+    array but the gather's and the iterate's validated copy.  Every loop
+    reduction is a numpy pairwise sum, never a BLAS call, whose split
+    across threads would change the rounding; so the history is bitwise
+    identical whatever the BLAS thread count.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
 
     seed_point, seed_eps, seed_qv = achievability_certificate(domain, q)  # checks q
-    u_seed = rasterize_two_valued(domain, seed_point, seed_eps, seed_qv.beta)
+    v = rasterize_two_valued(domain, seed_point, seed_eps, seed_qv.beta).values.copy()
 
     mask = domain.interior_mask
     h = domain.h
-    v = u_seed.values.copy()
-    best_value, best_resid = math.inf, math.nan
-    best = None  # (gf, norm): the snapshot is gf.values / norm, formed once
+    # The work arrays of the whole descent.  TV leaves the differences and
+    # pair norms of each iterate in (dx, dy, rho) for the gradient, and
+    # uses v as scratch: from TV to the step, gf holds v's bits.  Until TV,
+    # the interior levels and their scratch live at the head of dx and dy.
+    dx, dy, rho = (np.empty_like(v) for _ in range(3))
+    work = (dx, dy, rho, v)
+    n = np.count_nonzero(mask)
+    levels, spare = dx.reshape(-1)[:n], dy.reshape(-1)[:n]
+    best_value, best_resid, best = math.inf, math.nan, None
     rows = []
     stale = 0
     for k in range(budget):
-        levels = v[mask]  # the one gather: shifted and normalized below in place
-        lam = shift_to_constraint((levels, h * h), q)  # raises on equal levels
+        levels[:] = v[mask]  # the one gather (np.compress(out=) is 3x slower)
+        lam = shift_to_constraint((levels, h * h), q, spare)  # raises on equal levels
         v -= lam
         v *= mask
         levels -= lam
-        gf = GridFunction(domain, v)
-        norm = _l2_norm(levels, h)
-        value = total_variation(gf) / norm  # TV is 1-homogeneous
+        norm = _l2_norm(levels, h, spare)
         v /= norm  # the normalized iterate w
-        levels /= norm  # for the residual and the Huber width
-        resid = abs(float(np.sum(sign_power(levels, q))) * h * h)
+        levels /= norm
+        delta = _SMOOTHING_WIDTH * h * max(float(np.ptp(levels)), 1e-12)
+        terms = levels if q == 1.0 else sign_power(levels, q, out=levels)
+        resid = abs(float(np.sum(terms)) * h * h)
+        gf = GridFunction(domain, v)
+        value = total_variation(gf, work)  # overwrites levels
         improved = value < best_value * (1.0 - _TOL)
         if value < best_value:
-            best_value, best_resid, best = value, resid, (gf, norm)
+            best_value, best_resid, best = value, resid, gf
         rows.append((k, best_value, resid, value, 1.0))
         stale = 0 if improved else stale + 1
         if stale > _PATIENCE:
             break
 
-        delta = _SMOOTHING_WIDTH * h * max(float(np.ptp(levels)), 1e-12)
-        grad = _smoothed_tv_gradient(v, domain.pair_masks, h, delta)
-        gnorm = math.sqrt(float(np.sum(np.square(grad))))  # zero off the mask
+        grad = _smoothed_tv_gradient(work, h, delta)
+        gnorm = math.sqrt(float(np.sum(np.square(grad, out=v))))  # zero off the mask
         if gnorm == 0.0:
             break
         grad *= _STEP / (1.0 + k) ** _DECAY / gnorm  # the step length over |grad|
-        v -= grad
+        np.subtract(gf.values, grad, out=v)
+        gf = None  # unless it is the best, its copy goes before the next one is made
 
     return ConstantEstimate(
         value=best_value,
         q=q,
-        snapshot=GridFunction(domain, best[0].values / best[1]),  # the bits of v /= norm
+        snapshot=best,
         residual=best_resid,
         history=np.array(rows, dtype=float),
         threshold=seed_qv.threshold,

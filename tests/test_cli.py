@@ -347,8 +347,8 @@ GOLDEN_RUNS = {
                      "3e8c259357c4e0b987bdc4bf44f53576fe591818f55dc25a73a67f62669c20dd",
                      "9b34519908d7bc82633dac229b3e873e113eb343984c7f9a20678487498833cd"),
     "solve": (["--shape", "disk", "--h", "0.015625", "--q", "1", "--budget", "8"],
-              "de978952a49d5f8f2c7e7b37ae8acda99e50174b3587f8339b477048b6defa69",
-              "aa6815dc2934fc22a483b5495bf3f3be53f9753c8b3d978a23b0c9ccd311e7e7"),
+              "f6c0c26be8a8f24db6e59ee84e6ef061b93307900b01083bcb8fb095ae033d84",
+              "a7a9b319af3c8b1957657e5bb03e0adb21f943e0cacb5ce53aac67f9c5cfbed9"),
     "surface-classify": (["--surface", "spheroid", "--a", "1", "--c", "1.3",
                           "--q_list", "0.5,1,1.5"],
                          "d4f72ceac810ae1352870839a2e9b5c51627f111cca7e509ab49f0366009edc3",
@@ -397,10 +397,10 @@ def test_surface_classify_bytes_match_the_curvature_digests(surface, tmp_path):
 # The solver's Illinois-shift path, which the q = 1 GOLDEN_RUNS entry
 # does not reach.
 SOLVE_RUNS = {
-    "0.5": ("08368091e668dc51b27e84e9ec6b5c689ba6be46cd672a3f84d8adecbe07e782",
-            "c80fe04a2207e619d7aa7e81b01ccdf466f354a024e9383d87295564b5543a24"),
-    "1.5": ("220d58981dbe2202815b1705d2c20270dd284bf12fd4e40200e041b9ef59cbbd",
-            "b8b7ffd79521f695847cdf3d72e0fc0b19b8d68d44416971308ac8635c8b75b4"),
+    "0.5": ("ce1b5a0a832dcb6da66ee041829b68c7cc583595021545e42d2a778bc3b28588",
+            "c37a9491d4b6569e8f89d6a6b7b2b9443921e8a3536a6b720c7e370e83e6c64d"),
+    "1.5": ("dc581adc66ab891872138d16980ff859e965f28abd47cab95b896bffff1a3128",
+            "f8ed613ca9929147fc4ac4aa0215be368523b8c79bad21b4b2d2ff2d43996803"),
 }
 
 

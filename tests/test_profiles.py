@@ -67,6 +67,16 @@ class TestSignPower:
         assert out.tobytes() == np.copysign(np.abs(t) ** 1.0, t).tobytes()
         assert math.copysign(1.0, sign_power(-0.0, 1.0)) == -1.0
 
+    @pytest.mark.parametrize("q", [0.25, 0.5, 1.0, 1.5])
+    def test_in_place_gives_the_copysign_bits(self, q):
+        tiny = np.nextafter(0.0, 1.0)
+        t = np.array([0.0, -0.0, tiny, -tiny, 2.2e-308, -2.5, 2.5, 1e200, -1e-300])
+        fresh = sign_power(t, q)
+        assert fresh.tobytes() == np.copysign(np.abs(t) ** q, t).tobytes()
+        inplace = t.copy()
+        assert sign_power(inplace, q, out=inplace) is inplace
+        assert inplace.tobytes() == fresh.tobytes()  # the signs of -0.0 and -tiny included
+
 
 TWO_LEVELS = [(1.0, 1.0), (0.0, 2.0)]
 EXPONENT_CALLS = {
@@ -243,6 +253,14 @@ class TestSharedShift:
         pair = (below, lam) if _residual(levels, measures, lam, q) < 0.0 else (lam, above)
         r_left, r_right = (_residual(levels, measures, x, q) for x in pair)
         assert r_left > tol and r_right < -tol
+
+    @pytest.mark.parametrize("q", SHIFT_EXPONENTS)
+    @given(data=level_sets())
+    def test_scratch_array_gives_the_same_bits(self, q, data):
+        levels, measures = data
+        scratch = np.full(levels.shape, np.nan)  # stale contents never leak
+        assert (shift_to_constraint((levels, measures), q, scratch)
+                == shift_to_constraint((levels, measures), q))
 
     @pytest.mark.parametrize("q", SHIFT_EXPONENTS)
     @given(data=level_sets())

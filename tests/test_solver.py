@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -139,10 +140,10 @@ def _where_differences(v, mask):
     return dx, dy
 
 
-def _reference_gradient(v, mask, h, delta):
+def _reference_gradient(v, mask, h, delta, norm=lambda dx, dy: np.sqrt(dx * dx + dy * dy)):
     """The reference Huber-TV gradient, on the reference stencil."""
     dx, dy = _where_differences(v, mask)
-    w = 1.0 / np.maximum(np.sqrt(dx * dx + dy * dy), delta)
+    w = 1.0 / np.maximum(norm(dx, dy), delta)
     gx = dx * w
     gy = dy * w
     grad = np.zeros_like(v)
@@ -184,8 +185,32 @@ class TestForwardDifferences:
             assert np.array_equal(norms, np.sqrt(ref_dx * ref_dx + ref_dy * ref_dy)), name
             exact = np.hypot(ref_dx, ref_dy)  # the sqrt form stays within 1 ulp of it
             assert np.all(np.abs(norms - exact) <= np.spacing(exact)), name
-            assert np.array_equal(solver._smoothed_tv_gradient(v, pairs, 0.02, 1e-3),
+            # The gradient reads the differences and norms that TV leaves in its work arrays.
+            u = types.SimpleNamespace(values=v, domain=types.SimpleNamespace(pair_masks=pairs,
+                                                                             h=0.02))
+            work = [np.empty(mask.shape) for _ in range(4)]
+            total_variation(u, work)
+            assert np.array_equal(solver._smoothed_tv_gradient(work, 0.02, 1e-3),
                                   _reference_gradient(v, mask, 0.02, 1e-3)), name
+
+    @pytest.mark.parametrize("s", [1.0, 1e-3, 1e3, 1e-160])
+    @pytest.mark.parametrize("fixture", ["disk128", "ellipse256"])
+    def test_work_arrays_give_the_plain_bits(self, fixture, s, request):
+        # 1e-160 squares to subnormals: TV falls back to hypot, and the
+        # gradient must read those norms, not the squares that underflowed.
+        domain = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(43)
+        u = GridFunction(domain, s * rng.uniform(-1, 1, domain.interior_mask.shape))
+        work = [np.full(u.values.shape, np.nan) for _ in range(4)]  # stale contents
+        assert total_variation(u, work) == total_variation(u)
+        dx, dy = solver._forward_differences(u.values, domain.pair_masks)
+        assert work[0].tobytes() == dx.tobytes() and work[1].tobytes() == dy.tobytes()
+        norm = np.hypot if s == 1e-160 else solver._pair_norms
+        assert work[2].tobytes() == norm(dx, dy).tobytes()
+        delta = 1e-200 if s == 1e-160 else 1e-3
+        assert np.array_equal(solver._smoothed_tv_gradient(work, domain.h, delta),
+                              _reference_gradient(u.values, domain.interior_mask, domain.h,
+                                                  delta, norm))
 
 
 def _full_grid_indicator(domain, center, radius):
@@ -350,6 +375,33 @@ class TestMinimizeQuotient:
             estimate.value, abs=1e-10
         )
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    def test_value_is_the_tv_of_the_snapshot(self, disk128, q):
+        # The snapshot is the normalized iterate whose TV the descent measured.
+        estimate = minimize_quotient(disk128, q, self.BUDGET)
+        assert estimate.value == total_variation(estimate.snapshot)
+
+    def test_traced_peak_does_not_grow_with_the_iterations(self, disk128):
+        # The work arrays are made once per descent, and an iterate that is
+        # not the best is dropped before the next one is copied.  The peak:
+        # v, dx, dy, rho, the best and the new copy, and the copy's three
+        # boolean checks, 6.4 grid arrays (the unfused loop reached 9.8).
+        minimize_quotient(disk128, 0.5, 1)  # the domain's cached masks
+        grid = disk128.interior_mask.size * np.dtype(float).itemsize
+        peaks = []
+        for budget in (10, 30):
+            tracemalloc.start()
+            try:
+                estimate = minimize_quotient(disk128, 0.5, budget)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        history = estimate.history
+        assert 10 < history.shape[0] < 30  # stopped by patience, after stale iterates
+        assert list(history[:, 3]).index(estimate.value) < history.shape[0] - 1
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * grid
+        assert peaks[1] <= 7.0 * grid
+
     def test_below_half_space_threshold(self, disk256):
         estimate = minimize_quotient(disk256, 1.0, budget=60)
         assert estimate.value < C_HALF
@@ -371,9 +423,9 @@ class TestMinimizeQuotient:
         # The sqrt(dx^2 + dy^2) pair norm moves TV by a few ulps against
         # hypot; the descent takes the same steps and stops at the same row.
         fast = minimize_quotient(disk128, 1.0, self.BUDGET)
-        monkeypatch.setattr(solver, "_pair_norms", np.hypot)
-        monkeypatch.setattr(solver, "total_variation", lambda u: u.domain.h * float(np.sum(
-            np.hypot(*solver._forward_differences(u.values, u.domain.pair_masks)))))
+        # TV and the gradient share `_pair_norms`.
+        monkeypatch.setattr(solver, "_pair_norms",
+                            lambda dx, dy, out=None, spare=None: np.hypot(dx, dy, out=out))
         exact = minimize_quotient(disk128, 1.0, self.BUDGET)
         assert fast.history.shape == exact.history.shape
         for col in (0, 1, 3, 4):
