@@ -23,9 +23,10 @@ threshold = half_space_constant(2)
 domain = build_domain(DomainSpec.disk(1.0), 1.0 / 256)
 seed = max_curvature_seed(domain)
 
-print(f"unit disk: measure = {domain.measure:.8f}, diameter = {domain.diameter}")
+print(f"unit disk: measure = {domain.measure:.8f}, diameter bound = {domain.diameter}")
 print(f"seed point {seed.point} with curvature H = {seed.curvature} "
-      f"(diameter bound guarantees H >= {seed.curvature_lower_bound:.3f})")
+      f"(a boundary inside a disk of that diameter has H >= "
+      f"{seed.curvature_lower_bound:.3f} somewhere)")
 print(f"certificate threshold c*_2 / sqrt(2) = {threshold:.7f}")
 print()
 print("eps      quotient    gap to threshold")

@@ -12,13 +12,13 @@ rejected: its corners have no curvature, so it fails the C^2 requirement
 that the boundary-cap expansions of `asymptotics` rely on.
 
 A domain is described analytically (`DomainSpec`) and placed on a
-`GridDomain` with the spec, the grid, the measure and the diameter; its
-interior and pair masks are built on first read: only the TV solver pays.
-A spec's boundary is evaluated once, at 4096 samples of t, and read by
-the validation, the measure (Green's theorem, trapezoid rule on every
-second sample), the diameter (every fourth), the curvature seed and the
-crossing finder's tables.  Curvature is never differenced from the grid:
-it comes from the closed forms of rho, rho' and rho''.  The crossing
+`GridDomain` with the spec, the grid, the measure and the diameter bound
+2 R0, R0 >= |rho| in closed form; its interior and pair masks are built on
+first read: only the TV solver pays.  A spec's boundary is evaluated once,
+at 4096 samples of t, and read by the validation, the measure (Green's
+theorem, trapezoid rule on every second sample), the curvature seed and
+the crossing finder's tables.  Curvature is never differenced from the
+grid: it comes from the closed forms of rho, rho' and rho''.  The crossing
 finder's own boundary evaluations take rho and rho' alone.  At one point
 (a Newton step, the seed's polish) the boundary is evaluated on Python
 floats, which give the bits of numpy's functions without their cost per call.
@@ -298,8 +298,8 @@ def _boundary_samples(spec: DomainSpec):
     Returns the read-only arrays (x, y, kappa); what `validate` checks, (min
     rho, max rho, max |kappa|, max (rho^2 + rho'^2)^(3/2), min |gamma|), NaN
     or inf where a sample overflows; and `build_domain`'s measure.  Every
-    second and fourth t_i are linspace(0, 2 pi, n, endpoint=False), n = 2048
-    and 1024, bit for bit: a reader's slice is a direct evaluation there."""
+    second t_i is linspace(0, 2 pi, 2048, endpoint=False) bit for bit: a
+    reader's slice is a direct evaluation there."""
     t = np.arange(_SCAN_SAMPLES) * _SCAN_STEP
     with np.errstate(over="ignore", invalid="ignore"):  # `validate` checks
         ct, st = np.cos(t), np.sin(t)
@@ -321,8 +321,7 @@ def _boundary_samples(spec: DomainSpec):
 @dataclass(frozen=True)
 class GridDomain:
     """The analytic spec placed on a grid of cell size h, with its measure
-    and diameter (the largest distance between 1024 boundary samples, a
-    lower bound).
+    and diameter, the bound 2 R0 of `build_domain` (exact on disks and ellipses).
 
     The interior and stencil pair masks are built on first read: only the
     TV solver reads them, and the certificates never pay for the raster.
@@ -356,41 +355,6 @@ class GridDomain:
                            self.ymin + (np.arange(self.ny) + 0.5) * self.h)
 
 
-# The diameter's 1024 boundary samples are cut into blocks of 16
-# consecutive samples, and a pair of blocks is skipped when the law of
-# cosines proves that none of its distances reaches the largest one found
-# in the most promising pair.  Its bound R_I^2 + R_J^2 - 2 P c (R, r a
-# block's largest and smallest |p|, c the smallest cosine between the
-# blocks) holds exactly at the true angles and radii, which the float
-# samples match to a few ulp.  The origin is inside, so R^2 <= best (a
-# sample and its antipode are R or more apart): each rounding in the bound
-# is a few ulp of best, far inside the margin.  A skipped pair thus lies
-# strictly below the maximum, which is the all-pairs one bit for bit.
-_DIAMETER_BLOCK = 16
-_DIAMETER_MARGIN = 1e-12
-
-
-def _largest_squared_distance(sx, sy) -> float:
-    """max over i, j of (sx_i - sx_j)^2 + (sy_i - sy_j)^2, pruned by blocks.
-    Sample i of the n (even) must sit at polar angle 2 pi i / n about an inside origin."""
-    bx, by = sx.reshape(-1, _DIAMETER_BLOCK), sy.reshape(-1, _DIAMETER_BLOCK)
-
-    def block_d2(i, j):
-        dx = bx[i][..., :, None] - bx[j][..., None, :]
-        dy = by[i][..., :, None] - by[j][..., None, :]
-        return float(np.max(dx * dx + dy * dy))
-
-    rho = np.hypot(bx, by)
-    big, small = rho.max(axis=1), rho.min(axis=1)
-    k, m = np.arange(big.size), big.size  # blocks k = (J - I) mod m apart: samples 16 k -/+ 15
-    far = np.minimum(_DIAMETER_BLOCK * np.minimum(k, m - k) + _DIAMETER_BLOCK - 1, sx.size // 2)
-    c = np.cos(2.0 * math.pi / sx.size * far)[(k[None, :] - k[:, None]) % m]  # widest, folded
-    outer = np.where(c < 0.0, np.multiply.outer(big, big), np.multiply.outer(small, small))
-    bound = (big * big)[:, None] + big * big - 2.0 * outer * c
-    best = block_d2(*np.unravel_index(np.argmax(bound), bound.shape))
-    return block_d2(*np.nonzero(np.triu(bound * (1.0 + _DIAMETER_MARGIN) >= best)))
-
-
 def build_domain(spec: DomainSpec, h: float) -> GridDomain:
     """Place a valid spec on a grid of cell size h and compute its measure.
 
@@ -400,8 +364,9 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
     is rho^2): exact for the disk and for a Fourier boundary of degree
     below 1024; for the ellipse, whose rho^2 has Fourier coefficients
     decaying like ((a-b)/(a+b))^k, the error is at rounding level.  The
-    diameter is the maximum distance over 1024 boundary samples, so it is
-    a lower bound on the true one.
+    diameter is the closed-form bound 2 R0: every boundary point lies in
+    the disk B(0, R0), where R0 is r for the disk, max(a, b) for the
+    ellipse and |r0| + sum_k hypot(c_k, s_k) for a Fourier boundary.
     """
     feature = spec.validate()
     if h <= 0:
@@ -428,7 +393,7 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
 
     return GridDomain(
         spec=spec, h=h, xmin=xmin, ymin=ymin, nx=nx, ny=ny, measure=measure,
-        diameter=math.sqrt(_largest_squared_distance(x[::4], y[::4])),
+        diameter=2.0 * spec._radial_bounds()[0],
     )
 
 
@@ -443,7 +408,7 @@ class MaxCurvatureSeed:
     point: tuple
     param: float
     curvature: float
-    curvature_lower_bound: float  # 1/diam; the boundedness argument for H > 0
+    curvature_lower_bound: float  # 1/(2 R0); the boundedness argument for H > 0
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -471,7 +436,8 @@ def _golden_section(f, lo: float, hi: float, iters: int, key):
 
 
 def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
-    """Boundary point of maximal curvature, plus the 1/diameter audit bound.
+    """Boundary point of maximal curvature, plus the 1/diameter audit bound
+    (the boundary lies in B(0, R0), so its curvature reaches 1/R0 somewhere).
 
     Ties (constant curvature) resolve to the smallest parameter value.  The
     polish evaluates kappa on Python floats, where the (...)^(3/2) of

@@ -104,8 +104,8 @@ def beta_eps(total_measure: float, cap: float, q: float) -> float:
     _check_exponent(q)
     if not 0.0 < cap < total_measure:
         raise ValueError(
-            f"cap measure must lie strictly between 0 and the total "
-            f"({cap} vs {total_measure})"
+            f"the cap must be a strict subset of the domain: its measure must lie "
+            f"strictly between 0 and the total ({cap} vs {total_measure})"
         )
     try:
         return (total_measure / cap - 1.0) ** (-1.0 / q)
@@ -223,13 +223,9 @@ def two_valued_quotient_exact(domain: GridDomain, a, eps: float, q: float) -> Qu
 
     The jump set of the profile is exactly that arc, with jump height
     1 + beta; the part of the cap boundary on dOmega carries no
-    variation inside Omega.  The domain is planar, so n = 2.
+    variation inside Omega.  The domain is planar, so n = 2.  A cap that
+    is empty or covers Omega raises ValueError from `beta_eps`.
     """
-    if eps >= domain.diameter:
-        raise ValueError(
-            f"eps={eps} covers the whole domain (diameter {domain.diameter:.6g}); "
-            "the cap must be a strict subset"
-        )
     cap = cap_measure(domain, a, eps)
     arc = boundary_arc_inside(domain, a, eps)
     return _two_valued_quotient(domain.measure, cap, domain.measure - cap, arc, q, 2,

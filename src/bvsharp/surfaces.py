@@ -197,8 +197,9 @@ class SurfaceModel:
         return self.a**2 * np.cos(theta) ** 2 + self.c**2 * np.sin(theta) ** 2
 
     def _spheroid_scalar_curvature(self, E):
-        """S = 2 c^2 / E^2 on the spheroid, E = `_metric_E` of the polar angle.  E**2, not
-        E * E: on a scalar it is C `pow`, which can differ from E * E in the last bit."""
+        """S = 2 c^2 / E^2 on the spheroid, E = `_metric_E` of the polar angle, for an
+        array E.  On a scalar angle, C `pow` in E**2 and the scalar cos and sin of
+        `_metric_E` each round differently from the array loops in the last bit."""
         return 2.0 * self.c**2 / E**2
 
     def curvature_range(self):
@@ -248,7 +249,8 @@ def scalar_curvature(surface: SurfaceModel, point) -> float:
         return 2.0 / surface.r**2
     if surface.kind == "flat-torus":
         return 0.0
-    return float(surface._spheroid_scalar_curvature(surface._metric_E(float(point[0]))))
+    theta = np.array([float(point[0])])  # the Gauss-Bonnet integrand's array path
+    return float(surface._spheroid_scalar_curvature(surface._metric_E(theta))[0])
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvsharp import (
@@ -20,6 +20,7 @@ from bvsharp import (
     geometry,
     max_curvature_seed,
     optimal_epsilon,
+    two_valued_quotient_exact,
 )
 from oracles import disk_arc_inside, ellipse_curvature, lens_area
 
@@ -152,24 +153,72 @@ class TestBuildDomain:
 
 
 def _all_pairs_squared_diameter(spec):
-    """The diameter's reference: every pair of the 1024 samples, in row chunks."""
+    """The largest squared distance between two of 1024 boundary samples:
+    every pair, in row chunks against the samples from the chunk on (a
+    pair's squared distance has the same bits in either order)."""
     sx, sy = spec.boundary_point(np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False))
     d2 = 0.0
     for lo in range(0, sx.size, 128):
-        dx = sx[lo:lo + 128, None] - sx
-        dy = sy[lo:lo + 128, None] - sy
+        dx = sx[lo:lo + 128, None] - sx[lo:]
+        dy = sy[lo:lo + 128, None] - sy[lo:]
         d2 = max(d2, float(np.max(dx * dx + dy * dy)))
     return d2
 
 
+def _turned_quarter(turn):
+    """A near-circular shape in one of its four quarter turns, as the sweep
+    benchmark runs it: (c1, c2; s1) -> (-s1, -c2; c1), exact in floats."""
+    (c1, c2), (s1,) = (0.0028371899280616175, 0.10811128711822446), (-0.0854016929472879,)
+    for _ in range(turn):
+        (c1, c2), (s1,) = (-s1, -c2), (c1,)
+    return DomainSpec.fourier(1.0, (c1, c2), (s1,))
+
+
+def _valid_fourier_shapes(count, seed):
+    """Seeded valid Fourier shapes, each just validated: up to 8 harmonics,
+    sum of |h_k| up to 3 r0."""
+    rng = np.random.default_rng(seed)
+    while count:
+        r0, k = float(rng.uniform(0.5, 2.0)), int(rng.integers(1, 9))
+        coeffs = rng.normal(size=(2, k))
+        coeffs *= rng.uniform(0.0, 3.0) * r0 / np.sum(np.hypot(*coeffs))
+        spec = DomainSpec.fourier(r0, *coeffs)
+        try:
+            spec.validate()
+        except DomainBuildError:
+            continue
+        count -= 1
+        yield spec
+
+
 class TestDiameter:
-    # The prune bounds block pairs by the law of cosines.  On a disk every
-    # antipodal pair ties for the maximum, so no pair it skips may hold one.
-    @pytest.mark.parametrize("spec", [DomainSpec.disk(1.0), DomainSpec.disk(0.37),
-                                      DomainSpec.disk(1e-3), DomainSpec.disk(1e3)],
-                             ids=["unit", "small", "tiny", "huge"])
-    def test_disk_matches_all_pairs(self, spec):
-        assert build_domain(spec, spec.min_feature_size() / 8.0).diameter == math.sqrt(
+    # The diameter is the closed-form bound 2 R0 of `_radial_bounds`.  The
+    # samples round on their own, so the all-pairs reference may exceed it
+    # by an ulp: on the disk of radius 0.37 it reads 2 r plus one ulp.
+    @staticmethod
+    def _bounds_all_pairs(spec):
+        diameter = build_domain(spec, spec.min_feature_size() / 8.0).diameter
+        assert diameter >= math.sqrt(_all_pairs_squared_diameter(spec)) * (1.0 - 2.0 ** -51)
+
+    @pytest.mark.parametrize("spec", [DomainSpec.disk(0.37), DomainSpec.disk(1e-3),
+                                      DomainSpec.disk(1e3), *map(_turned_quarter, range(4)),
+                                      DomainSpec.fourier(1.0, (0.0, 0.1))],
+                             ids=["small", "tiny", "huge", *(f"turn-{k}" for k in range(4)),
+                                  "even"])
+    def test_bound_covers_all_pairs(self, spec):
+        # "even": rho = 1 + 0.1 cos 2t reaches R0 at two antipodes, so D = 2 R0.
+        self._bounds_all_pairs(spec)
+
+    @settings(max_examples=20)
+    @given(coeffs=st.lists(st.floats(-0.12, 0.12), min_size=1, max_size=3),
+           split=st.integers(0, 3), r0=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_fourier_bound_covers_all_pairs(self, coeffs, split, r0):
+        coeffs = [r0 * c for c in coeffs]
+        self._bounds_all_pairs(DomainSpec.fourier(r0, coeffs[:split], coeffs[split:]))
+
+    def test_unit_disk_is_exact(self):
+        spec = DomainSpec.disk(1.0)
+        assert build_domain(spec, 1.0 / 64).diameter == 2.0 == math.sqrt(
             _all_pairs_squared_diameter(spec))
 
     @pytest.mark.parametrize("ratio", [*np.geomspace(0.3, 3.0, 13), 0.1, 0.2, 5.0, 10.0])
@@ -178,24 +227,30 @@ class TestDiameter:
         h = spec.min_feature_size() / 8.0
         assert build_domain(spec, h).diameter == math.sqrt(_all_pairs_squared_diameter(spec))
 
-    @given(coeffs=st.lists(st.floats(-0.12, 0.12), min_size=1, max_size=3),
-           split=st.integers(0, 3), r0=st.sampled_from([0.5, 1.0, 2.0]))
-    def test_fourier_matches_all_pairs(self, coeffs, split, r0):
-        coeffs = [r0 * c for c in coeffs]
-        spec = DomainSpec.fourier(r0, coeffs[:split], coeffs[split:])
-        domain = build_domain(spec, spec.min_feature_size() / 8.0)
-        assert domain.diameter == math.sqrt(_all_pairs_squared_diameter(spec))
+    @pytest.mark.parametrize("spec", [
+        DomainSpec.disk(1.0), DomainSpec.ellipse(2.0, 1.0),
+        DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,))],
+        ids=["disk", "ellipse", "fourier"])
+    def test_cap_covering_the_domain_is_rejected(self, spec):
+        # A cap is a strict subset of Omega or no cap: past the diameter it
+        # covers Omega, and `beta_eps` rejects it with the rule's name.
+        domain = build_domain(spec, 1.0 / 64)
+        centre = max_curvature_seed(domain).point
+        eps = 1.01 * math.sqrt(_all_pairs_squared_diameter(spec))
+        with pytest.raises(ValueError, match="the cap must be a strict subset of the domain"):
+            two_valued_quotient_exact(domain, centre, eps, 1.0)
 
-    @pytest.mark.parametrize("turn", range(4))
-    def test_fourier_quarter_turns_match_all_pairs(self, turn):
-        # A near-circular shape in its four quarter turns, as the sweep
-        # benchmark runs it: (c1, c2; s1) -> (-s1, -c2; c1), exact in floats.
-        (c1, c2), (s1,) = (0.0028371899280616175, 0.10811128711822446), (-0.0854016929472879,)
-        for _ in range(turn):
-            (c1, c2), (s1,) = (-s1, -c2), (c1,)
-        spec = DomainSpec.fourier(1.0, (c1, c2), (s1,))
-        domain = build_domain(spec, spec.min_feature_size() / 8.0)
-        assert domain.diameter == math.sqrt(_all_pairs_squared_diameter(spec))
+    def test_bracket_end_stays_inside_from_every_boundary_point(self):
+        # The radius search ends at diameter / 4 = R0 / 2.  From every 16th
+        # of the 1024 boundary samples, the farthest sample lies beyond it,
+        # so no cap of the bracket covers Omega.  This is proved for sum
+        # |h_k| < r0, where R0 / 2 < r0 <= D / 2; the draws go to 3 r0.
+        t = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+        for spec in _valid_fourier_shapes(100, 53):
+            sx, sy = spec.boundary_point(t)
+            d2 = np.square(sx[::16, None] - sx) + np.square(sy[::16, None] - sy)
+            end = build_domain(spec, spec.min_feature_size() / 8.0).diameter / 4.0
+            assert end < math.sqrt(float(np.min(np.max(d2, axis=1)))), spec
 
 
 def _reference_radial(spec, t):
@@ -1075,8 +1130,7 @@ class TestSharedSamples:
         assert (domain.xmin, domain.ymin, domain.nx, domain.ny) == (
             xmin, ymin, math.ceil((float(np.max(bx)) + 3.0 * h - xmin) / h),
             math.ceil((float(np.max(by)) + 3.0 * h - ymin) / h))
-        sx, sy = spec.boundary_point(np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False))
-        assert domain.diameter == math.sqrt(geometry._largest_squared_distance(sx, sy))
+        assert domain.diameter == 2.0 * spec._radial_bounds()[0]
         seed = max_curvature_seed(domain)
         assert (seed.param, seed.curvature) == _reference_seed(spec)
         x, y = spec.boundary_point(np.arange(4096) * geometry._SCAN_STEP)

@@ -492,6 +492,27 @@ class TestCertificateRotationInvariance:
             assert min(math.hypot(cx - px, cy - py) for px, py in ((x, y), mirror)) <= 1e-7
 
 
+    def test_random_turns_give_the_same_quotient(self):
+        # The radius bracket ends at R0 / 2, the same under every turn up to
+        # rounding and bit for bit under quarter turns.
+        cos_coeffs, sin_coeffs = (0.0, 0.1, 0.05), (0.08, 0.0, 0.03)
+
+        def turned(trig):  # trig[k - 1] = (cos k phi, sin k phi)
+            pairs = list(zip(trig, cos_coeffs, sin_coeffs))
+            return build_domain(DomainSpec.fourier(
+                1.0, [c * ck - s * sk for (ck, sk), c, s in pairs],
+                [c * sk + s * ck for (ck, sk), c, s in pairs]), 1.0 / 128)
+
+        quarter = ((1, 0), (0, 1), (-1, 0), (0, -1))
+        quarters = [turned([quarter[k * n % 4] for k in (1, 2, 3)]) for n in range(4)]
+        assert len({domain.diameter for domain in quarters}) == 1
+        domains = quarters + [turned([(math.cos(k * phi), math.sin(k * phi)) for k in (1, 2, 3)])
+                              for phi in np.random.default_rng(61).uniform(0.0, 2 * math.pi, 12)]
+        for q in (0.5, 1.0, 1.5):
+            values = [achievability_certificate(domain, q)[2].value for domain in domains]
+            assert max(values) - min(values) <= 1e-9 * min(values)
+
+
 class TestDomainQuotientExpansion:
     def test_flat_boundary_gives_half_space_constant(self):
         for eps in (0.05, 0.3):
