@@ -137,10 +137,12 @@ def critical_quotient_expansion(S: float, area: float, eps: float, n: int) -> fl
     return sharp_sobolev_constant(n) * (1.0 + (plateau_term - curvature_term) * eps**2)
 
 
-def _check_radii(eps: np.ndarray, fit: str) -> None:
-    """Raise ValueError unless there are two or more radii, all distinct:
-    a repeated radius leaves the least-squares line singular or
-    determined by fewer points than it was given."""
+def _check_radii(eps: np.ndarray, values: np.ndarray, fit: str) -> None:
+    """Raise ValueError unless there are two or more radii, all distinct,
+    and one value per radius: a repeated radius leaves the least-squares
+    line singular or determined by fewer points than it was given."""
+    if values.shape != eps.shape:
+        raise ValueError(f"{eps.size} radii but {values.size} values for {fit}")
     if eps.size < 2:
         raise ValueError(f"need at least two radii for {fit}")
     if np.unique(eps).size < eps.size:
@@ -151,7 +153,7 @@ def fit_remainder_order(eps, diffs) -> float:
     """Slope of log|diff| against log eps (the empirical remainder order)."""
     eps = np.asarray(eps, dtype=float)
     diffs = np.abs(np.asarray(diffs, dtype=float))
-    _check_radii(eps, "an order fit")
+    _check_radii(eps, diffs, "an order fit")
     if np.any(diffs <= 0):
         raise ValueError("differences must be nonzero for a log-log fit")
     return float(np.polyfit(np.log(eps), np.log(diffs), 1)[0])
@@ -165,7 +167,7 @@ def fit_linear_coefficient(eps, values, limit: float) -> float:
     """
     eps = np.asarray(eps, dtype=float)
     values = np.asarray(values, dtype=float)
-    _check_radii(eps, "a coefficient fit")
+    _check_radii(eps, values, "a coefficient fit")
     ratios = (values - limit) / eps
     design = np.vstack([np.ones_like(eps), eps]).T
     coef, *_ = np.linalg.lstsq(design, ratios, rcond=None)

@@ -34,13 +34,12 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _as_half_integer(x: float) -> int:
-    """Return round(2x) after checking that x is a positive half-integer."""
-    doubled = 2.0 * x
-    k = round(doubled)
-    if k <= 0 or abs(doubled - k) > 1e-12:
-        raise ValueError(f"expected a positive half-integer, got {x!r}")
-    return k
+def _check_dimension(n, least: int) -> None:
+    """Raise ValueError, naming n, unless n is an integer (3.0 counts) >= least."""
+    if not float(n).is_integer():
+        raise ValueError(f"dimension must be an integer, got {n}")
+    if n < least:
+        raise ValueError(f"dimension must be >= {least}, got {n}")
 
 
 def gamma_half_integer(x: float) -> float:
@@ -49,8 +48,10 @@ def gamma_half_integer(x: float) -> float:
     Raises ValueError, naming x, when Gamma(x) lies beyond the float
     range (from x = 172 on).
     """
-    k = _as_half_integer(x)
     # k counts half-steps: k even -> integer argument, k odd -> half-integer.
+    k = round(2.0 * x)
+    if k <= 0 or abs(2.0 * x - k) > 1e-12:
+        raise ValueError(f"expected a positive half-integer, got {x!r}")
     value = 1.0 if k % 2 == 0 else _SQRT_PI
     t = 1.0 if k % 2 == 0 else 0.5
     while t < x - 0.25:
@@ -68,16 +69,14 @@ def euler_beta(x: float, y: float) -> float:
 
 def unit_ball_volume(n: int) -> float:
     """Volume omega_n of the unit ball in R^n."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_dimension(n, 1)
     gamma = gamma_half_integer(n / 2.0 + 1.0)  # first: it names an out-of-range n
     return math.pi ** (n / 2.0) / gamma
 
 
 def unit_sphere_area(n: int) -> float:
     """Surface measure sigma_n of the unit n-sphere S^n embedded in R^(n+1)."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_dimension(n, 1)
     gamma = gamma_half_integer((n + 1) / 2.0)  # first: it names an out-of-range n
     return 2.0 * math.pi ** ((n + 1) / 2.0) / gamma
 
@@ -87,8 +86,7 @@ def sharp_sobolev_constant(n: int) -> float:
 
     Equal to n * omega_n^(1/n); indicators of balls are the extremals.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _check_dimension(n, 2)
     return _SQRT_PI * n / gamma_half_integer(n / 2.0 + 1.0) ** (1.0 / n)
 
 

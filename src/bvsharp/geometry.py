@@ -33,7 +33,9 @@ The two quadrature operations that feed certificate-grade numbers are
   inside B are integrated by the panel rule `_panel_rule`: 32-point
   Gauss-Legendre on 8 equal panels, the package's one quadrature rule
   for smooth integrals (the surface area and Gauss-Bonnet integrals in
-  `surfaces` use it too).
+  `surfaces` use it too).  Its nodes and weights are a literal table,
+  equal bit for bit to numpy's `leggauss(32)` (a test checks it), kept
+  literal so that the package loads only numpy's core.
 
 They share one crossing finder, which works along the boundary parameter
 t: dB(a, eps) meets dOmega where f(t) = |gamma(t) - a|^2 - eps^2 changes
@@ -630,8 +632,21 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
 # --------------------------------------------------------------------------
 # cap quadrature
 
-# Read-only: `surfaces` shares the rule.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# Read-only: `surfaces` shares the rule.  A literal table, the positive half of
+# numpy 2.4.6's `leggauss(32)` printed with repr and mirrored, equal to it bit
+# for bit (a test checks it): literal, so that bvsharp loads only numpy's core.
+_GL_HALF = np.array([  # (node, weight)
+    (0.048307665687738324, 0.09654008851472766), (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451), (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378), (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023), (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168), (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609), (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765), (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743), (0.9972638618494816, 0.007018610009470506),
+])
+_GL_NODES = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
 _PANEL_EDGES = np.linspace(0.0, 1.0, 9)
 _GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = _PANEL_EDGES.flags.writeable = False
 

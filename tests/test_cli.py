@@ -561,3 +561,20 @@ def test_import_loads_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["[]", "False"]
+
+
+def test_import_loads_only_numpy_core():
+    # `import bvsharp.cli` loads no numpy submodule that `import numpy`
+    # alone does not: the panel rule's Gauss-Legendre table is literal, so
+    # numpy.polynomial (nine modules) stays out of every process.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = (
+        "import sys, numpy; core = set(sys.modules); import bvsharp.cli; "
+        "print(sorted(m for m in set(sys.modules) - core if m.split('.')[0] == 'numpy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]", f"extra numpy modules: {result.stdout.strip()}"

@@ -170,6 +170,27 @@ class TestSharpConstantsBundle:
                 constant(1)
 
 
+@pytest.mark.parametrize("constant", [unit_ball_volume, unit_sphere_area,
+                                      sharp_sobolev_constant, half_space_constant])
+class TestDimensionCheck:
+    @pytest.mark.parametrize("n", [2.5, 3.25, math.nan, math.inf])
+    def test_non_integral_dimension_is_named(self, constant, n):
+        # 2.5 used to raise "expected a positive half-integer, got 2.25",
+        # naming Gamma's argument instead of n.
+        with pytest.raises(ValueError, match=rf"dimension must be an integer, got {n}$"):
+            constant(n)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_low_dimension_is_named(self, constant, n):
+        least = 1 if constant in (unit_ball_volume, unit_sphere_area) else 2
+        with pytest.raises(ValueError, match=rf"dimension must be >= {least}, got {n}$"):
+            constant(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_integral_float_keeps_the_bits(self, constant, n):
+        assert constant(float(n)) == constant(n)
+
+
 def test_unit_sphere_area_low_dimensions():
     assert unit_sphere_area(1) == pytest.approx(2.0 * math.pi, rel=1e-15, abs=0)
     assert unit_sphere_area(2) == pytest.approx(4.0 * math.pi, rel=1e-15, abs=0)

@@ -1080,6 +1080,23 @@ class TestCrossingFinder:
             function(disk256, tuple(centre), 0.2)
 
 
+class TestPanelRule:
+    def test_table_is_leggauss_bit_for_bit(self):
+        # The literal table stands in for numpy.polynomial, which the
+        # package does not import; the test may.
+        for table, reference in zip((geometry._GL_NODES, geometry._GL_WEIGHTS),
+                                    np.polynomial.legendre.leggauss(32)):
+            assert table.shape == reference.shape and table.dtype == reference.dtype
+            assert table.tobytes() == reference.tobytes()
+
+    def test_integrates_monomials_exactly(self):
+        # 32 Gauss-Legendre nodes integrate degree 63 exactly on each panel,
+        # a check that does not rest on numpy's nodes.
+        t, w = geometry._panel_rule(0.0, 1.0)
+        errors = {k: math.fsum((w * t**k).ravel()) * (k + 1) - 1.0 for k in range(64)}
+        assert {k: e for k, e in errors.items() if abs(e) > 1e-14} == {}
+
+
 def _radial_frame(spec, t):
     """(x, y, x', y') through `_radial`, rho'' and all: the reference for
     `DomainSpec._boundary_frame`."""

@@ -544,6 +544,25 @@ class TestDomainQuotientExpansion:
         with pytest.raises(ValueError, match="radii must be distinct for an order fit"):
             fit_remainder_order(radii, values)
 
+    @pytest.mark.parametrize("radii, values", [
+        ([0.1, 0.2], [2.4]), ([0.05, 0.1, 0.2], [2.4, 2.3]),
+    ])
+    def test_coefficient_fit_rejects_mismatched_lengths(self, radii, values):
+        # One value broadcast over both radii returned 0.0; 3 radii and 2
+        # values raised numpy's broadcast error.
+        message = f"{len(radii)} radii but {len(values)} values for a coefficient fit"
+        with pytest.raises(ValueError, match=message):
+            fit_linear_coefficient(radii, values, C_HALF)
+
+    @pytest.mark.parametrize("radii, values", [
+        ([0.1, 0.2], [0.01]), ([0.05, 0.1, 0.2], [0.01, 0.02]),
+    ])
+    def test_order_fit_rejects_mismatched_lengths(self, radii, values):
+        # np.polyfit raised TypeError: expected x and y to have same length.
+        message = f"{len(radii)} radii but {len(values)} values for an order fit"
+        with pytest.raises(ValueError, match=message):
+            fit_remainder_order(radii, values)
+
 
 class TestSurfaceQuotientExpansion:
     def test_flat_case_is_sharp_constant(self):
