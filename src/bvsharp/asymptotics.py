@@ -10,7 +10,8 @@ Remainder orders come out of a log-log least-squares line; the leading
 linear coefficient of a quotient expansion comes from fitting the
 difference quotient (Q(eps) - limit)/eps against eps and reading off
 the intercept, which strips the next-order contamination that a direct
-slope fit would keep.  Both fits need two or more distinct radii.
+slope fit would keep.  Both fits need two or more distinct positive
+radii and a finite value at each.
 """
 
 from __future__ import annotations
@@ -19,25 +20,17 @@ import math
 
 import numpy as np
 
-from .constants import euler_beta, half_space_constant, sharp_sobolev_constant, unit_ball_volume
-
-__all__ = [
-    "cap_measure_expansion", "boundary_arc_expansion", "domain_quotient_expansion",
-    "domain_quotient_slope", "gray_expansion", "geodesic_circle_expansion",
-    "surface_quotient_expansion", "critical_quotient_expansion",
-    "fit_remainder_order", "fit_linear_coefficient",
-]
+from .constants import (_check_dimension, _check_positive, euler_beta, half_space_constant,
+                        sharp_sobolev_constant, unit_ball_volume)
 
 
 def _check_expansion_inputs(n: int, eps: float, **coefficients: float) -> None:
-    """Raise ValueError naming a non-finite argument, or for eps <= 0 or n < 2."""
-    for name, value in {**coefficients, "eps": eps}.items():
+    """Raise ValueError naming a non-finite coefficient, or from eps's and n's rules."""
+    for name, value in coefficients.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_positive(eps, "eps")
+    _check_dimension(n, 2)
 
 
 def cap_measure_expansion(H: float, eps: float, n: int) -> float:
@@ -127,9 +120,8 @@ def critical_quotient_expansion(S: float, area: float, eps: float, n: int) -> fl
     At n = 2 the plateau and curvature terms cancel exactly on a round
     sphere (S = 2 on the unit sphere of area 4 pi), the borderline case.
     """
-    _check_expansion_inputs(n, eps, S=S, area=area)
-    if area <= 0:
-        raise ValueError("area must be positive")
+    _check_expansion_inputs(n, eps, S=S)
+    _check_positive(area, "area")
     plateau_term = (n - 1) / n * (unit_ball_volume(n) / area) ** (2.0 / n)
     if n >= 3:
         plateau_term = -plateau_term
@@ -137,14 +129,21 @@ def critical_quotient_expansion(S: float, area: float, eps: float, n: int) -> fl
     return sharp_sobolev_constant(n) * (1.0 + (plateau_term - curvature_term) * eps**2)
 
 
-def _check_radii(eps: np.ndarray, values: np.ndarray, fit: str) -> None:
-    """Raise ValueError unless there are two or more radii, all distinct,
-    and one value per radius: a repeated radius leaves the least-squares
-    line singular or determined by fewer points than it was given."""
+def _check_radii(eps: np.ndarray, values: np.ndarray, fit: str, limit: float = 0.0) -> None:
+    """Raise ValueError unless there are two or more radii, all positive
+    and distinct, and one finite value per radius, naming the first
+    offender: a repeated radius leaves the least-squares line singular or
+    determined by fewer points than it was given.  `limit` must be finite."""
     if values.shape != eps.shape:
         raise ValueError(f"{eps.size} radii but {values.size} values for {fit}")
     if eps.size < 2:
         raise ValueError(f"need at least two radii for {fit}")
+    for i, (radius, value) in enumerate(zip(eps.ravel().tolist(), values.ravel().tolist())):
+        _check_positive(radius, f"eps[{i}]")
+        if not math.isfinite(value):
+            raise ValueError(f"values[{i}] must be finite, got {value}")
+    if not math.isfinite(limit):
+        raise ValueError(f"limit must be finite, got {limit}")
     if np.unique(eps).size < eps.size:
         raise ValueError(f"radii must be distinct for {fit}, got {eps.tolist()}")
 
@@ -167,7 +166,7 @@ def fit_linear_coefficient(eps, values, limit: float) -> float:
     """
     eps = np.asarray(eps, dtype=float)
     values = np.asarray(values, dtype=float)
-    _check_radii(eps, values, "a coefficient fit")
+    _check_radii(eps, values, "a coefficient fit", limit)
     ratios = (values - limit) / eps
     design = np.vstack([np.ones_like(eps), eps]).T
     coef, *_ = np.linalg.lstsq(design, ratios, rcond=None)

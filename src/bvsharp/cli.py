@@ -94,24 +94,27 @@ class ExperimentConfig:
     seed: int = 0  # echoed in the solve summary; changes no result
 
     def domain_spec(self) -> geometry.DomainSpec:
-        if self.shape == "disk":
-            return geometry.DomainSpec.disk(self.r)
-        if self.shape == "ellipse":
-            return geometry.DomainSpec.ellipse(self.a, self.b)
-        if self.shape == "fourier":
-            return geometry.DomainSpec.fourier(self.r0, self.cos_coeffs, self.sin_coeffs)
-        if self.shape == "square":
-            return geometry.DomainSpec(kind="square")
-        raise ConfigError(f"shape: unknown value {self.shape!r}")
+        return self._models()["shape"][self.shape]()
 
     def surface_model(self) -> surfaces.SurfaceModel:
-        if self.surface == "sphere":
-            return surfaces.SurfaceModel.sphere(self.r)
-        if self.surface == "spheroid":
-            return surfaces.SurfaceModel.spheroid(self.a, self.c)
-        if self.surface == "torus":
-            return surfaces.SurfaceModel.flat_torus(self.L1, self.L2)
-        raise ConfigError(f"surface: unknown value {self.surface!r}")
+        return self._models()["surface"][self.surface]()
+
+    def _models(self) -> dict:
+        """The one list of model names: config key -> model name -> its builder."""
+        return {
+            "shape": {
+                "disk": lambda: geometry.DomainSpec.disk(self.r),
+                "ellipse": lambda: geometry.DomainSpec.ellipse(self.a, self.b),
+                "fourier": lambda: geometry.DomainSpec.fourier(self.r0, self.cos_coeffs,
+                                                               self.sin_coeffs),
+                "square": lambda: geometry.DomainSpec(kind="square"),
+            },
+            "surface": {
+                "sphere": lambda: surfaces.SurfaceModel.sphere(self.r),
+                "spheroid": lambda: surfaces.SurfaceModel.spheroid(self.a, self.c),
+                "torus": lambda: surfaces.SurfaceModel.flat_torus(self.L1, self.L2),
+            },
+        }
 
 
 # Keyed by the field annotations, which are strings under
@@ -170,31 +173,36 @@ def _validate(config: ExperimentConfig):
         raise ConfigError(
             f"task: expected one of {', '.join(TASKS)}; got {config.task!r}"
         )
-    if config.shape not in ("disk", "ellipse", "fourier", "square"):
-        raise ConfigError(f"shape: unknown value {config.shape!r}")
-    if config.surface not in ("sphere", "spheroid", "torus"):
-        raise ConfigError(f"surface: unknown value {config.surface!r}")
+    for key, models in config._models().items():
+        if getattr(config, key) not in models:
+            raise ConfigError(f"{key}: unknown value {getattr(config, key)!r}")
     if config.q_list and config.task not in _Q_LIST_TASKS:
         raise ConfigError(
             f"q_list: only {' and '.join(_Q_LIST_TASKS)} accept an exponent list; "
             f"task {config.task} runs a single q"
         )
-    if config.h <= 0:
-        raise ConfigError("h: must be positive")
-    for name in ("r", "a", "b", "c", "L1", "L2", "r0"):
+    for name in ("h", "r", "a", "b", "c", "L1", "L2", "r0"):
         if getattr(config, name) <= 0:
             raise ConfigError(f"{name}: must be positive")
-    for qv in (config.q, *config.q_list):
-        if not 0.0 < qv < 2.0:
-            raise ConfigError(f"q: must lie in (0, n/(n-1)) = (0, 2) at n = 2; got {qv}")
-    if config.eps_min <= 0 or config.eps_max <= config.eps_min:
+    # The theory's rules from `constants`, each message prefixed with its key;
+    # planar domains and surface models are both of dimension n = 2.
+    rules = [("q", constants._check_exponent, config.q, 2),
+             *[("q_list", constants._check_exponent, q, 2) for q in config.q_list],
+             ("eps_min", constants._check_positive, config.eps_min, "eps"),
+             ("eps_max", constants._check_positive, config.eps_max, "eps"),
+             *[("eps_list", constants._check_positive, eps, "eps") for eps in config.eps_list],
+             ("n_min", constants._check_dimension, config.n_min, 2)]
+    for key, rule, value, arg in rules:
+        try:
+            rule(value, arg)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    if config.eps_max <= config.eps_min:
         raise ConfigError("eps_min/eps_max: need 0 < eps_min < eps_max")
-    if any(e <= 0 for e in config.eps_list):
-        raise ConfigError("eps_list: radii must be positive")
     if config.eps_count < 2:
         raise ConfigError("eps_count: must be >= 2")
-    if not 2 <= config.n_min <= config.n_max:
-        raise ConfigError("n_min/n_max: need 2 <= n_min <= n_max")
+    if config.n_max < config.n_min:
+        raise ConfigError("n_min/n_max: need n_min <= n_max")
     if config.budget < 1:
         raise ConfigError("budget: must be >= 1")
     if config.seed < 0:
@@ -504,7 +512,7 @@ def main(argv=None) -> int:
             values["out"] = args.out
         config = make_config(values)
         return run(config)
-    except (ConfigError, ValueError, geometry.DomainBuildError) as exc:
+    except ValueError as exc:  # ConfigError and DomainBuildError are ValueErrors
         print(f"bv-sharp: error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,20 +16,15 @@ follows by reflecting across the flat boundary.
 This module is their one source: every expansion in `asymptotics` takes
 omega_n from `unit_ball_volume`, which evaluates Gamma first, so a
 dimension beyond the float range raises ValueError naming Gamma.
+
+It is also the one home of the theory's three input rules, which every
+entry point calls: n >= 2 (`_check_dimension`), 0 < q < n/(n-1)
+(`_check_exponent`), and a positive radius or area (`_check_positive`).
 """
 
 from __future__ import annotations
 
 import math
-
-__all__ = [
-    "gamma_half_integer",
-    "euler_beta",
-    "unit_ball_volume",
-    "unit_sphere_area",
-    "sharp_sobolev_constant",
-    "half_space_constant",
-]
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -40,6 +35,24 @@ def _check_dimension(n, least: int) -> None:
         raise ValueError(f"dimension must be an integer, got {n}")
     if n < least:
         raise ValueError(f"dimension must be >= {least}, got {n}")
+
+
+def _check_exponent(q, n=None) -> None:
+    """Raise ValueError, naming q, unless 0 < q < n/(n-1); without n, unless q > 0."""
+    if n is not None and not 0.0 < q < n / (n - 1):  # NaN fails too
+        raise ValueError(f"q must lie in (0, {n / (n - 1)}), got {q}")
+    if not math.isfinite(q):
+        raise ValueError(f"exponent q must be finite, got {q}")
+    if q <= 0:
+        raise ValueError(f"exponent q must be positive, got {q}")
+
+
+def _check_positive(value, name: str) -> None:
+    """Raise ValueError, naming `name`, unless the radius or area is finite and positive."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 def gamma_half_integer(x: float) -> float:

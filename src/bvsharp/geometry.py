@@ -65,15 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DomainSpec",
-    "GridDomain",
-    "build_domain",
-    "max_curvature_seed",
-    "MaxCurvatureSeed",
-    "cap_measure",
-    "boundary_arc_inside",
-]
+from .constants import _check_positive
 
 # What `_radial` and `_boundary_frame` evaluate with on a float t, without
 # numpy's cost per call.  math.cos and math.sin give np.cos's and np.sin's
@@ -518,15 +510,12 @@ def _centre_table(spec: DomainSpec, ax: float, ay: float):
 
 
 def _checked_centre(a, eps):
-    """The centre (ax, ay) as floats; raises ValueError unless the centre
-    and the radius eps are finite and eps is positive."""
+    """The centre (ax, ay) as floats; raises ValueError unless the centre is
+    finite and the radius eps positive.  Caps and geodesic balls check here."""
     ax, ay = float(a[0]), float(a[1])
     if not (math.isfinite(ax) and math.isfinite(ay)):
         raise ValueError(f"centre ({ax}, {ay}) has a non-finite coordinate")
-    if not math.isfinite(eps):
-        raise ValueError(f"radius eps={eps} is not finite")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_positive(eps, "eps")
     return ax, ay
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import half_space_constant
+from .constants import _check_exponent, half_space_constant
 from .geometry import (
     GridDomain,
     _golden_section,
@@ -39,16 +39,6 @@ from .geometry import (
     max_curvature_seed,
 )
 
-__all__ = [
-    "QuotientValue",
-    "sign_power",
-    "beta_eps",
-    "constraint_residual",
-    "shift_to_constraint",
-    "two_valued_quotient_exact",
-    "optimal_epsilon",
-    "achievability_certificate",
-]
 
 @dataclass(frozen=True)
 class QuotientValue:
@@ -64,13 +54,6 @@ class QuotientValue:
     threshold: float
     gap_to_threshold: float
     beta: float
-
-
-def _check_exponent(q: float) -> None:
-    if not math.isfinite(q):
-        raise ValueError(f"exponent q must be finite, got {q}")
-    if q <= 0:
-        raise ValueError(f"exponent q must be positive, got {q}")
 
 
 def sign_power(t: float, q: float, out=None):
@@ -247,9 +230,8 @@ def _two_valued_quotient(total: float, cap: float, rest: float, jump: float, q: 
 
         (1 + 1/beta) jump / (cap beta^(-p) + rest)^(1-1/n).
     """
+    _check_exponent(q, n)
     p = n / (n - 1)
-    if not 0.0 < q < p:
-        raise ValueError(f"q must lie in (0, {p}), got {q}")
     beta = math.inf
     try:
         beta = beta_eps(total, cap, q)

@@ -41,17 +41,6 @@ import numpy as np
 from .geometry import GridDomain
 from .profiles import achievability_certificate, shift_to_constraint, sign_power
 
-__all__ = [
-    "GridFunction",
-    "ConstantEstimate",
-    "total_variation",
-    "lp_norm_power",
-    "grid_quotient",
-    "minimize_quotient",
-    "ball_indicator",
-    "rasterize_two_valued",
-]
-
 # Descent schedule: step _STEP / (1 + k)^_DECAY at iteration k; Huber
 # width _SMOOTHING_WIDTH cells; an improvement is an iterate below
 # (1 - _TOL) times the best value, and the descent stops once more than

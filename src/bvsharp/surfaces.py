@@ -64,8 +64,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .constants import sharp_sobolev_constant, unit_sphere_area
-from .geometry import _PANEL_EDGES, _panel_rule
+from .constants import (_check_dimension, _check_exponent, _check_positive,
+                        sharp_sobolev_constant, unit_sphere_area)
+from .geometry import _PANEL_EDGES, _checked_centre, _panel_rule
 from .profiles import QuotientValue, _two_valued_quotient
 
 # The spheroid area and the Gauss-Bonnet integral over the meridian are
@@ -77,19 +78,6 @@ _CHECK_PANEL_EDGES = np.linspace(0.0, 1.0, 17)
 _CHECK_PANEL_EDGES.flags.writeable = False
 _AREA_RTOL = 1e-12
 _GAUSS_BONNET_RTOL = 1e-8
-
-__all__ = [
-    "SurfaceModel",
-    "AchievabilityVerdict",
-    "scalar_curvature",
-    "geodesic_ball_area",
-    "geodesic_circle_length",
-    "surface_two_valued_quotient",
-    "critical_curvature_threshold",
-    "gauss_bonnet_check",
-    "hemisphere_certificate",
-    "classify_achievability",
-]
 
 
 @dataclass
@@ -509,10 +497,7 @@ def _geodesic_ball(surface: SurfaceModel, center, eps: float):
     ball (2 pi times the means over directions of A(eps) and of J(eps)),
     and the complement is the model's area less the ball.
     """
-    if not math.isfinite(eps):
-        raise ValueError(f"geodesic radius must be finite, got {eps}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    theta0, _ = _checked_centre(center, eps)
     if eps < _RADIUS_FLOOR:
         raise ValueError(
             f"geodesic radius {eps!r} is below the floor {_RADIUS_FLOOR:.6g} = 2^-500, "
@@ -524,8 +509,6 @@ def _geodesic_ball(surface: SurfaceModel, center, eps: float):
             f"geodesic radius {eps} exceeds the injectivity bound {inj:.6g} "
             f"for this {surface.kind}"
         )
-    if not all(map(math.isfinite, center)):
-        raise ValueError(f"center coordinates must be finite, got {tuple(center)}")
     if surface.kind == "sphere":
         # 2 pi r^2 (1 -+ cos(eps/r)) without cancellation near eps = 0 and pi r
         r = surface.r
@@ -534,7 +517,7 @@ def _geodesic_ball(surface: SurfaceModel, center, eps: float):
                 2.0 * math.pi * r * math.sin(eps / r))
     if surface.kind == "flat-torus":
         return math.pi * eps**2, surface.area - math.pi * eps**2, 2.0 * math.pi * eps
-    ball, perimeter = _spheroid_ball(surface.a, surface.c, float(center[0]), float(eps))
+    ball, perimeter = _spheroid_ball(surface.a, surface.c, theta0, float(eps))
     return ball, surface.area - ball, perimeter
 
 
@@ -575,10 +558,8 @@ def critical_curvature_threshold(n: int, area: float) -> float:
     there: for n >= 3 the plateau term of `critical_quotient_expansion`
     has the other sign, and the hemisphere of S^3 already lies below c*_3.
     """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    if area <= 0:
-        raise ValueError("area must be positive")
+    _check_dimension(n, 2)
+    _check_positive(area, "area")
     return n * (n - 1) * (unit_sphere_area(n) / area) ** (2.0 / n)
 
 
@@ -658,8 +639,7 @@ def classify_achievability(surface: SurfaceModel, q: float) -> AchievabilityVerd
     (the zero-curvature flat torus, for instance).
     """
     n = surface.dimension
-    if not 0.0 < q < n / (n - 1):
-        raise ValueError(f"q must lie in (0, {n/(n-1)}), got {q}")
+    _check_exponent(q, n)
     s_min, s_max, argmax_point = surface.curvature_range()
     spread = s_max - s_min
     constant_curvature = spread <= 1e-12 * max(1.0, abs(s_max))

@@ -25,16 +25,18 @@ EXPANSIONS = (
 
 MODULES = ("asymptotics", "cli", "constants", "geometry", "profiles", "solver", "surfaces")
 
-# What each module that evaluates constants takes from `constants`.
+# What each module takes from `constants`: the constants it evaluates and
+# the input rules it checks.
 CONSTANTS_IMPORTS = {
-    "asymptotics": {"euler_beta", "half_space_constant", "sharp_sobolev_constant",
-                    "unit_ball_volume"},
+    "asymptotics": {"_check_dimension", "_check_positive", "euler_beta", "half_space_constant",
+                    "sharp_sobolev_constant", "unit_ball_volume"},
     "cli": set(),
     "constants": set(),
-    "geometry": set(),
-    "profiles": {"half_space_constant"},
+    "geometry": {"_check_positive"},
+    "profiles": {"_check_exponent", "half_space_constant"},
     "solver": set(),
-    "surfaces": {"sharp_sobolev_constant", "unit_sphere_area"},
+    "surfaces": {"_check_dimension", "_check_exponent", "_check_positive",
+                 "sharp_sobolev_constant", "unit_sphere_area"},
 }
 
 # Every name the package exported before the expansions moved, less the

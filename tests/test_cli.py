@@ -460,8 +460,27 @@ class TestMainEntryPoint:
         status = main(["surface-classify", "--out", str(tmp_path / "x"), "--q_list", "0.5,2.5"])
         assert status == 2
         err = capsys.readouterr().err
-        assert "q: must lie in (0, n/(n-1)) = (0, 2) at n = 2; got 2.5" in err
+        assert "q_list: q must lie in (0, 2.0), got 2.5" in err
         assert "planar" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--q", "2.5"], "q: q must lie in (0, 2.0), got 2.5"),
+        (["solve", "--q", "nan"], "q: q must lie in (0, 2.0), got nan"),
+        (["sphere-certificate", "--q_list", "0.5,0"], "q_list: q must lie in (0, 2.0), got 0.0"),
+        (["constants", "--n_min", "1"], "n_min: dimension must be >= 2, got 1"),
+        (["domain-sweep", "--eps_list", "0.1,-0.2"], "eps_list: eps must be positive, got -0.2"),
+        (["domain-sweep", "--eps_list", "0.1,inf"], "eps_list: eps must be finite, got inf"),
+        # NaN and inf passed the old comparisons and failed later without the key.
+        (["domain-sweep", "--eps_min", "nan"], "eps_min: eps must be finite, got nan"),
+        (["domain-sweep", "--eps_max", "inf"], "eps_max: eps must be finite, got inf"),
+        (["domain-sweep", "--eps_min", "-0.1"], "eps_min: eps must be positive, got -0.1"),
+    ])
+    def test_theory_rules_name_the_key(self, argv, message, tmp_path, capsys):
+        # The same rules as the library's entry points, prefixed with the key.
+        status = main([*argv, "--out", str(tmp_path / "x")])
+        assert status == 2
+        assert capsys.readouterr().err == f"bv-sharp: error: {message}\n"
         assert not (tmp_path / "x").exists()
 
     def test_negative_seed_names_the_key(self, tmp_path, capsys):

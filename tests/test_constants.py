@@ -1,17 +1,27 @@
 import math
+import re
 
 import pytest
 
 from bvsharp import (
+    SurfaceModel,
     boundary_arc_expansion,
+    boundary_arc_inside,
+    cap_measure,
     cap_measure_expansion,
+    classify_achievability,
+    critical_curvature_threshold,
     critical_quotient_expansion,
     euler_beta,
     gamma_half_integer,
+    geodesic_ball_area,
     geodesic_circle_expansion,
+    geodesic_circle_length,
     gray_expansion,
     half_space_constant,
     sharp_sobolev_constant,
+    surface_two_valued_quotient,
+    two_valued_quotient_exact,
     unit_ball_volume,
     unit_sphere_area,
 )
@@ -195,3 +205,61 @@ def test_unit_sphere_area_low_dimensions():
     assert unit_sphere_area(1) == pytest.approx(2.0 * math.pi, rel=1e-15, abs=0)
     assert unit_sphere_area(2) == pytest.approx(4.0 * math.pi, rel=1e-15, abs=0)
     assert unit_sphere_area(3) == pytest.approx(2.0 * math.pi**2, rel=1e-14, abs=0)
+
+
+class TestInputRules:
+    """The theory's three hypotheses each have one implementation in
+    `constants`, so every entry point rejects a bad value with the same
+    message."""
+
+    SPHERE = SurfaceModel.sphere(1.0)
+
+    @pytest.mark.parametrize("n, message", [
+        (1, "dimension must be >= 2, got 1"),
+        (2.5, "dimension must be an integer, got 2.5"),
+    ])
+    @pytest.mark.parametrize("entry", [
+        sharp_sobolev_constant,
+        lambda n: cap_measure_expansion(0.7, 0.13, n),
+        lambda n: critical_curvature_threshold(n, 4.0 * math.pi),
+    ], ids=["sharp_sobolev_constant", "cap_measure_expansion", "critical_curvature_threshold"])
+    def test_dimension(self, entry, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry(n)
+
+    @pytest.mark.parametrize("q", [0.0, -0.5, 2.0, math.nan])
+    @pytest.mark.parametrize("entry", [
+        "two_valued_quotient_exact", "surface_two_valued_quotient", "classify_achievability",
+    ])
+    def test_exponent(self, disk128, entry, q):
+        call = {
+            "two_valued_quotient_exact": lambda: two_valued_quotient_exact(
+                disk128, (1.0, 0.0), 0.2, q),
+            "surface_two_valued_quotient": lambda: surface_two_valued_quotient(
+                self.SPHERE, (0.5, 0.0), 0.3, q),
+            "classify_achievability": lambda: classify_achievability(self.SPHERE, q),
+        }[entry]
+        with pytest.raises(ValueError, match=rf"^q must lie in \(0, 2\.0\), got {q}$"):
+            call()
+
+    @pytest.mark.parametrize("eps, message", [
+        (0.0, "eps must be positive, got 0.0"),
+        (-1.0, "eps must be positive, got -1.0"),
+        (math.nan, "eps must be finite, got nan"),
+        (math.inf, "eps must be finite, got inf"),
+    ])
+    @pytest.mark.parametrize("entry", [
+        "cap_measure", "boundary_arc_inside", "geodesic_ball_area", "geodesic_circle_length",
+        "gray_expansion",
+    ])
+    def test_radius(self, disk128, entry, eps, message):
+        call = {
+            "cap_measure": lambda: cap_measure(disk128, (1.0, 0.0), eps),
+            "boundary_arc_inside": lambda: boundary_arc_inside(disk128, (1.0, 0.0), eps),
+            "geodesic_ball_area": lambda: geodesic_ball_area(self.SPHERE, (0.5, 0.0), eps),
+            "geodesic_circle_length": lambda: geodesic_circle_length(
+                self.SPHERE, (0.5, 0.0), eps),
+            "gray_expansion": lambda: gray_expansion(1.3, eps, 2),
+        }[entry]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -562,6 +563,32 @@ class TestDomainQuotientExpansion:
         message = f"{len(radii)} radii but {len(values)} values for an order fit"
         with pytest.raises(ValueError, match=message):
             fit_remainder_order(radii, values)
+
+    @pytest.mark.parametrize("radii, diffs, message", [
+        ([-0.1, 0.2], [1e-3, 2e-3], "eps[0] must be positive, got -0.1"),
+        ([0.1, 0.0], [1e-3, 2e-3], "eps[1] must be positive, got 0.0"),
+        ([0.1, math.inf], [1e-3, 2e-3], "eps[1] must be finite, got inf"),
+        ([0.1, 0.2], [1e-3, math.nan], "values[1] must be finite, got nan"),
+    ])
+    def test_order_fit_rejects_radii_and_values_outside_the_rule(self, radii, diffs, message,
+                                                                 capfd):
+        # A negative radius printed LAPACK's DLASCL complaint six times and
+        # raised LinAlgError; a NaN difference returned nan.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_remainder_order(radii, diffs)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("radii, values, limit, message", [
+        ([0.0, 0.2], [1.0, 1.1], 1.0, "eps[0] must be positive, got 0.0"),
+        ([0.1, math.nan], [1.0, 1.1], 1.0, "eps[1] must be finite, got nan"),
+        ([0.1, 0.2], [math.inf, 1.1], 1.0, "values[0] must be finite, got inf"),
+        ([0.1, 0.2], [1.0, 1.1], math.inf, "limit must be finite, got inf"),
+    ])
+    def test_coefficient_fit_rejects_inputs_outside_the_rule(self, radii, values, limit,
+                                                             message):
+        # A zero radius and an infinite limit both returned nan.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_linear_coefficient(radii, values, limit)
 
 
 class TestSurfaceQuotientExpansion:

@@ -293,12 +293,12 @@ class TestSingleBallRoutine:
     @pytest.mark.parametrize("surface", [SPHEROID, SurfaceModel.sphere(1.0), TORUS],
                              ids=["spheroid", "sphere", "torus"])
     @pytest.mark.parametrize("centre, eps, cause", [
-        ((math.nan, 0.0), 0.3, "center"),
-        ((0.5, math.nan), 0.3, "center"),
-        ((0.5, math.inf), 0.3, "center"),
-        ((0.5, -math.inf), 0.3, "center"),
-        ((0.5, 0.0), math.nan, "radius"),
-        ((0.5, 0.0), math.inf, "radius"),
+        ((math.nan, 0.0), 0.3, "centre"),
+        ((0.5, math.nan), 0.3, "centre"),
+        ((0.5, math.inf), 0.3, "centre"),
+        ((0.5, -math.inf), 0.3, "centre"),
+        ((0.5, 0.0), math.nan, "eps"),
+        ((0.5, 0.0), math.inf, "eps"),
     ])
     @pytest.mark.parametrize("entry", ["area", "length", "quotient"])
     def test_non_finite_input_raises_naming_the_cause(self, surface, centre, eps, cause, entry):
@@ -442,7 +442,7 @@ class TestSpheroidIntegrator:
         geodesic_ball_area(SPHEROID, (0.7, 0.2), 0.4)  # evicted by the last ball
         assert len(calls) == 4
         # Validation comes before the memo: a NaN longitude never reaches it.
-        with pytest.raises(ValueError, match="center"):
+        with pytest.raises(ValueError, match="centre"):
             geodesic_ball_area(SPHEROID, (0.7, math.nan), 0.4)
         assert len(calls) == 4
         # 64 directions resolve every ball: 33 columns in [0, pi], one
@@ -655,6 +655,18 @@ class TestCriticalCurvatureThreshold:
             critical_curvature_threshold(1, 1.0)
         with pytest.raises(ValueError):
             critical_curvature_threshold(2, 0.0)
+
+    @pytest.mark.parametrize("area, message", [
+        (math.nan, "area must be finite, got nan"),
+        (math.inf, "area must be finite, got inf"),
+        (0.0, "area must be positive, got 0.0"),
+        (-1.0, "area must be positive, got -1.0"),
+    ])
+    def test_area_outside_the_rule_is_named(self, area, message):
+        # nan returned nan and inf returned 0.0: a "Thm6" comparison against
+        # either was silently false.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            critical_curvature_threshold(2, area)
 
 
 class TestGaussBonnet:
