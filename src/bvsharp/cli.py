@@ -181,12 +181,12 @@ def _validate(config: ExperimentConfig):
             f"q_list: only {' and '.join(_Q_LIST_TASKS)} accept an exponent list; "
             f"task {config.task} runs a single q"
         )
-    for name in ("h", "r", "a", "b", "c", "L1", "L2", "r0"):
-        if getattr(config, name) <= 0:
-            raise ConfigError(f"{name}: must be positive")
-    # The theory's rules from `constants`, each message prefixed with its key;
-    # planar domains and surface models are both of dimension n = 2.
-    rules = [("q", constants._check_exponent, config.q, 2),
+    # The rules from `constants`, each message prefixed with its key: the
+    # model parameters of every model, the one in use or not, and the theory's
+    # rules; planar domains and surface models are both of dimension n = 2.
+    rules = [*[(name, constants._check_positive, getattr(config, name), name)
+               for name in ("h", "r", "a", "b", "c", "L1", "L2", "r0")],
+             ("q", constants._check_exponent, config.q, 2),
              *[("q_list", constants._check_exponent, q, 2) for q in config.q_list],
              ("eps_min", constants._check_positive, config.eps_min, "eps"),
              ("eps_max", constants._check_positive, config.eps_max, "eps"),

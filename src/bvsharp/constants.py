@@ -19,7 +19,8 @@ dimension beyond the float range raises ValueError naming Gamma.
 
 It is also the one home of the theory's three input rules, which every
 entry point calls: n >= 2 (`_check_dimension`), 0 < q < n/(n-1)
-(`_check_exponent`), and a positive radius or area (`_check_positive`).
+(`_check_exponent`), and a positive radius or area (`_check_positive`),
+which also checks every model parameter and h when a model or grid is made.
 """
 
 from __future__ import annotations
@@ -47,10 +48,15 @@ def _check_exponent(q, n=None) -> None:
         raise ValueError(f"exponent q must be positive, got {q}")
 
 
-def _check_positive(value, name: str) -> None:
-    """Raise ValueError, naming `name`, unless the radius or area is finite and positive."""
+def _check_finite(value, name: str) -> None:
+    """Raise ValueError, naming `name`, unless the value (a Fourier coefficient) is finite."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_positive(value, name: str) -> None:
+    """Raise ValueError, naming `name`, unless the value is finite and positive."""
+    _check_finite(value, name)
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
 

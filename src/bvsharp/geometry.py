@@ -7,8 +7,8 @@ angle t.  Only the radial function rho differs per shape; every boundary
 quantity (point, tangent, curvature, the exact inside test |p| < rho(angle
 of p), the radial gap) comes from its one evaluator `_radial`, except that
 the disk's frame and radial gap read its constant rho = r directly, the
-latter without the polar angle of p.  A "square" spec is recognized only to be
-rejected: its corners have no curvature, so it fails the C^2 requirement
+latter without the polar angle of p.  A "square" spec is rejected when it
+is made: its corners have no curvature, so it fails the C^2 requirement
 that the boundary-cap expansions of `asymptotics` rely on.
 
 A domain is described analytically (`DomainSpec`) and placed on a
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _check_positive
+from .constants import _check_finite, _check_positive
 
 # What `_radial` and `_boundary_frame` evaluate with on a float t, without
 # numpy's cost per call.  math.cos and math.sin give np.cos's and np.sin's
@@ -101,7 +101,10 @@ class DomainSpec:
                    rho(t) = a b / sqrt(b^2 cos^2 t + a^2 sin^2 t)
         "fourier"  params: r0, cos_coeffs, sin_coeffs;
                    rho(t) = r0 + sum_k (c_k cos((k+1) t) + s_k sin((k+1) t))
-        "square"   no params; always rejected at build time (corners).
+        "square"   no params; rejected when made (corners).
+
+    Either constructor checks the kind and the parameters when the spec is
+    made, raising ValueError; `validate` checks the sampled boundary.
     """
 
     kind: str
@@ -111,6 +114,19 @@ class DomainSpec:
     r0: float = 1.0
     cos_coeffs: tuple = ()
     sin_coeffs: tuple = ()
+
+    def __post_init__(self):
+        if self.kind == "square":
+            raise DomainBuildError("square boundary rejected: corners have undefined "
+                                   "curvature (the boundary must be C^2)")
+        names = {"disk": ("r",), "ellipse": ("a", "b"), "fourier": ("r0",)}.get(self.kind)
+        if names is None:
+            raise ValueError(f"unknown shape kind {self.kind!r}")
+        for name in names:
+            _check_positive(getattr(self, name), f"{self.kind} {name}")
+        for name in ("cos_coeffs", "sin_coeffs"):
+            for k, c in enumerate(getattr(self, name)):
+                _check_finite(c, f"{self.kind} {name}[{k}]")
 
     # Python floats, so that one-point evaluations run float arithmetic.
     @staticmethod
@@ -152,23 +168,21 @@ class DomainSpec:
                 return rho, -0.5 * rho * d1
             d2 = 2.0 * spread * lib.cos(2.0 * t) / d0
             return rho, -0.5 * rho * d1, rho * (0.75 * d1 * d1 - 0.5 * d2)
-        if self.kind == "fourier":
-            harmonics = [trig or (lib.cos(t), lib.sin(t))] + [
-                (lib.cos(k * t), lib.sin(k * t))
-                for k in range(2, max(len(self.cos_coeffs), len(self.sin_coeffs)) + 1)]
-            rho, d1, d2 = lib.full_like(t, self.r0), lib.full_like(t, 0.0), lib.full_like(t, 0.0)
-            for k, c in enumerate(self.cos_coeffs, start=1):
-                cos, sin = harmonics[k - 1]
-                rho = rho + c * cos
-                d1 = d1 - c * k * sin
-                d2 = d2 - c * k * k * cos if second else d2
-            for k, s in enumerate(self.sin_coeffs, start=1):
-                cos, sin = harmonics[k - 1]
-                rho = rho + s * sin
-                d1 = d1 + s * k * cos
-                d2 = d2 - s * k * k * sin if second else d2
-            return (rho, d1, d2)[:2 + second]
-        raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
+        harmonics = [trig or (lib.cos(t), lib.sin(t))] + [
+            (lib.cos(k * t), lib.sin(k * t))
+            for k in range(2, max(len(self.cos_coeffs), len(self.sin_coeffs)) + 1)]
+        rho, d1, d2 = lib.full_like(t, self.r0), lib.full_like(t, 0.0), lib.full_like(t, 0.0)
+        for k, c in enumerate(self.cos_coeffs, start=1):
+            cos, sin = harmonics[k - 1]
+            rho = rho + c * cos
+            d1 = d1 - c * k * sin
+            d2 = d2 - c * k * k * cos if second else d2
+        for k, s in enumerate(self.sin_coeffs, start=1):
+            cos, sin = harmonics[k - 1]
+            rho = rho + s * sin
+            d1 = d1 + s * k * cos
+            d2 = d2 - s * k * k * sin if second else d2
+        return (rho, d1, d2)[:2 + second]
 
     def _radial_bounds(self):
         """(R0, R1, R2) with |rho| <= R0, |rho'| <= R1 and |rho''| <= R2 at every angle.
@@ -184,12 +198,10 @@ class DomainSpec:
             big = max(self.a, self.b)
             s = abs(self.a * self.a - self.b * self.b) / min(self.a, self.b) ** 2
             return big, 0.5 * big * s, big * (0.75 * s * s + s)
-        if self.kind == "fourier":
-            sizes = [math.hypot(c, s) for c, s in itertools.zip_longest(
-                self.cos_coeffs, self.sin_coeffs, fillvalue=0.0)]
-            return (abs(self.r0) + sum(sizes), sum(k * h for k, h in enumerate(sizes, start=1)),
-                    sum(k * k * h for k, h in enumerate(sizes, start=1)))
-        raise DomainBuildError(f"no boundary curve for kind {self.kind!r}")
+        sizes = [math.hypot(c, s) for c, s in itertools.zip_longest(
+            self.cos_coeffs, self.sin_coeffs, fillvalue=0.0)]
+        return (self.r0 + sum(sizes), sum(k * h for k, h in enumerate(sizes, start=1)),
+                sum(k * k * h for k, h in enumerate(sizes, start=1)))
 
     # ----- boundary parameterization (polar angle t) ----------------------
 
@@ -233,29 +245,9 @@ class DomainSpec:
     def validate(self) -> float:
         """Check finite/closed/simple/C^2 by dense sampling; raise DomainBuildError.
 
-        Returns `min_feature_size()`, measured on the same 4096 samples
-        that the checks read.
+        Returns the smallest geometric scale, min(1/max curvature, min
+        boundary radius), measured on the same 4096 samples that the checks read.
         """
-        if self.kind == "square":
-            raise DomainBuildError(
-                "square boundary rejected: corners have undefined curvature "
-                "(the boundary must be C^2)"
-            )
-        names = {"disk": ("r",), "ellipse": ("a", "b"), "fourier": ("r0",)}.get(self.kind)
-        if names is None:
-            raise DomainBuildError(f"unknown shape kind {self.kind!r}")
-        values = [(name, getattr(self, name)) for name in names]
-        if self.kind == "fourier":
-            for name in ("cos_coeffs", "sin_coeffs"):
-                values += [(f"{name}[{k}]", c) for k, c in enumerate(getattr(self, name))]
-        for name, value in values:
-            if not math.isfinite(value):
-                raise DomainBuildError(f"{self.kind} parameter {name}={value} is not finite")
-        if self.kind == "disk" and self.r <= 0:
-            raise DomainBuildError("disk radius must be positive")
-        if self.kind == "ellipse" and (self.a <= 0 or self.b <= 0):
-            raise DomainBuildError("ellipse semi-axes must be positive")
-
         rho_lo, rho_hi, kmax, cubed, rmin = _boundary_samples(self)[1]
         if not (math.isfinite(rho_lo) and math.isfinite(rho_hi)):
             raise DomainBuildError(f"{self.kind} boundary radius is not finite")
@@ -269,13 +261,6 @@ class DomainSpec:
             raise DomainBuildError(f"{self.kind} boundary radius {rho_hi:.6g} is too "
                                    "large: (rho^2 + rho'^2)^(3/2) in its curvature overflows")
         return min(1.0 / kmax, rmin)
-
-    def min_feature_size(self) -> float:
-        """Smallest geometric scale: min(1/max curvature, min boundary radius).
-
-        The spec is validated on the way, so an invalid one raises.
-        """
-        return self.validate()
 
 
 def _polar_curvature(rho, drho, ddrho):
@@ -360,13 +345,10 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
     decaying like ((a-b)/(a+b))^k, the error is at rounding level.  The
     diameter is the closed-form bound 2 R0: every boundary point lies in
     the disk B(0, R0), where R0 is r for the disk, max(a, b) for the
-    ellipse and |r0| + sum_k hypot(c_k, s_k) for a Fourier boundary.
+    ellipse and r0 + sum_k hypot(c_k, s_k) for a Fourier boundary.
     """
     feature = spec.validate()
-    if h <= 0:
-        raise DomainBuildError("cell size h must be positive")
-    if not math.isfinite(h):
-        raise DomainBuildError(f"cell size h={h} is not finite")
+    _check_positive(h, "h")
     if h > feature / 8.0:
         raise DomainBuildError(
             f"cell size h={h} too coarse: boundary feature size {feature:.4g} "

@@ -80,9 +80,10 @@ _AREA_RTOL = 1e-12
 _GAUSS_BONNET_RTOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceModel:
-    """Analytic closed surface; immutable in use (area cached lazily)."""
+    """Analytic closed surface, frozen (area cached lazily).  Either constructor
+    checks the kind, its parameters and the quantities derived from them."""
 
     dimension: ClassVar[int] = 2
     kind: str  # "sphere" | "spheroid" | "flat-torus"
@@ -92,34 +93,44 @@ class SurfaceModel:
     L1: float = 1.0
     L2: float = 1.0
 
+    def __post_init__(self):
+        names = {"sphere": ("r",), "spheroid": ("a", "c"),
+                 "flat-torus": ("L1", "L2")}.get(self.kind)
+        if names is None:
+            raise ValueError(f"unknown surface kind {self.kind!r}")
+        for name in names:
+            _check_positive(getattr(self, name), f"{self.kind} {name}")
+        # The derived quantities take a few float operations and no quadrature.
+        if self.kind == "sphere":
+            r2 = self.r * self.r
+            derived = {"r^2": r2, "scalar curvature 2/r^2": 2.0 / r2 if r2 else math.inf,
+                       "area 4 pi r^2": 4.0 * math.pi * r2}
+        elif self.kind == "spheroid":
+            # max(a, c)^4 bounds E^2 in the Gauss-Bonnet integrand.  With these
+            # finite and positive, so is the area, between 4 pi a min(a, c) and
+            # 4 pi a max(a, c).
+            a2, c2 = self.a * self.a, self.c * self.c
+            derived = {
+                "a^4": a2 * a2, "c^2": c2, "max(a, c)^4": max(a2 * a2, c2 * c2),
+                "polar scalar curvature 2c^2/a^4": 2.0 * c2 / (a2 * a2) if a2 * a2 else math.inf,
+                "equatorial scalar curvature 2/c^2": 2.0 / c2 if c2 else math.inf}
+        else:
+            derived = {"area L1 L2": self.L1 * self.L2}
+        for name, value in derived.items():
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{self._name}: {name} = {value!r} is not finite and positive")
+
     @staticmethod
     def sphere(r: float = 1.0) -> "SurfaceModel":
-        if r <= 0:
-            raise ValueError("sphere radius must be positive")
-        r2 = r * r
-        return _require_finite_positive(SurfaceModel(kind="sphere", r=r), {
-            "r^2": r2, "scalar curvature 2/r^2": 2.0 / r2 if r2 else math.inf,
-            "area 4 pi r^2": 4.0 * math.pi * r2})
+        return SurfaceModel(kind="sphere", r=r)
 
     @staticmethod
     def spheroid(a: float, c: float) -> "SurfaceModel":
-        if a <= 0 or c <= 0:
-            raise ValueError("spheroid semi-axes must be positive")
-        # max(a, c)^4 bounds E^2 in the Gauss-Bonnet integrand.  With these
-        # finite and positive, so is the area, between 4 pi a min(a, c) and
-        # 4 pi a max(a, c).
-        a2, c2 = a * a, c * c
-        return _require_finite_positive(SurfaceModel(kind="spheroid", a=a, c=c), {
-            "a^4": a2 * a2, "c^2": c2, "max(a, c)^4": max(a2 * a2, c2 * c2),
-            "polar scalar curvature 2c^2/a^4": 2.0 * c2 / (a2 * a2) if a2 * a2 else math.inf,
-            "equatorial scalar curvature 2/c^2": 2.0 / c2 if c2 else math.inf})
+        return SurfaceModel(kind="spheroid", a=a, c=c)
 
     @staticmethod
     def flat_torus(L1: float, L2: float) -> "SurfaceModel":
-        if L1 <= 0 or L2 <= 0:
-            raise ValueError("torus side lengths must be positive")
-        return _require_finite_positive(SurfaceModel(kind="flat-torus", L1=L1, L2=L2),
-                                        {"area L1 L2": L1 * L2})
+        return SurfaceModel(kind="flat-torus", L1=L1, L2=L2)
 
     # ----- invariants of the model --------------------------------------
 
@@ -210,17 +221,6 @@ class SurfaceModel:
         return s_pole, s_equator, (0.5 * math.pi, 0.0)
 
 
-def _require_finite_positive(model: SurfaceModel, quantities: dict) -> SurfaceModel:
-    """Return the model; raise ValueError naming it and its parameters unless
-    every quantity derived from them is finite and positive.  The
-    constructors call it with a few float operations and no quadrature,
-    since every spheroid ball builds a model."""
-    for name, value in quantities.items():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{model._name}: {name} = {value!r} is not finite and positive")
-    return model
-
-
 def _meridian_integrals(integrand):
     """2 pi times the panel rule's integral of integrand(theta) over
     [0, pi], on 8 panels and on the 16 that check it."""
@@ -305,7 +305,7 @@ _RK8_B = np.array([
 ])
 
 
-def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float, m: int):
+def _spheroid_generic_profile(surface: SurfaceModel, theta0: float, eps: float, m: int):
     """(A(eps, alpha_m), J(eps, alpha_m)) for geodesics from (theta0, 0).
 
     J is the Jacobi field along the unit-speed geodesic in direction
@@ -342,8 +342,9 @@ def _spheroid_generic_profile(a: float, c: float, theta0: float, eps: float, m: 
     1, radii 0.1 to 0.8) cost 21.0, 24.2, 30.3, 43.6 and 69.8 ms at 33, 65,
     129, 257 and 513 columns (CPU time, medians of 15 runs, 2 vCPUs).
     """
+    a, c = surface.a, surface.c
     a2, c2 = a * a, c * c
-    k_max = 0.5 * SurfaceModel.spheroid(a, c).curvature_range()[1]
+    k_max = 0.5 * surface.curvature_range()[1]
     steps = math.ceil(eps * math.sqrt(k_max) / 0.04)
     st, ct = math.sin(theta0), math.cos(theta0)
     E0 = math.sqrt(a2 * ct * ct + c2 * st * st)
@@ -465,7 +466,7 @@ def _direction_mean(values) -> float:
 # back to back, as for the crossing memo in `geometry`.  `_geodesic_ball`
 # validates first, so no NaN key enters the cache.
 @functools.lru_cache(maxsize=1)
-def _spheroid_ball(a: float, c: float, theta0: float, eps: float):
+def _spheroid_ball(surface: SurfaceModel, theta0: float, eps: float):
     """(area, perimeter) of the spheroid ball of radius eps at polar angle theta0.
 
     From n = 64 directions up, the means over n directions are accepted when
@@ -475,14 +476,14 @@ def _spheroid_ball(a: float, c: float, theta0: float, eps: float):
     ball, n and both estimates.
     """
     for n in _DIRECTION_COUNTS:
-        A, J = _spheroid_generic_profile(a, c, theta0, eps, n // 2 + 1)
+        A, J = _spheroid_generic_profile(surface, theta0, eps, n // 2 + 1)
         area, perimeter = _direction_mean(A), _direction_mean(J)
         half_area, half_perimeter = _direction_mean(A[::2]), _direction_mean(J[::2])
         if (abs(area - half_area) <= _AREA_RTOL * area
                 and abs(perimeter - half_perimeter) <= _AREA_RTOL * perimeter):
             return area, perimeter
     raise ValueError(
-        f"{SurfaceModel.spheroid(a, c)._name}: the ball of radius {eps!r} at polar "
+        f"{surface._name}: the ball of radius {eps!r} at polar "
         f"angle {theta0!r} is not resolved by {n} directions (area {area!r} on {n}, "
         f"{half_area!r} on {n // 2}; perimeter {perimeter!r} on {n}, "
         f"{half_perimeter!r} on {n // 2})"
@@ -517,7 +518,7 @@ def _geodesic_ball(surface: SurfaceModel, center, eps: float):
                 2.0 * math.pi * r * math.sin(eps / r))
     if surface.kind == "flat-torus":
         return math.pi * eps**2, surface.area - math.pi * eps**2, 2.0 * math.pi * eps
-    ball, perimeter = _spheroid_ball(surface.a, surface.c, theta0, float(eps))
+    ball, perimeter = _spheroid_ball(surface, theta0, float(eps))
     return ball, surface.area - ball, perimeter
 
 
@@ -644,42 +645,21 @@ def classify_achievability(surface: SurfaceModel, q: float) -> AchievabilityVerd
     spread = s_max - s_min
     constant_curvature = spread <= 1e-12 * max(1.0, abs(s_max))
 
+    def achieved(justification, **extra):
+        return AchievabilityVerdict(verdict="achieved", justification=justification,
+                                    witness={"point": list(argmax_point), "S_a": s_max, **extra})
+
     is_round_sphere = surface.euler_characteristic == 2 and constant_curvature and s_max > 0
     if n == 2 and is_round_sphere:
-        return AchievabilityVerdict(
-            verdict="achieved",
-            justification="Thm8",
-            witness={"point": list(argmax_point), "S_a": s_max, "q": q},
-        )
+        return achieved("Thm8", q=q)
     if n >= 3 and s_max > 0:
-        return AchievabilityVerdict(
-            verdict="achieved",
-            justification="Thm4",
-            witness={"point": list(argmax_point), "S_a": s_max},
-        )
+        return achieved("Thm4")
     if n == 2 and surface.euler_characteristic == 2 and not constant_curvature:
-        return AchievabilityVerdict(
-            verdict="achieved",
-            justification="Thm7",
-            witness={
-                "point": list(argmax_point),
-                "S_a": s_max,
-                "S_spread": spread,
-                "chi": surface.euler_characteristic,
-            },
-        )
+        return achieved("Thm7", S_spread=spread, chi=surface.euler_characteristic)
     if n == 2:
         threshold = critical_curvature_threshold(2, surface.area)
         if s_max > threshold:
-            return AchievabilityVerdict(
-                verdict="achieved",
-                justification="Thm6",
-                witness={"point": list(argmax_point), "S_a": s_max, "threshold": threshold},
-            )
+            return achieved("Thm6", threshold=threshold)
         if q < 1.0 and s_max > 0:
-            return AchievabilityVerdict(
-                verdict="achieved",
-                justification="Thm5",
-                witness={"point": list(argmax_point), "S_a": s_max, "q": q},
-            )
+            return achieved("Thm5", q=q)
     return AchievabilityVerdict(verdict="inconclusive", justification="none", witness=None)

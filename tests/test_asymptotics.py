@@ -32,7 +32,7 @@ CONSTANTS_IMPORTS = {
                     "sharp_sobolev_constant", "unit_ball_volume"},
     "cli": set(),
     "constants": set(),
-    "geometry": {"_check_positive"},
+    "geometry": {"_check_finite", "_check_positive"},
     "profiles": {"_check_exponent", "half_space_constant"},
     "solver": set(),
     "surfaces": {"_check_dimension", "_check_exponent", "_check_positive",

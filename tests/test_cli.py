@@ -483,6 +483,23 @@ class TestMainEntryPoint:
         assert capsys.readouterr().err == f"bv-sharp: error: {message}\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        # A model that is not in use: these exited 0 and wrote their reports.
+        (["surface-classify", "--surface", "sphere", "--c", "nan", "--a", "nan"],
+         "a: a must be finite, got nan"),
+        (["surface-classify", "--surface", "sphere", "--c", "nan"],
+         "c: c must be finite, got nan"),
+        (["constants", "--L1", "nan", "--h", "nan"], "h: h must be finite, got nan"),
+        (["constants", "--L2", "inf"], "L2: L2 must be finite, got inf"),
+        (["solve", "--h", "-0.1"], "h: h must be positive, got -0.1"),
+        (["domain-sweep", "--r0", "0"], "r0: r0 must be positive, got 0.0"),
+    ])
+    def test_every_model_parameter_names_the_key(self, argv, message, tmp_path, capsys):
+        status = main([*argv, "--out", str(tmp_path / "x")])
+        assert status == 2
+        assert capsys.readouterr().err == f"bv-sharp: error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_negative_seed_names_the_key(self, tmp_path, capsys):
         status = main(["solve", "--out", str(tmp_path / "x"), "--seed", "-1",
                        "--h", "0.015625"])
@@ -499,10 +516,11 @@ class TestMainEntryPoint:
         assert "curvature" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, cause", [
-        (["domain-certificate", "--r", "inf"], "r=inf is not finite"),
-        (["domain-certificate", "--r", "nan"], "r=nan is not finite"),
-        (["domain-certificate", "--h", "nan"], "h=nan is not finite"),
-        (["domain-certificate", "--shape", "ellipse", "--a", "inf"], "a=inf is not finite"),
+        (["domain-certificate", "--r", "inf"], "r: r must be finite, got inf"),
+        (["domain-certificate", "--r", "nan"], "r: r must be finite, got nan"),
+        (["domain-certificate", "--h", "nan"], "h: h must be finite, got nan"),
+        (["domain-certificate", "--shape", "ellipse", "--a", "inf"],
+         "a: a must be finite, got inf"),
         (["domain-certificate", "--h", "1e-320"], "h=1e-320 gives a non-finite cell count"),
         (["domain-certificate", "--r", "1e308"], "disk boundary curvature is not finite"),
         (["constants", "--n_min", "340", "--n_max", "343"],

@@ -57,6 +57,47 @@ class TestBuildDomain:
         with pytest.raises(DomainBuildError, match="curvature"):
             build_domain(DomainSpec(kind="square"), 1.0 / 256)
 
+    def test_square_rejected_when_made(self):
+        with pytest.raises(DomainBuildError, match="corners have undefined curvature"):
+            DomainSpec(kind="square")
+
+    def test_unknown_kind_rejected_when_made(self):
+        # A hexagon used to be accepted here and to fail only at build time.
+        with pytest.raises(ValueError, match="unknown shape kind 'hexagon'"):
+            DomainSpec(kind="hexagon")
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kind, name, named", [
+        ("disk", "r", lambda v: DomainSpec.disk(v)),
+        ("ellipse", "a", lambda v: DomainSpec.ellipse(v, 1.0)),
+        ("ellipse", "b", lambda v: DomainSpec.ellipse(1.0, v)),
+        ("fourier", "r0", lambda v: DomainSpec.fourier(v)),
+    ])
+    def test_both_constructors_reject_with_one_message(self, kind, name, named, value):
+        messages = []
+        for make in (named, lambda v: DomainSpec(kind=kind, **{name: v})):
+            with pytest.raises(ValueError) as info:
+                make(value)
+            assert not isinstance(info.value, DomainBuildError)
+            messages.append(str(info.value))
+        rule = "finite" if not math.isfinite(value) else "positive"
+        assert messages == [f"{kind} {name} must be {rule}, got {value}"] * 2
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["cos_coeffs", "sin_coeffs"])
+    def test_both_constructors_reject_a_non_finite_coefficient(self, name, value):
+        messages = []
+        for make in (lambda c: DomainSpec.fourier(1.0, **{name: (0.1, c)}),
+                     lambda c: DomainSpec(kind="fourier", **{name: (0.1, c)})):
+            with pytest.raises(ValueError) as info:
+                make(value)
+            messages.append(str(info.value))
+        assert messages == [f"fourier {name}[1] must be finite, got {value}"] * 2
+
+    def test_cell_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="h must be positive, got 0.0"):
+            build_domain(DomainSpec.disk(1.0), 0.0)
+
     def test_too_coarse_grid_rejected(self):
         with pytest.raises(DomainBuildError, match="too coarse"):
             build_domain(DomainSpec.disk(1.0), 0.5)
@@ -65,18 +106,21 @@ class TestBuildDomain:
         with pytest.raises(DomainBuildError, match="positive"):
             build_domain(DomainSpec.fourier(1.0, cos_coeffs=(1.2,)), 1.0 / 256)
 
-    @pytest.mark.parametrize("spec, name", [
-        (DomainSpec.disk(math.inf), "r=inf"),
-        (DomainSpec.disk(math.nan), "r=nan"),
-        (DomainSpec.ellipse(2.0, -math.inf), "b=-inf"),
-        (DomainSpec.ellipse(math.nan, 1.0), "a=nan"),
-        (DomainSpec.fourier(math.inf), "r0=inf"),
-        (DomainSpec.fourier(1.0, cos_coeffs=(0.1, math.nan)), "cos_coeffs[1]=nan"),
-        (DomainSpec.fourier(1.0, sin_coeffs=(-math.inf,)), "sin_coeffs[0]=-inf"),
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DomainSpec.disk(math.inf), "disk r must be finite, got inf"),
+        (lambda: DomainSpec.disk(math.nan), "disk r must be finite, got nan"),
+        (lambda: DomainSpec.ellipse(2.0, -math.inf), "ellipse b must be finite, got -inf"),
+        (lambda: DomainSpec.ellipse(math.nan, 1.0), "ellipse a must be finite, got nan"),
+        (lambda: DomainSpec.fourier(math.inf), "fourier r0 must be finite, got inf"),
+        (lambda: DomainSpec.fourier(1.0, cos_coeffs=(0.1, math.nan)),
+         "fourier cos_coeffs[1] must be finite, got nan"),
+        (lambda: DomainSpec.fourier(1.0, sin_coeffs=(-math.inf,)),
+         "fourier sin_coeffs[0] must be finite, got -inf"),
     ])
-    def test_non_finite_parameter_named(self, spec, name):
-        with pytest.raises(DomainBuildError, match=rf"{re.escape(name)} is not finite"):
-            spec.validate()
+    def test_non_finite_parameter_named(self, make, message):
+        # The spec checks its parameters when it is made.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
     @pytest.mark.parametrize("spec, cause", [
         (DomainSpec.disk(1e308), "disk boundary curvature is not finite"),
@@ -109,7 +153,7 @@ class TestBuildDomain:
 
     @pytest.mark.parametrize("h", [math.nan, math.inf])
     def test_non_finite_cell_size_named(self, h):
-        with pytest.raises(DomainBuildError, match=rf"h={h} is not finite"):
+        with pytest.raises(ValueError, match=rf"h must be finite, got {h}"):
             build_domain(DomainSpec.disk(1.0), h)
 
     def test_interior_mask_is_built_on_first_read(self):
@@ -197,7 +241,7 @@ class TestDiameter:
     # by an ulp: on the disk of radius 0.37 it reads 2 r plus one ulp.
     @staticmethod
     def _bounds_all_pairs(spec):
-        diameter = build_domain(spec, spec.min_feature_size() / 8.0).diameter
+        diameter = build_domain(spec, spec.validate() / 8.0).diameter
         assert diameter >= math.sqrt(_all_pairs_squared_diameter(spec)) * (1.0 - 2.0 ** -51)
 
     @pytest.mark.parametrize("spec", [DomainSpec.disk(0.37), DomainSpec.disk(1e-3),
@@ -224,7 +268,7 @@ class TestDiameter:
     @pytest.mark.parametrize("ratio", [*np.geomspace(0.3, 3.0, 13), 0.1, 0.2, 5.0, 10.0])
     def test_ellipse_matches_all_pairs(self, ratio):
         spec = DomainSpec.ellipse(float(ratio), 1.0)
-        h = spec.min_feature_size() / 8.0
+        h = spec.validate() / 8.0
         assert build_domain(spec, h).diameter == math.sqrt(_all_pairs_squared_diameter(spec))
 
     @pytest.mark.parametrize("spec", [
@@ -249,7 +293,7 @@ class TestDiameter:
         for spec in _valid_fourier_shapes(100, 53):
             sx, sy = spec.boundary_point(t)
             d2 = np.square(sx[::16, None] - sx) + np.square(sy[::16, None] - sy)
-            end = build_domain(spec, spec.min_feature_size() / 8.0).diameter / 4.0
+            end = build_domain(spec, spec.validate() / 8.0).diameter / 4.0
             assert end < math.sqrt(float(np.min(np.max(d2, axis=1)))), spec
 
 
@@ -768,7 +812,7 @@ class TestCrossingFinder:
             cos_coeffs, sin_coeffs = (rng.uniform(-scale, scale) for _ in range(2))
             spec = DomainSpec.fourier(1.0, cos_coeffs.tolist(), sin_coeffs.tolist())
             try:
-                domain = build_domain(spec, spec.min_feature_size() / 8.0)
+                domain = build_domain(spec, spec.validate() / 8.0)
             except DomainBuildError:
                 continue
             bx, by = spec.boundary_point(rng.uniform(0.0, 2.0 * math.pi))
@@ -1138,7 +1182,7 @@ class TestSharedSamples:
     def test_readers_match_direct_evaluations(self, spec):
         geometry._boundary_samples.cache_clear()
         geometry._centre_table.cache_clear()
-        h = spec.min_feature_size() / 8.0
+        h = spec.validate() / 8.0
         domain = build_domain(spec, h)
         t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
         bx, by, tx, ty = spec._boundary_frame(t)

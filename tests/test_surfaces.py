@@ -134,18 +134,50 @@ class TestSurfaceModels:
             math.pi / 5.0, rel=1e-15, abs=0)
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sphere r must be positive, got -1.0"):
             SurfaceModel.sphere(-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="spheroid c must be positive, got 0.0"):
             SurfaceModel.spheroid(1.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="flat-torus L1 must be positive, got 0.0"):
             SurfaceModel.flat_torus(0.0, 1.0)
-        with pytest.raises(ValueError, match=r"sphere r=nan: r\^2 = nan"):
+        with pytest.raises(ValueError, match="sphere r must be finite, got nan"):
             SurfaceModel.sphere(math.nan)
         with pytest.raises(ValueError, match=r"spheroid a=1.0, c=1e-170: c\^2 = 0.0"):
             SurfaceModel.spheroid(1.0, 1e-170)
         with pytest.raises(ValueError, match="flat torus L1=1e\\+200, L2=1e\\+200: area"):
             SurfaceModel.flat_torus(1e200, 1e200)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kind, name, named", [
+        ("sphere", "r", lambda v: SurfaceModel.sphere(v)),
+        ("spheroid", "a", lambda v: SurfaceModel.spheroid(v, 1.0)),
+        ("spheroid", "c", lambda v: SurfaceModel.spheroid(1.0, v)),
+        ("flat-torus", "L1", lambda v: SurfaceModel.flat_torus(v, 1.0)),
+        ("flat-torus", "L2", lambda v: SurfaceModel.flat_torus(1.0, v)),
+    ])
+    def test_both_constructors_reject_with_one_message(self, kind, name, named, value):
+        # Only the named constructors used to check, and not for NaN: a
+        # sphere of radius -1 had area 4 pi and a torus of side -1 area -1.
+        messages = []
+        for make in (named, lambda v: SurfaceModel(kind=kind, **{name: v})):
+            with pytest.raises(ValueError) as info:
+                make(value)
+            messages.append(str(info.value))
+        rule = "finite" if not math.isfinite(value) else "positive"
+        assert messages == [f"{kind} {name} must be {rule}, got {value}"] * 2
+
+    def test_unknown_kind_rejected_when_made(self):
+        # A "klein" model fell through to the spheroid formulas with
+        # a = c = 1 and was classified achieved by Thm8.
+        with pytest.raises(ValueError, match="unknown surface kind 'klein'"):
+            SurfaceModel(kind="klein")
+
+    def test_model_is_frozen_and_caches_its_area(self):
+        sphere = SurfaceModel.sphere(2.0)
+        with pytest.raises(AttributeError):
+            sphere.r = -1.0
+        assert sphere.area is sphere.area
+        assert sphere.area == 16.0 * math.pi
 
 
 class TestGeodesicBallArea:
@@ -426,7 +458,7 @@ class TestSpheroidIntegrator:
         # On spheroid(1, 5), K = 25 at the pole: J along alpha = pi from
         # polar angle 0.3 turns negative near s = 0.78.
         with pytest.raises(ValueError, match=r"conjugate point.*1\.2.*0\.3"):
-            surfaces._spheroid_ball(1.0, 5.0, 0.3, 1.2)
+            surfaces._spheroid_ball(SurfaceModel.spheroid(1.0, 5.0), 0.3, 1.2)
 
     def test_one_integration_per_ball(self, monkeypatch):
         calls = _count_profiles(monkeypatch)
@@ -464,10 +496,11 @@ class TestSpheroidIntegrator:
     def test_eccentric_balls_double_their_directions(self, monkeypatch, axes, theta0, eps,
                                                       columns):
         calls = _count_profiles(monkeypatch)
-        got = surfaces._spheroid_ball(*axes, theta0, eps)
+        spheroid = SurfaceModel.spheroid(*axes)
+        got = surfaces._spheroid_ball(spheroid, theta0, eps)
         assert calls == columns
         # The trapezoid rule on 1024 directions, as a reference.
-        A, J = surfaces._spheroid_generic_profile(*axes, theta0, eps, 513)
+        A, J = surfaces._spheroid_generic_profile(spheroid, theta0, eps, 513)
         reference = surfaces._direction_mean(A), surfaces._direction_mean(J)
         assert got == pytest.approx(reference, rel=1e-13, abs=0.0)
 
@@ -480,7 +513,7 @@ class TestSpheroidIntegrator:
                 r"spheroid a=1\.0, c=0\.7: the ball of radius 0\.8 at polar angle 1\.2 "
                 r"is not resolved by 1024 directions \(area .* on 1024, .* on 512; "
                 r"perimeter .* on 1024, .* on 512\)")):
-            surfaces._spheroid_ball(1.0, 0.7, 1.2, 0.8)
+            surfaces._spheroid_ball(SurfaceModel.spheroid(1.0, 0.7), 1.2, 0.8)
         assert calls == [33, 65, 129, 257, 513]
 
 
