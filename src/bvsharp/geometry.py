@@ -15,27 +15,23 @@ A domain is described analytically (`DomainSpec`) and placed on a
 `GridDomain` with the spec, the grid, the measure and the diameter bound
 2 R0, R0 >= |rho| in closed form; its interior and pair masks are built on
 first read: only the TV solver pays.  A spec's boundary is evaluated once,
-at 4096 samples of t, and read by the validation, the measure (Green's
-theorem, trapezoid rule on every second sample), the curvature seed and
-the crossing finder's tables.  Curvature is never differenced from the
-grid: it comes from the closed forms of rho, rho' and rho''.  The crossing
-finder's own boundary evaluations take rho and rho' alone.  At one point
-(a Newton step, the seed's polish) the boundary is evaluated on Python
-floats, which give the bits of numpy's functions without their cost per call.
+at 4096 samples of t, and read by the validation, the grid's extent, the
+curvature seed and the crossing finder's tables.  Curvature is never
+differenced from the grid: it comes from the closed forms of rho, rho' and
+rho''.  The crossing finder's own boundary evaluations take rho and rho'
+alone.  At one point (a Newton step, the seed's polish) the boundary is
+evaluated on Python floats, which give the bits of numpy's functions
+without their cost per call.
 
-The two quadrature operations that feed certificate-grade numbers are
+The two measures that feed certificate-grade numbers are
 
 * `boundary_arc_inside` -- length of the part of dB(a, eps) lying inside
   Omega, the sum of the inside arcs between crossings;
 * `cap_measure`      -- area of Omega intersected with the disk B(a, eps),
   by Green's theorem on the boundary of the intersection: the inside arcs
-  of dB contribute eps^2 dtheta / 2 in closed form, the pieces of dOmega
-  inside B are integrated by the panel rule `_panel_rule`: 32-point
-  Gauss-Legendre on 8 equal panels, the package's one quadrature rule
-  for smooth integrals (the surface area and Gauss-Bonnet integrals in
-  `surfaces` use it too).  Its nodes and weights are a literal table,
-  equal bit for bit to numpy's `leggauss(32)` (a test checks it), kept
-  literal so that the package loads only numpy's core.
+  of dB contribute eps^2 dtheta / 2, and the pieces of dOmega inside B
+  contribute, as gamma x gamma' = rho^2 on a polar curve, the integral of
+  rho^2 less a chord term, in closed form (`_boundary_term`), as is |Omega|.
 
 They share one crossing finder, which works along the boundary parameter
 t: dB(a, eps) meets dOmega where f(t) = |gamma(t) - a|^2 - eps^2 changes
@@ -48,10 +44,10 @@ non-finite centre or radius, or a radius below 2^-26 |centre| on a circle
 that can reach dOmega, whose crossings floats cannot resolve.  A circle's
 cap and arc are memoized together on (spec, centre, radius), so the
 two-valued quotient, which needs both, pays for one crossing search and
-one cap quadrature.
+one boundary term.
 
-Both are exact to rounding for the supported shapes, so strict-inequality
-certificates are not contaminated by quadrature noise.
+Both are closed forms, exact to rounding for the supported shapes, so
+strict-inequality certificates are not contaminated by quadrature noise.
 """
 
 from __future__ import annotations
@@ -276,21 +272,32 @@ def _boundary_samples(spec: DomainSpec):
 
     Returns the read-only arrays (x, y, kappa); what `validate` checks, (min
     rho, max rho, max |kappa|, max (rho^2 + rho'^2)^(3/2), min |gamma|), NaN
-    or inf where a sample overflows; and `build_domain`'s measure.  Every
-    second t_i is linspace(0, 2 pi, 2048, endpoint=False) bit for bit: a
-    reader's slice is a direct evaluation there."""
+    or inf where a sample overflows; `build_domain`'s measure; and, for a
+    Fourier boundary, rho^2 = A_0 + sum_m (A_m cos m t + B_m sin m t) as
+    (A_0, [(A_1, B_1), ...]).  Every second t_i is linspace(0, 2 pi, 2048,
+    endpoint=False) bit for bit: a reader's slice is a direct evaluation there."""
     t = np.arange(_SCAN_SAMPLES) * _SCAN_STEP
     with np.errstate(over="ignore", invalid="ignore"):  # `validate` checks
         ct, st = np.cos(t), np.sin(t)
         rho, drho, ddrho = spec._radial(t, trig=(ct, st))
         x, y, kappa = rho * ct, rho * st, _polar_curvature(rho, drho, ddrho)
-        tx, ty = (drho * ct - rho * st)[::2], (drho * st + rho * ct)[::2]
-        measure = math.pi * float(np.mean(x[::2] * ty - y[::2] * tx))
         checks = (float(np.min(rho)), float(np.max(rho)), float(np.max(np.abs(kappa))),
                   float(np.max(rho * rho + drho * drho) ** 1.5), float(np.min(np.hypot(x, y))))
     for array in (x, y, kappa):
         array.flags.writeable = False
-    return (x, y, kappa), checks, measure
+    if spec.kind != "fourier":
+        sides = (spec.r, spec.r) if spec.kind == "disk" else (spec.a, spec.b)
+        return (x, y, kappa), checks, math.pi * sides[0] * sides[1], None
+    # rho = sum_{|k| <= K} z_k e^(i k t), z_k = (c_k - i s_k) / 2 for k > 0 and
+    # z_-k its conjugate; rho^2's coefficients are the convolution of z with z.
+    w = np.array([2.0 * spec.r0] + [complex(c, -s) for c, s in itertools.zip_longest(
+        spec.cos_coeffs, spec.sin_coeffs, fillvalue=0.0)])
+    z = 0.5 * np.concatenate((np.conj(w[:0:-1]), w))
+    u = np.convolve(z, z)[len(z) - 1:]
+    square = float(u[0].real), list(zip((2.0 * u[1:].real).tolist(), (-2.0 * u[1:].imag).tolist()))
+    measure = (math.pi * spec.r0 * spec.r0
+               + 0.5 * math.pi * math.fsum(c * c for c in (*spec.cos_coeffs, *spec.sin_coeffs)))
+    return (x, y, kappa), checks, measure, square
 
 
 # --------------------------------------------------------------------------
@@ -338,14 +345,11 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
     """Place a valid spec on a grid of cell size h and compute its measure.
 
     The interior mask, built on first read, is the exact inside test at
-    the cell centres.  The measure is 1/2 of the loop integral of
-    (x y' - y x') dt by the trapezoid rule on 2048 points (the integrand
-    is rho^2): exact for the disk and for a Fourier boundary of degree
-    below 1024; for the ellipse, whose rho^2 has Fourier coefficients
-    decaying like ((a-b)/(a+b))^k, the error is at rounding level.  The
-    diameter is the closed-form bound 2 R0: every boundary point lies in
-    the disk B(0, R0), where R0 is r for the disk, max(a, b) for the
-    ellipse and r0 + sum_k hypot(c_k, s_k) for a Fourier boundary.
+    the cell centres.  The measure is 1/2 of the integral of rho^2 over
+    [0, 2 pi] in its textbook form: pi r^2, pi a b, or pi r0^2 + (pi / 2)
+    sum_k (c_k^2 + s_k^2), that sum rounded once by `fsum`.  The diameter
+    is the closed-form bound 2 R0: every boundary point lies in B(0, R0),
+    R0 = r, max(a, b) or r0 + sum_k hypot(c_k, s_k).
     """
     feature = spec.validate()
     _check_positive(h, "h")
@@ -355,7 +359,7 @@ def build_domain(spec: DomainSpec, h: float) -> GridDomain:
             "requires h <= feature/8"
         )
 
-    (x, y, _), _, measure = _boundary_samples(spec)
+    (x, y, _), _, measure, _ = _boundary_samples(spec)
     bx, by = x[::2], y[::2]
 
     pad = 3.0 * h
@@ -601,48 +605,47 @@ def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):
 
 
 # --------------------------------------------------------------------------
-# cap quadrature
-
-# Read-only: `surfaces` shares the rule.  A literal table, the positive half of
-# numpy 2.4.6's `leggauss(32)` printed with repr and mirrored, equal to it bit
-# for bit (a test checks it): literal, so that bvsharp loads only numpy's core.
-_GL_HALF = np.array([  # (node, weight)
-    (0.048307665687738324, 0.09654008851472766), (0.1444719615827965, 0.09563872007927471),
-    (0.23928736225213706, 0.09384439908080451), (0.33186860228212767, 0.09117387869576378),
-    (0.42135127613063533, 0.08765209300440378), (0.5068999089322294, 0.08331192422694671),
-    (0.5877157572407623, 0.07819389578707023), (0.6630442669302152, 0.07234579410884834),
-    (0.7321821187402897, 0.06582222277636168), (0.7944837959679424, 0.058684093478535565),
-    (0.84936761373257, 0.05099805926237609), (0.8963211557660521, 0.042835898022226836),
-    (0.9349060759377397, 0.034273862913021765), (0.9647622555875064, 0.025392065309262024),
-    (0.9856115115452684, 0.016274394730905743), (0.9972638618494816, 0.007018610009470506),
-])
-_GL_NODES = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
-_GL_WEIGHTS = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
-_PANEL_EDGES = np.linspace(0.0, 1.0, 9)
-_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = _PANEL_EDGES.flags.writeable = False
+# cap boundary term
 
 
-def _panel_rule(t0, t1, panel_edges=_PANEL_EDGES):
-    """Nodes and weights of 32-point Gauss-Legendre on 8 equal panels of
-    each interval [t0, t1] (scalars, or arrays of interval ends), or on the
-    panels whose edges, as fractions of the interval, are `panel_edges`."""
-    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
-    edges = t0[..., None] + (t1 - t0)[..., None] * panel_edges
-    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
-    t = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None] + half * _GL_NODES
-    return t, half * _GL_WEIGHTS
+def _rho_squared_integral(spec: DomainSpec, t0: float, t1: float) -> float:
+    """The integral of rho^2 over [t0, t1], t0 < t1 < t0 + 2 pi, in closed
+    form without a difference of nearly equal values.  The ellipse (a cos E,
+    b sin E) sweeps a b dE / 2; E increases with t, so its turn dE lies past
+    pi exactly when t1 - t0 does.  A Fourier rho^2 is a trigonometric polynomial."""
+    span = t1 - t0
+    if spec.kind == "disk":
+        return spec.r * spec.r * span
+    if spec.kind == "ellipse":
+        a, b = spec.a, spec.b
+        turn = math.atan2(a * b * math.sin(span), b * b * math.cos(t0) * math.cos(t1)
+                          + a * a * math.sin(t0) * math.sin(t1))
+        return a * b * (turn % (2.0 * math.pi))
+    mean, harmonics = _boundary_samples(spec)[3]
+    mid = 0.5 * (t0 + t1)
+    return mean * span + sum(2.0 / m * math.sin(0.5 * m * span)
+                             * (c * math.cos(m * mid) + s * math.sin(m * mid))
+                             for m, (c, s) in enumerate(harmonics, start=1))
 
 
-def _green_boundary_integral(spec: DomainSpec, ax: float, ay: float, t0, t1):
-    """Sum over the parameter intervals [t0, t1] of the integral of
-    (x - ax) y' - (y - ay) x' dt, by the panel rule."""
-    t, w = _panel_rule(t0, t1)
-    x, y, x1, y1 = spec._boundary_frame(t)
-    return float(np.sum(w * ((x - ax) * y1 - (y - ay) * x1)))
+def _boundary_term(spec: DomainSpec, ax: float, ay: float, pieces) -> float:
+    """The sum over the parameter intervals (t0, t1) of dOmega of the
+    integral of (gamma - a) x gamma' dt: as gamma x gamma' = rho^2, with
+    gamma_i = gamma(t_i), int rho^2 - rho0 rho1 sin(t1 - t0), twice the area
+    between the piece and its chord, plus (gamma0 - a) x (gamma1 - gamma0),
+    terms of size eps or less; int rho^2 - a x (gamma1 - gamma0) cancels."""
+    def end(t):  # (t, rho, x, y) on Python floats, the bits of `boundary_point`
+        cos, sin = math.cos(t), math.sin(t)
+        rho = spec._radial(t, second=False, trig=(cos, sin))[0]
+        return t, rho, rho * cos, rho * sin
+
+    return sum(_rho_squared_integral(spec, t0, t1) - r0 * r1 * math.sin(t1 - t0)
+               + (x0 - ax) * (y1 - y0) - (y0 - ay) * (x1 - x0)
+               for (t0, r0, x0, y0), (t1, r1, x1, y1) in ((end(t0), end(t1)) for t0, t1 in pieces))
 
 
 # Memoized: the cap and the arc of one circle share a crossing search and a
-# cap quadrature.  The callers validate the centre and radius first, so no
+# boundary term.  The callers validate the centre and radius first, so no
 # NaN key enters the cache.  One entry suffices: every caller asks for the
 # cap and the arc of a circle one after the other.
 @functools.lru_cache(maxsize=1)
@@ -669,8 +672,7 @@ def _circle_measures(spec: DomainSpec, ax: float, ay: float, eps: float):
                       for (_, ux, uy, out), (_, vx, vy, _) in zip(radii, radii[1:] + radii[:1])
                       if out)
     pieces = [(t0, t1) for t0, t1, out in zip(t, t[1:] + [t[0] + 2.0 * math.pi], exits) if not out]
-    boundary = _green_boundary_integral(spec, ax, ay, *zip(*pieces))
-    return 0.5 * eps * eps * angle + 0.5 * boundary, eps * angle
+    return 0.5 * eps * eps * angle + 0.5 * _boundary_term(spec, ax, ay, pieces), eps * angle
 
 
 def cap_measure(domain: GridDomain, a, eps: float) -> float:
@@ -681,10 +683,10 @@ def cap_measure(domain: GridDomain, a, eps: float) -> float:
     which runs along the arcs of dB(a, eps) inside Omega and the pieces of
     dOmega inside B.  An arc of angular width dtheta contributes
     eps^2 dtheta / 2 exactly; a piece of dOmega, delimited by the boundary
-    parameters of two crossings, is integrated by 32-point Gauss-Legendre
-    quadrature on 8 panels, which is exact to rounding for the analytic
-    boundaries supported here.  Without a crossing the area is pi eps^2
-    (circle inside Omega), the measure (Omega inside B) or 0 (disjoint).
+    parameters of two crossings, contributes the integral of rho^2 over it
+    less a chord term in closed form (`_boundary_term`); the crossings set
+    its relative rounding, about ulp / eps.  Without a crossing the area is
+    pi eps^2 (circle inside Omega), the measure (Omega inside B) or 0.
     """
     return _circle_measures(domain.spec, *_checked_centre(a, eps), eps)[0]
 

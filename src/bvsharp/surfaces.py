@@ -44,7 +44,7 @@ angle from the north pole, longitude) and (x, y) on the torus.
 
 The spheroid area and the Gauss-Bonnet integral are integrals over the
 meridian angle theta in [0, pi] of analytic integrands; both use the
-Gauss-Legendre panel rule that `geometry` uses for its cap integrals,
+package's one quadrature rule, 32-point Gauss-Legendre (`_panel_rule`)
 on 8 panels, and both raise where 16 panels differ by more than a
 tolerance: 1e-12 of the area, 1e-8 of the Gauss-Bonnet target.
 
@@ -66,8 +66,26 @@ import numpy as np
 
 from .constants import (_check_dimension, _check_exponent, _check_positive,
                         sharp_sobolev_constant, unit_sphere_area)
-from .geometry import _PANEL_EDGES, _checked_centre, _panel_rule
+from .geometry import _checked_centre
 from .profiles import QuotientValue, _two_valued_quotient
+
+# Read-only.  A literal table, the positive half of numpy 2.4.6's
+# `leggauss(32)` printed with repr and mirrored, equal to it bit for bit (a
+# test checks it): literal, so that bvsharp loads only numpy's core.
+_GL_HALF = np.array([  # (node, weight)
+    (0.048307665687738324, 0.09654008851472766), (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451), (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378), (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023), (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168), (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609), (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765), (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743), (0.9972638618494816, 0.007018610009470506),
+])
+_GL_NODES = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
+_PANEL_EDGES = np.linspace(0.0, 1.0, 9)
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = _PANEL_EDGES.flags.writeable = False
 
 # The spheroid area and the Gauss-Bonnet integral over the meridian are
 # checked against the same panel rule on twice as many panels, to 1e-12
@@ -219,6 +237,15 @@ class SurfaceModel:
         if s_pole >= s_equator:
             return s_equator, s_pole, (0.0, 0.0)
         return s_pole, s_equator, (0.5 * math.pi, 0.0)
+
+
+def _panel_rule(t0: float, t1: float, panel_edges=_PANEL_EDGES):
+    """Nodes and weights, each (panels, 32), of 32-point Gauss-Legendre on the
+    panels of [t0, t1] whose edges, as fractions of it, are `panel_edges`."""
+    edges = t0 + (t1 - t0) * panel_edges
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    t = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _GL_NODES
+    return t, half * _GL_WEIGHTS
 
 
 def _meridian_integrals(integrand):

@@ -9,12 +9,15 @@ ellipse curvature, spheroid areas, spherical caps).
 import math
 
 
-def lens_area(r: float, R: float, d: float) -> float:
-    """Area of the intersection of circles (radius r) and (radius R, center d apart)."""
+def lens_area(r: float, R: float, d: float, lib=math):
+    """Area of the intersection of circles (radius r) and (radius R, center d apart).
+
+    lib supplies acos and sqrt: math for floats, or mpmath for mpf arguments,
+    which keeps the digits that the float form loses to cancellation at small r."""
     return (
-        r * r * math.acos((d * d + r * r - R * R) / (2.0 * d * r))
-        + R * R * math.acos((d * d + R * R - r * r) / (2.0 * d * R))
-        - 0.5 * math.sqrt((-d + r + R) * (d + r - R) * (d - r + R) * (d + r + R))
+        r * r * lib.acos((d * d + r * r - R * R) / (2 * d * r))
+        + R * R * lib.acos((d * d + R * R - r * r) / (2 * d * R))
+        - lib.sqrt((-d + r + R) * (d + r - R) * (d - r + R) * (d + r + R)) / 2
     )
 
 

@@ -170,16 +170,16 @@ class TestRunTasks:
 
     def test_domain_sweep_scans_each_circle_once(self, tmp_path, monkeypatch):
         # Per radius the sweep asks for the cap and the arc itself and again
-        # through the quotient: four requests, one scan, one cap quadrature.
+        # through the quotient: four requests, one scan, one boundary term.
         geometry._circle_measures.cache_clear()
         integrals = [0]
-        green = geometry._green_boundary_integral
+        term = geometry._boundary_term
 
         def counted(*args):
             integrals[0] += 1
-            return green(*args)
+            return term(*args)
 
-        monkeypatch.setattr(geometry, "_green_boundary_integral", counted)
+        monkeypatch.setattr(geometry, "_boundary_term", counted)
         config = make_config(
             {"task": "domain-sweep", "out": str(tmp_path), "shape": "ellipse", "a": 2.0,
              "b": 1.0, "h": 1.0 / 64, "eps_min": 0.1, "eps_max": 0.4, "eps_count": 5}
@@ -339,16 +339,16 @@ GOLDEN_RUNS = {
                            "31f82cca23391229dfd1c58eeffa6776bbae305f774f7018fa8e264f2387db66"),
     "domain-certificate": (["--shape", "ellipse", "--a", "2", "--b", "1", "--h", "0.015625",
                             "--q", "0.5"],
-                           "4a4565047320046ebeb2ff211eb05ef924cb6609c35156821151a4ab449e8060",
-                           "f85bafca70c1ae0548af38b60422450ef7052a6f444c60f5d2c677a19e08c662"),
+                           "31d6da7f000009874e0bb2fb3b147d74f9e649b60cacdfa463afa38b5365b1e9",
+                           "bff30f23c657517708bee544ecfdaa4e2bf85cf9c2524f7eb010c546d1bd2a9f"),
     # The 1.99 row has a finite beta whose square overflows.
     "domain-sweep": (["--shape", "disk", "--h", "0.015625", "--q", "0.01",
                       "--eps_list", "0.1,0.5,1,1.99"],
-                     "3e8c259357c4e0b987bdc4bf44f53576fe591818f55dc25a73a67f62669c20dd",
-                     "9b34519908d7bc82633dac229b3e873e113eb343984c7f9a20678487498833cd"),
+                     "daabd7ce646086f3e96b8418b2de8a79afa3809102c2de9b8ceb05034173928f",
+                     "f020838c73346291156a8051133b7f617c5a97d5050b28935d507a9ef5b2cd6a"),
     "solve": (["--shape", "disk", "--h", "0.015625", "--q", "1", "--budget", "8"],
-              "f6c0c26be8a8f24db6e59ee84e6ef061b93307900b01083bcb8fb095ae033d84",
-              "a7a9b319af3c8b1957657e5bb03e0adb21f943e0cacb5ce53aac67f9c5cfbed9"),
+              "3688d9fd01080a4fed4c04c9edd6661e8668e19b84e34c6c9f320ed5fe657703",
+              "9ef944a9d8cf36069f879febb655a3a7add7fa46fe9ae356c5943347ac2bec71"),
     "surface-classify": (["--surface", "spheroid", "--a", "1", "--c", "1.3",
                           "--q_list", "0.5,1,1.5"],
                          "d4f72ceac810ae1352870839a2e9b5c51627f111cca7e509ab49f0366009edc3",
@@ -397,10 +397,10 @@ def test_surface_classify_bytes_match_the_curvature_digests(surface, tmp_path):
 # The solver's Illinois-shift path, which the q = 1 GOLDEN_RUNS entry
 # does not reach.
 SOLVE_RUNS = {
-    "0.5": ("ce1b5a0a832dcb6da66ee041829b68c7cc583595021545e42d2a778bc3b28588",
-            "c37a9491d4b6569e8f89d6a6b7b2b9443921e8a3536a6b720c7e370e83e6c64d"),
-    "1.5": ("dc581adc66ab891872138d16980ff859e965f28abd47cab95b896bffff1a3128",
-            "f8ed613ca9929147fc4ac4aa0215be368523b8c79bad21b4b2d2ff2d43996803"),
+    "0.5": ("0e31983181628e4bbe124099b603c427189e6b9537faa1927d620356341d0e1b",
+            "ac34cbd7c24c4e00f48cd8c9235a2aa902ff8a07969b7ef30c162c685ec9e5c1"),
+    "1.5": ("db157a7ac64dc7e01e117e4c2c26b98d7d66cc036dd9ec5b8b7fa8547d70df17",
+            "f4a3f1da249b2f703a483721d7ca916abfebacacd7548bc33f28107f67953109"),
 }
 
 
@@ -416,11 +416,11 @@ def test_solve_bytes_match_the_shift_digests(q, tmp_path):
 # the gray target.
 AUDIT_RUNS = {
     "ellipse": (["--shape", "ellipse", "--a", "2", "--b", "1", "--h", "0.015625", "--q", "1"],
-                "868d64d08e97e7a25d56f19ccde09667450d95ae8e98dd595569fe6ad7c0f914",
-                "a7d9d4d9fd19357cfe50e1523d09260159ee3c6d717d63982f39db12164f6cb3"),
+                "d65067d5059b79cc105373064cad612ed3b86521d145187896b370a422e809b7",
+                "02b0343cdc6a7b708629a1f4a131189ad8850ff9f1b0a1b158443e10713fa674"),
     "disk": (["--shape", "disk", "--h", "0.015625", "--q", "0.5"],
-             "3a5e2e58be8c9ccdc386ab0ada84c1c224da3fc786392da5b37476a626471bc9",
-             "be8a373dd70d47d20f943c92dc5ee8f1d56bb8c4ef1bde2cc8640e6de7f90d60"),
+             "f1eee51effc0ac289cb839d5e4e62bad11986c7623e94d42d50a8d81ecc59765",
+             "aa8fdf512df7081e53c3195dbbbeb4d2849fb697fab96754323e9f9134095e65"),
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -1100,14 +1101,6 @@ class TestCrossingFinder:
                 array[...] = array
             assert array.base is None
 
-    @pytest.mark.parametrize("name", ["_GL_NODES", "_GL_WEIGHTS", "_PANEL_EDGES"])
-    def test_shared_constants_are_read_only(self, name):
-        # `surfaces` shares the panel rule, so a stray write would corrupt
-        # both modules.
-        array = getattr(geometry, name)
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = array
-
     @pytest.mark.parametrize("function", [cap_measure, boundary_arc_inside])
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_radius_raises(self, disk256, function, eps):
@@ -1124,22 +1117,156 @@ class TestCrossingFinder:
             function(disk256, tuple(centre), 0.2)
 
 
-class TestPanelRule:
-    def test_table_is_leggauss_bit_for_bit(self):
-        # The literal table stands in for numpy.polynomial, which the
-        # package does not import; the test may.
-        for table, reference in zip((geometry._GL_NODES, geometry._GL_WEIGHTS),
-                                    np.polynomial.legendre.leggauss(32)):
-            assert table.shape == reference.shape and table.dtype == reference.dtype
-            assert table.tobytes() == reference.tobytes()
+def _mp_radial(spec):
+    """(rho, rho') of the spec as functions of an mpmath t."""
+    if spec.kind == "disk":
+        return (lambda t: mpmath.mpf(spec.r)), (lambda t: mpmath.mpf(0))
+    if spec.kind == "ellipse":
+        a, b = mpmath.mpf(spec.a), mpmath.mpf(spec.b)
 
-    def test_integrates_monomials_exactly(self):
-        # 32 Gauss-Legendre nodes integrate degree 63 exactly on each panel,
-        # a check that does not rest on numpy's nodes.
-        t, w = geometry._panel_rule(0.0, 1.0)
-        errors = {k: math.fsum((w * t**k).ravel()) * (k + 1) - 1.0 for k in range(64)}
-        assert {k: e for k, e in errors.items() if abs(e) > 1e-14} == {}
+        def rho(t):
+            return a * b / mpmath.sqrt((b * mpmath.cos(t)) ** 2 + (a * mpmath.sin(t)) ** 2)
 
+        # rho = a b D^(-1/2), D = b^2 cos^2 t + a^2 sin^2 t, D' = (a^2 - b^2) sin 2t.
+        return rho, lambda t: -rho(t) ** 3 * (a * a - b * b) * mpmath.sin(2 * t) / (2 * a * a * b * b)
+    harmonics = list(itertools.zip_longest(spec.cos_coeffs, spec.sin_coeffs, fillvalue=0.0))
+    return (lambda t: spec.r0 + mpmath.fsum(c * mpmath.cos(k * t) + s * mpmath.sin(k * t)
+                                            for k, (c, s) in enumerate(harmonics, start=1)),
+            lambda t: mpmath.fsum(k * (s * mpmath.cos(k * t) - c * mpmath.sin(k * t))
+                                  for k, (c, s) in enumerate(harmonics, start=1)))
+
+
+def _mp_measures(spec, ax, ay, eps):
+    """(cap, arc) of the circle at 40 digits, apart from the package's forms.
+
+    Each float crossing of the finder seeds Newton's method on
+    |gamma(t) - a| - eps in mpmath; dOmega leaves B where that distance
+    grows.  The pieces of dOmega inside B are integrated by mpmath.quad and
+    the arcs of dB inside Omega, from an exit to the next crossing on the
+    circle, measured by atan2.  The circle must cross dOmega."""
+    rho, drho = _mp_radial(spec)
+    with mpmath.workdps(40):
+        e = mpmath.mpf(eps)
+
+        def frame(t):
+            r, dr, c, s = rho(t), drho(t), mpmath.cos(t), mpmath.sin(t)
+            return r * c - ax, r * s - ay, dr * c - r * s, dr * s + r * c
+
+        crossings = []
+        for t in geometry._circle_crossings(spec, ax, ay, eps)[0]:
+            t = mpmath.mpf(t)
+            for _ in range(8):
+                u, v, du, dv = frame(t)
+                distance = mpmath.hypot(u, v)
+                step = (distance - e) * distance / (u * du + v * dv)
+                t -= step
+            assert abs(step) < mpmath.mpf(10) ** -30
+            u, v, du, dv = frame(t)
+            crossings.append((t, u, v, u * du + v * dv > 0))
+        assert crossings, "the circle does not cross the boundary"
+        ends = crossings + [(crossings[0][0] + 2 * mpmath.pi, *crossings[0][1:])]
+        pieces = mpmath.fsum(
+            mpmath.quad(lambda t: (lambda u, v, du, dv: u * dv - v * du)(*frame(t)), [t0, t1])
+            for (t0, _, _, out), (t1, *_) in zip(ends, ends[1:]) if not out)
+        radii = sorted(crossings, key=lambda c: mpmath.atan2(c[2], c[1]))
+        angle = mpmath.fsum(
+            mpmath.atan2(u0 * v1 - v0 * u1, u0 * u1 + v0 * v1) % (2 * mpmath.pi)
+            for (_, u0, v0, out), (_, u1, v1, _) in zip(radii, radii[1:] + radii[:1]) if out)
+        return (e * e * angle + pieces) / 2, e * angle
+
+
+# The three shapes of the closed-form grid, with their grid cell sizes.
+CLOSED_FORM_SHAPES = [
+    pytest.param(DomainSpec.disk(1.0), 1.0 / 256, id="disk"),
+    pytest.param(DomainSpec.ellipse(2.36, 1.0), 1.0 / 128, id="ellipse"),
+    pytest.param(DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)), 1.0 / 128,
+                 id="fourier"),
+]
+CLOSED_FORM_RADII = [1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.7, 1.2]
+
+
+def _grid_centre(domain, where, eps):
+    """The seed point, or a centre 0.4 eps inside or outside dOmega along the
+    normal at t = 2, so that every radius of the grid crosses dOmega."""
+    if where == "seed":
+        return max_curvature_seed(domain).point
+    x, y, x1, y1 = domain.spec._boundary_frame(2.0)
+    side = 0.4 * eps / math.hypot(x1, y1) * (1.0 if where == "exterior" else -1.0)
+    return x + side * y1, y - side * x1
+
+
+class TestClosedFormCap:
+    # The boundary term of the cap in closed form, against references that
+    # share none of its formulas.
+
+    @pytest.mark.parametrize("where", ["seed", "interior", "exterior"])
+    @pytest.mark.parametrize("spec, h", CLOSED_FORM_SHAPES)
+    def test_cap_and_arc_match_mpmath(self, spec, h, where):
+        # The crossings carry a relative error of about ulp / eps, so the
+        # bound grows like R0 / eps at small radii.  On the disk the cap's
+        # reference is the lens area, evaluated in mpmath.
+        domain = build_domain(spec, h)
+        reach = spec._radial_bounds()[0]
+        for eps in CLOSED_FORM_RADII:
+            ax, ay = _grid_centre(domain, where, eps)
+            cap_ref, arc_ref = _mp_measures(spec, ax, ay, eps)
+            if spec.kind == "disk":
+                with mpmath.workdps(40):
+                    cap_ref = lens_area(mpmath.mpf(eps), mpmath.mpf(spec.r), mpmath.hypot(ax, ay),
+                                        lib=mpmath)
+            bound = 16.0 * 2.0 ** -53 * (1.0 + reach / eps)
+            for got, want in ((cap_measure(domain, (ax, ay), eps), cap_ref),
+                              (boundary_arc_inside(domain, (ax, ay), eps), arc_ref)):
+                assert abs(got - want) <= bound * abs(want), (eps, got, float(want))
+
+    @pytest.mark.parametrize("where", ["seed", "interior", "exterior"])
+    @pytest.mark.parametrize("spec, h", CLOSED_FORM_SHAPES)
+    def test_cap_grows_by_the_arc(self, spec, h, where):
+        # The coarea identity d cap / d eps = arc, by central differences.
+        domain = build_domain(spec, h)
+        for eps in (0.01, 0.1, 0.3, 0.7):
+            a, step = _grid_centre(domain, where, eps), 1e-4 * eps
+            slope = (cap_measure(domain, a, eps + step) - cap_measure(domain, a, eps - step)) / (2 * step)
+            assert slope == pytest.approx(boundary_arc_inside(domain, a, eps), rel=1e-7, abs=0)
+
+    @pytest.mark.parametrize("t0, t1", [
+        (0.3, 0.3 + math.pi - 1e-9), (0.3, 0.3 + math.pi), (0.3, 0.3 + math.pi + 1e-9),
+        (5.9, 7.2), (0.1, 0.1 + 2.0 * math.pi - 1e-9), (2.0, 2.0 + 1e-7)],
+        ids=["below-pi", "pi", "above-pi", "past-2pi", "nearly-whole", "short"])
+    def test_ellipse_turn_takes_the_right_branch(self, t0, t1):
+        # The eccentric angle's turn is taken in [0, 2 pi): past pi exactly
+        # when t1 - t0 is, and through t = 2 pi without a jump.
+        spec = DomainSpec.ellipse(2.36, 1.0)
+        rho = _mp_radial(spec)[0]
+        with mpmath.workdps(40):
+            want = mpmath.quad(lambda t: rho(t) ** 2, [t0, 0.5 * (t0 + t1), t1])
+        assert geometry._rho_squared_integral(spec, t0, t1) == pytest.approx(
+            float(want), rel=4e-16, abs=0)
+
+    @pytest.mark.parametrize("spec", [
+        DomainSpec.fourier(1.0, (), (0.1,)),
+        DomainSpec.fourier(1.0, (0.05,), (0.02, 0.1, -0.03)),
+        DomainSpec.fourier(0.8, (0.0, 0.0, 0.04), (0.0, 0.0, 0.0, 0.0, 0.01)),
+        DomainSpec.fourier(1.0, (0.04, 0.12, -0.03), (0.05,)),
+    ], ids=["sine-only", "sine-longer", "sine-longer-sparse", "cosine-longer"])
+    def test_fourier_square_matches_mpmath(self, spec):
+        # rho^2's coefficients come from the convolution of rho's, whichever
+        # of the two coefficient lists is longer.
+        rho = _mp_radial(spec)[0]
+        domain = build_domain(spec, spec.validate() / 8.0)
+        with mpmath.workdps(40):
+            whole = mpmath.quad(lambda t: rho(t) ** 2, mpmath.linspace(0, 2 * mpmath.pi, 9))
+        assert domain.measure == pytest.approx(float(whole / 2), rel=4e-16, abs=0)
+        for t0, t1 in ((0.0, 1e-5), (0.4, 1.9), (2.5, 8.0), (-1.0, 5.0)):
+            with mpmath.workdps(40):
+                want = mpmath.quad(lambda t: rho(t) ** 2, mpmath.linspace(t0, t1, 5))
+            assert geometry._rho_squared_integral(spec, t0, t1) == pytest.approx(
+                float(want), rel=1e-15, abs=0)
+        ax, ay = _grid_centre(domain, "exterior", 0.3)
+        cap, arc = _mp_measures(spec, ax, ay, 0.3)
+        assert cap_measure(domain, (ax, ay), 0.3) == pytest.approx(float(cap), rel=1e-14, abs=0)
+        assert boundary_arc_inside(domain, (ax, ay), 0.3) == pytest.approx(
+            float(arc), rel=1e-14, abs=0)
 
 def _radial_frame(spec, t):
     """(x, y, x', y') through `_radial`, rho'' and all: the reference for
@@ -1174,6 +1301,17 @@ SAMPLED_SHAPES = [pytest.param(p.values[0], id=p.id) for p in CATALOG] + [
     pytest.param(spec, id=f"random-{k}") for k, spec in enumerate(_random_fourier_shapes(4, 41))]
 
 
+def _textbook_measure(spec):
+    """pi r^2, pi a b, or pi r0^2 + (pi / 2) sum_k (c_k^2 + s_k^2), its sum
+    rounded once."""
+    if spec.kind == "disk":
+        return math.pi * spec.r * spec.r
+    if spec.kind == "ellipse":
+        return math.pi * spec.a * spec.b
+    return (math.pi * spec.r0 * spec.r0
+            + 0.5 * math.pi * math.fsum(c * c for c in (*spec.cos_coeffs, *spec.sin_coeffs)))
+
+
 class TestSharedSamples:
     # Every reader of the spec's 4096 shared boundary samples gets the
     # floats that its own direct evaluation gives, bit for bit.
@@ -1185,8 +1323,8 @@ class TestSharedSamples:
         h = spec.validate() / 8.0
         domain = build_domain(spec, h)
         t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
-        bx, by, tx, ty = spec._boundary_frame(t)
-        assert domain.measure == math.pi * float(np.mean(bx * ty - by * tx))
+        bx, by = spec.boundary_point(t)
+        assert domain.measure == _textbook_measure(spec)
         xmin, ymin = float(np.min(bx)) - 3.0 * h, float(np.min(by)) - 3.0 * h
         assert (domain.xmin, domain.ymin, domain.nx, domain.ny) == (
             xmin, ymin, math.ceil((float(np.max(bx)) + 3.0 * h - xmin) / h),

@@ -571,6 +571,31 @@ class TestButcherTableau:
         assert np.array_equal(surfaces._RK8_C, dop853.C[:12])
 
 
+class TestPanelRule:
+    def test_table_is_leggauss_bit_for_bit(self):
+        # The literal table stands in for numpy.polynomial, which the
+        # package does not import; the test may.
+        for table, reference in zip((surfaces._GL_NODES, surfaces._GL_WEIGHTS),
+                                    np.polynomial.legendre.leggauss(32)):
+            assert table.shape == reference.shape and table.dtype == reference.dtype
+            assert table.tobytes() == reference.tobytes()
+
+    def test_integrates_monomials_exactly(self):
+        # 32 Gauss-Legendre nodes integrate degree 63 exactly on each panel,
+        # a check that does not rest on numpy's nodes.
+        t, w = surfaces._panel_rule(0.0, 1.0)
+        errors = {k: math.fsum((w * t**k).ravel()) * (k + 1) - 1.0 for k in range(64)}
+        assert {k: e for k, e in errors.items() if abs(e) > 1e-14} == {}
+
+    @pytest.mark.parametrize("name", ["_GL_NODES", "_GL_WEIGHTS", "_PANEL_EDGES"])
+    def test_shared_constants_are_read_only(self, name):
+        # Every meridian integral reads the module-level tables, so a stray
+        # write would corrupt all later ones.
+        array = getattr(surfaces, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array
+
+
 class TestGrayExpansion:
     def test_flat_case_is_euclidean_volume(self):
         for eps in (0.1, 0.7):
