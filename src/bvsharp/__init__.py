@@ -43,10 +43,7 @@ from .profiles import (
     QuotientValue,
     achievability_certificate,
     beta_eps,
-    constraint_residual,
     optimal_epsilon,
-    shift_to_constraint,
-    sign_power,
     two_valued_quotient_exact,
 )
 from .solver import (
@@ -57,6 +54,8 @@ from .solver import (
     lp_norm_power,
     minimize_quotient,
     rasterize_two_valued,
+    shift_to_constraint,
+    sign_power,
     total_variation,
 )
 from .surfaces import (

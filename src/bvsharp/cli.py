@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -242,12 +243,12 @@ def _task_constants(config: ExperimentConfig):
 
 def _task_sphere_certificate(config: ExperimentConfig):
     q_values = config.q_list or (config.q,)
-    hemisphere = 2.0 * np.pi
+    hemisphere = 2.0 * math.pi
     rows = []
     for q in q_values:
         qv = surfaces.hemisphere_certificate(q)
-        # The profile's levels 1 and -beta, each on a hemisphere.
-        residual = profiles.constraint_residual([(1.0, hemisphere), (-qv.beta, hemisphere)], q)
+        # The profile's levels 1 and -beta, each on a hemisphere: 0.0 at beta = 1.
+        residual = hemisphere - hemisphere * qv.beta**q
         rows.append([q, qv.value, residual, abs(qv.gap_to_threshold) <= 1e-12])
     _, value, residual, equals = rows[0]
     summary = {"value": value, "residual": residual, "equals_c_star": equals,
@@ -439,7 +440,10 @@ def _to_python(value):
 
 
 def _write_reports(out_dir: Path, summary: dict, header, rows):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create {str(out_dir)!r}: {exc.strerror}") from exc
     payload = {"schema_version": SCHEMA_VERSION}
     payload.update(_to_python(summary))
     with open(out_dir / "summary.json", "w") as fh:
@@ -503,7 +507,12 @@ def main(argv=None) -> int:
     try:
         values = {}
         if args.config is not None:
-            values = _parse_config_values(args.config.read_text())
+            try:
+                text = args.config.read_text()
+            except OSError as exc:
+                raise ConfigError(f"config: cannot read {str(args.config)!r}: "
+                                  f"{exc.strerror}") from exc
+            values = _parse_config_values(text)
         for key, raw in _parse_overrides(extra).items():
             values[key] = _cast_value(key, raw)
         if args.task:

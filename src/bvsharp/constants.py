@@ -20,7 +20,8 @@ dimension beyond the float range raises ValueError naming Gamma.
 It is also the one home of the theory's three input rules, which every
 entry point calls: n >= 2 (`_check_dimension`), 0 < q < n/(n-1)
 (`_check_exponent`), and a positive radius or area (`_check_positive`),
-which also checks every model parameter and h when a model or grid is made.
+which also checks every model parameter and h when a model or grid is made;
+planar caps and geodesic balls check their centre too (`_checked_centre`).
 """
 
 from __future__ import annotations
@@ -59,6 +60,16 @@ def _check_positive(value, name: str) -> None:
     _check_finite(value, name)
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _checked_centre(a, eps):
+    """The centre (ax, ay) as floats; raises ValueError unless the centre is
+    finite and the radius eps positive.  Caps and geodesic balls check here."""
+    ax, ay = float(a[0]), float(a[1])
+    if not (math.isfinite(ax) and math.isfinite(ay)):
+        raise ValueError(f"centre ({ax}, {ay}) has a non-finite coordinate")
+    _check_positive(eps, "eps")
+    return ax, ay
 
 
 def gamma_half_integer(x: float) -> float:

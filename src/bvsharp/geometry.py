@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _check_finite, _check_positive
+from .constants import _check_finite, _check_positive, _checked_centre
 
 # What `_radial` and `_boundary_frame` evaluate with on a float t, without
 # numpy's cost per call.  math.cos and math.sin give np.cos's and np.sin's
@@ -493,16 +493,6 @@ def _centre_table(spec: DomainSpec, ax: float, ay: float):
     hi = np.maximum(d[:-1], d[1:]) + margin
     d.flags.writeable = lo.flags.writeable = hi.flags.writeable = False
     return d, lo, hi, bound, speed, bend, 4.0 * math.ulp(reach)
-
-
-def _checked_centre(a, eps):
-    """The centre (ax, ay) as floats; raises ValueError unless the centre is
-    finite and the radius eps positive.  Caps and geodesic balls check here."""
-    ax, ay = float(a[0]), float(a[1])
-    if not (math.isfinite(ax) and math.isfinite(ay)):
-        raise ValueError(f"centre ({ax}, {ay}) has a non-finite coordinate")
-    _check_positive(eps, "eps")
-    return ax, ay
 
 
 def _circle_crossings(spec: DomainSpec, ax: float, ay: float, eps: float):

@@ -1,11 +1,11 @@
-"""Two-valued test profiles and Rayleigh-type quotients for the BV problem.
+"""Two-valued certificate profiles and their exact quotients.
 
 The basic object is the two-valued profile
 
     u = chi_{B(a,eps) n Omega}  -  beta * chi_{Omega \\ B(a,eps)},
 
-whose plateau beta is chosen so that the nonlinear constraint
-int sgn(u) |u|^q = 0 holds exactly.  Its quotient
+whose plateau beta = (|Omega|/cap - 1)^(-1/q) (`beta_eps`) meets the
+constraint int sgn(u) |u|^q = 0 in closed form, with no shift.  Its quotient
 
     |Du|(Omega) / (int |u|^{n/(n-1)})^{1-1/n}
 
@@ -56,26 +56,6 @@ class QuotientValue:
     beta: float
 
 
-def sign_power(t: float, q: float, out=None):
-    """sgn(t) |t|^q, with the continuous extension 0 at t = 0.
-
-    The extension matters for q < 1, where the raw |t|^(q-1) t form is
-    singular at the origin.  At q = 1 it is a copy of t, bit for bit.
-    The result goes into `out` when given, which may be t itself.
-    """
-    _check_exponent(q)
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t) if out is None else out
-    if q == 1.0:
-        np.copyto(out, t)
-    else:  # raised and signed in place; the sign bits are read first
-        negative = np.signbit(t)
-        np.abs(t, out=out)
-        out **= q
-        np.negative(out, out=out, where=negative)
-    return float(out) if out.ndim == 0 else out
-
-
 def beta_eps(total_measure: float, cap: float, q: float) -> float:
     """Plateau making the two-valued profile satisfy the q-constraint,
 
@@ -95,103 +75,6 @@ def beta_eps(total_measure: float, cap: float, q: float) -> float:
     except OverflowError as exc:
         raise OverflowError(f"beta = (total/cap - 1)^(-1/q) lies beyond the float range "
                             f"at q = {q}, cap/total = {cap / total_measure}") from exc
-
-
-def constraint_residual(values, q: float) -> float:
-    """sum of measure * sgn(level) |level|^q over (level, measure) pairs."""
-    levels, measures = _as_level_arrays(values)
-    return float(np.sum(measures * sign_power(levels, q)))
-
-
-def shift_to_constraint(values, q: float, scratch=None) -> float:
-    """The unique lambda with sum measure * sgn(level-lambda)|level-lambda|^q = 0.
-
-    `values` is a list of (level, measure) pairs or a (levels, measures)
-    tuple of arrays, where the measures may be one scalar shared by all
-    levels (the cells of a grid).  At q = 1 lambda is the weighted mean;
-    otherwise the residual, strictly decreasing in lambda, goes to
-    Illinois regula falsi on [-w, w] with w = 1e-5 (max - min level), which
-    holds the root for the nearly feasible iterates of the solver, or
-    on the part of [min, max] beyond it.  lambda has |residual| <= 1e-12
-    times the total measure, unless no double gets there (a root within
-    an ulp of a level, which a 1:1e4 measure imbalance gives at small
-    q): then the residual changes sign next to lambda.  Non-finite
-    levels or measures, zero total measure and equal levels raise.
-    Every residual writes its terms over one array of the levels' shape:
-    `scratch` when given, else one new array per call.
-    """
-    levels, measures = _as_level_arrays(values)
-    _check_exponent(q)
-    lo = float(np.min(levels))
-    hi = float(np.max(levels))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("non-finite level: shift is undefined")
-    total = float(np.sum(measures)) * (levels.size if measures.ndim == 0 else 1)
-    if not math.isfinite(total):
-        raise ValueError("non-finite measure: shift is undefined")
-    if total == 0.0:
-        raise ValueError("zero total measure: shift is undefined")
-    if hi - lo <= 0.0:
-        raise ValueError("all levels equal: shift is undefined (degenerate input)")
-    tol = 1e-12 * total
-    seen = {}
-    terms = np.empty_like(levels) if scratch is None else scratch
-
-    def residual(lam):  # 0 inside the tolerance
-        if lam not in seen:
-            np.subtract(levels, lam, out=terms)
-            if q != 1.0:  # at q = 1 the power is the identity
-                sign_power(terms, q, out=terms)
-            seen[lam] = float(measures * np.sum(terms) if measures.ndim == 0
-                              else np.sum(np.multiply(measures, terms, out=terms)))
-        return 0.0 if abs(seen[lam]) <= tol else seen[lam]
-
-    if q == 1.0:
-        lam = float(np.sum(np.multiply(measures, levels, out=terms))) / total
-        if residual(lam) == 0.0:
-            return lam
-    w = 1e-5 * (hi - lo)
-    a, b = max(lo, -w), min(hi, w)
-    if a >= b:
-        a, b = lo, hi
-    elif residual(a) < 0.0:
-        a, b = lo, a
-    elif residual(b) > 0.0:
-        a, b = b, hi
-    fa, fb = residual(a), residual(b)
-    if fa == 0.0 or fb == 0.0:
-        return a if fa == 0.0 else b
-    side = 0  # Illinois: halve the value kept at an end that survives twice
-    while True:
-        lam = b - fb * (b - a) / (fb - fa)
-        if not a < lam < b:
-            lam = 0.5 * (a + b)
-            if not a < lam < b:  # a and b are neighbouring doubles
-                return lam
-        r = residual(lam)
-        if r == 0.0:
-            return lam
-        if r > 0.0:
-            a, fa = lam, r
-            fb *= 0.5 if side > 0 else 1.0
-            side = 1
-        else:
-            b, fb = lam, r
-            fa *= 0.5 if side < 0 else 1.0
-            side = -1
-
-
-def _as_level_arrays(values):
-    if isinstance(values, tuple) and len(values) == 2 and np.ndim(values[0]) >= 1:
-        levels = np.asarray(values[0], dtype=float)
-        measures = np.asarray(values[1], dtype=float)
-    else:
-        pairs = list(values)
-        levels = np.array([p[0] for p in pairs], dtype=float)
-        measures = np.array([p[1] for p in pairs], dtype=float)
-    if np.any(measures < 0):
-        raise ValueError("measures must be nonnegative")
-    return levels, measures
 
 
 # --------------------------------------------------------------------------

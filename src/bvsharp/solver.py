@@ -14,12 +14,13 @@ penalties: every iterate is shifted to the unique feasible level and
 renormalized, so every quotient the solver reports is the exact
 discrete quotient of a feasible function, hence a rigorous upper bound
 for the discrete functional (and a heuristic estimate of the continuum
-constant).  The shift is `profiles.shift_to_constraint` on the interior
-levels with the common cell measure h^2: the mean at q = 1, otherwise
-Illinois regula falsi warm-started on a narrow bracket around 0, since
-the previous iterate was feasible; both stop on the same residual
-tolerance.  One gather of the interior levels per iteration, shifted and
-scaled in place; pair masks built per domain; at q = 1 no power is taken.
+constant).  The shift, `shift_to_constraint`, is the solver's alone (each
+certificate witness is feasible in closed form): on the interior levels
+with the one cell measure h^2 it is the mean at q = 1, otherwise Illinois
+regula falsi warm-started on a narrow bracket around 0, since the previous
+iterate was feasible; both stop on the same residual tolerance.  One
+gather of the interior levels per iteration, shifted and scaled in place;
+pair masks built per domain; at q = 1 no power is taken.
 
 Descent directions come from a Huber-smoothed total variation to avoid
 stagnation on flat regions; reported values always use the exact
@@ -38,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import _check_exponent, _check_positive
 from .geometry import GridDomain
-from .profiles import achievability_certificate, shift_to_constraint, sign_power
+from .profiles import achievability_certificate
 
 # Descent schedule: step _STEP / (1 + k)^_DECAY at iteration k; Huber
 # width _SMOOTHING_WIDTH cells; an improvement is an iterate below
@@ -152,12 +154,105 @@ def grid_quotient(u: GridFunction, q: float) -> float:
 
     TV is shift invariant, so the numerator needs no adjustment.
     """
-    lam = shift_to_constraint((u.values[u.domain.interior_mask], u.domain.h**2), q)
-    shifted = GridFunction(u.domain, u.values - lam)
-    denom = lp_norm_power(shifted)
+    levels = u.values[u.domain.interior_mask]
+    denom = _l2_norm(levels - shift_to_constraint(levels, u.domain.h**2, q), u.domain.h)
     if denom == 0.0:
         raise ValueError("zero function after shift")
     return total_variation(u) / denom
+
+
+# --------------------------------------------------------------------------
+# feasible shift
+
+
+def sign_power(t: float, q: float, out=None):
+    """sgn(t) |t|^q, extended by 0 at t = 0, where the raw |t|^(q-1) t is
+    singular for q < 1; at q = 1 a copy of t, bit for bit.  The result goes
+    into `out` when given, which may be t itself."""
+    _check_exponent(q)
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t) if out is None else out
+    if q == 1.0:
+        np.copyto(out, t)
+    else:  # raised and signed in place; the sign bits are read first
+        negative = np.signbit(t)
+        np.abs(t, out=out)
+        out **= q
+        np.negative(out, out=out, where=negative)
+    return float(out) if out.ndim == 0 else out
+
+
+def shift_to_constraint(levels, cell: float, q: float, scratch=None) -> float:
+    """The unique lambda with sum cell * sgn(level-lambda)|level-lambda|^q = 0.
+
+    `levels` is a 1-D array and `cell` the measure all levels share (h^2
+    on a grid).  At q = 1 lambda is the mean; otherwise the residual,
+    strictly decreasing in lambda, goes to Illinois regula falsi on [-w, w],
+    w = 1e-5 (max - min level), which holds the root for the solver's nearly
+    feasible iterates, or on the part of [min, max] beyond it.  lambda has
+    |residual| <= 1e-12 times the total measure, unless no double gets there
+    (a root within an ulp of a level, which one level against 1e4 gives at
+    small q): then the residual changes sign next to lambda.  Non-finite
+    levels, a total measure not finite and positive, and equal levels
+    raise.  The terms go into `scratch` when given, else into a new array.
+    """
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or np.ndim(cell) != 0:
+        raise ValueError(f"the shift takes a 1-D array of levels and one cell measure, "
+                         f"got shapes {levels.shape} and {np.shape(cell)}")
+    _check_exponent(q)
+    lo, hi = float(np.min(levels)), float(np.max(levels))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("non-finite level: shift is undefined")
+    total = float(cell) * levels.size
+    _check_positive(total, "the total measure")
+    if hi - lo <= 0.0:
+        raise ValueError("all levels equal: shift is undefined (degenerate input)")
+    tol = 1e-12 * total
+    seen = {}
+    terms = np.empty_like(levels) if scratch is None else scratch
+
+    def residual(lam):  # 0 inside the tolerance
+        if lam not in seen:
+            np.subtract(levels, lam, out=terms)
+            if q != 1.0:  # at q = 1 the power is the identity
+                sign_power(terms, q, out=terms)
+            seen[lam] = float(cell * np.sum(terms))
+        return 0.0 if abs(seen[lam]) <= tol else seen[lam]
+
+    if q == 1.0:
+        lam = float(np.sum(np.multiply(cell, levels, out=terms))) / total
+        if residual(lam) == 0.0:
+            return lam
+    w = 1e-5 * (hi - lo)
+    a, b = max(lo, -w), min(hi, w)
+    if a >= b:
+        a, b = lo, hi
+    elif residual(a) < 0.0:
+        a, b = lo, a
+    elif residual(b) > 0.0:
+        a, b = b, hi
+    fa, fb = residual(a), residual(b)
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    side = 0  # Illinois: halve the value kept at an end that survives twice
+    while True:
+        lam = b - fb * (b - a) / (fb - fa)
+        if not a < lam < b:
+            lam = 0.5 * (a + b)
+            if not a < lam < b:  # a and b are neighbouring doubles
+                return lam
+        r = residual(lam)
+        if r == 0.0:
+            return lam
+        if r > 0.0:
+            a, fa = lam, r
+            fb *= 0.5 if side > 0 else 1.0
+            side = 1
+        else:
+            b, fb = lam, r
+            fa *= 0.5 if side < 0 else 1.0
+            side = -1
 
 
 # --------------------------------------------------------------------------
@@ -310,7 +405,7 @@ def minimize_quotient(domain: GridDomain, q: float, budget: int = 300) -> Consta
     stale = 0
     for k in range(budget):
         levels[:] = v[mask]  # the one gather (np.compress(out=) is 3x slower)
-        lam = shift_to_constraint((levels, h * h), q, spare)  # raises on equal levels
+        lam = shift_to_constraint(levels, h * h, q, spare)  # raises on equal levels
         v -= lam
         v *= mask
         levels -= lam

@@ -64,9 +64,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .constants import (_check_dimension, _check_exponent, _check_positive,
+from .constants import (_check_dimension, _check_exponent, _check_positive, _checked_centre,
                         sharp_sobolev_constant, unit_sphere_area)
-from .geometry import _checked_centre
 from .profiles import QuotientValue, _two_valued_quotient
 
 # Read-only.  A literal table, the positive half of numpy 2.4.6's

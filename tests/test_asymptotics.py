@@ -32,21 +32,21 @@ CONSTANTS_IMPORTS = {
                     "sharp_sobolev_constant", "unit_ball_volume"},
     "cli": set(),
     "constants": set(),
-    "geometry": {"_check_finite", "_check_positive"},
+    "geometry": {"_check_finite", "_check_positive", "_checked_centre"},
     "profiles": {"_check_exponent", "half_space_constant"},
-    "solver": set(),
-    "surfaces": {"_check_dimension", "_check_exponent", "_check_positive",
+    "solver": {"_check_exponent", "_check_positive"},
+    "surfaces": {"_check_dimension", "_check_exponent", "_check_positive", "_checked_centre",
                  "sharp_sobolev_constant", "unit_sphere_area"},
 }
 
 # Every name the package exported before the expansions moved, less the
-# removed `boundary_mean_curvature`.
+# removed `boundary_mean_curvature` and `constraint_residual`.
 EXPORTS = (
     "AchievabilityVerdict", "ConstantEstimate", "DomainBuildError", "DomainSpec", "GridDomain",
     "GridFunction", "MaxCurvatureSeed", "QuotientValue", "SurfaceModel",
     "achievability_certificate", "ball_indicator", "beta_eps", "boundary_arc_expansion",
     "boundary_arc_inside", "build_domain", "cap_measure", "cap_measure_expansion",
-    "classify_achievability", "constraint_residual", "critical_curvature_threshold",
+    "classify_achievability", "critical_curvature_threshold",
     "critical_quotient_expansion", "domain_quotient_expansion", "euler_beta",
     "fit_linear_coefficient", "fit_remainder_order", "gamma_half_integer", "gauss_bonnet_check",
     "geodesic_ball_area", "geodesic_circle_expansion", "geodesic_circle_length",
@@ -92,6 +92,7 @@ def test_package_exports_every_expansion_from_asymptotics():
     missing = [name for name in EXPORTS if not hasattr(bvsharp, name)]
     assert missing == []
     assert not hasattr(bvsharp, "boundary_mean_curvature")
+    assert not hasattr(bvsharp, "constraint_residual")
     for name in EXPANSIONS:
         assert getattr(bvsharp, name) is getattr(asymptotics, name)
         for module in ("geometry", "profiles", "surfaces"):

@@ -581,6 +581,21 @@ class TestMainEntryPoint:
         status = main(["constants", "stray"])
         assert status == 2
 
+    def test_unreadable_config_names_the_path(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        status = main(["constants", "--config", str(missing), "--out", str(tmp_path / "x")])
+        assert status == 2
+        assert capsys.readouterr().err == (
+            f"bv-sharp: error: config: cannot read {str(missing)!r}: No such file or directory\n")
+
+    def test_out_that_cannot_be_made_names_the_path(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"  # under a regular file
+        status = main(["constants", "--out", str(out)])
+        assert status == 2
+        assert capsys.readouterr().err == (
+            f"bv-sharp: error: out: cannot create {str(out)!r}: Not a directory\n")
+
 
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency: importing the command-line

@@ -14,7 +14,6 @@ from bvsharp import (
     boundary_arc_expansion,
     cap_measure,
     cap_measure_expansion,
-    constraint_residual,
     critical_quotient_expansion,
     domain_quotient_expansion,
     fit_linear_coefficient,
@@ -79,11 +78,9 @@ class TestSignPower:
         assert inplace.tobytes() == fresh.tobytes()  # the signs of -0.0 and -tiny included
 
 
-TWO_LEVELS = [(1.0, 1.0), (0.0, 2.0)]
 EXPONENT_CALLS = {
     "sign_power": lambda q: sign_power(np.array([1.0, -2.0]), q),
-    "constraint_residual": lambda q: constraint_residual(TWO_LEVELS, q),
-    "shift_to_constraint": lambda q: shift_to_constraint(TWO_LEVELS, q),
+    "shift_to_constraint": lambda q: shift_to_constraint(np.array([1.0, 0.0, 0.0]), 1.0, q),
     "beta_eps": lambda q: beta_eps(3.0, 1.0, q),
     "grid_quotient": lambda q: grid_quotient(
         ball_indicator(build_domain(DomainSpec.disk(1.0), 1.0 / 32), (0.3, 0.0), 0.4), q),
@@ -136,52 +133,61 @@ class TestBetaEps:
         with pytest.raises(OverflowError, match=r"beta .* q = 0\.01, cap/total = 0\.9994$"):
             beta_eps(1.0, 0.9994, 0.01)
 
+    # The profile's levels 1 on the cap and -beta on the rest meet the
+    # constraint in closed form: cap * 1^q - (total - cap) beta^q = 0.
     def test_plateau_makes_the_two_valued_profile_feasible(self, disk256):
         cap = cap_measure(disk256, (1.0, 0.0), 0.2)
         for q in (0.5, 1.0, 1.5):
             beta = beta_eps(math.pi, cap, q)
             assert beta > 0
-            pairs = [(1.0, cap), (-beta, math.pi - cap)]
-            assert abs(constraint_residual(pairs, q)) <= 1e-10
+            assert abs(cap - (math.pi - cap) * beta**q) <= 1e-10
 
-
-class TestConstraintResidual:
-    def test_antisymmetric_levels_cancel(self):
-        for q in (0.5, 1.0, 1.5):
-            assert constraint_residual([(1.0, 3.7), (-1.0, 3.7)], q) == 0.0
-
-    def test_profile_built_with_beta_eps_is_feasible(self):
+    def test_plateau_on_the_lens_oracle_cap_is_feasible(self):
         cap = lens_area(1.0, 0.2, 1.0)
         for q in (0.5, 1.0, 1.5):
-            beta = beta_eps(math.pi, cap, q)
-            residual = constraint_residual([(1.0, cap), (-beta, math.pi - cap)], q)
-            assert abs(residual) <= 1e-10
-
-    def test_hand_algebra_case(self):
-        # 1*sqrt(1) - 2*sqrt(1/4) = 0
-        assert constraint_residual([(1.0, 1.0), (-0.25, 2.0)], 0.5) == pytest.approx(
-            0.0, abs=1e-15
-        )
+            assert abs(cap - (math.pi - cap) * beta_eps(math.pi, cap, q) ** q) <= 1e-10
 
 
 class TestShiftToConstraint:
     def test_symmetric_levels_shift_to_zero(self):
         for q in (0.5, 1.0, 1.5):
-            lam = shift_to_constraint([(1.0, 2.0), (-1.0, 2.0)], q)
+            lam = shift_to_constraint(np.array([1.0, -1.0]), 2.0, q)
             assert lam == pytest.approx(0.0, abs=1e-12)
 
-    def test_exponent_one_gives_weighted_mean(self):
-        lam = shift_to_constraint([(1.0, 3.0), (0.0, 5.0)], 1.0)
+    def test_antisymmetric_levels_cancel(self):
+        levels = np.array([0.3, -1.7, 1.7, -0.3])
+        for q in (0.5, 1.0, 1.5):
+            assert shift_to_constraint(levels, 3.7, q) == pytest.approx(0.0, abs=1e-12)
+
+    def test_hand_algebra_case(self):
+        # 1*sqrt(1) - 2*sqrt(1/4) = 0: the levels are feasible as given.
+        # The residual stop leaves lam within 1e-12 * 3 / 2.5 of 0, the
+        # total measure over the slope 0.5 * (1 + 2 * 2) at the root.
+        lam = shift_to_constraint(np.array([1.0, -0.25, -0.25]), 1.0, 0.5)
+        assert lam == pytest.approx(0.0, abs=1.2e-12)
+
+    def test_exponent_one_gives_the_mean(self):
+        lam = shift_to_constraint(np.array([1.0] * 3 + [0.0] * 5), 1.0, 1.0)
         assert lam == pytest.approx(3.0 / 8.0, abs=1e-12)
 
     def test_square_root_case(self):
         # (1 - lam)^(1/2) = 2 lam^(1/2)  =>  lam = 1/5
-        lam = shift_to_constraint([(1.0, 1.0), (0.0, 2.0)], 0.5)
+        lam = shift_to_constraint(np.array([1.0, 0.0, 0.0]), 1.0, 0.5)
         assert lam == pytest.approx(0.2, abs=1e-11)
 
     def test_degenerate_input_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            shift_to_constraint([(1.0, 1.0), (1.0, 2.0)], 1.0)
+            shift_to_constraint(np.array([1.0, 1.0, 1.0]), 1.0, 1.0)
+
+    @pytest.mark.parametrize("levels, cell", [
+        ([(1.0, 2.0), (-1.0, 2.0)], 1.0),  # (level, measure) pairs
+        (np.array([1.0, -1.0]), np.array([2.0, 2.0])),  # one measure per level
+        (np.array([1.0, -1.0]), np.array([2.0])),
+        (1.0, 2.0),
+    ])
+    def test_only_levels_and_one_cell_measure_are_taken(self, levels, cell):
+        with pytest.raises(ValueError, match="1-D array of levels and one cell measure"):
+            shift_to_constraint(levels, cell, 1.0)
 
 
 SHIFT_EXPONENTS = (0.25, 0.5, 1.0, 1.5)
@@ -210,31 +216,28 @@ _levels = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def level_sets(draw):
-    """(levels, measures): random sets, or two levels at a 1:1e4 measure imbalance.
+    """(levels, cell): random sets, or two levels, one cell against 1e4 cells.
 
-    Some random sets share one scalar measure, as grid cells do.  Half
-    of all sets are offset by +100, far from the bracket around 0.
+    Every level has the one measure `cell`, as grid cells do.  Half of
+    all sets are offset by +100, far from the bracket around 0.
     """
     if draw(st.booleans()):
         size = draw(st.integers(2, 12))
         levels = draw(st.lists(_levels, min_size=size, max_size=size))
-        measures = draw(st.one_of(
-            st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size),
-            st.floats(1e-3, 1e4),
-        ))
     else:
         low = draw(_levels)
-        levels = [low + draw(st.floats(1e-3, 2.0)), low]
-        measures = draw(st.sampled_from([[1.0, 1e4], [1e4, 1.0]]))
+        high = low + draw(st.floats(1e-3, 2.0))
+        levels = draw(st.sampled_from([[high] + [low] * 10**4, [high] * 10**4 + [low]]))
+    cell = draw(st.floats(1e-3, 1e4))
     offset = draw(st.sampled_from([0.0, 100.0]))
     levels = np.array(levels) + offset
     if np.ptp(levels) < 1e-3:
-        levels[0] = levels[1] + 1e-3
-    return levels, np.array(measures)
+        levels[0] = levels[-1] + 1e-3
+    return levels, cell
 
 
-def _total(levels, measures):
-    return float(np.sum(np.broadcast_to(measures, np.shape(levels))))
+def _total(levels, cell):
+    return cell * levels.size
 
 
 class TestSharedShift:
@@ -243,38 +246,38 @@ class TestSharedShift:
     @pytest.mark.parametrize("q", SHIFT_EXPONENTS)
     @given(data=level_sets())
     def test_residual_within_tolerance_or_unreachable(self, q, data):
-        levels, measures = data
-        lam = shift_to_constraint((levels, measures), q)
-        tol = 1e-12 * _total(levels, measures)
-        if abs(_residual(levels, measures, lam, q)) <= tol:
+        levels, cell = data
+        lam = shift_to_constraint(levels, cell, q)
+        tol = 1e-12 * _total(levels, cell)
+        if abs(_residual(levels, cell, lam, q)) <= tol:
             return
         # No double meets the tolerance: the residual jumps over it
         # between lambda and one of its neighbouring doubles.
         below, above = np.nextafter(lam, -np.inf), np.nextafter(lam, np.inf)
-        pair = (below, lam) if _residual(levels, measures, lam, q) < 0.0 else (lam, above)
-        r_left, r_right = (_residual(levels, measures, x, q) for x in pair)
+        pair = (below, lam) if _residual(levels, cell, lam, q) < 0.0 else (lam, above)
+        r_left, r_right = (_residual(levels, cell, x, q) for x in pair)
         assert r_left > tol and r_right < -tol
 
     @pytest.mark.parametrize("q", SHIFT_EXPONENTS)
     @given(data=level_sets())
     def test_scratch_array_gives_the_same_bits(self, q, data):
-        levels, measures = data
+        levels, cell = data
         scratch = np.full(levels.shape, np.nan)  # stale contents never leak
-        assert (shift_to_constraint((levels, measures), q, scratch)
-                == shift_to_constraint((levels, measures), q))
+        assert (shift_to_constraint(levels, cell, q, scratch)
+                == shift_to_constraint(levels, cell, q))
 
     @pytest.mark.parametrize("q", SHIFT_EXPONENTS)
     @given(data=level_sets())
     def test_agrees_with_reference_bisection(self, q, data):
-        levels, measures = data
-        lam = shift_to_constraint((levels, measures), q)
-        ref = _bisection_root(levels, measures, q)
+        levels, cell = data
+        lam = shift_to_constraint(levels, cell, q)
+        ref = _bisection_root(levels, cell, q)
         # The residual stop leaves lambda within tol / |slope| of the
         # root; the slope q * sum m |level - ref|^(q-1) is small only
         # for q > 1 on clustered levels.
         with np.errstate(divide="ignore"):  # a level at the root: infinite slope for q < 1
-            slope = q * float(np.sum(measures * np.abs(levels - ref) ** (q - 1.0)))
-        allowed = 1e-12 + 2.0 * 1e-12 * _total(levels, measures) / slope
+            slope = q * float(np.sum(cell * np.abs(levels - ref) ** (q - 1.0)))
+        allowed = 1e-12 + 2.0 * 1e-12 * _total(levels, cell) / slope
         assert abs(lam - ref) <= allowed
 
     @given(
@@ -290,26 +293,27 @@ class TestSharedShift:
         weighted = Fraction(sum(l * w for l, w in zip(levels, weights)), 1024 * sum(weights))
         equal = Fraction(sum(levels), 1024 * len(levels))
         grid = np.array(levels, dtype=float) / 1024.0
-        for measures, exact in ((np.array(weights, dtype=float), weighted), (0.25, equal)):
-            lam = shift_to_constraint((grid, measures), 1.0)
+        # A level of weight w is w cells of one measure.
+        for cells, exact in ((np.repeat(grid, weights), weighted), (grid, equal)):
+            lam = shift_to_constraint(cells, 0.25, 1.0)
             assert abs(Fraction(lam) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
     @pytest.mark.parametrize(
-        "values, cause",
+        "levels, cell, cause",
         [
-            ([(math.nan, 1.0), (1.0, 1.0)], "non-finite level"),
-            ([(math.inf, 1.0), (1.0, 1.0)], "non-finite level"),
-            ([(0.0, math.nan), (1.0, 1.0)], "non-finite measure"),
-            ([(0.0, math.inf), (1.0, 1.0)], "non-finite measure"),
-            ((np.array([0.0, 1.0]), math.nan), "non-finite measure"),
-            ([(0.0, 0.0), (1.0, 0.0)], "zero total measure"),
-            ((np.array([0.0, 1.0]), 0.0), "zero total measure"),
+            ([math.nan, 1.0], 1.0, "non-finite level"),
+            ([math.inf, 1.0], 1.0, "non-finite level"),
+            ([0.0, 1.0], math.nan, "total measure must be finite"),
+            ([0.0, 1.0], math.inf, "total measure must be finite"),
+            ([0.0, 1.0], 1e308, "total measure must be finite"),  # 2e308 overflows
+            ([0.0, 1.0], 0.0, "total measure must be positive"),
+            ([0.0, 1.0], -1.0, "total measure must be positive"),
         ],
     )
-    def test_unusable_input_raises_naming_the_cause(self, values, cause):
+    def test_unusable_input_raises_naming_the_cause(self, levels, cell, cause):
         for q in (0.5, 1.0):
             with pytest.raises(ValueError, match=cause):
-                shift_to_constraint(values, q)
+                shift_to_constraint(np.array(levels), cell, q)
 
     @pytest.mark.parametrize("q", [0.5, 1.0])
     def test_solver_snapshot_is_feasible(self, disk128, q):
@@ -718,20 +722,13 @@ class TestShiftVariationalProperties:
             if np.min(np.diff(levels)) < 0.05:
                 continue
             measures = rng.uniform(0.2, 2.0, size=3)
-            pairs = list(zip(levels.tolist(), measures.tolist()))
-            at_middle = constraint_residual(
-                [(lv - levels[1], m) for lv, m in pairs], q
-            )
-            if abs(at_middle) > 0.1:
-                return pairs
+            if abs(_residual(levels, measures, levels[1], q)) > 0.1:
+                return levels, measures
 
-    def _scan_minimizer(self, pairs, p):
+    def _scan_minimizer(self, levels, measures, p):
         # Oracle for argmin of sum m |level - lam|^p: dense scan, then
         # bisection on a central finite-difference slope built from
         # objective values only; independent of shift_to_constraint.
-        levels = np.array([lv for lv, _ in pairs])
-        measures = np.array([m for _, m in pairs])
-
         def objective(lam):
             return float(np.sum(measures * np.abs(levels - lam) ** p))
 
@@ -768,10 +765,9 @@ class TestShiftVariationalProperties:
         p = n / (n - 1)
         q = 1.0 / (n - 1)
         for _ in range(100):
-            pairs = self._random_three_level(rng, q)
-            lam_star = self._scan_minimizer(pairs, p)
-            shifted = [(lv - lam_star, m) for lv, m in pairs]
-            assert abs(constraint_residual(shifted, q)) <= 1e-8
+            levels, measures = self._random_three_level(rng, q)
+            lam_star = self._scan_minimizer(levels, measures, p)
+            assert abs(_residual(levels, measures, lam_star, q)) <= 1e-8
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_feasible_functions_minimize_the_norm(self, n):
@@ -781,9 +777,9 @@ class TestShiftVariationalProperties:
         p = n / (n - 1)
         q = 1.0 / (n - 1)
         for _ in range(50):
-            pairs = self._random_three_level(rng, q)
-            lam = shift_to_constraint(pairs, q)
-            centered = [(lv - lam, m) for lv, m in pairs]
+            levels, measures = self._random_three_level(rng, q)
+            lam = _bisection_root(levels, measures, q)  # the feasible shift
+            centered = list(zip((levels - lam).tolist(), measures.tolist()))
             base = sum(m * abs(lv) ** p for lv, m in centered)
             for probe in np.linspace(-1.0, 1.0, 21):
                 probed = sum(m * abs(lv - probe) ** p for lv, m in centered)

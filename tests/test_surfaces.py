@@ -11,7 +11,6 @@ from bvsharp import (
     SurfaceModel,
     beta_eps,
     classify_achievability,
-    constraint_residual,
     critical_curvature_threshold,
     fit_remainder_order,
     gauss_bonnet_check,
@@ -772,8 +771,8 @@ class TestHemisphereCertificate:
     @pytest.mark.parametrize("q", [0.01, 0.5, 1.0, 1.5, 1.99])
     def test_value_is_sharp_constant(self, q):
         cert = hemisphere_certificate(q)
-        hemisphere = 2.0 * math.pi
-        assert constraint_residual([(1.0, hemisphere), (-cert.beta, hemisphere)], q) == 0.0
+        hemisphere = 2.0 * math.pi  # the levels 1 and -beta, each on a hemisphere
+        assert hemisphere - hemisphere * cert.beta**q == 0.0
         assert abs(cert.value - C_STAR) <= 1e-12
         assert abs(cert.gap_to_threshold) <= 1e-12
         # beta = 1 at every q, so the shared quotient is 4 pi / sqrt(4 pi) bit for bit.
