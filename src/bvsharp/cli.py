@@ -447,8 +447,7 @@ def _write_reports(out_dir: Path, summary: dict, header, rows):
     payload = {"schema_version": SCHEMA_VERSION}
     payload.update(_to_python(summary))
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")  # in one write
     with open(out_dir / "detail.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -25,15 +25,14 @@ is attained.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import _check_exponent, half_space_constant
 from .geometry import (
+    _INV_PHI,
     GridDomain,
-    _golden_section,
     boundary_arc_inside,
     cap_measure,
     max_curvature_seed,
@@ -135,16 +134,66 @@ def _two_valued_quotient(total: float, cap: float, rest: float, jump: float, q: 
 # radius sweep
 
 
-def optimal_epsilon(domain: GridDomain, a, q: float, coarse: int = 16, golden_iters: int = 40):
+_SQRT_ULP = 2.0**-26  # the square root of the float epsilon
+
+
+def _brent(f, lo: float, hi: float, iters: int, known) -> list:
+    """Brent's minimiser of f(x).value on (lo, hi) with a fixed budget.
+
+    Evaluates the two golden-section points of [lo, hi], then takes `iters`
+    steps of one evaluation each: parabolic through the best three points
+    so far (`known`, an (x, f(x)) pair, is the third at the start) where
+    the step stays in the bracket and is under half the step before last,
+    golden otherwise.  No step lands within sqrt(ulp) x of the best point
+    x, and none leaves (lo, hi).  Returns every (x, f(x)) it evaluated.
+    """
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    seen = [(c, f(c)), (d, f(d))]
+    (x, fx), (w, fw), (v, fv) = sorted(seen + [known], key=lambda p: p[1].value)
+    a = max([lo] + [t for t in (w, v) if t < x])
+    b, step, last = min([hi] + [t for t in (w, v) if t > x]), 0.0, 0.0
+    for _ in range(iters):
+        tol, m = _SQRT_ULP * x, 0.5 * (a + b)
+        r, p = (x - w) * (fx.value - fv.value), (x - v) * (fx.value - fw.value)
+        p, s = (x - v) * p - (x - w) * r, 2.0 * (p - r)
+        p, s = (-p, s) if s > 0.0 else (p, -s)
+        if abs(p) < abs(0.5 * s * last) and s * (a - x) < p < s * (b - x):
+            last, step = step, p / s
+            if x + step - a < 2.0 * tol or b - x - step < 2.0 * tol:
+                step = tol if x < m else -tol
+        else:
+            last = b - x if x < m else a - x
+            step = (1.0 - _INV_PHI) * last
+        u = x + step if abs(step) >= tol else x + math.copysign(tol, m - x)
+        if not lo < u < hi:  # a bracket collapsed on an end: step the other way
+            u = 2.0 * x - u
+        fu = f(u)
+        seen.append((u, fu))
+        if fu.value <= fx.value:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu.value <= fw.value or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu.value <= fv.value or v in (x, w):
+                v, fv = u, fu
+    return seen
+
+
+def optimal_epsilon(domain: GridDomain, a, q: float, coarse: int = 16, golden_iters: int = 10):
     """Best cap radius for the two-valued profile at boundary point a.
 
     A 16-point log-spaced sweep of [8 h, diameter / 4] brackets the
-    minimum, then golden section refines it.  The lower end is resolution
-    aware (8 cells) so that downstream grid seeds stay representable; a
-    grid too coarse for the bracket raises ValueError, and so does one so
-    fine that 8 h lies below the crossing finder's radius floor 2^-26 |a|,
-    that is h < 2^-26 |a| / 8.  Deterministic; ties resolve to the
-    smaller radius.
+    minimum between the best radius's neighbours; Brent's method refines
+    it, from the bracket's two golden-section points, in `golden_iters`
+    iterations of one evaluation each, parabolic or golden: 16 + 2 + 10 =
+    28 quotient evaluations.  The lower end is resolution aware (8 cells)
+    so that downstream grid seeds stay representable; a grid too coarse
+    for the bracket raises ValueError, and so does one so fine that 8 h
+    lies below the crossing finder's radius floor 2^-26 |a|, that is
+    h < 2^-26 |a| / 8.  Deterministic; the lowest quotient evaluated wins,
+    and a tie resolves to the smaller radius.
 
     Returns (eps, QuotientValue).
     """
@@ -155,18 +204,15 @@ def optimal_epsilon(domain: GridDomain, a, q: float, coarse: int = 16, golden_it
     def evaluate(eps):
         return two_valued_quotient_exact(domain, a, eps, q)
 
-    grid = np.geomspace(lo, hi, coarse)
+    grid = np.geomspace(lo, hi, coarse).tolist()  # Python floats: scalar arithmetic is faster
     values = [evaluate(e) for e in grid]
-    k = int(np.argmin([v.value for v in values]))
-    best_eps, best_val = float(grid[k]), values[k]
+    k = min(range(coarse), key=lambda i: values[i].value)
+    best_eps, best_val = grid[k], values[k]
 
-    b_lo = float(grid[k - 1]) if k > 0 else lo
-    b_hi = float(grid[k + 1]) if k < coarse - 1 else hi
-    _, _, interior = _golden_section(evaluate, b_lo, b_hi, golden_iters,
-                                     key=operator.attrgetter("value"))
-    for eps, val in interior:
+    b_lo, b_hi = grid[max(k - 1, 0)], grid[min(k + 1, coarse - 1)]  # geomspace ends at lo and hi
+    for eps, val in _brent(evaluate, b_lo, b_hi, golden_iters, (best_eps, best_val)):
         if val.value < best_val.value or (val.value == best_val.value and eps < best_eps):
-            best_eps, best_val = float(eps), val
+            best_eps, best_val = eps, val
     return best_eps, best_val
 
 

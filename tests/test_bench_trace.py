@@ -27,9 +27,9 @@ def tracing():
     return module
 
 
-def test_searches_imply_58_evaluations(tracing):
-    # 16 coarse radii, the 2 golden-section interior points, 40 iterations.
-    assert tracing.expected_evals_per_search() == 58
+def test_searches_imply_28_evaluations(tracing):
+    # 16 coarse radii, the 2 golden-section interior points, 10 Brent steps.
+    assert tracing.expected_evals_per_search() == 28
 
 
 def test_traced_certificate_and_sweep_pass_the_audit(tracing, tmp_path):

@@ -399,8 +399,8 @@ def test_surface_classify_bytes_match_the_curvature_digests(surface, tmp_path):
 SOLVE_RUNS = {
     "0.5": ("0e31983181628e4bbe124099b603c427189e6b9537faa1927d620356341d0e1b",
             "ac34cbd7c24c4e00f48cd8c9235a2aa902ff8a07969b7ef30c162c685ec9e5c1"),
-    "1.5": ("db157a7ac64dc7e01e117e4c2c26b98d7d66cc036dd9ec5b8b7fa8547d70df17",
-            "f4a3f1da249b2f703a483721d7ca916abfebacacd7548bc33f28107f67953109"),
+    "1.5": ("310b1ccedbb34b6b0e31f2b285f397f8015da620b02429926aff439a8d6bb3c8",
+            "3508d488a6aaa22cd57098b443235c40112334651763b70f3b94a7f7765c0ef8"),
 }
 
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -849,9 +850,10 @@ class TestCrossingFinder:
 
     @pytest.mark.parametrize("spec, h", CATALOG)
     def test_one_table_per_radius_search(self, spec, h, monkeypatch):
-        # The search's 58 circles share their centre's table, made from the
-        # spec's 4096 shared boundary samples.  Once those exist, nothing
-        # evaluates the boundary at 4096, 2048 or 1024 points.
+        # The search's circles, one per quotient evaluation, share their
+        # centre's table, made from the spec's 4096 shared boundary samples.
+        # Once those exist, nothing evaluates the boundary at 4096, 2048 or
+        # 1024 points.
         geometry._circle_measures.cache_clear()
         geometry._centre_table.cache_clear()
         domain = build_domain(spec, h)
@@ -871,7 +873,8 @@ class TestCrossingFinder:
         monkeypatch.setattr(geometry, "_circle_crossings",
                             lambda *args: circles.append(args) or crossings(*args))
         optimal_epsilon(domain, seed.point, 1.0)
-        assert len(circles) == 58
+        params = inspect.signature(optimal_epsilon).parameters
+        assert len(circles) == params["coarse"].default + 2 + params["golden_iters"].default
         assert geometry._centre_table.cache_info().misses == 1
         assert geometry._boundary_samples.cache_info().misses == samples
         assert 0 < max(sizes) < 1024

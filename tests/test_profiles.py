@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import random
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bvsharp import (
@@ -19,6 +22,7 @@ from bvsharp import (
     fit_linear_coefficient,
     fit_remainder_order,
     geodesic_circle_expansion,
+    geometry,
     gray_expansion,
     grid_quotient,
     half_space_constant,
@@ -32,7 +36,7 @@ from bvsharp import (
     two_valued_quotient_exact,
     unit_ball_volume,
 )
-from bvsharp.geometry import DomainSpec, build_domain
+from bvsharp.geometry import DomainSpec, build_domain, max_curvature_seed
 from oracles import disk_arc_inside, lens_area, two_valued_quotient
 
 C_HALF = half_space_constant(2)
@@ -710,6 +714,91 @@ class TestOptimalEpsilon:
     def test_rejects_q_outside_the_exponent_range(self, disk128, q):
         with pytest.raises(ValueError, match="q must lie"):
             optimal_epsilon(disk128, (1.0, 0.0), q)
+
+
+def _seeded_fourier_shapes(count, seed):
+    """Seeded near-circular Fourier shapes: r0 = 1, two cos and one sin
+    coefficient in +-0.12."""
+    rng = np.random.default_rng(seed)
+    return [DomainSpec.fourier(1.0, tuple(rng.uniform(-0.12, 0.12, 2).tolist()),
+                               tuple(rng.uniform(-0.12, 0.12, 1).tolist())) for _ in range(count)]
+
+
+SEARCH_PANEL = [
+    (DomainSpec.disk(1.0), 1.0 / 256),
+    (DomainSpec.ellipse(2.0, 1.0), 1.0 / 128),
+    (DomainSpec.ellipse(2.36, 1.0), 1.0 / 128),
+    (DomainSpec.ellipse(1.0, 3.0), 1.0 / 128),
+    (DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)), 1.0 / 128),
+    (DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.1, 0.05), sin_coeffs=(0.08, 0.0, 0.03)),
+     1.0 / 128),
+] + [(spec, 1.0 / 128) for spec in _seeded_fourier_shapes(8, 42)]
+
+
+def _golden_search(domain, a, q):
+    """The radius search with a 40-iteration golden-section refinement:
+    (eps, QuotientValue)."""
+    def evaluate(eps):
+        return two_valued_quotient_exact(domain, a, eps, q)
+
+    lo, hi = 8.0 * domain.h, domain.diameter / 4.0
+    grid = np.geomspace(lo, hi, 16).tolist()
+    values = [evaluate(eps) for eps in grid]
+    k = int(np.argmin([v.value for v in values]))
+    best = (grid[k], values[k])
+    b_lo, b_hi = grid[max(k - 1, 0)], grid[min(k + 1, 15)]
+    for eps, val in geometry._golden_section(evaluate, b_lo, b_hi, 40,
+                                             key=lambda v: v.value)[2]:
+        if (val.value, eps) < (best[1].value, best[0]):
+            best = (eps, val)
+    return best
+
+
+class TestRadiusSearchAccuracy:
+    """Brent's 10-step stage against 40 golden-section iterations on the
+    same bracket: a witness at an end of the radius range is bit for bit
+    the same, and an interior one is within 8 ulp in Q.  Near an interior
+    minimum Q is flat to rounding, with noise of up to 20 ulp at q = 1.9."""
+
+    @pytest.mark.parametrize("spec, h", SEARCH_PANEL)
+    def test_witness_matches_the_golden_section_reference(self, spec, h):
+        domain = build_domain(spec, h)
+        a = max_curvature_seed(domain).point
+        for q in (0.5, 1.0, 1.5, 1.9):
+            ref_eps, ref = _golden_search(domain, a, q)
+            eps, qv = optimal_epsilon(domain, a, q)
+            assert all(type(v) is float for v in (eps, *dataclasses.astuple(qv)))
+            if ref_eps in (8.0 * h, domain.diameter / 4.0):
+                assert (eps, qv) == (ref_eps, ref)
+            else:
+                assert qv.value <= ref.value + 8.0 * math.ulp(ref.value)
+
+    @given(st.floats(1e-3, 10.0), st.floats(1.01, 4.0), st.floats(-0.5, 1.5),
+           st.sampled_from([0.0, 0.5, 1.0]), st.integers(-1, 3), st.integers(0, 60))
+    @example(lo=0.045, ratio=1.51, vertex=0.0, at=0.0, digits=-1, iters=20)
+    def test_brent_steps_stay_inside_and_off_the_best_point(self, lo, ratio, vertex, at, digits,
+                                                            iters):
+        # digits >= 0: a parabola with its vertex anywhere, rounded to that
+        # many digits of its range, so that it can be flat or stepped where
+        # Brent converges.  digits = -1: noise seeded by x, on which the
+        # bracket can collapse onto an end of (lo, hi), as in the example.
+        hi = lo * ratio
+        centre = lo + vertex * (hi - lo)
+
+        def f(x):
+            if digits < 0:
+                return types.SimpleNamespace(value=random.Random(x).random())
+            return types.SimpleNamespace(value=round(((x - centre) / (hi - lo)) ** 2, digits))
+
+        known = lo + at * (hi - lo)
+        seen = profiles._brent(f, lo, hi, iters, (known, f(known)))
+        assert len(seen) == 2 + iters
+        x, fx = sorted(seen[:2] + [(known, f(known))], key=lambda p: p[1].value)[0]
+        for u, fu in seen[2:]:
+            assert lo < u < hi
+            assert abs(u - x) >= (1.0 - 1e-6) * profiles._SQRT_ULP * x
+            if fu.value <= fx.value:
+                x, fx = u, fu
 
 
 class TestShiftVariationalProperties:
