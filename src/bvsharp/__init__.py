@@ -42,7 +42,6 @@ from .geometry import (
 from .profiles import (
     QuotientValue,
     achievability_certificate,
-    beta_eps,
     optimal_epsilon,
     two_valued_quotient_exact,
 )

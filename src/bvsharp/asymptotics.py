@@ -10,25 +10,23 @@ Remainder orders come out of a log-log least-squares line; the leading
 linear coefficient of a quotient expansion comes from fitting the
 difference quotient (Q(eps) - limit)/eps against eps and reading off
 the intercept, which strips the next-order contamination that a direct
-slope fit would keep.  Both fits need two or more distinct positive
-radii and a finite value at each.
+slope fit would keep.  Both fits draw one least-squares line (`_line`),
+in closed form on Python floats, and need two or more distinct positive
+radii, spread by more than 2^-26 relative, and a finite value at each.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .constants import (_check_dimension, _check_positive, euler_beta, half_space_constant,
-                        sharp_sobolev_constant, unit_ball_volume)
+from .constants import (_check_dimension, _check_finite, _check_positive, euler_beta,
+                        half_space_constant, sharp_sobolev_constant, unit_ball_volume)
 
 
 def _check_expansion_inputs(n: int, eps: float, **coefficients: float) -> None:
     """Raise ValueError naming a non-finite coefficient, or from eps's and n's rules."""
     for name, value in coefficients.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        _check_finite(value, name)
     _check_positive(eps, "eps")
     _check_dimension(n, 2)
 
@@ -129,33 +127,44 @@ def critical_quotient_expansion(S: float, area: float, eps: float, n: int) -> fl
     return sharp_sobolev_constant(n) * (1.0 + (plateau_term - curvature_term) * eps**2)
 
 
-def _check_radii(eps: np.ndarray, values: np.ndarray, fit: str, limit: float = 0.0) -> None:
-    """Raise ValueError unless there are two or more radii, all positive
-    and distinct, and one finite value per radius, naming the first
-    offender: a repeated radius leaves the least-squares line singular or
-    determined by fewer points than it was given.  `limit` must be finite."""
-    if values.shape != eps.shape:
-        raise ValueError(f"{eps.size} radii but {values.size} values for {fit}")
-    if eps.size < 2:
+def _checked_radii(eps, values, fit: str, limit: float = 0.0):
+    """(eps, values) as lists of floats.  Raises ValueError, naming the first
+    offender, unless there are two or more radii, all positive and distinct,
+    spread by more than 2^-26 = sqrt(ulp) of the largest, one finite value
+    per radius and a finite `limit`: a repeated radius leaves the line
+    singular, and closer radii leave it to the rounding of the values."""
+    eps, values = [float(e) for e in eps], [float(v) for v in values]
+    if len(values) != len(eps):
+        raise ValueError(f"{len(eps)} radii but {len(values)} values for {fit}")
+    if len(eps) < 2:
         raise ValueError(f"need at least two radii for {fit}")
-    for i, (radius, value) in enumerate(zip(eps.ravel().tolist(), values.ravel().tolist())):
+    for i, (radius, value) in enumerate(zip(eps, values)):
         _check_positive(radius, f"eps[{i}]")
-        if not math.isfinite(value):
-            raise ValueError(f"values[{i}] must be finite, got {value}")
-    if not math.isfinite(limit):
-        raise ValueError(f"limit must be finite, got {limit}")
-    if np.unique(eps).size < eps.size:
-        raise ValueError(f"radii must be distinct for {fit}, got {eps.tolist()}")
+        _check_finite(value, f"values[{i}]")
+    _check_finite(limit, "limit")
+    if len(set(eps)) < len(eps):
+        raise ValueError(f"radii must be distinct for {fit}, got {eps}")
+    if max(eps) - min(eps) <= 2.0**-26 * max(eps):
+        raise ValueError(f"radii must spread by more than 2^-26 of the largest for {fit}, "
+                         f"got {eps}")
+    return eps, values
+
+
+def _line(x: list, y: list):
+    """(intercept, slope) of the least-squares line through the points
+    (x_i, y_i), in closed form about the means, each sum rounded once."""
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [xi - mx for xi in x]
+    slope = math.fsum(d * (yi - my) for d, yi in zip(dx, y)) / math.fsum(d * d for d in dx)
+    return my - slope * mx, slope
 
 
 def fit_remainder_order(eps, diffs) -> float:
     """Slope of log|diff| against log eps (the empirical remainder order)."""
-    eps = np.asarray(eps, dtype=float)
-    diffs = np.abs(np.asarray(diffs, dtype=float))
-    _check_radii(eps, diffs, "an order fit")
-    if np.any(diffs <= 0):
+    eps, diffs = _checked_radii(eps, [abs(d) for d in diffs], "an order fit")
+    if min(diffs) <= 0.0:
         raise ValueError("differences must be nonzero for a log-log fit")
-    return float(np.polyfit(np.log(eps), np.log(diffs), 1)[0])
+    return _line([math.log(e) for e in eps], [math.log(d) for d in diffs])[1]
 
 
 def fit_linear_coefficient(eps, values, limit: float) -> float:
@@ -164,10 +173,5 @@ def fit_linear_coefficient(eps, values, limit: float) -> float:
     Fits (values - limit)/eps = s + c*eps by least squares and returns
     the intercept s.
     """
-    eps = np.asarray(eps, dtype=float)
-    values = np.asarray(values, dtype=float)
-    _check_radii(eps, values, "a coefficient fit", limit)
-    ratios = (values - limit) / eps
-    design = np.vstack([np.ones_like(eps), eps]).T
-    coef, *_ = np.linalg.lstsq(design, ratios, rcond=None)
-    return float(coef[0])
+    eps, values = _checked_radii(eps, values, "a coefficient fit", limit)
+    return _line(eps, [(v - limit) / e for v, e in zip(values, eps)])[0]

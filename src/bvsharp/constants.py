@@ -50,7 +50,7 @@ def _check_exponent(q, n=None) -> None:
 
 
 def _check_finite(value, name: str) -> None:
-    """Raise ValueError, naming `name`, unless the value (a Fourier coefficient) is finite."""
+    """Raise ValueError, naming `name`, unless the value is finite."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 

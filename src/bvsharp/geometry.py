@@ -21,7 +21,8 @@ differenced from the grid: it comes from the closed forms of rho, rho' and
 rho''.  The crossing finder's own boundary evaluations take rho and rho'
 alone.  At one point (a Newton step, the seed's polish) the boundary is
 evaluated on Python floats, which give the bits of numpy's functions
-without their cost per call.
+without their cost per call.  The seed's polish and the radius search of
+`profiles` share one minimiser, Brent's (`_brent`).
 
 The two measures that feed certificate-grade numbers are
 
@@ -277,7 +278,7 @@ def _boundary_samples(spec: DomainSpec):
     (A_0, [(A_1, B_1), ...]).  Every second t_i is linspace(0, 2 pi, 2048,
     endpoint=False) bit for bit: a reader's slice is a direct evaluation there."""
     t = np.arange(_SCAN_SAMPLES) * _SCAN_STEP
-    with np.errstate(over="ignore", invalid="ignore"):  # `validate` checks
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # `validate` checks
         ct, st = np.cos(t), np.sin(t)
         rho, drho, ddrho = spec._radial(t, trig=(ct, st))
         x, y, kappa = rho * ct, rho * st, _polar_curvature(rho, drho, ddrho)
@@ -392,34 +393,64 @@ class MaxCurvatureSeed:
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT_ULP = 2.0**-26  # the square root of the float epsilon
 
 
-def _golden_section(f, lo: float, hi: float, iters: int, key):
-    """Golden-section search for a minimum of key(f(x)) on [lo, hi].
+def _brent(f, lo: float, hi: float, iters: int, known, key) -> list:
+    """Brent's minimiser of key(f(x)) on (lo, hi), 0 < lo, with a fixed budget.
 
-    Calls f 2 + iters times.  Returns the final bracket ends and its two
-    interior points with their values: (lo, hi, ((c, f(c)), (d, f(d)))).
+    Evaluates the two golden-section points of [lo, hi], then takes `iters`
+    steps of one evaluation each: parabolic through the best three points
+    so far (`known`, an (x, f(x)) pair, is the third at the start) where
+    the step stays in the bracket and is under half the step before last,
+    golden otherwise.  No step lands within sqrt(ulp) x of the best point
+    x, and none leaves (lo, hi).  Returns every (x, f(x)) it evaluated.
     """
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    seen = [(c, f(c)), (d, f(d))]
+    (x, fx), (w, fw), (v, fv) = sorted([(t, key(ft)) for t, ft in seen + [known]],
+                                       key=operator.itemgetter(1))
+    a = max([lo] + [t for t in (w, v) if t < x])
+    b, step, last = min([hi] + [t for t in (w, v) if t > x]), 0.0, 0.0
     for _ in range(iters):
-        if key(fc) < key(fd):
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
+        tol, m = _SQRT_ULP * x, 0.5 * (a + b)
+        r, p = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, s = (x - v) * p - (x - w) * r, 2.0 * (p - r)
+        p, s = (-p, s) if s > 0.0 else (p, -s)
+        if abs(p) < abs(0.5 * s * last) and s * (a - x) < p < s * (b - x):
+            last, step = step, p / s
+            if x + step - a < 2.0 * tol or b - x - step < 2.0 * tol:
+                step = tol if x < m else -tol
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    return lo, hi, ((c, fc), (d, fd))
+            last = b - x if x < m else a - x
+            step = (1.0 - _INV_PHI) * last
+        u = x + step if abs(step) >= tol else x + math.copysign(tol, m - x)
+        if not lo < u < hi:  # a bracket collapsed on an end: step the other way
+            u = 2.0 * x - u
+        seen.append((u, f(u)))
+        fu = key(seen[-1][1])
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    return seen
+
+
+_SEED_ITERS = 20  # Brent steps of the seed's polish; kappa's parabolas converge in a few
 
 
 def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
     """Boundary point of maximal curvature, plus the 1/diameter audit bound
     (the boundary lies in B(0, R0), so its curvature reaches 1/R0 somewhere).
 
-    Ties (constant curvature) resolve to the smallest parameter value.  The
+    The largest of 2048 sampled kappa is polished by `_SEED_ITERS` steps of
+    Brent's minimiser of -kappa on the two sample intervals beside it.  Ties
+    (constant curvature) resolve to the smallest parameter value.  The
     polish evaluates kappa on Python floats, where the (...)^(3/2) of
     `_polar_curvature` is C `pow`; the sampled grid takes numpy's vector
     power, which differs from it in the last bit for about 5% of arguments
@@ -432,13 +463,14 @@ def max_curvature_seed(domain: GridDomain) -> MaxCurvatureSeed:
     i = int(np.argmax(kappa))  # argmax takes the first index, so ties break low
     t_best, k_best = i * step, float(kappa[i])
 
-    # Local golden-section polish; kept only if it genuinely improves.
-    lo, hi, _ = _golden_section(lambda t: float(spec.curvature(t)), t_best - step,
-                                t_best + step, 60, key=operator.neg)
-    t_ref = 0.5 * (lo + hi)
-    k_ref = float(spec.curvature(t_ref))
+    # Brent polish on t_best +- step, in the offset s = t - (t_best - step)
+    # in (0, 2 step), so that its step floor sqrt(ulp) s stays small and
+    # positive; kept only if it genuinely improves.
+    t_lo = t_best - step
+    s_ref, k_ref = max(_brent(lambda s: spec.curvature(t_lo + s), 0.0, 2.0 * step, _SEED_ITERS,
+                              (step, k_best), key=operator.neg), key=operator.itemgetter(1))
     if k_ref > k_best + 1e-12:
-        t_best, k_best = t_ref % (2.0 * math.pi), k_ref
+        t_best, k_best = (t_lo + s_ref) % (2.0 * math.pi), k_ref
 
     bx, by = spec.boundary_point(t_best)
     return MaxCurvatureSeed(

@@ -4,8 +4,8 @@ The basic object is the two-valued profile
 
     u = chi_{B(a,eps) n Omega}  -  beta * chi_{Omega \\ B(a,eps)},
 
-whose plateau beta = (|Omega|/cap - 1)^(-1/q) (`beta_eps`) meets the
-constraint int sgn(u) |u|^q = 0 in closed form, with no shift.  Its quotient
+whose plateau beta = (|Omega|/cap - 1)^(-1/q) meets the constraint
+int sgn(u) |u|^q = 0 in closed form, with no shift.  Its quotient
 
     |Du|(Omega) / (int |u|^{n/(n-1)})^{1-1/n}
 
@@ -15,6 +15,7 @@ contaminate a strict-inequality certificate.  One function,
 `_two_valued_quotient`, forms beta and the quotient from the measures
 of the cap, of its complement and of the jump set, for every witness:
 boundary caps here, geodesic balls and the hemisphere in `surfaces`.
+The radius search refines a coarse sweep by the seed's minimiser, Brent's.
 
 Quotients are compared against a threshold (the half-space constant on
 domains, the full sharp constant on closed surfaces); a value strictly
@@ -25,14 +26,15 @@ is attained.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import _check_exponent, half_space_constant
 from .geometry import (
-    _INV_PHI,
     GridDomain,
+    _brent,
     boundary_arc_inside,
     cap_measure,
     max_curvature_seed,
@@ -55,27 +57,6 @@ class QuotientValue:
     beta: float
 
 
-def beta_eps(total_measure: float, cap: float, q: float) -> float:
-    """Plateau making the two-valued profile satisfy the q-constraint,
-
-        beta = (total/cap - 1)^(-1/q).
-
-    Raises OverflowError, naming q and cap/total, when beta lies beyond
-    the float range.
-    """
-    _check_exponent(q)
-    if not 0.0 < cap < total_measure:
-        raise ValueError(
-            f"the cap must be a strict subset of the domain: its measure must lie "
-            f"strictly between 0 and the total ({cap} vs {total_measure})"
-        )
-    try:
-        return (total_measure / cap - 1.0) ** (-1.0 / q)
-    except OverflowError as exc:
-        raise OverflowError(f"beta = (total/cap - 1)^(-1/q) lies beyond the float range "
-                            f"at q = {q}, cap/total = {cap / total_measure}") from exc
-
-
 # --------------------------------------------------------------------------
 # exact quotient on a domain
 
@@ -89,7 +70,7 @@ def two_valued_quotient_exact(domain: GridDomain, a, eps: float, q: float) -> Qu
     The jump set of the profile is exactly that arc, with jump height
     1 + beta; the part of the cap boundary on dOmega carries no
     variation inside Omega.  The domain is planar, so n = 2.  A cap that
-    is empty or covers Omega raises ValueError from `beta_eps`.
+    is empty or covers Omega raises ValueError from `_two_valued_quotient`.
     """
     cap = cap_measure(domain, a, eps)
     arc = boundary_arc_inside(domain, a, eps)
@@ -113,10 +94,13 @@ def _two_valued_quotient(total: float, cap: float, rest: float, jump: float, q: 
         (1 + 1/beta) jump / (cap beta^(-p) + rest)^(1-1/n).
     """
     _check_exponent(q, n)
+    if not 0.0 < cap < total:
+        raise ValueError(f"the cap must be a strict subset of the domain: its measure must lie "
+                         f"strictly between 0 and the total ({cap} vs {total})")
     p = n / (n - 1)
     beta = math.inf
     try:
-        beta = beta_eps(total, cap, q)
+        beta = (total / cap - 1.0) ** (-1.0 / q)
         numerator = (1.0 + beta) * jump
         denominator = (cap + beta**p * rest) ** (1.0 - 1.0 / n)
         if denominator == math.inf:  # beta^p rest overflowed silently: the value would read 0
@@ -132,53 +116,6 @@ def _two_valued_quotient(total: float, cap: float, rest: float, jump: float, q: 
 
 # --------------------------------------------------------------------------
 # radius sweep
-
-
-_SQRT_ULP = 2.0**-26  # the square root of the float epsilon
-
-
-def _brent(f, lo: float, hi: float, iters: int, known) -> list:
-    """Brent's minimiser of f(x).value on (lo, hi) with a fixed budget.
-
-    Evaluates the two golden-section points of [lo, hi], then takes `iters`
-    steps of one evaluation each: parabolic through the best three points
-    so far (`known`, an (x, f(x)) pair, is the third at the start) where
-    the step stays in the bracket and is under half the step before last,
-    golden otherwise.  No step lands within sqrt(ulp) x of the best point
-    x, and none leaves (lo, hi).  Returns every (x, f(x)) it evaluated.
-    """
-    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    seen = [(c, f(c)), (d, f(d))]
-    (x, fx), (w, fw), (v, fv) = sorted(seen + [known], key=lambda p: p[1].value)
-    a = max([lo] + [t for t in (w, v) if t < x])
-    b, step, last = min([hi] + [t for t in (w, v) if t > x]), 0.0, 0.0
-    for _ in range(iters):
-        tol, m = _SQRT_ULP * x, 0.5 * (a + b)
-        r, p = (x - w) * (fx.value - fv.value), (x - v) * (fx.value - fw.value)
-        p, s = (x - v) * p - (x - w) * r, 2.0 * (p - r)
-        p, s = (-p, s) if s > 0.0 else (p, -s)
-        if abs(p) < abs(0.5 * s * last) and s * (a - x) < p < s * (b - x):
-            last, step = step, p / s
-            if x + step - a < 2.0 * tol or b - x - step < 2.0 * tol:
-                step = tol if x < m else -tol
-        else:
-            last = b - x if x < m else a - x
-            step = (1.0 - _INV_PHI) * last
-        u = x + step if abs(step) >= tol else x + math.copysign(tol, m - x)
-        if not lo < u < hi:  # a bracket collapsed on an end: step the other way
-            u = 2.0 * x - u
-        fu = f(u)
-        seen.append((u, fu))
-        if fu.value <= fx.value:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu.value <= fw.value or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu.value <= fv.value or v in (x, w):
-                v, fv = u, fu
-    return seen
 
 
 def optimal_epsilon(domain: GridDomain, a, q: float, coarse: int = 16, golden_iters: int = 10):
@@ -207,13 +144,11 @@ def optimal_epsilon(domain: GridDomain, a, q: float, coarse: int = 16, golden_it
     grid = np.geomspace(lo, hi, coarse).tolist()  # Python floats: scalar arithmetic is faster
     values = [evaluate(e) for e in grid]
     k = min(range(coarse), key=lambda i: values[i].value)
-    best_eps, best_val = grid[k], values[k]
 
     b_lo, b_hi = grid[max(k - 1, 0)], grid[min(k + 1, coarse - 1)]  # geomspace ends at lo and hi
-    for eps, val in _brent(evaluate, b_lo, b_hi, golden_iters, (best_eps, best_val)):
-        if val.value < best_val.value or (val.value == best_val.value and eps < best_eps):
-            best_eps, best_val = eps, val
-    return best_eps, best_val
+    seen = _brent(evaluate, b_lo, b_hi, golden_iters, (grid[k], values[k]),
+                  key=operator.attrgetter("value"))
+    return min([(grid[k], values[k])] + seen, key=lambda p: (p[1].value, p[0]))
 
 
 # --------------------------------------------------------------------------

@@ -354,7 +354,7 @@ GOLDEN_RUNS = {
                          "d4f72ceac810ae1352870839a2e9b5c51627f111cca7e509ab49f0366009edc3",
                          "832f25c41fcad04ad31c24a0635a0bb7b67110248be55904a21964eb8eebb44f"),
     "expansion-audit": (["--target", "gray", "--r", "1.5", "--eps_list", "0.05,0.1,0.2,0.4"],
-                        "ffb97d11dc082da0ce5531dddaa77fea2f9bd1e5663ffd30a28b55ba6fbdce64",
+                        "29db75525acfa36a03737f63caaef6e169db2de18ce7aa824880df6d18cb5675",
                         "40662b5adacb5e4c769c34c2eb0bbdc40ea4a54c004be21c7dde14ef37249e13"),
 }
 
@@ -416,10 +416,10 @@ def test_solve_bytes_match_the_shift_digests(q, tmp_path):
 # the gray target.
 AUDIT_RUNS = {
     "ellipse": (["--shape", "ellipse", "--a", "2", "--b", "1", "--h", "0.015625", "--q", "1"],
-                "d65067d5059b79cc105373064cad612ed3b86521d145187896b370a422e809b7",
+                "cbbecb858f547755949212889d9a6c519f90d99d74c9d0aa4c08690becaf498d",
                 "02b0343cdc6a7b708629a1f4a131189ad8850ff9f1b0a1b158443e10713fa674"),
     "disk": (["--shape", "disk", "--h", "0.015625", "--q", "0.5"],
-             "f1eee51effc0ac289cb839d5e4e62bad11986c7623e94d42d50a8d81ecc59765",
+             "ca8fb0041b08bebee3dd1eeb1d8bf20fc95271fa0e8be231e6a7eeff1460723c",
              "aa8fdf512df7081e53c3195dbbbeb4d2849fb697fab96754323e9f9134095e65"),
 }
 
@@ -507,6 +507,22 @@ class TestMainEntryPoint:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("shape, flags", [
+        ("disk", ["--r", "1e-160"]), ("ellipse", ["--a", "1e-160", "--b", "1e-160"]),
+    ])
+    def test_tiny_domain_prints_only_its_error_line(self, shape, flags, tmp_path, capfd):
+        # The curvature's (rho^2 + rho'^2)^(3/2) underflows to 0: numpy's
+        # divide-by-zero warning was printed before the error line.  A child
+        # process prints its warnings as a user sees them, to the captured fd.
+        root = Path(__file__).resolve().parent.parent
+        status = subprocess.run(
+            [sys.executable, "-m", "bvsharp.cli", "domain-certificate",
+             "--out", str(tmp_path / "x"), "--shape", shape, *flags, "--h", "1e-163"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120).returncode
+        assert status == 2
+        assert capfd.readouterr() == (
+            "", f"bv-sharp: error: {shape} boundary curvature is not finite\n")
+
     def test_square_domain_yields_diagnostic(self, tmp_path, capsys):
         status = main([
             "domain-certificate", "--out", str(tmp_path / "x"),
@@ -537,9 +553,13 @@ class TestMainEntryPoint:
          "radii must be distinct for an order fit"),
         (["expansion-audit", "--target", "domain-quotient", "--eps_list", "0.1,0.1"],
          "radii must be distinct for a coefficient fit"),
+        # Exited 0 with numpy's RankWarning and an order of 1.127.
+        (["expansion-audit", "--target", "gray", "--eps_list", "0.1,0.1000000000000001"],
+         "radii must spread by more than 2^-26 of the largest for an order fit, "
+         "got [0.1, 0.1000000000000001]"),
     ], ids=["r-inf", "r-nan", "h-nan", "ellipse-a-inf", "h-subnormal", "r-overflow",
             "constants-gamma-overflow", "sweep-below-radius-floor", "gauss-bonnet-unresolved",
-            "gray-repeated-radii", "domain-quotient-repeated-radii"])
+            "gray-repeated-radii", "domain-quotient-repeated-radii", "gray-near-equal-radii"])
     def test_non_finite_shape_input_names_its_cause(self, argv, cause, tmp_path, capsys):
         status = main([*argv, "--out", str(tmp_path / "x")])
         assert status == 2

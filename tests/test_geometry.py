@@ -279,7 +279,8 @@ class TestDiameter:
         ids=["disk", "ellipse", "fourier"])
     def test_cap_covering_the_domain_is_rejected(self, spec):
         # A cap is a strict subset of Omega or no cap: past the diameter it
-        # covers Omega, and `beta_eps` rejects it with the rule's name.
+        # covers Omega, and `_two_valued_quotient` rejects it with the
+        # rule's name.
         domain = build_domain(spec, 1.0 / 64)
         centre = max_curvature_seed(domain).point
         eps = 1.01 * math.sqrt(_all_pairs_squared_diameter(spec))
@@ -1280,16 +1281,12 @@ def _radial_frame(spec, t):
     return rho * ct, rho * st, drho * ct - rho * st, drho * st + rho * ct
 
 
-def _reference_seed(spec):
-    """(param, curvature) of the seed from its own 2048-point curvature grid."""
+def _sampled_seed(spec):
+    """(param, curvature) of the largest kappa on the seed's own 2048-point
+    grid; `TestSeedPolish` checks the polish against mpmath."""
     t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
     kappa = spec.curvature(t)
     i = int(np.argmax(kappa))
-    lo, hi, _ = geometry._golden_section(lambda u: float(spec.curvature(u)), t[i] - t[1],
-                                         t[i] + t[1], 60, key=lambda k: -k)
-    polished = float(spec.curvature(0.5 * (lo + hi)))
-    if polished > kappa[i] + 1e-12:
-        return (0.5 * (lo + hi)) % (2.0 * math.pi), polished
     return float(t[i]), float(kappa[i])
 
 
@@ -1302,6 +1299,49 @@ def _random_fourier_shapes(count, seed):
 
 SAMPLED_SHAPES = [pytest.param(p.values[0], id=p.id) for p in CATALOG] + [
     pytest.param(spec, id=f"random-{k}") for k, spec in enumerate(_random_fourier_shapes(4, 41))]
+
+
+def _mpmath_fourier_curvature(spec, t):
+    """The curvature of a Fourier boundary at t, in mpmath."""
+    rho, d1, d2 = mpmath.mpf(spec.r0), mpmath.mpf(0), mpmath.mpf(0)
+    for k, c in enumerate(spec.cos_coeffs, start=1):
+        rho, d1, d2 = (rho + c * mpmath.cos(k * t), d1 - c * k * mpmath.sin(k * t),
+                       d2 - c * k * k * mpmath.cos(k * t))
+    for k, c in enumerate(spec.sin_coeffs, start=1):
+        rho, d1, d2 = (rho + c * mpmath.sin(k * t), d1 + c * k * mpmath.cos(k * t),
+                       d2 - c * k * k * mpmath.sin(k * t))
+    return (rho * rho + 2 * d1 * d1 - rho * d2) / (rho * rho + d1 * d1) ** 1.5
+
+
+SEED_SHAPES = [
+    pytest.param(DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.15), sin_coeffs=(0.05,)),
+                 id="fourier"),
+    pytest.param(DomainSpec.fourier(1.0, cos_coeffs=(0.0, 0.1, 0.05),
+                                    sin_coeffs=(0.08, 0.0, 0.03)), id="fourier-3"),
+] + [pytest.param(spec, id=f"random-{k}") for k, spec in enumerate(_random_fourier_shapes(20, 53))]
+
+
+class TestSeedPolish:
+    @pytest.mark.parametrize("spec", SEED_SHAPES)
+    def test_seed_curvature_is_the_maximum_on_its_bracket(self, spec):
+        # The mpmath maximum of kappa on the two sample intervals beside the
+        # sampled maximum, by 200 golden-section steps at 40 digits.
+        seed = max_curvature_seed(build_domain(spec, spec.validate() / 8.0))
+        t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+        i = int(np.argmax(spec.curvature(t)))
+        with mpmath.workdps(40):
+            lo, hi = mpmath.mpf(t[i]) - mpmath.mpf(t[1]), mpmath.mpf(t[i]) + mpmath.mpf(t[1])
+            inv_phi = (mpmath.sqrt(5) - 1) / 2
+            for _ in range(200):
+                c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+                if _mpmath_fourier_curvature(spec, c) > _mpmath_fourier_curvature(spec, d):
+                    hi = d
+                else:
+                    lo = c
+            best = _mpmath_fourier_curvature(spec, (lo + hi) / 2)
+            at_seed = _mpmath_fourier_curvature(spec, mpmath.mpf(seed.param))
+            assert float(best - at_seed) <= 16.0 * math.ulp(float(best))
+        assert abs(seed.curvature - float(at_seed)) <= 16.0 * math.ulp(float(best))
 
 
 def _textbook_measure(spec):
@@ -1334,7 +1374,11 @@ class TestSharedSamples:
             math.ceil((float(np.max(by)) + 3.0 * h - ymin) / h))
         assert domain.diameter == 2.0 * spec._radial_bounds()[0]
         seed = max_curvature_seed(domain)
-        assert (seed.param, seed.curvature) == _reference_seed(spec)
+        t_i, k_i = _sampled_seed(spec)
+        if seed.curvature > k_i + 1e-12:  # polished, within a sample step
+            assert abs(math.remainder(seed.param - t_i, 2.0 * math.pi)) < 2.0 * math.pi / 2048
+        else:
+            assert (seed.param, seed.curvature) == (t_i, k_i)
         x, y = spec.boundary_point(np.arange(4096) * geometry._SCAN_STEP)
         for ax, ay in (seed.point, (0.3, -0.2)):
             d = np.square(x - ax) + np.square(y - ay)

@@ -9,7 +9,6 @@ import pytest
 
 from bvsharp import (
     SurfaceModel,
-    beta_eps,
     classify_achievability,
     critical_curvature_threshold,
     fit_remainder_order,
@@ -297,7 +296,7 @@ class TestSingleBallRoutine:
         ball = geodesic_ball_area(SPHEROID, centre, eps)
         perim = geodesic_circle_length(SPHEROID, centre, eps)
         total = SPHEROID.area
-        beta = beta_eps(total, ball, q)
+        beta = (total / ball - 1.0) ** (-1.0 / q)  # the plateau's closed form
         numerator = (1.0 + beta) * perim
         denominator = (ball + beta**2.0 * (total - ball)) ** 0.5
         qv = surface_two_valued_quotient(SPHEROID, centre, eps, q)
